@@ -339,8 +339,6 @@ def build_parser():
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="reserved for parallel splits; merging is deterministic")
     return parser
 
 

@@ -9,7 +9,7 @@ but are excluded from width statistics with a reported count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np

@@ -12,14 +12,17 @@ normalized scores stay finite.
 from __future__ import annotations
 
 import json
+import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
 from .data_model import Dataset
 from .errors import ConfigurationError, DataError, NumericalError
+
+log = logging.getLogger(__name__)
 
 SIGMA_FLOOR = 1e-3
 
@@ -99,11 +102,15 @@ class GpModel:
     log_marginal: float
 
 
-def _rbf(Z1, Z2, signal_var, lengthscale):
+def _sqdist(Z1, Z2):
     d2 = (np.sum(Z1 ** 2, axis=1)[:, None] + np.sum(Z2 ** 2, axis=1)[None, :]
           - 2.0 * Z1 @ Z2.T)
     np.maximum(d2, 0.0, out=d2)
-    return signal_var * np.exp(-0.5 * d2 / lengthscale ** 2)
+    return d2
+
+
+def _rbf(Z1, Z2, signal_var, lengthscale):
+    return signal_var * np.exp(-0.5 * _sqdist(Z1, Z2) / lengthscale ** 2)
 
 
 def _chol_with_jitter(A):
@@ -116,22 +123,57 @@ def _chol_with_jitter(A):
 
 
 def _gp_factor(Z, y, signal_var, lengthscale, noise_var):
+    """Cholesky factor, alpha, log marginal likelihood and the jitter used."""
     K = _rbf(Z, Z, signal_var, lengthscale)
-    L, _ = _chol_with_jitter(K + noise_var * np.eye(len(Z)))
+    L, jitter = _chol_with_jitter(K + noise_var * np.eye(len(Z)))
     alpha = np.linalg.solve(L.T, np.linalg.solve(L, y))
     lml = (-0.5 * float(y @ alpha) - float(np.sum(np.log(np.diag(L))))
            - 0.5 * len(y) * math.log(2.0 * math.pi))
-    return L, alpha, lml
+    return L, alpha, lml, jitter
 
 
 def _median_heuristic(Z, rng):
     m = min(len(Z), 256)
     sub = Z[rng.choice(len(Z), size=m, replace=False)] if len(Z) > m else Z
-    d2 = (np.sum(sub ** 2, axis=1)[:, None] + np.sum(sub ** 2, axis=1)[None, :]
-          - 2.0 * sub @ sub.T)
-    d = np.sqrt(np.maximum(d2[np.triu_indices(m, k=1)], 0.0))
+    d = np.sqrt(_sqdist(sub, sub)[np.triu_indices(m, k=1)])
     med = float(np.median(d)) if len(d) else 1.0
     return med if med > 0 else 1.0
+
+
+def _grid_log_marginals(Z, y, lengthscales, signal_vars, noise_vars):
+    """(lml, ls, sv, nv) for every grid point, in (ls, sv, nv) order.
+
+    For a fixed lengthscale, K + nv I = sv R + nv I shares the eigenvectors
+    U of the unit-variance kernel R = U diag(lam) U^T, so with b = U^T y
+
+        lml = -1/2 sum(b^2 / d) - 1/2 sum(log d) - n/2 log(2 pi),
+        d = sv lam + nv,
+
+    and each (sv, nv) pair costs O(n) after one eigendecomposition per
+    lengthscale (Rasmussen & Williams 2006, sections 2.2 and 5.4).  A point
+    whose spectrum is numerically singular (d.min() <= 1e-8 d.max(), e.g.
+    a noiseless grid or duplicate rows) is scored by _gp_factor instead,
+    which applies the Cholesky jitter ladder.  Also returns how many points
+    took that fallback.
+    """
+    d2 = _sqdist(Z, Z)
+    n = len(y)
+    const = 0.5 * n * math.log(2.0 * math.pi)
+    scored, n_fallback = [], 0
+    for ls in lengthscales:
+        lam, U = np.linalg.eigh(np.exp(-0.5 * d2 / ls ** 2))
+        b2 = (U.T @ y) ** 2
+        for sv in signal_vars:
+            for nv in noise_vars:
+                d = sv * lam + nv
+                if d.min() <= 1e-8 * d.max():
+                    lml = _gp_factor(Z, y, sv, ls, nv)[2]
+                    n_fallback += 1
+                else:
+                    lml = (-0.5 * float(np.sum(b2 / d))
+                           - 0.5 * float(np.sum(np.log(d))) - const)
+                scored.append((lml, ls, sv, nv))
+    return scored, n_fallback
 
 
 def fit_gp(train: Dataset, lengthscales=None, signal_vars=None, noise_vars=None,
@@ -141,6 +183,12 @@ def fit_gp(train: Dataset, lengthscales=None, signal_vars=None, noise_vars=None,
     Default grids anchor the lengthscale at the median pairwise distance
     and the variances at the target variance.  Training rows beyond
     max_points are subsampled (seeded) to keep the cubic cost bounded.
+
+    The grid is scored from one eigendecomposition of the kernel per
+    lengthscale (see _grid_log_marginals); numerically singular points
+    fall back to a jittered Cholesky factorization.  The first best point
+    in (lengthscale, signal_var, noise_var) order is then factorized once
+    with _gp_factor, which supplies the stored L, alpha and log marginal.
     """
     Zraw, y, _ = design_matrix(train)
     if len(y) < 2:
@@ -162,14 +210,13 @@ def fit_gp(train: Dataset, lengthscales=None, signal_vars=None, noise_vars=None,
     if noise_vars is None:
         noise_vars = [m * var_y for m in (0.01, 0.05, 0.1, 0.25)]
 
-    best = None
-    for ls in lengthscales:
-        for sv in signal_vars:
-            for nv in noise_vars:
-                L, alpha, lml = _gp_factor(Z, y, sv, ls, nv)
-                if best is None or lml > best[0]:
-                    best = (lml, sv, ls, nv, L, alpha)
-    lml, sv, ls, nv, L, alpha = best
+    scored, n_fallback = _grid_log_marginals(Z, y, lengthscales, signal_vars,
+                                             noise_vars)
+    _, ls, sv, nv = max(scored, key=lambda g: g[0])   # first maximum wins
+    L, alpha, lml, jitter = _gp_factor(Z, y, sv, ls, nv)
+    log.debug("fit_gp: lengthscale=%.6g signal_var=%.6g noise_var=%.6g "
+              "log_marginal=%.6f jitter=%g fallback_points=%d/%d",
+              ls, sv, nv, lml, jitter, n_fallback, len(scored))
     L_inv = np.linalg.inv(L)
     K_inv = L_inv.T @ L_inv
     return GpModel(scaler, Z, y, sv, ls, nv, L, alpha, K_inv, lml)

@@ -1,9 +1,10 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from conftraj.data_model import Dataset, SubjectRecord
+from conftraj.data_model import Dataset, SubjectRecord, split, standardize
 from conftraj.errors import ConfigurationError, DataError
 from conftraj.predictors import (SIGMA_FLOOR, BootstrapModel, GpModel,
                                  InputScaler, PredictorInput, Prediction,
@@ -12,6 +13,7 @@ from conftraj.predictors import (SIGMA_FLOOR, BootstrapModel, GpModel,
                                  pinball_loss, predict_bootstrap, predict_gp,
                                  predict_point, predict_quantile,
                                  predict_trajectory, save_model, subject_row)
+from conftraj.synth import SynthConfig, generate
 
 
 def dataset_from_rows(X, ts, ys):
@@ -83,21 +85,82 @@ def test_gp_single_point_interpolates():
     assert p.mean == pytest.approx(1.25, abs=1e-6)
 
 
+def default_gp_grid(ds, seed=0, max_points=512):
+    """Standardized inputs, targets and the default grid, as fit_gp builds them."""
+    from conftraj.predictors import _median_heuristic
+    rows, y, _ = design_matrix(ds)
+    rng = np.random.default_rng(seed)
+    if len(y) > max_points:
+        keep = rng.choice(len(y), size=max_points, replace=False)
+        rows, y = rows[keep], y[keep]
+    Z = InputScaler.fit(rows).apply(rows)
+    med = _median_heuristic(Z, rng)
+    var_y = float(np.var(y))
+    return (Z, y, [m * med for m in (0.5, 1.0, 2.0, 4.0)],
+            [m * var_y for m in (0.5, 1.0, 2.0)],
+            [m * var_y for m in (0.01, 0.05, 0.1, 0.25)])
+
+
+def brute_force_grid(Z, y, lengthscales, signal_vars, noise_vars):
+    """Every grid point factorized with _gp_factor: (lml, ls, sv, nv) in grid order."""
+    from conftraj.predictors import _gp_factor
+    return [(_gp_factor(Z, y, sv, ls, nv)[2], ls, sv, nv)
+            for ls in lengthscales for sv in signal_vars for nv in noise_vars]
+
+
+def assert_picks_brute_force_argmax(m, grid):
+    lml, ls, sv, nv = max(grid, key=lambda g: g[0])   # first maximum wins
+    assert (m.lengthscale, m.signal_var, m.noise_var) == (ls, sv, nv)
+    assert m.log_marginal == lml
+
+
 def test_gp_argmax_log_marginal():
     ds, *_ = linear_dataset(30, seed=5, noise=0.2)
     m = fit_gp(ds, seed=0)
     # the selected hyperparameters beat every other grid point
-    rows, y, _ = design_matrix(ds)
-    from conftraj.predictors import _gp_factor, _median_heuristic
-    rng = np.random.default_rng(0)
-    Z = m.scaler.apply(rows)
-    med = _median_heuristic(Z, rng)
-    var_y = float(np.var(y))
-    for ls in (0.5 * med, med, 2 * med, 4 * med):
-        for sv in (0.5 * var_y, var_y, 2 * var_y):
-            for nv in (0.01 * var_y, 0.05 * var_y, 0.1 * var_y, 0.25 * var_y):
-                _, _, lml = _gp_factor(Z, y, sv, ls, nv)
-                assert lml <= m.log_marginal + 1e-9
+    assert_picks_brute_force_argmax(m, brute_force_grid(*default_gp_grid(ds)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gp_eigen_grid_matches_factor(seed):
+    from conftraj.predictors import _grid_log_marginals
+    rng = np.random.default_rng(100 + seed)
+    n, d = int(rng.integers(5, 60)), int(rng.integers(1, 4))
+    ds, *_ = linear_dataset(n, d=d, seed=200 + seed, noise=float(rng.uniform(0.01, 0.5)))
+    Z, y, lss, svs, nvs = default_gp_grid(ds)
+    scored, n_fallback = _grid_log_marginals(Z, y, lss, svs, nvs)
+    brute = brute_force_grid(Z, y, lss, svs, nvs)
+    assert n_fallback == 0
+    assert [g[1:] for g in scored] == [g[1:] for g in brute]
+    assert np.allclose([g[0] for g in scored], [g[0] for g in brute],
+                       rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("seed", (11, 22, 33))
+def test_gp_grid_argmax_on_acceptance_cohorts(seed):
+    # same split as the acceptance Monte Carlo: 100 train, 500 calib, 500 test
+    ds, _ = generate(SynthConfig(n_subjects=1100, seed=seed))
+    idx = split(ds, 500 / 1100, 500 / 600, seed)
+    train, _ = standardize(ds.subset(idx.train))
+    m = fit_gp(train, seed=seed)
+    assert_picks_brute_force_argmax(m, brute_force_grid(*default_gp_grid(train, seed)))
+
+
+def test_gp_degenerate_grid_falls_back_to_factor(caplog):
+    from conftraj.predictors import _grid_log_marginals
+    ds, X, ts, ys = linear_dataset(30, seed=4, noise=0.2)
+    # every row twice: the noiseless kernel matrix is singular
+    ds = dataset_from_rows(np.vstack([X, X]), np.concatenate([ts, ts]),
+                           np.concatenate([ys, ys]))
+    Z, y, lss, svs, _ = default_gp_grid(ds)
+    nvs = [0.0, 0.01 * float(np.var(y))]
+    scored, n_fallback = _grid_log_marginals(Z, y, lss, svs, nvs)
+    assert 0 < n_fallback < len(scored)
+    with caplog.at_level(logging.DEBUG, logger="conftraj.predictors"):
+        m = fit_gp(ds, noise_vars=nvs, seed=0)
+    assert_picks_brute_force_argmax(m, brute_force_grid(Z, y, lss, svs, nvs))
+    assert f"fallback_points={n_fallback}/{len(scored)}" in caplog.text
+    assert "jitter=" in caplog.text and "log_marginal=" in caplog.text
 
 
 def test_gp_far_query_variance_saturates():
