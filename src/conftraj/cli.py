@@ -14,15 +14,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import conformal, risk as risk_mod
-from .data_model import CsvSchema, load_csv, save_csv, split, standardize
+from .data_model import (CsvSchema, StandardizationStats, load_csv, save_csv,
+                         split, standardize)
 from .errors import ConfigurationError, ConftrajError, NumericalError
-from .evaluation import (evaluate_split, fit_predictor, run_protocol,
-                         stratified_compare, sweep_calibration_fraction)
+from .evaluation import (calibrate_groups, fit_split, predictor_options,
+                         run_protocol, stratified_compare,
+                         sweep_calibration_fraction)
 from .predictors import load_model, save_model
 from .synth import GroupSpec, SynthConfig, generate
 
@@ -54,6 +55,22 @@ def _validate_config(cfg: dict):
             for sub in section:
                 if sub not in _KNOWN_KEYS[key]:
                     raise ConfigurationError(f"unknown key {key}.{sub!r}")
+    alpha = cfg.get("conformal", {}).get("alpha", 0.1)
+    if not isinstance(alpha, (int, float)):        # a bool fails the range check
+        raise ConfigurationError(f"conformal.alpha must be a number, got {alpha!r}")
+    if not 0 < alpha < 1:
+        raise ConfigurationError(
+            f"conformal.alpha must be in (0,1), got {alpha} (conformal.calibrate precondition)")
+    pred = cfg.get("predictor", {})
+    options = pred.get("options", {})
+    if not isinstance(options, dict):
+        raise ConfigurationError("config key predictor.options must be an object")
+    accepted = predictor_options(pred.get("kind", "gp"))
+    for name in options:
+        if name not in accepted:
+            raise ConfigurationError(
+                f"unknown key predictor.options.{name!r} for predictor kind "
+                f"{pred.get('kind', 'gp')!r} (accepted: {', '.join(sorted(accepted))})")
 
 
 def _load_config(args) -> dict:
@@ -90,6 +107,10 @@ def _write_resolved(cfg, out: Path):
 
 def _synth_config(cfg) -> SynthConfig:
     section = dict(cfg.get("synth", {}))
+    for i, g in enumerate(section.get("group_spec", [])):
+        for key in ("column", "categories", "probs"):
+            if not isinstance(g, dict) or key not in g:
+                raise ConfigurationError(f"synth.group_spec[{i}] needs key {key!r}")
     groups = tuple(
         GroupSpec(g["column"], tuple(g["categories"]), tuple(g["probs"]),
                   g.get("noise_multipliers", {}), g.get("progressor_rates", {}))
@@ -133,11 +154,7 @@ def _eval_params(cfg):
 
 
 def _alpha(cfg) -> float:
-    alpha = cfg.get("conformal", {}).get("alpha", 0.1)
-    if not 0 < alpha < 1:
-        raise ConfigurationError(
-            f"conformal.alpha must be in (0,1), got {alpha} (conformal.calibrate precondition)")
-    return alpha
+    return cfg.get("conformal", {}).get("alpha", 0.1)      # checked on load
 
 
 def _cal_to_doc(cal) -> dict:
@@ -166,11 +183,9 @@ def cmd_fit(cfg):
     out = _outdir(cfg)
     ds = _load_dataset(cfg)
     _, test_frac, calib_frac = _eval_params(cfg)
-    idx = split(ds, test_frac, calib_frac, cfg["seed"])
-    train_std, stats = standardize(ds.subset(idx.train))
     pred = cfg.get("predictor", {})
-    model = fit_predictor(pred.get("kind", "gp"), train_std, seed=cfg["seed"],
-                          **pred.get("options", {}))
+    model, stats, _, _ = fit_split(ds, pred.get("kind", "gp"), test_frac, calib_frac,
+                                   cfg["seed"], pred.get("options", {}))
     save_model(model, out / "model.json")
     _write_json(out / "scaling.json",
                 {"schema": SCHEMA_TAG, "mean": stats.mean, "std": stats.std})
@@ -184,18 +199,12 @@ def cmd_calibrate(cfg):
     model = load_model(model_dir / "model.json")
     with open(model_dir / "scaling.json", encoding="utf-8") as fh:
         sc = json.load(fh)
-    from .data_model import StandardizationStats
     stats = StandardizationStats(sc["mean"], sc["std"])
     _, test_frac, calib_frac = _eval_params(cfg)
     idx = split(ds, test_frac, calib_frac, cfg["seed"])
     calib_std, _ = standardize(ds.subset(idx.calib), stats)
-    scores = conformal.score_dataset(model, calib_std)
-    alpha = _alpha(cfg)
-    group_by = cfg.get("conformal", {}).get("group_by")
-    if group_by:
-        cal = conformal.mondrian_calibrate(calib_std, scores, group_by, alpha)
-    else:
-        cal = conformal.calibrate(scores, alpha)
+    cal = calibrate_groups(calib_std, conformal.score_dataset(model, calib_std),
+                           _alpha(cfg), cfg.get("conformal", {}).get("group_by"))
     _write_json(out / "calibration.json", {"schema": SCHEMA_TAG, **_cal_to_doc(cal)})
     _write_resolved(cfg, out)
 
@@ -291,12 +300,9 @@ def cmd_risk(cfg):
     truth = _load_truth(cfg)
     pred = cfg.get("predictor", {})
     _, test_frac, calib_frac = _eval_params(cfg)
-    idx = split(ds, test_frac, calib_frac, cfg["seed"])
-    train_std, stats = standardize(ds.subset(idx.train))
-    calib_std, _ = standardize(ds.subset(idx.calib), stats)
-    test_std, _ = standardize(ds.subset(idx.test), stats)
-    model = fit_predictor(pred.get("kind", "gp"), train_std, seed=cfg["seed"],
-                          **pred.get("options", {}))
+    model, _, calib_std, test_std = fit_split(ds, pred.get("kind", "gp"), test_frac,
+                                              calib_frac, cfg["seed"],
+                                              pred.get("options", {}))
     scores = conformal.score_dataset(model, calib_std)
     cal = conformal.calibrate(scores, _alpha(cfg))
     r = cfg.get("risk", {})

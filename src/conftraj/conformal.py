@@ -19,7 +19,7 @@ import numpy as np
 
 from .data_model import Dataset, SubjectRecord
 from .errors import ConfigurationError, DataError
-from .predictors import predict_batch, predict_trajectory, subject_row
+from .predictors import predict_batch, subject_row
 
 log = logging.getLogger(__name__)
 
@@ -80,17 +80,6 @@ class GroupCalibration:
     fallback: CalibrationResult
 
 
-def score_subject(s: SubjectRecord, preds) -> NonconformityScore:
-    """Worst normalized residual over the subject's visits."""
-    if not s.visits:
-        raise DataError(f"subject {s.subject_id}: score undefined on empty visit list")
-    if len(preds) != len(s.visits):
-        raise DataError(f"subject {s.subject_id}: {len(preds)} predictions for "
-                        f"{len(s.visits)} visits")
-    ratios = [abs(y - p.mean) / p.std for (_, y), p in zip(s.visits, preds)]
-    return NonconformityScore(s.subject_id, max(ratios))
-
-
 def calibrate(scores, alpha: float) -> CalibrationResult:
     """Conformal radius from a list of NonconformityScores."""
     if not 0 < alpha < 1:
@@ -102,12 +91,13 @@ def calibrate(scores, alpha: float) -> CalibrationResult:
     return CalibrationResult(tuple(values), alpha, rank, radius)
 
 
-def _predict_visits(model, subjects):
-    """Batched (means, stds) over all (subject, visit) rows, plus row offsets."""
+def _predict_rows(model, subjects, times):
+    """Batched (means, stds) over every (subject, query time) row, plus the
+    row offsets of each subject; times holds one list per subject."""
     X, ts, offsets = [], [], [0]
-    for s in subjects:
+    for s, subject_times in zip(subjects, times):
         x = subject_row(s)
-        for t in s.visit_times:
+        for t in subject_times:
             X.append(x)
             ts.append(t)
         offsets.append(len(ts))
@@ -116,11 +106,13 @@ def _predict_visits(model, subjects):
 
 
 def score_dataset(model, calib: Dataset):
-    """Nonconformity scores for every calibration subject with visits."""
+    """Worst normalized residual max_t |y_t - mu_t| / sigma_t for every
+    calibration subject with visits."""
     subjects = calib.scored_subjects()
     if not subjects:
         return []
-    means, stds, offsets = _predict_visits(model, subjects)
+    means, stds, offsets = _predict_rows(model, subjects,
+                                         [s.visit_times for s in subjects])
     scores = []
     for i, s in enumerate(subjects):
         lo, hi = offsets[i], offsets[i + 1]
@@ -130,40 +122,55 @@ def score_dataset(model, calib: Dataset):
     return scores
 
 
-def _radius_for(s, gcal, fallback):
-    if isinstance(gcal, GroupCalibration):
+def _radii(subjects, gcal):
+    """One conformal radius per subject: its group's under Mondrian
+    calibration, else the population radius.  A category unseen in
+    calibration falls back to the population radius, with one warning per
+    call."""
+    if not isinstance(gcal, GroupCalibration):
+        return [gcal.radius] * len(subjects)
+    radii, unseen = [], []
+    for s in subjects:
         label = s.group_labels.get(gcal.grouping_column)
         cal = gcal.per_group.get(label)
         if cal is None:
-            if not fallback:
-                raise DataError(f"subject {s.subject_id}: unseen category {label!r} "
-                                f"for {gcal.grouping_column!r} and fallback disabled")
-            log.warning("subject %s: unseen category %r, using population radius",
-                        s.subject_id, label)
+            unseen.append(label)
             cal = gcal.fallback
-        return cal
-    return gcal
+        radii.append(cal.radius)
+    if unseen:
+        log.warning("%d subject(s) with %r categories unseen in calibration %s: "
+                    "using the population radius", len(unseen),
+                    gcal.grouping_column, sorted(set(unseen), key=repr))
+    return radii
 
 
-def bands_for_dataset(model, ds: Dataset, gcal, fallback: bool = True):
-    """One band per scored subject, at that subject's visit times (batched)."""
-    subjects = ds.scored_subjects()
+def _make_bands(model, subjects, times, radii):
+    """One band per subject, mu +/- R * sigma at that subject's query times
+    (one list of times and one radius R per subject); an infinite R gives
+    an infinite band."""
     if not subjects:
         return []
-    means, stds, offsets = _predict_visits(model, subjects)
+    if any(len(ts) == 0 for ts in times):
+        raise DataError("band requires at least one query time")
+    means, stds, offsets = _predict_rows(model, subjects, times)
     bands = []
-    for i, s in enumerate(subjects):
+    for i, (s, ts, radius) in enumerate(zip(subjects, times, radii)):
         lo, hi = offsets[i], offsets[i + 1]
-        cal = _radius_for(s, gcal, fallback)
         centers = tuple(float(v) for v in means[lo:hi])
-        if cal.finite:
-            radii = tuple(float(cal.radius * v) for v in stds[lo:hi])
-            bands.append(PredictionBand(s.subject_id, tuple(s.visit_times),
-                                        centers, radii, True))
+        if math.isfinite(radius):
+            bands.append(PredictionBand(s.subject_id, tuple(ts), centers,
+                                        tuple(float(radius * v) for v in stds[lo:hi]),
+                                        True))
         else:
-            bands.append(PredictionBand(s.subject_id, tuple(s.visit_times),
-                                        centers, None, False))
+            bands.append(PredictionBand(s.subject_id, tuple(ts), centers, None, False))
     return bands
+
+
+def bands_for_dataset(model, ds: Dataset, gcal):
+    """One band per scored subject, at that subject's visit times (batched)."""
+    subjects = ds.scored_subjects()
+    return _make_bands(model, subjects, [s.visit_times for s in subjects],
+                       _radii(subjects, gcal))
 
 
 def mondrian_calibrate(calib: Dataset, scores, grouping_column: str,
@@ -184,21 +191,7 @@ def mondrian_calibrate(calib: Dataset, scores, grouping_column: str,
     return GroupCalibration(grouping_column, per_group, calibrate(scores, alpha))
 
 
-def build_band(model, x, times, cal: CalibrationResult,
-               subject_id: str = "") -> PredictionBand:
-    """Band centers and radii over a query time grid for one input."""
-    if len(times) == 0:
-        raise DataError("band requires at least one query time")
-    preds = predict_trajectory(model, x, times)
-    centers = tuple(p.mean for p in preds)
-    if not cal.finite:
-        return PredictionBand(subject_id, tuple(times), centers, None, False)
-    radii = tuple(cal.radius * p.std for p in preds)
-    return PredictionBand(subject_id, tuple(times), centers, radii, True)
-
-
-def band_for_subject(model, s: SubjectRecord, gcal, times,
-                     fallback: bool = True) -> PredictionBand:
-    """Band for a subject, selecting the group radius when gcal is Mondrian."""
-    cal = _radius_for(s, gcal, fallback)
-    return build_band(model, subject_row(s), times, cal, subject_id=s.subject_id)
+def band_for_subject(model, s: SubjectRecord, gcal, times) -> PredictionBand:
+    """Band for one subject over a query time grid, selecting the group
+    radius when gcal is Mondrian."""
+    return _make_bands(model, [s], [times], _radii([s], gcal))[0]

@@ -132,8 +132,10 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     """Load a long-format cohort CSV into a Dataset.
 
     Rows are grouped by subject, visits sorted by time, and the month-0 row
-    becomes the baseline observation.  Duplicate (subject, time) rows and
-    fractional times are rejected.
+    becomes the baseline observation.  Duplicate (subject, time) rows,
+    fractional times, non-finite biomarker or feature cells, and rows whose
+    features or group labels differ from the subject's earlier rows are
+    rejected.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -144,8 +146,7 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
             if col not in header:
                 raise SchemaError(f"missing column {col!r} in {path}")
 
-        rows_by_subject: dict = {}
-        order: list = []
+        by_subject: dict = {}       # sid -> (features, group labels, [(t, y), ...])
         seen = set()
         for row_no, row in enumerate(reader, start=2):
             sid = row[schema.subject_col]
@@ -158,20 +159,23 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
                 feats = [float(row[c]) for c in schema.feature_cols]
             except ValueError as exc:
                 raise DataError(f"row {row_no}: non-numeric cell ({exc})")
+            if not (math.isfinite(y) and all(map(math.isfinite, feats))):
+                raise DataError(f"row {row_no}: non-finite biomarker or feature cell")
             groups = {c: row[c] for c in schema.group_cols}
-            if sid not in rows_by_subject:
-                rows_by_subject[sid] = []
-                order.append(sid)
-            rows_by_subject[sid].append((t, y, feats, groups))
+            entry = by_subject.setdefault(sid, (feats, groups, []))
+            if feats != entry[0] or groups != entry[1]:
+                raise DataError(f"row {row_no}: subject {sid} features or group "
+                                "labels differ from its earlier rows")
+            entry[2].append((t, y))
 
     subjects = []
     n_empty = 0
-    for sid in order:
-        rows = sorted(rows_by_subject[sid], key=lambda r: r[0])
+    for sid, (feats, groups, rows) in by_subject.items():
+        rows.sort()                 # times are unique within a subject
         if rows[0][0] != 0:
             raise DataError(f"subject {sid}: no month-0 baseline row")
-        _, baseline, feats, groups = rows[0]
-        visits = tuple((t, y) for t, y, _, _ in rows[1:])
+        baseline = rows[0][1]
+        visits = tuple(rows[1:])
         if not visits:
             n_empty += 1
         subjects.append(SubjectRecord(sid, np.asarray(feats, dtype=float),

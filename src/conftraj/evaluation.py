@@ -8,21 +8,21 @@ but are excluded from width statistics with a reported count.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
-from .conformal import (CalibrationResult, GroupCalibration, PredictionBand,
-                        band_for_subject, bands_for_dataset, calibrate,
-                        mondrian_calibrate, score_dataset)
+from .conformal import (PredictionBand, _make_bands, bands_for_dataset,
+                        calibrate, mondrian_calibrate, score_dataset)
 from .data_model import Dataset, split, standardize
-from .errors import ConfigurationError, DataError
-from .predictors import (fit_bootstrap, fit_gp, fit_quantile,
-                         predict_trajectory, subject_row)
+from .errors import ConfigurationError, ConftrajError, DataError
+from .predictors import fit_bootstrap, fit_gp, fit_quantile
 
-PREDICTOR_KINDS = ("gp", "quantile", "bootstrap")
+PREDICTOR_FITS = {"gp": fit_gp, "quantile": fit_quantile, "bootstrap": fit_bootstrap}
+BUCKET_MONTHS = 12          # per_time_width buckets are follow-up years
 
 
 def fit_predictor(kind: str, train: Dataset, seed: int = 0, **opts):
@@ -33,6 +33,14 @@ def fit_predictor(kind: str, train: Dataset, seed: int = 0, **opts):
     if kind == "bootstrap":
         return fit_bootstrap(train, seed=seed, **opts)
     raise ConfigurationError(f"unknown predictor kind {kind!r}")
+
+
+def predictor_options(kind: str):
+    """Option names the fit of a predictor kind accepts (fit_predictor
+    supplies train and seed itself)."""
+    if kind not in PREDICTOR_FITS:
+        raise ConfigurationError(f"unknown predictor kind {kind!r}")
+    return set(inspect.signature(PREDICTOR_FITS[kind]).parameters) - {"train", "seed"}
 
 
 @dataclass(frozen=True)
@@ -56,15 +64,6 @@ class MultiSplitReport:
     deviation_p95: dict
 
 
-def baseline_band(model, x, times, alpha: float, subject_id: str = "") -> PredictionBand:
-    """Non-conformal comparison band: center +/- z_{1-alpha/2} * sigma."""
-    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
-    preds = predict_trajectory(model, x, times)
-    return PredictionBand(subject_id, tuple(times),
-                          tuple(p.mean for p in preds),
-                          tuple(z * p.std for p in preds), True)
-
-
 def _subject_covered(band: PredictionBand, s):
     if not band.finite:
         return True
@@ -76,9 +75,13 @@ def _subject_covered(band: PredictionBand, s):
     return True
 
 
-def coverage_and_width(bands, test: Dataset, bucket_months: int = 12,
+def coverage_and_width(bands, test: Dataset,
                        grouping_column: str | None = None) -> EvalReport:
-    """Evaluate one band per test subject at that subject's visit times."""
+    """Evaluate one band per test subject at that subject's visit times.
+
+    per_time_width maps each follow-up year floor((t-1)/12) to the mean
+    finite-band width there; empty years are omitted.
+    """
     subjects = test.scored_subjects()
     by_id = {b.subject_id: b for b in bands}
     covered = 0
@@ -102,7 +105,7 @@ def coverage_and_width(bands, test: Dataset, bucket_months: int = 12,
         for t, _ in s.visits:
             w = 2.0 * band.radius_at(t)
             widths.append(w)
-            bucket_widths.setdefault((t - 1) // bucket_months, []).append(w)
+            bucket_widths.setdefault((t - 1) // BUCKET_MONTHS, []).append(w)
             if grouping_column is not None:
                 group_stats[s.group_labels.get(grouping_column)][1].append(w)
 
@@ -122,9 +125,26 @@ def coverage_and_width(bands, test: Dataset, bucket_months: int = 12,
         per_group=per_group)
 
 
-def width_over_time(bands, test: Dataset, bucket_months: int = 12) -> dict:
-    """Mean width per year-bucket floor((t-1)/bucket); empty buckets omitted."""
-    return coverage_and_width(bands, test, bucket_months).per_time_width
+def fit_split(ds: Dataset, kind: str, test_frac: float, calib_frac: float,
+              seed: int, predictor_opts: dict | None = None):
+    """Split, standardize every part with the training scale, and fit.
+
+    Returns (model, standardization stats, calibration set, test set).
+    """
+    idx = split(ds, test_frac, calib_frac, seed)
+    train_std, stats = standardize(ds.subset(idx.train))
+    calib_std, _ = standardize(ds.subset(idx.calib), stats)
+    test_std, _ = standardize(ds.subset(idx.test), stats)
+    model = fit_predictor(kind, train_std, seed=seed, **(predictor_opts or {}))
+    return model, stats, calib_std, test_std
+
+
+def calibrate_groups(calib: Dataset, scores, alpha: float,
+                     group_by: str | None = None):
+    """Mondrian calibration on group_by when it is given, else population."""
+    if group_by is None:
+        return calibrate(scores, alpha)
+    return mondrian_calibrate(calib, scores, group_by, alpha)
 
 
 def evaluate_split(ds: Dataset, predictor_kind: str, alpha: float,
@@ -133,31 +153,24 @@ def evaluate_split(ds: Dataset, predictor_kind: str, alpha: float,
                    predictor_opts: dict | None = None):
     """Run one standardize / fit / calibrate / evaluate pass.
 
-    Returns (EvalReport, calibration or None, fitted model).
+    mode "conformal" gives calibrated bands mu +/- R * sigma; mode
+    "baseline" gives the non-conformal comparison mu +/- z_{1-alpha/2} *
+    sigma.  Returns (EvalReport, calibration or None, fitted model).
     """
-    idx = split(ds, test_frac, calib_frac, seed)
-    train = ds.subset(idx.train)
-    train_std, stats = standardize(train)
-    calib_std, _ = standardize(ds.subset(idx.calib), stats)
-    test_std, _ = standardize(ds.subset(idx.test), stats)
-
-    model = fit_predictor(predictor_kind, train_std, seed=seed,
-                          **(predictor_opts or {}))
-    cal = None
-    bands = []
-    if mode == "conformal":
-        scores = score_dataset(model, calib_std)
-        if group_by is None:
-            cal = calibrate(scores, alpha)
-        else:
-            cal = mondrian_calibrate(calib_std, scores, group_by, alpha)
-        bands = bands_for_dataset(model, test_std, cal)
-    elif mode == "baseline":
-        for s in test_std.scored_subjects():
-            bands.append(baseline_band(model, subject_row(s), s.visit_times,
-                                       alpha, subject_id=s.subject_id))
-    else:
+    if mode not in ("conformal", "baseline"):
         raise ConfigurationError(f"unknown evaluation mode {mode!r}")
+    model, _, calib_std, test_std = fit_split(ds, predictor_kind, test_frac,
+                                              calib_frac, seed, predictor_opts)
+    cal = None
+    if mode == "conformal":
+        cal = calibrate_groups(calib_std, score_dataset(model, calib_std), alpha,
+                               group_by)
+        bands = bands_for_dataset(model, test_std, cal)
+    else:
+        subjects = test_std.scored_subjects()
+        z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
+        bands = _make_bands(model, subjects, [s.visit_times for s in subjects],
+                            [z] * len(subjects))
     report = coverage_and_width(bands, test_std, grouping_column=group_by)
     return report, cal, model
 
@@ -176,7 +189,7 @@ def run_protocol(ds: Dataset, predictor_kind: str, alpha: float,
             report, _, _ = evaluate_split(ds, predictor_kind, alpha, test_frac,
                                           calib_frac, int(s), group_by, mode,
                                           predictor_opts)
-        except Exception as exc:
+        except ConftrajError as exc:
             raise type(exc)(f"split {k}: {exc}") from exc
         reports.append(report)
 
@@ -211,13 +224,8 @@ def stratified_compare(ds: Dataset, predictor_kind: str, alpha: float,
                        predictor_opts: dict | None = None):
     """Population vs Mondrian calibration from the same fitted model,
     evaluated per test group."""
-    idx = split(ds, test_frac, calib_frac, seed)
-    train_std, stats = standardize(ds.subset(idx.train))
-    calib_std, _ = standardize(ds.subset(idx.calib), stats)
-    test_std, _ = standardize(ds.subset(idx.test), stats)
-
-    model = fit_predictor(predictor_kind, train_std, seed=seed,
-                          **(predictor_opts or {}))
+    model, _, calib_std, test_std = fit_split(ds, predictor_kind, test_frac,
+                                              calib_frac, seed, predictor_opts)
     scores = score_dataset(model, calib_std)
     pop_cal = calibrate(scores, alpha)
     grp_cal = mondrian_calibrate(calib_std, scores, grouping_column, alpha)

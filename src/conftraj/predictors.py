@@ -1,12 +1,12 @@
 """Uncertainty-aware trajectory predictors.
 
-All predictors consume the (d+1)-vector [x; t] (covariates plus baseline,
-plus a time input) and emit a Prediction (mean, std).  Three std
-mechanisms are provided: an exact-inference RBF Gaussian process
-(analytic posterior), linear quantile regression (quantile spread scaled
-by a z-score), and a bootstrap ridge ensemble (sample std across
-members).  Every predictor applies a common std floor so downstream
-normalized scores stay finite.
+All predictors consume rows [x; t] (covariates plus baseline, plus a time
+input) through one call, predict_batch, which returns a vector of means
+and a vector of stds.  Three std mechanisms are provided: an
+exact-inference RBF Gaussian process (analytic posterior), linear quantile
+regression (quantile spread scaled by a z-score), and a bootstrap ridge
+ensemble (sample std across members).  Every predictor applies a common
+std floor so downstream normalized scores stay finite.
 """
 
 from __future__ import annotations
@@ -27,25 +27,6 @@ log = logging.getLogger(__name__)
 SIGMA_FLOOR = 1e-3
 
 _JITTERS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
-
-
-@dataclass(frozen=True)
-class PredictorInput:
-    x: np.ndarray   # covariates including the baseline observation
-    t: int          # positive integer month
-
-    def as_row(self):
-        return np.concatenate([np.asarray(self.x, dtype=float), [float(self.t)]])
-
-
-@dataclass(frozen=True)
-class Prediction:
-    mean: float
-    std: float
-
-    def __post_init__(self):
-        if not self.std >= SIGMA_FLOOR:
-            raise NumericalError(f"prediction std {self.std} below floor {SIGMA_FLOOR}")
 
 
 @dataclass(frozen=True)
@@ -231,12 +212,6 @@ def _gp_predict_batch(m: GpModel, Zq_raw):
     return mean, np.maximum(std, SIGMA_FLOOR)
 
 
-def predict_gp(m: GpModel, q: PredictorInput) -> Prediction:
-    _check_dim(m.scaler, q)
-    mean, std = _gp_predict_batch(m, q.as_row()[None, :])
-    return Prediction(float(mean[0]), float(std[0]))
-
-
 # ---------------------------------------------------------------------------
 # Linear quantile regression (pinball loss, subgradient descent)
 
@@ -276,20 +251,16 @@ def fit_quantile(train: Dataset, levels=(0.1, 0.5, 0.9), steps: int = 600,
     Z1 = np.column_stack([scaler.apply(Zraw), np.ones(len(y))])
     W = np.zeros((len(levels), Z1.shape[1]))
 
-    def head_loss(w, q):
-        u = y - Z1 @ w
-        return float(np.mean(np.where(u >= 0, q * u, (q - 1.0) * u)))
-
     # the per-level losses are separable, so each head descends on its own
     for k, q in enumerate(levels):
         w = W[k]
         lr = learning_rate
-        loss = head_loss(w, q)
+        loss = pinball_loss([w], Z1, y, (q,))
         for _ in range(steps):
             u = y - Z1 @ w
             grad = -Z1.T @ np.where(u >= 0, q, q - 1.0) / len(y)
             w_new = w - lr * grad
-            loss_new = head_loss(w_new, q)
+            loss_new = pinball_loss([w_new], Z1, y, (q,))
             if not math.isfinite(loss_new):
                 raise NumericalError("quantile training diverged (non-finite loss)")
             if loss_new > loss:
@@ -310,12 +281,6 @@ def _quantile_predict_batch(m: QuantileModel, Zq_raw):
     mean = preds[:, len(m.levels) // 2]
     std = (preds[:, -1] - preds[:, 0]) / (2.0 * m.z_score)
     return mean, np.maximum(std, SIGMA_FLOOR)
-
-
-def predict_quantile(m: QuantileModel, q: PredictorInput) -> Prediction:
-    _check_dim(m.scaler, q)
-    mean, std = _quantile_predict_batch(m, q.as_row()[None, :])
-    return Prediction(float(mean[0]), float(std[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +338,6 @@ def _bootstrap_predict_batch(m: BootstrapModel, Zq_raw):
     return mean, np.maximum(std, SIGMA_FLOOR)
 
 
-def predict_bootstrap(m: BootstrapModel, q: PredictorInput) -> Prediction:
-    _check_dim(m.scaler, q)
-    mean, std = _bootstrap_predict_batch(m, q.as_row()[None, :])
-    return Prediction(float(mean[0]), float(std[0]))
-
-
 # ---------------------------------------------------------------------------
 # Common dispatch
 
@@ -389,35 +348,22 @@ _BATCH = {
 }
 
 
-def _check_dim(scaler: InputScaler, q: PredictorInput):
-    if len(q.x) + 1 != len(scaler.mean):
-        raise DataError(f"input dimension {len(q.x)} does not match fitted model "
-                        f"({len(scaler.mean) - 1})")
-
-
 def predict_batch(model, X, times):
-    """Vectorized prediction: rows of X paired element-wise with times."""
-    X = np.asarray(X, dtype=float)
-    rows = np.column_stack([X, np.asarray(times, dtype=float)])
-    return _BATCH[type(model)](model, rows)
+    """(means, stds) for the rows of X paired element-wise with times.
 
-
-def predict_point(model, q: PredictorInput) -> Prediction:
-    mean, std = _BATCH[type(model)](model, q.as_row()[None, :])
-    return Prediction(float(mean[0]), float(std[0]))
-
-
-def predict_trajectory(model, x, times):
-    """Predictions for one subject over a list of query months, order preserved."""
-    if len(times) == 0:
-        return []
-    x = np.asarray(x, dtype=float)
-    if len(x) + 1 != len(model.scaler.mean):
-        raise DataError(f"input dimension {len(x)} does not match fitted model "
-                        f"({len(model.scaler.mean) - 1})")
-    X = np.tile(x, (len(times), 1))
-    means, stds = predict_batch(model, X, times)
-    return [Prediction(float(m), float(s)) for m, s in zip(means, stds)]
+    The one prediction call of every predictor.  Rejects rows whose width
+    does not match the fitted model, and a std below SIGMA_FLOOR (or NaN).
+    """
+    rows = np.column_stack([np.asarray(X, dtype=float),
+                            np.asarray(times, dtype=float)])
+    if rows.shape[1] != len(model.scaler.mean):
+        raise DataError(f"input dimension {rows.shape[1] - 1} does not match "
+                        f"fitted model ({len(model.scaler.mean) - 1})")
+    means, stds = _BATCH[type(model)](model, rows)
+    if not np.all(stds >= SIGMA_FLOOR):
+        raise NumericalError(f"prediction std {float(np.min(stds))} below floor "
+                             f"{SIGMA_FLOOR}")
+    return means, stds
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,10 @@ from conftraj.cli import main as cli_main
 from conftraj.conformal import (NonconformityScore, bands_for_dataset,
                                 calibrate, mondrian_calibrate, score_dataset)
 from conftraj.data_model import split, standardize
-from conftraj.evaluation import (baseline_band, coverage_and_width,
-                                 evaluate_split, fit_predictor,
-                                 stratified_compare)
-from conftraj.predictors import (SIGMA_FLOOR, PredictorInput, fit_bootstrap,
-                                 fit_gp, predict_gp, subject_row)
+from conftraj.evaluation import (coverage_and_width, evaluate_split,
+                                 fit_predictor, stratified_compare)
+from conftraj.predictors import (SIGMA_FLOOR, fit_bootstrap, fit_gp,
+                                 predict_batch)
 from conftraj.risk import risk_pipeline, threshold_free, youden_threshold
 from conftraj.synth import GroupSpec, SynthConfig, generate
 from tests import conftest
@@ -93,11 +92,12 @@ def mc():
             crosscheck["gp_band"] = band_cov
             crosscheck["gp_score"] = float(
                 np.mean(test_values["gp"][0] <= cal.radius))
+            # baseline mode refits the same overconfident model on the same split
             z = NormalDist().inv_cdf(0.95)
-            bl = [baseline_band(over, subject_row(s), s.visit_times, 0.10,
-                                subject_id=s.subject_id)
-                  for s in test.scored_subjects()]
-            crosscheck["baseline_band"] = coverage_and_width(bl, test).mean_coverage
+            bl, _, _ = evaluate_split(ds, "bootstrap", 0.10, TEST_FRAC, CALIB_FRAC,
+                                      seed, mode="baseline",
+                                      predictor_opts={"std_scale": 0.3})
+            crosscheck["baseline_mode"] = bl.mean_coverage
             crosscheck["baseline_score"] = float(
                 np.mean(test_values["overconfident"][0] <= z))
     return {"calib": calib_scores, "test": test_values,
@@ -149,7 +149,7 @@ def test_criterion_03_baseline_vs_conformal(mc):
     conf_cov = mean_coverage(mc, "overconfident", 0.10)
     lo, hi = 0.88, 0.90 + SANDWICH_SLACK + 0.02
     ok = base_cov < 0.90 - 0.05 and lo <= conf_cov <= hi
-    assert mc["crosscheck"]["baseline_band"] == pytest.approx(
+    assert mc["crosscheck"]["baseline_mode"] == pytest.approx(
         mc["crosscheck"]["baseline_score"], abs=1e-12)
     report(3, "overconfident baseline vs conformal", ok,
            f"baseline {base_cov:.4f} < 0.85; conformal {conf_cov:.4f}")
@@ -202,23 +202,20 @@ def test_criterion_06_gp_dense_oracle():
         n = int(rng.integers(5, 51))
         ds, _, _, _ = linear_dataset(n, d=2, seed=trial, noise=0.1)
         m = fit_gp(ds, seed=0)
-        Xq = rng.standard_normal((3, 2))
+        Xq = np.column_stack([rng.standard_normal((3, 2)), np.zeros(3)])
         tq = rng.integers(1, 60, size=3)
-        for i in range(3):
-            p = predict_gp(m, PredictorInput(
-                np.concatenate([Xq[i], [0.0]]), int(tq[i])))
-            Zq = m.scaler.apply(np.concatenate([Xq[i], [0.0], [tq[i]]])[None, :])
-            om, ov = dense_gp_oracle(m.Z, m.y, Zq, m.signal_var,
-                                     m.lengthscale, m.noise_var)
-            ostd = max(math.sqrt(max(ov[0], 0.0)), SIGMA_FLOOR)
-            worst = max(worst, abs(p.mean - om[0]), abs(p.std - ostd))
+        means, stds = predict_batch(m, Xq, tq)
+        Zq = m.scaler.apply(np.column_stack([Xq, tq]))
+        om, ov = dense_gp_oracle(m.Z, m.y, Zq, m.signal_var,
+                                 m.lengthscale, m.noise_var)
+        ostd = np.maximum(np.sqrt(np.maximum(ov, 0.0)), SIGMA_FLOOR)
+        worst = max(worst, float(np.max(np.abs(means - om))),
+                    float(np.max(np.abs(stds - ostd))))
     # noiseless interpolation
     ds, X, ts, ys = linear_dataset(25, d=2, seed=999, noise=0.0)
     m = fit_gp(ds, noise_vars=[1e-10], seed=0)
-    interp = max(
-        abs(predict_gp(m, PredictorInput(np.concatenate([X[i], [0.0]]),
-                                         int(ts[i]))).mean - ys[i])
-        for i in range(len(ys)))
+    means, _ = predict_batch(m, np.column_stack([X, np.zeros(len(ys))]), ts)
+    interp = float(np.max(np.abs(means - ys)))
     ok = worst < 1e-8 and interp < 1e-6
     report(6, "GP matches dense direct-solve oracle", ok,
            f"max posterior deviation {worst:.2e} < 1e-8; "

@@ -195,3 +195,42 @@ def test_seed_flag_overrides_config(tmp_path):
                 "--out", str(out)]) == 0
     resolved = json.loads((out / "resolved_config.json").read_text())
     assert resolved["config"]["seed"] == 2
+
+
+def config_error(tmp_path, capsys, command, doc):
+    """Exit code and stderr of a run whose config is rejected on load."""
+    cfg = write_config(tmp_path / "bad.json", doc)
+    code = run([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["0.1", True, None])
+def test_non_numeric_alpha_rejected(tmp_path, capsys, alpha):
+    # the data file does not exist: the config is rejected before any load
+    code, err = config_error(tmp_path, capsys, "evaluate", {
+        "data": {"path": str(tmp_path / "missing.csv")},
+        "conformal": {"alpha": alpha}})
+    assert code == 1
+    assert "error [ConfigurationError]" in err and "conformal.alpha" in err
+
+
+def test_unknown_predictor_option_rejected(tmp_path, capsys):
+    code, err = config_error(tmp_path, capsys, "evaluate", {
+        "data": {"path": str(tmp_path / "missing.csv")},
+        "predictor": {"kind": "bootstrap", "options": {"Bee": 3}}})
+    assert code == 1
+    assert "error [ConfigurationError]" in err
+    assert "predictor.options" in err and "'Bee'" in err
+    # train and seed are set by the program, never by options
+    code, err = config_error(tmp_path, capsys, "evaluate", {
+        "data": {"path": str(tmp_path / "missing.csv")},
+        "predictor": {"kind": "quantile", "options": {"seed": 3}}})
+    assert code == 1 and "'seed'" in err
+
+
+def test_group_spec_missing_key_rejected(tmp_path, capsys):
+    code, err = config_error(tmp_path, capsys, "generate", {
+        "synth": {"n_subjects": 20,
+                  "group_spec": [{"column": "site", "probs": [0.5, 0.5]}]}})
+    assert code == 1
+    assert "error [ConfigurationError]" in err and "categories" in err

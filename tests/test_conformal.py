@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -7,12 +8,12 @@ from hypothesis import strategies as st
 
 from conftraj.conformal import (CalibrationResult, GroupCalibration,
                                 NonconformityScore, band_for_subject,
-                                bands_for_dataset, build_band, calibrate,
-                                mondrian_calibrate, score_dataset,
-                                score_subject)
+                                bands_for_dataset, calibrate,
+                                mondrian_calibrate, score_dataset)
 from conftraj.data_model import Dataset, SubjectRecord
 from conftraj.errors import ConfigurationError, DataError
-from conftraj.predictors import Prediction, fit_bootstrap
+from conftraj.predictors import (InputScaler, QuantileModel, fit_bootstrap,
+                                 predict_batch)
 from tests.test_predictors import multi_visit_dataset
 
 
@@ -24,31 +25,36 @@ def subject(sid, visits, group="g", baseline=0.0):
     return SubjectRecord(sid, np.zeros(2), {"dx": group}, baseline, tuple(visits))
 
 
+def constant_model(mean, std):
+    """Quantile model with bias-only weights and z = 1: every query on a
+    2-feature subject predicts exactly (mean, std)."""
+    W = np.zeros((3, 5))
+    W[:, -1] = (mean - std, mean, mean + std)
+    return QuantileModel(InputScaler(np.zeros(4), np.ones(4)), (0.1, 0.5, 0.9), W, 1.0)
+
+
+def score_of(model, s):
+    (score,) = score_dataset(model, Dataset((s,), ("f0", "f1"), ("dx",)))
+    return score.value
+
+
 # ---------------------------------------------------------------------------
-# score_subject
+# score_dataset by hand
 
 def test_score_hand_computation():
-    s = subject("a", [(6, 1.2), (12, 1.6)])
-    preds = [Prediction(1.0, 0.1), Prediction(1.0, 0.3)]
-    # residuals {0.2, 0.6}, stds {0.1, 0.3} -> ratios {2, 2}
-    assert score_subject(s, preds).value == pytest.approx(2.0)
+    s = subject("a", [(6, 1.5), (12, 2.0)])
+    # prediction (1.0, 0.5): residuals {0.5, 1.0} -> ratios {1, 2}
+    assert score_of(constant_model(1.0, 0.5), s) == pytest.approx(2.0)
 
 
 def test_score_perfect_predictions():
-    s = subject("a", [(6, 1.0), (12, 2.0)])
-    preds = [Prediction(1.0, 0.5), Prediction(2.0, 0.5)]
-    assert score_subject(s, preds).value == 0.0
+    s = subject("a", [(6, 1.0), (12, 1.0)])
+    assert score_of(constant_model(1.0, 0.5), s) == 0.0
 
 
 def test_score_single_visit():
     s = subject("a", [(6, 1.5)])
-    assert score_subject(s, [Prediction(1.0, 0.25)]).value == pytest.approx(2.0)
-
-
-def test_score_empty_visits_errors():
-    s = subject("a", [])
-    with pytest.raises(DataError, match="empty"):
-        score_subject(s, [])
+    assert score_of(constant_model(1.0, 0.25), s) == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -124,22 +130,21 @@ def fitted_model():
 
 
 def test_build_band_arithmetic():
-    # R = 2, prediction (1.0, 0.5) -> interval [0, 2]
+    # R = 2: the interval is mu -/+ 2 sigma at the subject's input row
     m = fitted_model()
     cal = CalibrationResult((2.0,), 0.5, 1, 2.0)
-    band = build_band(m, np.zeros(3), [6], cal)
+    band = band_for_subject(m, subject("x", []), cal, [6])
     lo = band.center_at(6) - band.radius_at(6)
     hi = band.center_at(6) + band.radius_at(6)
-    from conftraj.predictors import PredictorInput, predict_point
-    p = predict_point(m, PredictorInput(np.zeros(3), 6))
-    assert lo == pytest.approx(p.mean - 2 * p.std)
-    assert hi == pytest.approx(p.mean + 2 * p.std)
+    means, stds = predict_batch(m, np.zeros((1, 3)), [6])
+    assert lo == pytest.approx(means[0] - 2 * stds[0])
+    assert hi == pytest.approx(means[0] + 2 * stds[0])
 
 
 def test_build_band_zero_radius():
     m = fitted_model()
     cal = CalibrationResult((0.0,), 0.5, 1, 0.0)
-    band = build_band(m, np.zeros(3), [6, 12], cal)
+    band = band_for_subject(m, subject("x", []), cal, [6, 12])
     assert band.finite
     assert band.radii == (0.0, 0.0)
 
@@ -147,14 +152,15 @@ def test_build_band_zero_radius():
 def test_build_band_infinite():
     m = fitted_model()
     cal = calibrate([], 0.1)
-    band = build_band(m, np.zeros(3), [6], cal)
+    band = band_for_subject(m, subject("x", []), cal, [6])
     assert not band.finite
     assert band.radius_at(6) == math.inf
 
 
 def test_build_band_empty_times_errors():
     with pytest.raises(DataError):
-        build_band(fitted_model(), np.zeros(3), [], calibrate(scores_of([1.0]), 0.5))
+        band_for_subject(fitted_model(), subject("x", []),
+                         calibrate(scores_of([1.0]), 0.5), [])
 
 
 # ---------------------------------------------------------------------------
@@ -214,21 +220,28 @@ def test_band_for_subject_dispatch():
     band = band_for_subject(m, s, gcal, [6])
     pop = band_for_subject(m, s, cal_b, [6])
     assert band.radii == pop.radii
-    # population CalibrationResult passed directly: identical to build_band
-    from conftraj.predictors import subject_row
-    direct = build_band(m, subject_row(s), [6], cal_b, subject_id="x")
-    assert band.radii == direct.radii
+    # the group radius times the predicted std at the subject's input row
+    _, stds = predict_batch(m, np.zeros((1, 3)), [6])
+    assert band.radii == (3.0 * float(stds[0]),)
 
 
-def test_band_for_subject_unseen_category_fallback():
+def test_band_for_subject_unseen_category_fallback(caplog):
     m = fitted_model()
     cal = CalibrationResult((1.0,), 0.5, 1, 1.0)
     gcal = GroupCalibration("dx", {"a": cal}, cal)
     s = subject("x", [(6, 0.0)], group="other")
-    band = band_for_subject(m, s, gcal, [6])        # fallback enabled
+    band = band_for_subject(m, s, gcal, [6])
     assert band.finite
-    with pytest.raises(DataError, match="unseen"):
-        band_for_subject(m, s, gcal, [6], fallback=False)
+    # a batch logs one warning with the count and labels, not one per subject
+    ds = Dataset(tuple(subject(f"s{i}", [(6, 0.0)], group=g)
+                       for i, g in enumerate(["a", "b", "c", "b"])),
+                 ("f0", "f1"), ("dx",))
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="conftraj.conformal"):
+        bands = bands_for_dataset(m, ds, gcal)
+    assert all(b.finite for b in bands)
+    assert len(caplog.records) == 1
+    assert "3 subject(s)" in caplog.text and "['b', 'c']" in caplog.text
 
 
 def test_single_group_degenerates_to_population():

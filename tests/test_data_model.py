@@ -74,6 +74,32 @@ def test_fractional_time_rejected(tmp_path):
         load_csv(p, SCHEMA)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["biomarker", "age"])
+def test_non_finite_cell_names_row(tmp_path, cell, column):
+    row = {"biomarker": "1.4", "age": "70"}
+    row[column] = cell
+    p = write_csv(tmp_path / "c.csv", [
+        "s1,0,1.5,70,12,F\n",
+        f"s1,6,{row['biomarker']},{row['age']},12,F\n",
+    ])
+    with pytest.raises(DataError, match="row 3: non-finite"):
+        load_csv(p, SCHEMA)
+
+
+@pytest.mark.parametrize("later_row", ["s1,12,1.3,71,12,F\n",     # feature
+                                       "s1,12,1.3,70,12,M\n"])    # group label
+def test_within_subject_disagreement_names_row(tmp_path, later_row):
+    # the month-0 row comes last in the file; the disagreeing row is row 3
+    p = write_csv(tmp_path / "c.csv", [
+        "s1,6,1.4,70,12,F\n",
+        later_row,
+        "s1,0,1.5,70,12,F\n",
+    ])
+    with pytest.raises(DataError, match="row 3: subject s1"):
+        load_csv(p, SCHEMA)
+
+
 def test_round_trip(tmp_path):
     p = write_csv(tmp_path / "c.csv", [
         "s1,0,1.5,70,12,F\n",

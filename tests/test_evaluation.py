@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from conftraj import evaluation
 from conftraj.conformal import PredictionBand
 from conftraj.data_model import Dataset, SubjectRecord
 from conftraj.errors import DataError
-from conftraj.evaluation import (baseline_band, coverage_and_width,
-                                 evaluate_split, run_protocol,
-                                 stratified_compare,
-                                 sweep_calibration_fraction, width_over_time)
+from conftraj.evaluation import (coverage_and_width, evaluate_split, fit_split,
+                                 run_protocol, stratified_compare,
+                                 sweep_calibration_fraction)
+from conftraj.predictors import predict_batch, subject_row
 from conftraj.synth import GroupSpec, SynthConfig, generate
 
 
@@ -72,7 +73,7 @@ def test_missing_band_time_errors():
 def test_width_over_time_buckets():
     s = subject("a", [(3, 0.0), (12, 0.0), (13, 0.0), (30, 0.0)])
     band = flat_band("a", [3, 12, 13, 30], 0.0, 0.5)
-    buckets = width_over_time([band], dataset([s]))
+    buckets = coverage_and_width([band], dataset([s])).per_time_width
     assert set(buckets) == {0, 1, 2}
     assert all(v == pytest.approx(1.0) for v in buckets.values())
 
@@ -89,7 +90,7 @@ def test_width_over_time_matches_grouping_oracle():
                                     (0.0, 0.0, 0.0), tuple(radii), True))
         for t, r in zip(times, radii):
             expected.setdefault((t - 1) // 12, []).append(2 * r)
-    buckets = width_over_time(bands, dataset(subs))
+    buckets = coverage_and_width(bands, dataset(subs)).per_time_width
     assert set(buckets) == set(expected)
     for b in expected:
         assert buckets[b] == pytest.approx(np.mean(expected[b]), abs=1e-12)
@@ -178,10 +179,35 @@ def test_coverage_recomputable_by_brute_force():
 
 
 def test_baseline_band_z_width():
+    # baseline mode: radius z_{0.95} * sigma at every test visit
     ds = cohort(150, seed=10)
-    _, _, model = evaluate_split(ds, "bootstrap", 0.1, 0.2, 0.2, 3)
-    from conftraj.predictors import PredictorInput, predict_point
-    x = np.zeros(5)
-    band = baseline_band(model, x, [6], alpha=0.1)
-    p = predict_point(model, PredictorInput(x, 6))
-    assert band.radius_at(6) == pytest.approx(1.6448536269514722 * p.std)
+    report, cal, model = evaluate_split(ds, "bootstrap", 0.1, 0.2, 0.2, 3,
+                                        mode="baseline")
+    assert cal is None
+    _, _, _, test = fit_split(ds, "bootstrap", 0.2, 0.2, 3)
+    X = [subject_row(s) for s in test.scored_subjects() for _ in s.visits]
+    ts = [t for s in test.scored_subjects() for t in s.visit_times]
+    _, stds = predict_batch(model, X, ts)
+    assert report.mean_width == pytest.approx(2 * 1.6448536269514722 * np.mean(stds),
+                                              rel=1e-12)
+
+
+class TwoArgError(Exception):
+    def __init__(self, code, detail):
+        super().__init__(f"{code}: {detail}")
+
+
+def test_run_protocol_lets_foreign_errors_through(monkeypatch):
+    def broken_fit(*args, **kwargs):
+        raise TwoArgError(7, "fit failed")
+    monkeypatch.setattr(evaluation, "fit_predictor", broken_fit)
+    with pytest.raises(TwoArgError, match="7: fit failed"):
+        run_protocol(cohort(60, seed=1), "bootstrap", 0.1, n_splits=2, seed=0)
+
+
+def test_run_protocol_names_split_of_package_errors(monkeypatch):
+    def broken_fit(*args, **kwargs):
+        raise DataError("no rows")
+    monkeypatch.setattr(evaluation, "fit_predictor", broken_fit)
+    with pytest.raises(DataError, match="split 0: no rows"):
+        run_protocol(cohort(60, seed=1), "bootstrap", 0.1, n_splits=2, seed=0)

@@ -1,19 +1,26 @@
 import logging
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from conftraj.data_model import Dataset, SubjectRecord, split, standardize
-from conftraj.errors import ConfigurationError, DataError
-from conftraj.predictors import (SIGMA_FLOOR, BootstrapModel, GpModel,
-                                 InputScaler, PredictorInput, Prediction,
+from conftraj.errors import ConfigurationError, DataError, NumericalError
+from conftraj.predictors import (SIGMA_FLOOR, BootstrapModel, InputScaler,
                                  QuantileModel, design_matrix, fit_bootstrap,
                                  fit_gp, fit_quantile, load_model,
-                                 pinball_loss, predict_bootstrap, predict_gp,
-                                 predict_point, predict_quantile,
-                                 predict_trajectory, save_model, subject_row)
+                                 pinball_loss, predict_batch, save_model)
 from conftraj.synth import SynthConfig, generate
+
+Point = namedtuple("Point", "mean std")
+
+
+def predict_one(model, x, t):
+    """Mean and std at one input row [x; t], through predict_batch."""
+    means, stds = predict_batch(model, np.asarray(x, dtype=float)[None, :], [t])
+    assert means.shape == stds.shape == (1,)
+    return Point(float(means[0]), float(stds[0]))
 
 
 def dataset_from_rows(X, ts, ys):
@@ -58,7 +65,7 @@ def test_gp_matches_dense_oracle():
     Xq = rng.standard_normal((5, 2))
     tq = rng.integers(1, 60, size=5)
     for i in range(5):
-        p = predict_gp(m, PredictorInput(np.concatenate([Xq[i], [0.0]]), int(tq[i])))
+        p = predict_one(m, np.concatenate([Xq[i], [0.0]]), int(tq[i]))
         Zq = m.scaler.apply(
             np.concatenate([Xq[i], [0.0], [tq[i]]])[None, :])
         om, ov = dense_gp_oracle(m.Z, m.y, Zq, m.signal_var, m.lengthscale,
@@ -73,7 +80,7 @@ def test_gp_noiseless_interpolation():
     m = fit_gp(ds, noise_vars=[0.0], seed=0)
     rows, targets, _ = design_matrix(ds)
     for row, y in zip(rows[:10], targets[:10]):
-        p = predict_gp(m, PredictorInput(row[:-1], int(row[-1])))
+        p = predict_one(m, row[:-1], int(row[-1]))
         assert p.mean == pytest.approx(y, abs=1e-3)
 
 
@@ -81,7 +88,7 @@ def test_gp_single_point_interpolates():
     # two identical rows: one training location, noise grid forced to zero
     ds = dataset_from_rows(np.array([[0.5], [0.5]]), [6, 6], [1.25, 1.25])
     m = fit_gp(ds, noise_vars=[0.0], seed=0)
-    p = predict_gp(m, PredictorInput(np.array([0.5, 0.0]), 6))
+    p = predict_one(m, np.array([0.5, 0.0]), 6)
     assert p.mean == pytest.approx(1.25, abs=1e-6)
 
 
@@ -167,7 +174,7 @@ def test_gp_far_query_variance_saturates():
     ds, *_ = linear_dataset(20, seed=7, noise=0.1)
     m = fit_gp(ds, seed=0)
     far = np.full(2, 1e6)
-    p = predict_gp(m, PredictorInput(np.concatenate([far, [0.0]]), 59))
+    p = predict_one(m, np.concatenate([far, [0.0]]), 59)
     assert p.std ** 2 == pytest.approx(m.signal_var + m.noise_var, abs=1e-6)
 
 
@@ -176,16 +183,19 @@ def test_gp_variance_bounds():
     m = fit_gp(ds, seed=0)
     rng = np.random.default_rng(1)
     for _ in range(20):
-        q = PredictorInput(rng.standard_normal(3), int(rng.integers(1, 120)))
-        p = predict_gp(m, q)
+        p = predict_one(m, rng.standard_normal(3), int(rng.integers(1, 120)))
         assert 0 <= p.std ** 2 <= m.signal_var + m.noise_var + 1e-6
 
 
 def test_gp_dimension_mismatch():
+    # named for the GP; predict_batch checks every kind
     ds, *_ = linear_dataset(10, seed=11)
-    m = fit_gp(ds, seed=0)
-    with pytest.raises(DataError, match="dimension"):
-        predict_gp(m, PredictorInput(np.zeros(7), 6))
+    for m in (fit_gp(ds, seed=0), fit_quantile(ds, steps=10),
+              fit_bootstrap(ds, B=3, seed=0)):
+        for width in (2, 7):
+            with pytest.raises(DataError, match="dimension"):
+                predict_one(m, np.zeros(width), 6)
+        assert predict_one(m, np.zeros(3), 6).std >= SIGMA_FLOOR
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +205,7 @@ def test_quantile_constant_targets():
     ds = dataset_from_rows(np.zeros((40, 1)), np.arange(1, 41),
                            np.full(40, 2.5))
     m = fit_quantile(ds, steps=800, learning_rate=0.5)
-    p = predict_quantile(m, PredictorInput(np.array([0.0, 0.0]), 10))
+    p = predict_one(m, np.array([0.0, 0.0]), 10)
     assert p.mean == pytest.approx(2.5, abs=1e-3)
     assert p.std == SIGMA_FLOOR
 
@@ -229,7 +239,7 @@ def test_quantile_std_z_scaling():
     # weights produce (lo, med, hi) = (-z, 0, z) for any input
     W = np.array([[0.0, 0.0, -z], [0.0, 0.0, 0.0], [0.0, 0.0, z]])
     m = QuantileModel(scaler, (0.1, 0.5, 0.9), W, z)
-    p = predict_quantile(m, PredictorInput(np.zeros(1), 1))
+    p = predict_one(m, np.zeros(1), 1)
     assert p.std == pytest.approx(1.0, abs=1e-9)
 
 
@@ -237,7 +247,7 @@ def test_quantile_floor_on_equal_quantiles():
     scaler = InputScaler(np.zeros(2), np.ones(2))
     W = np.zeros((3, 3))
     m = QuantileModel(scaler, (0.1, 0.5, 0.9), W, 1.6449)
-    p = predict_quantile(m, PredictorInput(np.zeros(1), 1))
+    p = predict_one(m, np.zeros(1), 1)
     assert p.std == SIGMA_FLOOR
 
 
@@ -246,7 +256,7 @@ def test_quantile_monotone_rearrangement():
     # raw (lo, med, hi) = (0.5, 0.2, 0.9) at the bias
     W = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 0.2], [0.0, 0.0, 0.9]])
     m = QuantileModel(scaler, (0.1, 0.5, 0.9), W, 1.6449)
-    p = predict_quantile(m, PredictorInput(np.zeros(1), 1))
+    p = predict_one(m, np.zeros(1), 1)
     assert p.mean == pytest.approx(0.5)
     assert p.std == pytest.approx((0.9 - 0.2) / (2 * 1.6449))
 
@@ -287,7 +297,7 @@ def test_bootstrap_noiseless_matches_ridge_oracle():
     w_full = ridge_oracle(Z1, y, 1e-8)
     for member in m.members:
         assert np.allclose(member, w_full, atol=1e-6)
-    p = predict_bootstrap(m, PredictorInput(np.array([1.0, 0.0, 0.3]), 12))
+    p = predict_one(m, np.array([1.0, 0.0, 0.3]), 12)
     assert p.mean == pytest.approx(float(
         np.concatenate([m.scaler.apply(np.array([[1.0, 0.0, 0.3, 12.0]]))[0],
                         [1.0]]) @ w_full), abs=1e-8)
@@ -297,7 +307,7 @@ def test_bootstrap_two_point_std():
     scaler = InputScaler(np.zeros(2), np.ones(2))
     members = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 3.0]])
     m = BootstrapModel(scaler, members, 1.0)
-    p = predict_bootstrap(m, PredictorInput(np.zeros(1), 1))
+    p = predict_one(m, np.zeros(1), 1)
     assert p.mean == pytest.approx(2.0)
     assert p.std == pytest.approx(np.sqrt(2.0))
 
@@ -306,7 +316,7 @@ def test_bootstrap_identical_members_floor():
     scaler = InputScaler(np.zeros(2), np.ones(2))
     members = np.tile(np.array([[0.1, 0.2, 0.3]]), (4, 1))
     m = BootstrapModel(scaler, members, 1.0)
-    p = predict_bootstrap(m, PredictorInput(np.zeros(1), 1))
+    p = predict_one(m, np.zeros(1), 1)
     assert p.std == SIGMA_FLOOR
 
 
@@ -317,7 +327,7 @@ def test_bootstrap_recompute_oracle():
     for _ in range(5):
         x = rng.standard_normal(3)
         t = int(rng.integers(1, 48))
-        p = predict_bootstrap(m, PredictorInput(x, t))
+        p = predict_one(m, x, t)
         z1 = np.concatenate([m.scaler.apply(np.concatenate([x, [t]])[None, :])[0],
                              [1.0]])
         preds = m.members @ z1
@@ -354,23 +364,34 @@ def test_bootstrap_mean_converges_to_full_ridge():
 # Common surface
 
 def test_predict_trajectory_empty_and_order():
+    # one subject's trajectory through predict_batch: no rows give empty
+    # vectors, and rows come back in query order
     ds, *_ = linear_dataset(15, seed=17)
     m = fit_bootstrap(ds, B=3, seed=0)
     x = np.zeros(3)
-    assert predict_trajectory(m, x, []) == []
-    out = predict_trajectory(m, x, [6, 12])
-    assert len(out) == 2
-    singles = [predict_point(m, PredictorInput(x, t)) for t in (6, 12)]
-    for a, b in zip(out, singles):
-        assert a.mean == pytest.approx(b.mean, abs=1e-12)
-        assert a.std == pytest.approx(b.std, abs=1e-12)
+    means, stds = predict_batch(m, np.zeros((0, 3)), [])
+    assert means.shape == stds.shape == (0,)
+    means, stds = predict_batch(m, np.tile(x, (2, 1)), [6, 12])
+    assert len(means) == len(stds) == 2
+    singles = [predict_one(m, x, t) for t in (6, 12)]
+    for a_mean, a_std, b in zip(means, stds, singles):
+        assert a_mean == pytest.approx(b.mean, abs=1e-12)
+        assert a_std == pytest.approx(b.std, abs=1e-12)
 
 
 def test_std_floor_everywhere():
     ds, *_ = linear_dataset(20, seed=19, noise=0.0)
     for m in (fit_gp(ds, seed=0), fit_quantile(ds), fit_bootstrap(ds, B=3, seed=0)):
-        for p in predict_trajectory(m, np.zeros(3), [1, 30, 120]):
-            assert p.std >= SIGMA_FLOOR
+        _, stds = predict_batch(m, np.zeros((3, 3)), [1, 30, 120])
+        assert np.all(stds >= SIGMA_FLOOR)
+
+
+def test_predict_batch_rejects_nan_std():
+    scaler = InputScaler(np.zeros(2), np.ones(2))
+    members = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 3.0]])
+    m = BootstrapModel(scaler, members, 1.0, std_scale=math.nan)
+    with pytest.raises(NumericalError, match="floor"):
+        predict_batch(m, np.zeros((2, 1)), [1, 2])
 
 
 def test_save_load_round_trip(tmp_path):
@@ -382,7 +403,7 @@ def test_save_load_round_trip(tmp_path):
         save_model(m, path)
         m2 = load_model(path)
         x = np.array([0.3, -0.2, 0.1])
-        p1 = predict_point(m, PredictorInput(x, 17))
-        p2 = predict_point(m2, PredictorInput(x, 17))
+        p1 = predict_one(m, x, 17)
+        p2 = predict_one(m2, x, 17)
         assert p1.mean == pytest.approx(p2.mean, abs=1e-12)
         assert p1.std == pytest.approx(p2.std, abs=1e-10)
