@@ -44,6 +44,27 @@ _KNOWN_KEYS = {
 _TOP_KEYS = set(_KNOWN_KEYS) | {"seed", "out"}
 
 
+def _fraction(v):
+    return isinstance(v, (int, float)) and 0 < v < 1      # a bool fails the range
+
+
+def _count(v):
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
+# (section, key, what it must be, test) for each typed value checked on load
+_VALUE_RULES = (
+    ("conformal", "alpha", "a number in (0,1) (conformal.calibrate precondition)",
+     _fraction),
+    ("evaluation", "n_splits", "an int >= 1", _count),
+    ("evaluation", "test_frac", "a number in (0,1)", _fraction),
+    ("evaluation", "calib_frac", "a number in (0,1)", _fraction),
+    ("risk", "bootstrap_B", "an int >= 1", _count),
+    ("risk", "direction", "'decreasing' or 'increasing'",
+     lambda v: v in ("decreasing", "increasing")),
+)
+
+
 def _validate_config(cfg: dict):
     for key in cfg:
         if key not in _TOP_KEYS:
@@ -55,12 +76,10 @@ def _validate_config(cfg: dict):
             for sub in section:
                 if sub not in _KNOWN_KEYS[key]:
                     raise ConfigurationError(f"unknown key {key}.{sub!r}")
-    alpha = cfg.get("conformal", {}).get("alpha", 0.1)
-    if not isinstance(alpha, (int, float)):        # a bool fails the range check
-        raise ConfigurationError(f"conformal.alpha must be a number, got {alpha!r}")
-    if not 0 < alpha < 1:
-        raise ConfigurationError(
-            f"conformal.alpha must be in (0,1), got {alpha} (conformal.calibrate precondition)")
+    for section, key, expected, ok in _VALUE_RULES:
+        if key in cfg.get(section, {}) and not ok(cfg[section][key]):
+            raise ConfigurationError(
+                f"{section}.{key} must be {expected}, got {cfg[section][key]!r}")
     pred = cfg.get("predictor", {})
     options = pred.get("options", {})
     if not isinstance(options, dict):

@@ -74,34 +74,61 @@ def rocb(y_t0: float, band_at_tN, t0: int, tN: int, direction: str) -> float:
     raise ConfigurationError(f"unknown direction {direction!r}")
 
 
+def _check_rule(rule):
+    if rule not in ("le", "ge"):
+        raise ConfigurationError(f"unknown high-risk rule {rule!r}")
+
+
 def _flags(scores, tau, rule):
+    _check_rule(rule)
+    return scores <= tau if rule == "le" else scores >= tau
+
+
+def _checked(scores, labels):
+    """Scores as a float vector and the progressor mask of the labels.
+
+    Labels must be PROGRESSOR or STABLE, one per score, because a bootstrap
+    replicate counts as single-class from its positives alone.  Scores
+    must be finite, because threshold_free reads its descending tie groups
+    off one ascending sort, which would misplace a NaN.
+    """
     scores = np.asarray(scores, dtype=float)
-    if rule == "le":
-        return scores <= tau
-    if rule == "ge":
-        return scores >= tau
-    raise ConfigurationError(f"unknown high-risk rule {rule!r}")
+    labels = list(labels)
+    if scores.ndim != 1 or len(scores) != len(labels):
+        raise DataError(f"got {scores.size} scores for {len(labels)} labels")
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if len(bad):
+        raise DataError(f"score {bad[0]} is {scores[bad[0]]}; scores must be finite")
+    for i, lab in enumerate(labels):
+        if lab not in (PROGRESSOR, STABLE):
+            raise DataError(f"label {i} is {lab!r}, not {PROGRESSOR!r} or {STABLE!r}")
+    return scores, np.asarray([lab == PROGRESSOR for lab in labels], dtype=bool)
 
 
-def _positives(labels):
-    return np.asarray([lab == PROGRESSOR for lab in labels])
+def _both_classes(pos, what):
+    if pos.all() or not pos.any():
+        raise DataError(f"{what} needs both classes present")
+
+
+def _rates(tn, fn, fp, tp):
+    """classify_metrics' formulas on (arrays of) confusion counts."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
+        recall = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
+        f1 = np.where(precision + recall > 0,
+                      2 * precision * recall / (precision + recall), 0.0)
+        specificity = np.where(tn + fp > 0, tn / (tn + fp), 0.0)
+    return {"precision": precision, "recall": recall, "f1": f1,
+            "balanced_accuracy": 0.5 * (recall + specificity)}
 
 
 def classify_metrics(scores, labels, tau, rule="le"):
     """Confusion-matrix metrics with progressors as the positive class."""
+    scores, pos = _checked(scores, labels)
     flagged = _flags(scores, tau, rule)
-    pos = _positives(labels)
-    tp = int(np.sum(flagged & pos))
-    fp = int(np.sum(flagged & ~pos))
-    fn = int(np.sum(~flagged & pos))
-    tn = int(np.sum(~flagged & ~pos))
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = (2 * precision * recall / (precision + recall)
-          if precision + recall else 0.0)
-    specificity = tn / (tn + fp) if tn + fp else 0.0
-    return {"precision": precision, "recall": recall, "f1": f1,
-            "balanced_accuracy": 0.5 * (recall + specificity)}
+    counts = [np.sum(~flagged & ~pos), np.sum(~flagged & pos),
+              np.sum(flagged & ~pos), np.sum(flagged & pos)]
+    return {m: float(v) for m, v in _rates(*counts).items()}
 
 
 def youden_threshold(scores, labels, rule="le"):
@@ -111,17 +138,22 @@ def youden_threshold(scores, labels, rule="le"):
     extreme; ties break toward the most specific classifier (smallest tau
     under the <=-rule, largest under the >=-rule).
     """
-    pos = _positives(labels)
-    if pos.all() or not pos.any():
-        raise DataError("Youden threshold needs both classes present")
+    scores, pos = _checked(scores, labels)
+    _both_classes(pos, "Youden threshold")
+    _check_rule(rule)
     extreme = -math.inf if rule == "le" else math.inf
-    candidates = sorted(set(float(v) for v in scores)) + [extreme]
+    candidates = sorted(set(scores.tolist())) + [extreme]
+    # flagged counts of each class at every candidate, from one sort each
+    side = "right" if rule == "le" else "left"
+    pos_sorted, neg_sorted = np.sort(scores[pos]), np.sort(scores[~pos])
+    n_pos, n_neg = len(pos_sorted), len(neg_sorted)
+    tp = np.searchsorted(pos_sorted, candidates, side)
+    fp = np.searchsorted(neg_sorted, candidates, side)
+    if rule == "ge":
+        tp, fp = n_pos - tp, n_neg - fp
+    j_all = (tp / n_pos + (n_neg - fp) / n_neg - 1.0).tolist()
     best_tau, best_j = None, -math.inf
-    for tau in candidates:
-        flagged = _flags(scores, tau, rule)
-        sens = np.sum(flagged & pos) / np.sum(pos)
-        spec = np.sum(~flagged & ~pos) / np.sum(~pos)
-        j = sens + spec - 1.0
+    for tau, j in zip(candidates, j_all):
         if j > best_j + 1e-12:
             best_tau, best_j = tau, j
         elif abs(j - best_j) <= 1e-12 and best_tau is not None:
@@ -133,70 +165,66 @@ def youden_threshold(scores, labels, rule="le"):
 def bootstrap_ci(scores, labels, tau, rule="le", B=2000, level=0.95, seed=0):
     """Percentile bootstrap CIs for the metrics at a fixed threshold.
 
-    Replicates that resample a single class are skipped; the skip count
-    is reported under "n_skipped".
+    tau is fixed, so each subject's confusion cell is too: a replicate
+    reduces to four counts of the resampled cells.  Replicates that
+    resample a single class are skipped; the skip count is reported under
+    "n_skipped".
     """
-    scores = np.asarray(scores, dtype=float)
-    labels = list(labels)
-    rng = np.random.default_rng(seed)
-    samples: dict = {m: [] for m in ("precision", "recall", "f1", "balanced_accuracy")}
-    skipped = 0
+    if isinstance(B, bool) or not isinstance(B, (int, np.integer)) or B < 1:
+        raise ConfigurationError(f"bootstrap B must be a positive int, got {B!r}")
+    if not isinstance(level, (int, float)) or not 0 < level < 1:   # bools fail too
+        raise ConfigurationError(f"bootstrap level must be in (0,1), got {level!r}")
+    scores, pos = _checked(scores, labels)
+    _both_classes(pos, f"bootstrap CI (B={B})")
     n = len(scores)
-    for _ in range(B):
-        pick = rng.integers(0, n, size=n)
-        lab = [labels[i] for i in pick]
-        if len(set(lab)) < 2:
-            skipped += 1
-            continue
-        for m, v in classify_metrics(scores[pick], lab, tau, rule).items():
-            samples[m].append(v)
+    cell = 2 * _flags(scores, tau, rule) + pos          # 0 tn, 1 fn, 2 fp, 3 tp
+    rng = np.random.default_rng(seed)
+    # n indices per replicate, not a B x n index matrix: at n = B = 2000
+    # that would take 32 MB
+    counts = np.empty((B, 4), dtype=np.int64)
+    for b in range(B):
+        counts[b] = np.bincount(cell[rng.integers(0, n, size=n)], minlength=4)
+    n_pos = counts[:, 1] + counts[:, 3]
+    kept = counts[(n_pos > 0) & (n_pos < n)]
+    if not len(kept):
+        raise DataError(f"every one of the B={B} bootstrap replicates "
+                        "resampled a single class")
     lo = (1.0 - level) / 2.0
     out = {m: (float(np.percentile(v, 100 * lo)),
                float(np.percentile(v, 100 * (1.0 - lo))))
-           for m, v in samples.items()}
-    out["n_skipped"] = skipped
+           for m, v in _rates(*kept.T).items()}
+    out["n_skipped"] = int(B - len(kept))
     return out
 
 
 def threshold_free(scores, labels, rule="le"):
     """(ROC-AUC, PR-AUC) oriented so the high-risk rule scores positives higher."""
-    scores = np.asarray(scores, dtype=float)
-    pos = _positives(labels)
-    if pos.all() or not pos.any():
-        raise DataError("AUC needs both classes present")
+    scores, pos = _checked(scores, labels)
+    _both_classes(pos, "AUC")
+    _check_rule(rule)
     decision = -scores if rule == "le" else scores
 
-    # ROC-AUC as the rank statistic; ties contribute 1/2 via midranks.
+    # One stable ascending sort; runs of equal decision values are tie groups.
     order = np.argsort(decision, kind="mergesort")
-    ranks = np.empty(len(decision))
     sorted_d = decision[order]
-    i = 0
-    while i < len(sorted_d):
-        j = i
-        while j + 1 < len(sorted_d) and sorted_d[j + 1] == sorted_d[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.r_[True, sorted_d[1:] != sorted_d[:-1]])
+    ends = np.r_[starts[1:], len(sorted_d)] - 1
+    sizes = ends - starts + 1
+
+    # ROC-AUC as the rank statistic; ties contribute 1/2 via midranks.
+    ranks = np.empty(len(decision))
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, sizes)
     n_pos, n_neg = int(np.sum(pos)), int(np.sum(~pos))
     roc_auc = (float(np.sum(ranks[pos])) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
-    # PR-AUC by precision-recall step integration over descending thresholds.
-    desc = np.argsort(-decision, kind="mergesort")
-    tp = fp = 0
-    prev_recall = 0.0
-    pr_auc = 0.0
-    k = 0
-    while k < len(desc):
-        j = k
-        while j + 1 < len(desc) and decision[desc[j + 1]] == decision[desc[k]]:
-            j += 1
-        tp += int(np.sum(pos[desc[k:j + 1]]))
-        fp += (j - k + 1) - int(np.sum(pos[desc[k:j + 1]]))
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        pr_auc += (recall - prev_recall) * precision
-        prev_recall = recall
-        k = j + 1
+    # PR-AUC by precision-recall step integration over descending
+    # thresholds: one step per tie group, summed left to right.
+    group_pos = np.diff(np.r_[0, np.cumsum(pos[order])[ends]])
+    tp = np.cumsum(group_pos[::-1])
+    recall = tp / n_pos
+    precision = tp / np.cumsum(sizes[::-1])
+    steps = (recall - np.r_[0.0, recall[:-1]]) * precision
+    pr_auc = float(np.cumsum(steps)[-1])
     return roc_auc, pr_auc
 
 

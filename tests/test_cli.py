@@ -234,3 +234,20 @@ def test_group_spec_missing_key_rejected(tmp_path, capsys):
                   "group_spec": [{"column": "site", "probs": [0.5, 0.5]}]}})
     assert code == 1
     assert "error [ConfigurationError]" in err and "categories" in err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("evaluation", "n_splits", "2"), ("evaluation", "n_splits", 0),
+    ("evaluation", "n_splits", 2.0), ("evaluation", "n_splits", True),
+    ("evaluation", "test_frac", 0), ("evaluation", "test_frac", "0.1"),
+    ("evaluation", "calib_frac", 1.0), ("evaluation", "calib_frac", None),
+    ("risk", "bootstrap_B", 50.5), ("risk", "bootstrap_B", "20"),
+    ("risk", "bootstrap_B", 0), ("risk", "bootstrap_B", False),
+    ("risk", "direction", "sideways"), ("risk", "direction", ["decreasing"]),
+])
+def test_typed_config_value_rejected(tmp_path, capsys, section, key, value):
+    # the data file does not exist: the config is rejected before any load
+    code, err = config_error(tmp_path, capsys, "risk", {
+        "data": {"path": str(tmp_path / "missing.csv")}, section: {key: value}})
+    assert code == 1
+    assert "error [ConfigurationError]" in err and f"{section}.{key}" in err

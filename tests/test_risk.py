@@ -1,8 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftraj.conformal import calibrate, score_dataset
 from conftraj.data_model import split, standardize
@@ -116,6 +119,12 @@ def test_youden_matches_enumeration_oracle():
             tau = youden_threshold(scores, labels, rule)
             oracle = youden_enumeration_oracle(scores, labels, rule)
             assert tau == oracle, (trial, rule)
+    # one cohort of the benchmark's size, with ties
+    scores = np.round(rng.normal(size=2000), 2)
+    labels = labels_of(rng.random(2000) < 0.3)
+    for rule in ("le", "ge"):
+        assert (youden_threshold(scores, labels, rule)
+                == youden_enumeration_oracle(scores, labels, rule)), rule
 
 
 def test_classify_metrics_hand_example():
@@ -160,12 +169,92 @@ def test_bootstrap_ci_deterministic():
     assert a == b
 
 
+def classify_metrics_oracle(scores, labels, tau, rule):
+    flagged = (np.asarray(scores) <= tau) if rule == "le" else (np.asarray(scores) >= tau)
+    pos = np.asarray([lab == PROGRESSOR for lab in labels])
+    tp = int(np.sum(flagged & pos))
+    fp = int(np.sum(flagged & ~pos))
+    fn = int(np.sum(~flagged & pos))
+    tn = int(np.sum(~flagged & ~pos))
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = (2 * precision * recall / (precision + recall)
+          if precision + recall else 0.0)
+    specificity = tn / (tn + fp) if tn + fp else 0.0
+    return {"precision": precision, "recall": recall, "f1": f1,
+            "balanced_accuracy": 0.5 * (recall + specificity)}
+
+
+def bootstrap_ci_loop_oracle(scores, labels, tau, rule, B, seed, level=0.95):
+    """One classify_metrics call per resample, as bootstrap_ci once ran."""
+    scores = np.asarray(scores, dtype=float)
+    labels = list(labels)
+    rng = np.random.default_rng(seed)
+    samples = {m: [] for m in ("precision", "recall", "f1", "balanced_accuracy")}
+    skipped = 0
+    n = len(scores)
+    for _ in range(B):
+        pick = rng.integers(0, n, size=n)
+        lab = [labels[i] for i in pick]
+        if len(set(lab)) < 2:
+            skipped += 1
+            continue
+        for m, v in classify_metrics_oracle(scores[pick], lab, tau, rule).items():
+            samples[m].append(v)
+    lo = (1.0 - level) / 2.0
+    out = {m: (float(np.percentile(v, 100 * lo)),
+               float(np.percentile(v, 100 * (1.0 - lo))))
+           for m, v in samples.items()}
+    out["n_skipped"] = skipped
+    return out
+
+
 def test_bootstrap_ci_skips_single_class_replicates():
     # one progressor among five: many replicates miss it entirely
     scores = [-1.0, 0.1, 0.2, 0.3, 0.4]
     labels = labels_of([True, False, False, False, False])
     ci = bootstrap_ci(scores, labels, -1.0, B=300, seed=0)
     assert ci["n_skipped"] > 0
+
+
+def test_bootstrap_ci_matches_loop_oracle_with_many_skips():
+    # one progressor among six: about a third of the resamples miss it
+    scores = [-1.0, 0.1, 0.2, 0.3, 0.4, 0.4]
+    labels = labels_of([True, False, False, False, False, False])
+    for rule, tau in (("le", 0.1), ("ge", 0.3)):
+        ci = bootstrap_ci(scores, labels, tau, rule, B=500, seed=4)
+        assert ci == bootstrap_ci_loop_oracle(scores, labels, tau, rule, 500, 4)
+        assert ci["n_skipped"] > 100
+
+
+@pytest.mark.parametrize("kwargs", [{"B": 0}, {"B": -3}, {"B": 20.0}, {"B": "20"},
+                                    {"B": True}, {"level": 0.0}, {"level": 1.0},
+                                    {"level": "0.9"}, {"level": True}])
+def test_bootstrap_ci_rejects_bad_settings(kwargs):
+    with pytest.raises(ConfigurationError):
+        bootstrap_ci([0.1, 0.2], labels_of([True, False]), 0.1, **kwargs)
+
+
+def test_bootstrap_ci_single_class_errors_name_B():
+    with pytest.raises(DataError, match="B=40"):
+        bootstrap_ci([0.1, 0.2], labels_of([True, True]), 0.1, B=40)
+    # seed 0 draws subject 1 twice, so the only replicate is single-class
+    with pytest.raises(DataError, match="B=1 "):
+        bootstrap_ci([0.1, 0.2], labels_of([True, False]), 0.1, B=1, seed=0)
+
+
+def test_bootstrap_ci_memory_stays_below_an_index_matrix():
+    # a B x n int64 index matrix at n = B = 2000 would take 32 MB
+    rng = np.random.default_rng(6)
+    scores = rng.normal(size=2000)
+    labels = labels_of(rng.random(2000) < 0.3)
+    tracemalloc.start()
+    try:
+        bootstrap_ci(scores, labels, 0.0, B=2000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +271,42 @@ def pairwise_auc_oracle(decision, pos):
             elif decision[i] == decision[j]:
                 wins += 0.5
     return wins / pairs
+
+
+def threshold_free_loop_oracle(scores, labels, rule):
+    """threshold_free as it once ran: a while loop over each sorted order."""
+    scores = np.asarray(scores, dtype=float)
+    pos = np.asarray([lab == PROGRESSOR for lab in labels])
+    decision = -scores if rule == "le" else scores
+    order = np.argsort(decision, kind="mergesort")
+    ranks = np.empty(len(decision))
+    sorted_d = decision[order]
+    i = 0
+    while i < len(sorted_d):
+        j = i
+        while j + 1 < len(sorted_d) and sorted_d[j + 1] == sorted_d[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    n_pos, n_neg = int(np.sum(pos)), int(np.sum(~pos))
+    roc_auc = (float(np.sum(ranks[pos])) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    desc = np.argsort(-decision, kind="mergesort")
+    tp = fp = 0
+    prev_recall = 0.0
+    pr_auc = 0.0
+    k = 0
+    while k < len(desc):
+        j = k
+        while j + 1 < len(desc) and decision[desc[j + 1]] == decision[desc[k]]:
+            j += 1
+        tp += int(np.sum(pos[desc[k:j + 1]]))
+        fp += (j - k + 1) - int(np.sum(pos[desc[k:j + 1]]))
+        recall = tp / n_pos
+        precision = tp / (tp + fp)
+        pr_auc += (recall - prev_recall) * precision
+        prev_recall = recall
+        k = j + 1
+    return roc_auc, pr_auc
 
 
 def test_roc_auc_perfect_separation():
@@ -228,6 +353,78 @@ def test_pr_auc_all_ties_equals_prevalence():
     auc, pr = threshold_free(scores, labels, rule="le")
     assert auc == pytest.approx(0.5)
     assert pr == pytest.approx(0.25)
+
+
+# ---------------------------------------------------------------------------
+# vectorized statistics against their loop oracles, compared with ==
+
+@pytest.mark.parametrize("decimals", [None, 1])
+@pytest.mark.parametrize("n", [5, 37, 1999, 2000])
+def test_statistics_match_loop_oracles(n, decimals):
+    rng = np.random.default_rng(n)
+    scores = rng.normal(size=n)
+    if decimals is not None:
+        scores = np.round(scores, decimals)       # force ties
+    flags = rng.random(n) < 0.35
+    flags[:2] = (True, False)
+    labels = labels_of(flags)
+    B = 2000 if n < 100 else 300
+    for rule in ("le", "ge"):
+        tau = youden_threshold(scores, labels, rule)
+        assert (classify_metrics(scores, labels, tau, rule)
+                == classify_metrics_oracle(scores, labels, tau, rule))
+        assert (bootstrap_ci(scores, labels, tau, rule, B=B, seed=n)
+                == bootstrap_ci_loop_oracle(scores, labels, tau, rule, B, n))
+        assert (threshold_free(scores, labels, rule)
+                == threshold_free_loop_oracle(scores, labels, rule))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.booleans()), min_size=2, max_size=12),
+       st.integers(0, 2**16))
+def test_statistics_match_oracles_on_small_tied_inputs(rows, seed):
+    scores = [v / 2 for v, _ in rows]
+    flags = [f for _, f in rows]
+    assume(any(flags) and not all(flags))
+    labels = labels_of(flags)
+    for rule in ("le", "ge"):
+        tau = youden_threshold(scores, labels, rule)
+        assert tau == youden_enumeration_oracle(scores, labels, rule)
+        assert (classify_metrics(scores, labels, tau, rule)
+                == classify_metrics_oracle(scores, labels, tau, rule))
+        assert (bootstrap_ci(scores, labels, tau, rule, B=50, seed=seed)
+                == bootstrap_ci_loop_oracle(scores, labels, tau, rule, 50, seed))
+        assert (threshold_free(scores, labels, rule)
+                == threshold_free_loop_oracle(scores, labels, rule))
+
+
+@pytest.mark.parametrize("call", [
+    lambda s, lab: classify_metrics(s, lab, 0.0),
+    lambda s, lab: youden_threshold(s, lab),
+    lambda s, lab: bootstrap_ci(s, lab, 0.0, B=10),
+    lambda s, lab: threshold_free(s, lab),
+], ids=["classify_metrics", "youden_threshold", "bootstrap_ci", "threshold_free"])
+def test_statistics_reject_bad_input(call):
+    labels = labels_of([True, False, True])
+    with pytest.raises(DataError, match="2 scores for 3 labels"):
+        call([0.1, 0.2], labels)
+    with pytest.raises(DataError, match="4 scores for 3 labels"):
+        call([0.1, 0.2, 0.3, 0.4], labels)
+    with pytest.raises(DataError, match="finite"):
+        call([0.1, math.nan, 0.3], labels)
+    with pytest.raises(DataError, match="label 1"):
+        call([0.1, 0.2, 0.3], [PROGRESSOR, "x", STABLE])
+
+
+@pytest.mark.parametrize("call", [
+    lambda s, lab, rule: classify_metrics(s, lab, 0.0, rule),
+    lambda s, lab, rule: youden_threshold(s, lab, rule),
+    lambda s, lab, rule: bootstrap_ci(s, lab, 0.0, rule, B=10),
+    lambda s, lab, rule: threshold_free(s, lab, rule),
+], ids=["classify_metrics", "youden_threshold", "bootstrap_ci", "threshold_free"])
+def test_statistics_reject_unknown_rule(call):
+    with pytest.raises(ConfigurationError, match="sideways"):
+        call([0.1, 0.2], labels_of([True, False]), "sideways")
 
 
 # ---------------------------------------------------------------------------
