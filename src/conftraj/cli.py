@@ -15,25 +15,22 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import conformal, risk as risk_mod
 from .data_model import (CsvSchema, StandardizationStats, load_csv, save_csv,
                          split, standardize)
 from .errors import ConfigurationError, ConftrajError, NumericalError
-from .evaluation import (calibrate_groups, fit_split, predictor_options,
-                         run_protocol, stratified_compare,
-                         sweep_calibration_fraction)
-from .predictors import load_model, save_model
+from .evaluation import (calibrate_groups, fit_split, run_protocol,
+                         stratified_compare, sweep_calibration_fraction)
+from .predictors import load_model, predictor_options, save_model
 from .synth import GroupSpec, SynthConfig, generate
 
 SCHEMA_TAG = "conftraj-output-v1"
 
 _KNOWN_KEYS = {
-    "synth": {"n_subjects", "feature_dim", "max_time", "visits_mean", "noise_std",
-              "progressor_frac", "slope_stable", "slope_progressor",
-              "heterogeneity_std", "feature_signal", "group_spec", "direction",
-              "varying_horizon", "min_horizon"},
+    "synth": {f.name for f in fields(SynthConfig)} - {"seed"},
     "data": {"path", "truth_path", "feature_cols", "group_cols",
              "subject_col", "time_col", "value_col"},
     "predictor": {"kind", "options", "model_dir"},
@@ -44,22 +41,39 @@ _KNOWN_KEYS = {
 _TOP_KEYS = set(_KNOWN_KEYS) | {"seed", "out"}
 
 
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _fraction(v):
-    return isinstance(v, (int, float)) and 0 < v < 1      # a bool fails the range
+    return _number(v) and 0 < v < 1
 
 
-def _count(v):
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
-
-
-# (section, key, what it must be, test) for each typed value checked on load
+# (section, key, what it must be, test) for each typed value checked on
+# load; section None is the top level
 _VALUE_RULES = (
+    (None, "seed", "an int >= 0", lambda v: _int(v) and v >= 0),
+    *(("synth", key, "an int", _int)
+      for key in ("n_subjects", "feature_dim", "max_time", "min_horizon")),
+    *(("synth", key, "a number", _number)
+      for key in ("visits_mean", "noise_std", "progressor_frac", "slope_stable",
+                  "slope_progressor", "heterogeneity_std", "feature_signal")),
+    ("synth", "varying_horizon", "true or false", lambda v: isinstance(v, bool)),
     ("conformal", "alpha", "a number in (0,1) (conformal.calibrate precondition)",
      _fraction),
-    ("evaluation", "n_splits", "an int >= 1", _count),
+    ("evaluation", "n_splits", "an int >= 1", lambda v: _int(v) and v >= 1),
     ("evaluation", "test_frac", "a number in (0,1)", _fraction),
     ("evaluation", "calib_frac", "a number in (0,1)", _fraction),
-    ("risk", "bootstrap_B", "an int >= 1", _count),
+    ("evaluation", "mode", "'conformal' or 'baseline'",
+     lambda v: v in ("conformal", "baseline")),
+    ("evaluation", "fracs", "a non-empty list of numbers in [0,1)",
+     lambda v: isinstance(v, list) and v != [] and all(_number(f) and 0 <= f < 1
+                                                       for f in v)),
+    ("risk", "bootstrap_B", "an int >= 1", lambda v: _int(v) and v >= 1),
     ("risk", "direction", "'decreasing' or 'increasing'",
      lambda v: v in ("decreasing", "increasing")),
 )
@@ -77,19 +91,25 @@ def _validate_config(cfg: dict):
                 if sub not in _KNOWN_KEYS[key]:
                     raise ConfigurationError(f"unknown key {key}.{sub!r}")
     for section, key, expected, ok in _VALUE_RULES:
-        if key in cfg.get(section, {}) and not ok(cfg[section][key]):
-            raise ConfigurationError(
-                f"{section}.{key} must be {expected}, got {cfg[section][key]!r}")
-    pred = cfg.get("predictor", {})
-    options = pred.get("options", {})
+        scope = cfg if section is None else cfg.get(section, {})
+        if key in scope and not ok(scope[key]):
+            name = key if section is None else f"{section}.{key}"
+            raise ConfigurationError(f"{name} must be {expected}, got {scope[key]!r}")
+    kind, options = _predictor(cfg)
     if not isinstance(options, dict):
         raise ConfigurationError("config key predictor.options must be an object")
-    accepted = predictor_options(pred.get("kind", "gp"))
+    accepted = predictor_options(kind)
     for name in options:
         if name not in accepted:
             raise ConfigurationError(
                 f"unknown key predictor.options.{name!r} for predictor kind "
-                f"{pred.get('kind', 'gp')!r} (accepted: {', '.join(sorted(accepted))})")
+                f"{kind!r} (accepted: {', '.join(sorted(accepted))})")
+
+
+def _predictor(cfg):
+    """(kind, fit options) of the config's predictor."""
+    pred = cfg.get("predictor", {})
+    return pred.get("kind", "gp"), pred.get("options", {})
 
 
 def _load_config(args) -> dict:
@@ -97,9 +117,9 @@ def _load_config(args) -> dict:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    _validate_config(cfg)
     if args.seed is not None:
         cfg["seed"] = args.seed
+    _validate_config(cfg)
     cfg.setdefault("seed", 0)
     if args.out is not None:
         cfg["out"] = args.out
@@ -108,20 +128,10 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _outdir(cfg) -> Path:
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_json(path: Path, doc):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _write_resolved(cfg, out: Path):
-    _write_json(out / "resolved_config.json", {"schema": SCHEMA_TAG, "config": cfg})
 
 
 def _synth_config(cfg) -> SynthConfig:
@@ -157,13 +167,11 @@ def _load_truth(cfg) -> dict:
     d = cfg.get("data", {})
     if "truth_path" not in d:
         raise ConfigurationError("data.truth_path is required for the risk command")
-    truth = {}
     with open(d["truth_path"], newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            truth[row["subject_id"]] = {
-                "is_progressor": row["is_progressor"].lower() in ("1", "true"),
-                "true_slope": float(row["true_slope"])}
-    return truth
+        return {row["subject_id"]: {
+                    "is_progressor": row["is_progressor"].lower() in ("1", "true"),
+                    "true_slope": float(row["true_slope"])}
+                for row in csv.DictReader(fh)}
 
 
 def _eval_params(cfg):
@@ -185,8 +193,7 @@ def _cal_to_doc(cal) -> dict:
             "radius": cal.radius if cal.finite else "inf"}
 
 
-def cmd_generate(cfg):
-    out = _outdir(cfg)
+def cmd_generate(cfg, out: Path):
     ds, truth = generate(_synth_config(cfg))
     save_csv(ds, out / "cohort.csv")
     with open(out / "truth.csv", "w", newline="", encoding="utf-8") as fh:
@@ -195,24 +202,19 @@ def cmd_generate(cfg):
         for sid in sorted(truth):
             writer.writerow([sid, int(truth[sid]["is_progressor"]),
                              repr(truth[sid]["true_slope"])])
-    _write_resolved(cfg, out)
 
 
-def cmd_fit(cfg):
-    out = _outdir(cfg)
+def cmd_fit(cfg, out: Path):
     ds = _load_dataset(cfg)
     _, test_frac, calib_frac = _eval_params(cfg)
-    pred = cfg.get("predictor", {})
-    model, stats, _, _ = fit_split(ds, pred.get("kind", "gp"), test_frac, calib_frac,
-                                   cfg["seed"], pred.get("options", {}))
+    kind, options = _predictor(cfg)
+    model, stats, _, _ = fit_split(ds, kind, test_frac, calib_frac, cfg["seed"], options)
     save_model(model, out / "model.json")
     _write_json(out / "scaling.json",
                 {"schema": SCHEMA_TAG, "mean": stats.mean, "std": stats.std})
-    _write_resolved(cfg, out)
 
 
-def cmd_calibrate(cfg):
-    out = _outdir(cfg)
+def cmd_calibrate(cfg, out: Path):
     ds = _load_dataset(cfg)
     model_dir = Path(cfg.get("predictor", {}).get("model_dir", out))
     model = load_model(model_dir / "model.json")
@@ -225,42 +227,33 @@ def cmd_calibrate(cfg):
     cal = calibrate_groups(calib_std, conformal.score_dataset(model, calib_std),
                            _alpha(cfg), cfg.get("conformal", {}).get("group_by"))
     _write_json(out / "calibration.json", {"schema": SCHEMA_TAG, **_cal_to_doc(cal)})
-    _write_resolved(cfg, out)
 
 
-def _report_rows(report, split_idx, group=""):
-    rows = [{"split": split_idx, "group": group, "metric": "coverage",
-             "value": report.mean_coverage},
-            {"split": split_idx, "group": group, "metric": "width",
-             "value": report.mean_width},
-            {"split": split_idx, "group": group, "metric": "n_infinite_bands",
-             "value": report.n_infinite_bands}]
-    for g, stats in sorted((report.per_group or {}).items()):
-        for m in ("coverage", "width", "n"):
-            rows.append({"split": split_idx, "group": g, "metric": m,
-                         "value": stats[m]})
-    return rows
+def _report_rows(report, split_idx):
+    overall = {"": {"coverage": report.mean_coverage, "width": report.mean_width,
+                    "n_infinite_bands": report.n_infinite_bands}}
+    return [{"split": split_idx, "group": g, "metric": m, "value": v}
+            for g, stats in [*overall.items(), *sorted((report.per_group or {}).items())]
+            for m, v in stats.items()]
 
 
 def _write_rows(path: Path, rows, fieldnames):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
-def cmd_evaluate(cfg):
-    out = _outdir(cfg)
+def cmd_evaluate(cfg, out: Path):
     ds = _load_dataset(cfg)
     n_splits, test_frac, calib_frac = _eval_params(cfg)
-    pred = cfg.get("predictor", {})
-    report = run_protocol(ds, pred.get("kind", "gp"), _alpha(cfg),
+    kind, options = _predictor(cfg)
+    report = run_protocol(ds, kind, _alpha(cfg),
                           n_splits=n_splits, test_frac=test_frac,
                           calib_frac=calib_frac, seed=cfg["seed"],
                           group_by=cfg.get("conformal", {}).get("group_by"),
                           mode=cfg.get("evaluation", {}).get("mode", "conformal"),
-                          predictor_opts=pred.get("options", {}))
+                          predictor_opts=options)
     _write_json(out / "report.json", {
         "schema": SCHEMA_TAG, "mean": report.mean, "p95": report.p95,
         "deviation_p95": report.deviation_p95,
@@ -269,59 +262,45 @@ def cmd_evaluate(cfg):
                     "per_time_width": {str(k): v for k, v in r.per_time_width.items()},
                     "per_group": r.per_group}
                    for r in report.reports]})
-    rows = []
-    for i, r in enumerate(report.reports):
-        rows.extend(_report_rows(r, i))
-    _write_rows(out / "report.csv", rows, ["split", "group", "metric", "value"])
-    _write_resolved(cfg, out)
+    _write_rows(out / "report.csv",
+                [row for i, r in enumerate(report.reports) for row in _report_rows(r, i)],
+                ["split", "group", "metric", "value"])
 
 
-def cmd_sweep(cfg):
-    out = _outdir(cfg)
+def cmd_sweep(cfg, out: Path):
     ds = _load_dataset(cfg)
-    pred = cfg.get("predictor", {})
+    kind, options = _predictor(cfg)
     _, test_frac, _ = _eval_params(cfg)
     rows = sweep_calibration_fraction(
-        ds, pred.get("kind", "gp"), _alpha(cfg),
-        fracs=cfg.get("evaluation", {}).get("fracs"), seed=cfg["seed"],
-        test_frac=test_frac, predictor_opts=pred.get("options", {}))
+        ds, kind, _alpha(cfg), fracs=cfg.get("evaluation", {}).get("fracs"),
+        seed=cfg["seed"], test_frac=test_frac, predictor_opts=options)
     _write_rows(out / "sweep.csv", rows,
                 ["calib_frac", "coverage", "width", "n_infinite_bands"])
-    _write_resolved(cfg, out)
 
 
-def cmd_stratify(cfg):
-    out = _outdir(cfg)
+def cmd_stratify(cfg, out: Path):
     ds = _load_dataset(cfg)
     group_by = cfg.get("conformal", {}).get("group_by")
     if not group_by:
         raise ConfigurationError("stratify requires conformal.group_by")
-    pred = cfg.get("predictor", {})
+    kind, options = _predictor(cfg)
     _, test_frac, calib_frac = _eval_params(cfg)
-    results = stratified_compare(ds, pred.get("kind", "gp"), _alpha(cfg),
-                                 group_by, seed=cfg["seed"], test_frac=test_frac,
-                                 calib_frac=calib_frac,
-                                 predictor_opts=pred.get("options", {}))
-    rows = []
-    for method in ("population", "group_conditional"):
-        report = results[method]
-        for g, stats in sorted((report.per_group or {}).items()):
-            rows.append({"method": method, "group": g,
-                         "coverage": stats["coverage"], "width": stats["width"],
-                         "n": stats["n"]})
+    results = stratified_compare(ds, kind, _alpha(cfg), group_by, seed=cfg["seed"],
+                                 test_frac=test_frac, calib_frac=calib_frac,
+                                 predictor_opts=options)
+    rows = [{"method": method, "group": g, **stats}
+            for method in ("population", "group_conditional")
+            for g, stats in sorted((results[method].per_group or {}).items())]
     _write_rows(out / "stratify.csv", rows, ["method", "group", "coverage", "width", "n"])
-    _write_resolved(cfg, out)
 
 
-def cmd_risk(cfg):
-    out = _outdir(cfg)
+def cmd_risk(cfg, out: Path):
     ds = _load_dataset(cfg)
     truth = _load_truth(cfg)
-    pred = cfg.get("predictor", {})
+    kind, options = _predictor(cfg)
     _, test_frac, calib_frac = _eval_params(cfg)
-    model, _, calib_std, test_std = fit_split(ds, pred.get("kind", "gp"), test_frac,
-                                              calib_frac, cfg["seed"],
-                                              pred.get("options", {}))
+    model, _, calib_std, test_std = fit_split(ds, kind, test_frac, calib_frac,
+                                              cfg["seed"], options)
     scores = conformal.score_dataset(model, calib_std)
     cal = conformal.calibrate(scores, _alpha(cfg))
     r = cfg.get("risk", {})
@@ -329,15 +308,11 @@ def cmd_risk(cfg):
         test_std, truth, model, cal, r.get("direction", "decreasing"),
         bootstrap_B=r.get("bootstrap_B", 2000), seed=cfg["seed"])
 
-    rows = []
-    for name in ("roc_hat", "rocb"):
-        rep = reports[name]
-        for metric, value in (("precision", rep.precision), ("recall", rep.recall),
-                              ("f1", rep.f1),
-                              ("balanced_accuracy", rep.balanced_accuracy)):
-            lo, hi = rep.ci_95[metric]
-            rows.append({"method": name, "metric": metric, "tau_star": rep.tau_star,
-                         "value": value, "ci_lo": lo, "ci_hi": hi})
+    rows = [{"method": name, "metric": m, "tau_star": reports[name].tau_star,
+             "value": getattr(reports[name], m), "ci_lo": reports[name].ci_95[m][0],
+             "ci_hi": reports[name].ci_95[m][1]}
+            for name in ("roc_hat", "rocb")
+            for m in ("precision", "recall", "f1", "balanced_accuracy")]
     _write_rows(out / "risk.csv", rows,
                 ["method", "metric", "tau_star", "value", "ci_lo", "ci_hi"])
     _write_rows(out / "threshold_free.csv",
@@ -346,7 +321,6 @@ def cmd_risk(cfg):
                   "n_excluded": reports[name].n_excluded}
                  for name in ("roc_hat", "rocb")],
                 ["method", "roc_auc", "pr_auc", "n", "n_excluded"])
-    _write_resolved(cfg, out)
 
 
 _COMMANDS = {"generate": cmd_generate, "fit": cmd_fit, "calibrate": cmd_calibrate,
@@ -371,7 +345,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        _COMMANDS[args.command](cfg)
+        out = Path(cfg["out"])
+        out.mkdir(parents=True, exist_ok=True)
+        _COMMANDS[args.command](cfg, out)
+        _write_json(out / "resolved_config.json", {"schema": SCHEMA_TAG, "config": cfg})
     except NumericalError as exc:
         print(f"error [numerical]: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data_model import Dataset, SubjectRecord
 from .errors import ConfigurationError, DataError
-from .predictors import predict_batch, subject_row
+from .predictors import predict_batch, visit_rows
 
 log = logging.getLogger(__name__)
 
@@ -94,14 +94,8 @@ def calibrate(scores, alpha: float) -> CalibrationResult:
 def _predict_rows(model, subjects, times):
     """Batched (means, stds) over every (subject, query time) row, plus the
     row offsets of each subject; times holds one list per subject."""
-    X, ts, offsets = [], [], [0]
-    for s, subject_times in zip(subjects, times):
-        x = subject_row(s)
-        for t in subject_times:
-            X.append(x)
-            ts.append(t)
-        offsets.append(len(ts))
-    means, stds = predict_batch(model, np.asarray(X), np.asarray(ts, dtype=float))
+    X, t, offsets = visit_rows(subjects, times)
+    means, stds = predict_batch(model, X, t)
     return means, stds, offsets
 
 
@@ -157,12 +151,9 @@ def _make_bands(model, subjects, times, radii):
     for i, (s, ts, radius) in enumerate(zip(subjects, times, radii)):
         lo, hi = offsets[i], offsets[i + 1]
         centers = tuple(float(v) for v in means[lo:hi])
-        if math.isfinite(radius):
-            bands.append(PredictionBand(s.subject_id, tuple(ts), centers,
-                                        tuple(float(radius * v) for v in stds[lo:hi]),
-                                        True))
-        else:
-            bands.append(PredictionBand(s.subject_id, tuple(ts), centers, None, False))
+        finite = math.isfinite(radius)
+        radii = tuple(float(radius * v) for v in stds[lo:hi]) if finite else None
+        bands.append(PredictionBand(s.subject_id, tuple(ts), centers, radii, finite))
     return bands
 
 

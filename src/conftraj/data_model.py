@@ -56,16 +56,12 @@ class StandardizationStats:
     def apply(self, y):
         return (np.asarray(y, dtype=float) - self.mean) / self.std
 
-    def invert(self, y):
-        return np.asarray(y, dtype=float) * self.std + self.mean
-
 
 @dataclass(frozen=True)
 class Dataset:
     subjects: tuple
     feature_names: tuple
     group_columns: tuple
-    standardization: StandardizationStats | None = None
 
     def __post_init__(self):
         ids = [s.subject_id for s in self.subjects]
@@ -94,7 +90,6 @@ class SplitIndices:
     train: tuple
     calib: tuple
     test: tuple
-    seed: int
 
     def __post_init__(self):
         sets = [set(self.train), set(self.calib), set(self.test)]
@@ -200,14 +195,6 @@ def save_csv(ds: Dataset, path) -> None:
                 writer.writerow([s.subject_id, t, repr(float(y))] + feats + groups)
 
 
-def _all_biomarker_values(ds: Dataset) -> np.ndarray:
-    vals = []
-    for s in ds.subjects:
-        vals.append(s.baseline_value)
-        vals.extend(s.visit_values)
-    return np.asarray(vals, dtype=float)
-
-
 def standardize(ds: Dataset, stats: StandardizationStats | None = None):
     """Z-score all biomarker values (baseline + visits).
 
@@ -216,7 +203,8 @@ def standardize(ds: Dataset, stats: StandardizationStats | None = None):
     the training scale.
     """
     if stats is None:
-        vals = _all_biomarker_values(ds)
+        vals = np.asarray([v for s in ds.subjects
+                           for v in (s.baseline_value, *s.visit_values)], dtype=float)
         if len(vals) < 2:
             raise DataError("need at least 2 biomarker values to standardize")
         std = float(np.std(vals, ddof=1))
@@ -229,7 +217,7 @@ def standardize(ds: Dataset, stats: StandardizationStats | None = None):
                 baseline_value=float(stats.apply(s.baseline_value)),
                 visits=tuple((t, float(stats.apply(y))) for t, y in s.visits))
         for s in ds.subjects)
-    return replace(ds, subjects=new_subjects, standardization=stats), stats
+    return replace(ds, subjects=new_subjects), stats
 
 
 def split(ds: Dataset, test_frac: float, calib_frac: float, seed: int) -> SplitIndices:
@@ -254,4 +242,4 @@ def split(ds: Dataset, test_frac: float, calib_frac: float, seed: int) -> SplitI
         raise ConfigurationError("split fractions leave no training subjects")
     return SplitIndices(tuple(int(i) for i in train),
                         tuple(int(i) for i in calib),
-                        tuple(int(i) for i in test), seed)
+                        tuple(int(i) for i in test))

@@ -8,7 +8,6 @@ but are excluded from width statistics with a reported count.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -19,28 +18,9 @@ from .conformal import (PredictionBand, _make_bands, bands_for_dataset,
                         calibrate, mondrian_calibrate, score_dataset)
 from .data_model import Dataset, split, standardize
 from .errors import ConfigurationError, ConftrajError, DataError
-from .predictors import fit_bootstrap, fit_gp, fit_quantile
+from .predictors import fit_predictor
 
-PREDICTOR_FITS = {"gp": fit_gp, "quantile": fit_quantile, "bootstrap": fit_bootstrap}
 BUCKET_MONTHS = 12          # per_time_width buckets are follow-up years
-
-
-def fit_predictor(kind: str, train: Dataset, seed: int = 0, **opts):
-    if kind == "gp":
-        return fit_gp(train, seed=seed, **opts)
-    if kind == "quantile":
-        return fit_quantile(train, **opts)
-    if kind == "bootstrap":
-        return fit_bootstrap(train, seed=seed, **opts)
-    raise ConfigurationError(f"unknown predictor kind {kind!r}")
-
-
-def predictor_options(kind: str):
-    """Option names the fit of a predictor kind accepts (fit_predictor
-    supplies train and seed itself)."""
-    if kind not in PREDICTOR_FITS:
-        raise ConfigurationError(f"unknown predictor kind {kind!r}")
-    return set(inspect.signature(PREDICTOR_FITS[kind]).parameters) - {"train", "seed"}
 
 
 @dataclass(frozen=True)
@@ -97,8 +77,7 @@ def coverage_and_width(bands, test: Dataset,
         covered += ok
         if grouping_column is not None:
             g = s.group_labels.get(grouping_column)
-            cov_list, w_list = group_stats.setdefault(g, ([], []))
-            cov_list.append(ok)
+            group_stats.setdefault(g, ([], []))[0].append(ok)
         if not band.finite:
             n_inf += 1
             continue
@@ -107,7 +86,7 @@ def coverage_and_width(bands, test: Dataset,
             widths.append(w)
             bucket_widths.setdefault((t - 1) // BUCKET_MONTHS, []).append(w)
             if grouping_column is not None:
-                group_stats[s.group_labels.get(grouping_column)][1].append(w)
+                group_stats[g][1].append(w)
 
     per_group = None
     if grouping_column is not None:
@@ -230,9 +209,6 @@ def stratified_compare(ds: Dataset, predictor_kind: str, alpha: float,
     pop_cal = calibrate(scores, alpha)
     grp_cal = mondrian_calibrate(calib_std, scores, grouping_column, alpha)
 
-    results = {}
-    for name, cal in (("population", pop_cal), ("group_conditional", grp_cal)):
-        bands = bands_for_dataset(model, test_std, cal)
-        report = coverage_and_width(bands, test_std, grouping_column=grouping_column)
-        results[name] = report
-    return results
+    return {name: coverage_and_width(bands_for_dataset(model, test_std, cal), test_std,
+                                     grouping_column=grouping_column)
+            for name, cal in (("population", pop_cal), ("group_conditional", grp_cal))}

@@ -11,11 +11,14 @@ std floor so downstream normalized scores stay finite.
 
 from __future__ import annotations
 
+import inspect
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from itertools import accumulate
 from statistics import NormalDist
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,19 +54,21 @@ def subject_row(s):
     return np.concatenate([s.features, [s.baseline_value]])
 
 
+def visit_rows(subjects, times):
+    """Inputs X = [x; baseline] and t for each time in each subject's list of
+    times, and the row offsets: subject i owns rows offsets[i]:offsets[i + 1]."""
+    counts = [len(ts) for ts in times]
+    X = np.repeat([subject_row(s) for s in subjects], counts, axis=0)
+    return X, np.concatenate(times), list(accumulate(counts, initial=0))
+
+
 def design_matrix(train: Dataset):
-    """One row [x; baseline; t] and one target per (subject, visit)."""
-    rows, targets, owners = [], [], []
-    for idx, s in enumerate(train.subjects):
-        x = subject_row(s)
-        for t, y in s.visits:
-            rows.append(np.concatenate([x, [float(t)]]))
-            targets.append(y)
-            owners.append(idx)
-    if not rows:
+    """Rows [x; baseline; t] and targets at every visit, and the row offsets."""
+    if not train.scored_subjects():
         raise DataError("training set has no visit rows")
-    return (np.asarray(rows, dtype=float), np.asarray(targets, dtype=float),
-            np.asarray(owners, dtype=int))
+    X, t, offsets = visit_rows(train.subjects, [s.visit_times for s in train.subjects])
+    targets = [y for s in train.subjects for y in s.visit_values]
+    return np.column_stack([X, t]), np.asarray(targets, dtype=float), np.asarray(offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +84,12 @@ class GpModel:
     noise_var: float
     L: np.ndarray                 # Cholesky factor of K + noise_var I (+ jitter)
     alpha: np.ndarray             # (K + noise_var I)^-1 y
-    K_inv: np.ndarray             # (K + noise_var I)^-1, reused across queries
     log_marginal: float
+    K_inv: np.ndarray = field(init=False)   # (K + noise_var I)^-1 from L, reused across queries
+
+    def __post_init__(self):
+        L_inv = np.linalg.inv(self.L)
+        object.__setattr__(self, "K_inv", L_inv.T @ L_inv)
 
 
 def _sqdist(Z1, Z2):
@@ -198,9 +207,7 @@ def fit_gp(train: Dataset, lengthscales=None, signal_vars=None, noise_vars=None,
     log.debug("fit_gp: lengthscale=%.6g signal_var=%.6g noise_var=%.6g "
               "log_marginal=%.6f jitter=%g fallback_points=%d/%d",
               ls, sv, nv, lml, jitter, n_fallback, len(scored))
-    L_inv = np.linalg.inv(L)
-    K_inv = L_inv.T @ L_inv
-    return GpModel(scaler, Z, y, sv, ls, nv, L, alpha, K_inv, lml)
+    return GpModel(scaler, Z, y, sv, ls, nv, L, alpha, lml)
 
 
 def _gp_predict_batch(m: GpModel, Zq_raw):
@@ -309,23 +316,22 @@ def fit_bootstrap(train: Dataset, B: int = 20, ridge_lambda: float = 1.0,
     """Fit B closed-form ridge regressors on subject-level bootstrap resamples."""
     if B < 2:
         raise ConfigurationError("ensemble size B must be >= 2")
-    scored = [s for s in train.subjects if s.visits]
-    if len(scored) < 2:
+    if len(train.scored_subjects()) < 2:
         raise DataError("bootstrap fitting needs at least 2 training subjects with visits")
-    Zraw, y, owners = design_matrix(train)
+    Zraw, y, offsets = design_matrix(train)
     scaler = InputScaler.fit(Zraw)
     Z1 = np.column_stack([scaler.apply(Zraw), np.ones(len(y))])
 
-    subject_rows = {}
-    for row, owner in enumerate(owners):
-        subject_rows.setdefault(owner, []).append(row)
-    subject_ids = sorted(subject_rows)
-
+    # resample subjects with visits; gather the picked row ranges in pick order
+    lens = np.diff(offsets)
+    starts, lens = offsets[:-1][lens > 0], lens[lens > 0]
     rng = np.random.default_rng(seed)
     members = []
     for _ in range(B):
-        picks = rng.choice(len(subject_ids), size=len(subject_ids), replace=True)
-        rows = np.concatenate([subject_rows[subject_ids[p]] for p in picks])
+        picks = rng.choice(len(starts), size=len(starts), replace=True)
+        n = lens[picks]
+        ends = np.cumsum(n)
+        rows = np.repeat(starts[picks] - ends + n, n) + np.arange(ends[-1])
         members.append(_ridge_solve(Z1[rows], y[rows], ridge_lambda))
     return BootstrapModel(scaler, np.asarray(members), ridge_lambda, std_scale)
 
@@ -339,13 +345,50 @@ def _bootstrap_predict_batch(m: BootstrapModel, Zq_raw):
 
 
 # ---------------------------------------------------------------------------
-# Common dispatch
+# The predictor kinds
 
-_BATCH = {
-    GpModel: _gp_predict_batch,
-    QuantileModel: _quantile_predict_batch,
-    BootstrapModel: _bootstrap_predict_batch,
+class Kind(NamedTuple):
+    model: type
+    fit: Callable                 # fit(train, **options); seeded kinds also take seed
+    predict: Callable             # predict(model, rows) -> (means, stds)
+    shapes: dict                  # array field -> one letter per axis (see load_model)
+
+
+KINDS = {
+    "gp": Kind(GpModel, fit_gp, _gp_predict_batch,
+               {"Z": "np", "y": "n", "L": "nn", "alpha": "n"}),
+    "quantile": Kind(QuantileModel, fit_quantile, _quantile_predict_batch,
+                     {"levels": "k", "weights": "kq"}),
+    "bootstrap": Kind(BootstrapModel, fit_bootstrap, _bootstrap_predict_batch,
+                      {"members": "Bq"}),
 }
+
+
+def _kind(name):
+    if name not in KINDS:
+        raise ConfigurationError(f"unknown predictor kind {name!r}")
+    return KINDS[name]
+
+
+def _kind_of(model):
+    for name, kind in KINDS.items():
+        if type(model) is kind.model:
+            return name
+    raise ConfigurationError(f"not a predictor model: {type(model).__name__}")
+
+
+def predictor_options(kind: str):
+    """Option names the fit of a predictor kind accepts (fit_predictor
+    supplies train and seed itself)."""
+    return set(inspect.signature(_kind(kind).fit).parameters) - {"train", "seed"}
+
+
+def fit_predictor(kind: str, train: Dataset, seed: int = 0, **opts):
+    """Fit a predictor of the given kind; a seeded fit also gets seed."""
+    fit = _kind(kind).fit
+    if "seed" in inspect.signature(fit).parameters:
+        opts["seed"] = seed
+    return fit(train, **opts)
 
 
 def predict_batch(model, X, times):
@@ -359,7 +402,7 @@ def predict_batch(model, X, times):
     if rows.shape[1] != len(model.scaler.mean):
         raise DataError(f"input dimension {rows.shape[1] - 1} does not match "
                         f"fitted model ({len(model.scaler.mean) - 1})")
-    means, stds = _BATCH[type(model)](model, rows)
+    means, stds = KINDS[_kind_of(model)].predict(model, rows)
     if not np.all(stds >= SIGMA_FLOOR):
         raise NumericalError(f"prediction std {float(np.min(stds))} below floor "
                              f"{SIGMA_FLOOR}")
@@ -369,51 +412,75 @@ def predict_batch(model, X, times):
 # ---------------------------------------------------------------------------
 # Serialization
 
-_KINDS = {"gp": GpModel, "quantile": QuantileModel, "bootstrap": BootstrapModel}
-
-
 def _arr(a):
     return np.asarray(a).tolist()
 
 
 def save_model(model, path):
-    scaler = {"mean": _arr(model.scaler.mean), "std": _arr(model.scaler.std)}
-    if isinstance(model, GpModel):
-        doc = {"kind": "gp", "scaler": scaler, "Z": _arr(model.Z), "y": _arr(model.y),
-               "signal_var": model.signal_var, "lengthscale": model.lengthscale,
-               "noise_var": model.noise_var, "L": _arr(model.L),
-               "alpha": _arr(model.alpha), "log_marginal": model.log_marginal}
-    elif isinstance(model, QuantileModel):
-        doc = {"kind": "quantile", "scaler": scaler, "levels": list(model.levels),
-               "weights": _arr(model.weights), "z_score": model.z_score}
-    elif isinstance(model, BootstrapModel):
-        doc = {"kind": "bootstrap", "scaler": scaler, "members": _arr(model.members),
-               "ridge_lambda": model.ridge_lambda, "std_scale": model.std_scale}
-    else:
-        raise ConfigurationError(f"cannot serialize model of type {type(model).__name__}")
-    doc["schema_version"] = 1
+    """Write the model's kind, its scaler and every other field it is built
+    from as JSON (GpModel.K_inv is rebuilt from L on load)."""
+    doc = {"kind": _kind_of(model), "schema_version": 1,
+           "scaler": {"mean": _arr(model.scaler.mean), "std": _arr(model.scaler.std)}}
+    for f in fields(model):
+        if f.init and f.name != "scaler":
+            value = getattr(model, f.name)
+            doc[f.name] = _arr(value) if isinstance(value, (np.ndarray, tuple)) else value
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
 
 
 def load_model(path):
+    """Read a model written by save_model.  A missing or unknown kind, a
+    missing field, a value that is not finite numbers, or arrays whose
+    shapes do not fit together raise ConfigurationError naming the file and
+    the key.  In KINDS shapes a letter is one length wherever it appears; p
+    is the scaler's width and q = p + 1."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("schema_version") != 1:
-        raise ConfigurationError(f"unsupported model schema version {doc.get('schema_version')}")
-    scaler = InputScaler(np.asarray(doc["scaler"]["mean"]), np.asarray(doc["scaler"]["std"]))
-    kind = doc["kind"]
-    if kind == "gp":
-        L = np.asarray(doc["L"])
-        L_inv = np.linalg.inv(L)
-        return GpModel(scaler, np.asarray(doc["Z"]), np.asarray(doc["y"]),
-                       doc["signal_var"], doc["lengthscale"], doc["noise_var"],
-                       L, np.asarray(doc["alpha"]), L_inv.T @ L_inv,
-                       doc["log_marginal"])
-    if kind == "quantile":
-        return QuantileModel(scaler, tuple(doc["levels"]), np.asarray(doc["weights"]),
-                             doc["z_score"])
-    if kind == "bootstrap":
-        return BootstrapModel(scaler, np.asarray(doc["members"]), doc["ridge_lambda"],
-                              doc["std_scale"])
-    raise ConfigurationError(f"unknown model kind {kind!r}")
+    if not isinstance(doc, dict) or doc.get("schema_version") != 1:
+        raise ConfigurationError(f"model file {path}: unsupported schema_version")
+
+    def fail(key, why):
+        return ConfigurationError(f"model file {path}: key {key!r} {why}")
+
+    sizes = {}                          # axis letter -> (length, key that set it)
+
+    def read(section, key, axes=None):         # axes None: a number
+        if key not in section:
+            raise fail(key, "is missing")
+        value = section[key]
+        if axes is None:
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise fail(key, f"must be a finite number, got {value!r}")
+            return value
+        try:
+            a = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            raise fail(key, "is not a rectangular list of numbers")
+        if not np.all(np.isfinite(a)):
+            raise fail(key, "holds a non-finite value")
+        if a.ndim != len(axes):
+            raise fail(key, f"has shape {a.shape}, not {len(axes)} axes")
+        for axis, n in zip(axes, a.shape):
+            size, owner = sizes.setdefault(axis, (n, key))
+            if n != size:
+                raise fail(key, f"has shape {a.shape}, which does not fit {owner!r}")
+        return a
+
+    kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise fail("kind", f"must be one of {', '.join(KINDS)}, got {kind!r}")
+    if not isinstance(doc.get("scaler"), dict):
+        raise fail("scaler", "is missing or not an object")
+    values = {"scaler": InputScaler(read(doc["scaler"], "mean", "p"),
+                                    read(doc["scaler"], "std", "p"))}
+    sizes["q"] = (sizes["p"][0] + 1, "mean")
+    shapes = KINDS[kind].shapes
+    for f in fields(KINDS[kind].model):
+        if f.init and f.name != "scaler":
+            value = read(doc, f.name, shapes.get(f.name))
+            values[f.name] = tuple(value.tolist()) if f.type == "tuple" else value
+    try:
+        return KINDS[kind].model(**values)
+    except np.linalg.LinAlgError as exc:      # GpModel inverts L
+        raise fail("L", f"cannot be inverted ({exc})")

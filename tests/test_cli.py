@@ -244,10 +244,93 @@ def test_group_spec_missing_key_rejected(tmp_path, capsys):
     ("risk", "bootstrap_B", 50.5), ("risk", "bootstrap_B", "20"),
     ("risk", "bootstrap_B", 0), ("risk", "bootstrap_B", False),
     ("risk", "direction", "sideways"), ("risk", "direction", ["decreasing"]),
+    # section None is a top-level key
+    (None, "seed", "x"), (None, "seed", 1.5), (None, "seed", -1), (None, "seed", True),
+    ("synth", "n_subjects", "20"), ("synth", "n_subjects", 20.0),
+    ("synth", "feature_dim", "4"), ("synth", "max_time", 120.5),
+    ("synth", "min_horizon", None), ("synth", "visits_mean", "5"),
+    ("synth", "noise_std", True), ("synth", "progressor_frac", "0.3"),
+    ("synth", "slope_stable", None), ("synth", "slope_progressor", "-0.01"),
+    ("synth", "heterogeneity_std", [0.1]), ("synth", "feature_signal", "1"),
+    ("synth", "varying_horizon", "no"), ("synth", "varying_horizon", 0),
+    ("evaluation", "mode", "bayes"), ("evaluation", "mode", None),
+    ("evaluation", "fracs", 0.2), ("evaluation", "fracs", []),
+    ("evaluation", "fracs", [0.1, 1.0]), ("evaluation", "fracs", [0.1, "0.2"]),
+    ("evaluation", "fracs", [-0.1]), ("evaluation", "fracs", [True]),
 ])
 def test_typed_config_value_rejected(tmp_path, capsys, section, key, value):
     # the data file does not exist: the config is rejected before any load
-    code, err = config_error(tmp_path, capsys, "risk", {
-        "data": {"path": str(tmp_path / "missing.csv")}, section: {key: value}})
+    doc = {"data": {"path": str(tmp_path / "missing.csv")}}
+    if section is None:
+        doc[key], name = value, key
+    else:
+        doc[section], name = {key: value}, f"{section}.{key}"
+    code, err = config_error(tmp_path, capsys, "risk", doc)
     assert code == 1
-    assert "error [ConfigurationError]" in err and f"{section}.{key}" in err
+    assert "error [ConfigurationError]" in err and name in err
+
+
+def test_seed_checked_after_flag_override(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", {"synth": {"n_subjects": 10}, "seed": "x"})
+    assert run(["generate", "--config", cfg, "--seed", "-1",
+                "--out", str(tmp_path / "bad")]) == 1
+    assert "error [ConfigurationError]: seed must be an int >= 0, got -1" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    # a valid --seed replaces the bad config value before the check
+    assert run(["generate", "--config", cfg, "--seed", "3",
+                "--out", str(tmp_path / "ok")]) == 0
+    resolved = json.loads((tmp_path / "ok" / "resolved_config.json").read_text())
+    assert resolved["config"]["seed"] == 3
+
+
+def test_failed_command_writes_no_resolved_config(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path / "c.json", {
+        "data": {"path": str(tmp_path / "missing.csv")}})
+    assert run(["evaluate", "--config", cfg, "--out", str(out)]) == 1
+    assert out.is_dir() and not (out / "resolved_config.json").exists()
+
+
+@pytest.fixture(scope="module")
+def fitted_dirs(tmp_path_factory):
+    """A cohort and, per predictor kind, the output directory of `fit` on it."""
+    root = tmp_path_factory.mktemp("fitted")
+    gen = gen_cohort(root, n=60)
+    dirs = {}
+    for kind in ("gp", "bootstrap"):
+        dirs[kind] = root / kind
+        cfg = write_config(root / f"{kind}.json", {
+            "data": data_section(gen), "predictor": {"kind": kind},
+            "evaluation": {"test_frac": 0.2, "calib_frac": 0.3}})
+        assert run(["fit", "--config", cfg, "--out", str(dirs[kind])]) == 0
+    return gen, dirs
+
+
+# (kind, key the error names, edit of the saved model JSON)
+@pytest.mark.parametrize("kind,key,edit", [
+    ("bootstrap", "members", lambda doc: doc.pop("members")),
+    ("bootstrap", "kind", lambda doc: doc.pop("kind")),
+    ("bootstrap", "members",
+     lambda doc: doc.__setitem__("members", [r[:-1] for r in doc["members"]])),
+    ("bootstrap", "members", lambda doc: doc["members"][0].pop()),
+    ("gp", "L", lambda doc: doc.__setitem__("L", doc["L"][:-1])),
+    ("gp", "alpha", lambda doc: doc.__setitem__("alpha", doc["alpha"][:-1])),
+], ids=["members-missing", "kind-missing", "members-column-short", "members-ragged",
+        "L-row-short", "alpha-short"])
+def test_calibrate_rejects_bad_model_file(tmp_path, capsys, fitted_dirs, kind, key, edit):
+    gen, dirs = fitted_dirs
+    model_dir = tmp_path / "model"
+    model_dir.mkdir()
+    doc = json.loads((dirs[kind] / "model.json").read_text())
+    edit(doc)
+    (model_dir / "model.json").write_text(json.dumps(doc))
+    (model_dir / "scaling.json").write_bytes((dirs[kind] / "scaling.json").read_bytes())
+    cfg = write_config(tmp_path / "cal.json", {
+        "data": data_section(gen),
+        "predictor": {"kind": kind, "model_dir": str(model_dir)},
+        "evaluation": {"test_frac": 0.2, "calib_frac": 0.3}})
+    assert run(["calibrate", "--config", cfg, "--out", str(tmp_path / "cal")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [ConfigurationError]: model file ")
+    assert "model.json" in err and repr(key) in err

@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 from collections import namedtuple
@@ -407,3 +408,140 @@ def test_save_load_round_trip(tmp_path):
         p2 = predict_one(m2, x, 17)
         assert p1.mean == pytest.approx(p2.mean, abs=1e-12)
         assert p1.std == pytest.approx(p2.std, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Row offsets and the bootstrap gather
+
+def ragged_visit_dataset(n_subjects, seed):
+    """Subjects with 0 to 5 visits each, so some have no rows at all."""
+    rng = np.random.default_rng(seed)
+    subjects = []
+    for i in range(n_subjects):
+        x = rng.standard_normal(2)
+        times = np.sort(rng.choice(np.arange(1, 48), size=int(rng.integers(0, 6)),
+                                   replace=False))
+        subjects.append(SubjectRecord(f"s{i}", x, {}, float(rng.standard_normal()),
+                                      tuple((int(t), float(0.2 * x[0] - 0.01 * t
+                                                           + rng.normal(0, 0.1)))
+                                            for t in times)))
+    return Dataset(tuple(subjects), ("f0", "f1"), ())
+
+
+def dict_regrouping_members(ds, B, ridge_lambda, seed):
+    """The ensemble as fit_bootstrap built it from per-row owners and a dict."""
+    from conftraj.predictors import _ridge_solve
+    rows, y, _ = design_matrix(ds)
+    owners = [i for i, s in enumerate(ds.subjects) for _ in s.visits]
+    Z1 = np.column_stack([InputScaler.fit(rows).apply(rows), np.ones(len(y))])
+    subject_rows = {}
+    for row, owner in enumerate(owners):
+        subject_rows.setdefault(owner, []).append(row)
+    subject_ids = sorted(subject_rows)
+    rng = np.random.default_rng(seed)
+    members = []
+    for _ in range(B):
+        picks = rng.choice(len(subject_ids), size=len(subject_ids), replace=True)
+        idx = np.concatenate([subject_rows[subject_ids[p]] for p in picks])
+        members.append(_ridge_solve(Z1[idx], y[idx], ridge_lambda))
+    return np.asarray(members)
+
+
+def test_design_matrix_offsets_partition_rows():
+    ds = ragged_visit_dataset(30, seed=1)
+    assert any(not s.visits for s in ds.subjects)
+    rows, y, offsets = design_matrix(ds)
+    assert offsets[0] == 0 and offsets[-1] == len(rows) == len(y)
+    for i, s in enumerate(ds.subjects):
+        lo, hi = offsets[i], offsets[i + 1]
+        assert list(rows[lo:hi, -1]) == s.visit_times
+        assert list(y[lo:hi]) == s.visit_values
+        assert np.all(rows[lo:hi, :-1] == np.append(s.features, s.baseline_value))
+
+
+@pytest.mark.parametrize("seed", (0, 7, 31))
+@pytest.mark.parametrize("B", (2, 5, 40))
+def test_bootstrap_gather_matches_dict_regrouping(seed, B):
+    ds = ragged_visit_dataset(25 + seed, seed=seed)
+    assert any(not s.visits for s in ds.subjects)
+    m = fit_bootstrap(ds, B=B, ridge_lambda=0.5, seed=seed)
+    assert np.array_equal(m.members, dict_regrouping_members(ds, B, 0.5, seed))
+
+
+# ---------------------------------------------------------------------------
+# Model files
+
+@pytest.fixture(scope="module")
+def fitted():
+    ds = multi_visit_dataset(12, seed=23, noise=0.1)
+    return {"gp": fit_gp(ds, seed=0), "quantile": fit_quantile(ds, steps=100),
+            "bootstrap": fit_bootstrap(ds, B=4, seed=0)}
+
+
+@pytest.mark.parametrize("kind", ("gp", "quantile", "bootstrap"))
+def test_save_load_save_byte_identical(tmp_path, fitted, kind):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(fitted[kind], first)
+    loaded = load_model(first)
+    save_model(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert json.loads(first.read_text())["kind"] == kind
+    if kind == "gp":
+        assert np.array_equal(loaded.K_inv, fitted[kind].K_inv)
+
+
+def _drop_last(key):
+    return lambda doc: doc.__setitem__(key, doc[key][:-1])
+
+
+def _drop_last_column(key):
+    return lambda doc: doc.__setitem__(key, [row[:-1] for row in doc[key]])
+
+
+# (kind, what is wrong with the file, key the error names, edit of the saved JSON)
+BAD_MODEL_FILES = [
+    ("bootstrap", "members missing", "members", lambda doc: doc.pop("members")),
+    ("bootstrap", "kind missing", "kind", lambda doc: doc.pop("kind")),
+    ("bootstrap", "members one column short", "members", _drop_last_column("members")),
+    ("bootstrap", "members ragged", "members",
+     lambda doc: doc["members"][0].pop()),
+    ("gp", "L one row short", "L", _drop_last("L")),
+    ("gp", "alpha one element short", "alpha", _drop_last("alpha")),
+    ("gp", "y one element short", "y", _drop_last("y")),
+    ("gp", "Z one column short", "Z", _drop_last_column("Z")),
+    ("gp", "log_marginal missing", "log_marginal", lambda doc: doc.pop("log_marginal")),
+    ("gp", "signal_var a string", "signal_var",
+     lambda doc: doc.__setitem__("signal_var", "1.0")),
+    ("quantile", "z_score missing", "z_score", lambda doc: doc.pop("z_score")),
+    ("quantile", "one level too few", "levels", _drop_last("levels")),
+    ("quantile", "weights one column short", "weights", _drop_last_column("weights")),
+    ("quantile", "weights non-finite", "weights",
+     lambda doc: doc["weights"][0].__setitem__(0, math.nan)),
+    ("bootstrap", "std_scale missing", "std_scale", lambda doc: doc.pop("std_scale")),
+    ("bootstrap", "unknown kind", "kind", lambda doc: doc.__setitem__("kind", "forest")),
+    ("bootstrap", "scaler std too wide", "std",
+     lambda doc: doc["scaler"]["std"].append(1.0)),
+]
+
+
+@pytest.mark.parametrize("kind,what,key,edit", BAD_MODEL_FILES,
+                         ids=[f"{k}-{w}" for k, w, _, _ in BAD_MODEL_FILES])
+def test_load_model_rejects_bad_file(tmp_path, fitted, kind, what, key, edit):
+    path = tmp_path / "model.json"
+    save_model(fitted[kind], path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigurationError) as err:
+        load_model(path)
+    assert str(path) in str(err.value) and repr(key) in str(err.value)
+
+
+def test_load_model_rejects_singular_gp_factor(tmp_path, fitted):
+    path = tmp_path / "model.json"
+    save_model(fitted["gp"], path)
+    doc = json.loads(path.read_text())
+    doc["L"][0] = [0.0] * len(doc["L"][0])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigurationError, match="'L'"):
+        load_model(path)
