@@ -19,12 +19,12 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import conformal, risk as risk_mod
-from .data_model import (CsvSchema, StandardizationStats, load_csv, save_csv,
-                         split, standardize)
-from .errors import ConfigurationError, ConftrajError, NumericalError
+from .data_model import (CsvSchema, StandardizationStats, csv_rows, load_csv,
+                         save_csv, split, standardize)
+from .errors import ConfigurationError, ConftrajError, DataError, NumericalError
 from .evaluation import (calibrate_groups, fit_split, run_protocol,
                          stratified_compare, sweep_calibration_fraction)
-from .predictors import load_model, predictor_options, save_model
+from .predictors import load_model, predictor_options, read_checked, save_model
 from .synth import GroupSpec, SynthConfig, generate
 
 SCHEMA_TAG = "conftraj-output-v1"
@@ -140,6 +140,8 @@ def _synth_config(cfg) -> SynthConfig:
         for key in ("column", "categories", "probs"):
             if not isinstance(g, dict) or key not in g:
                 raise ConfigurationError(f"synth.group_spec[{i}] needs key {key!r}")
+            if key != "column" and not isinstance(g[key], list):
+                raise ConfigurationError(f"synth.group_spec[{i}].{key} must be a list")
     groups = tuple(
         GroupSpec(g["column"], tuple(g["categories"]), tuple(g["probs"]),
                   g.get("noise_multipliers", {}), g.get("progressor_rates", {}))
@@ -164,14 +166,21 @@ def _load_dataset(cfg):
 
 
 def _load_truth(cfg) -> dict:
+    """subject_id -> {"is_progressor": bool} from the data.truth_path CSV."""
     d = cfg.get("data", {})
     if "truth_path" not in d:
         raise ConfigurationError("data.truth_path is required for the risk command")
-    with open(d["truth_path"], newline="", encoding="utf-8") as fh:
-        return {row["subject_id"]: {
-                    "is_progressor": row["is_progressor"].lower() in ("1", "true"),
-                    "true_slope": float(row["true_slope"])}
-                for row in csv.DictReader(fh)}
+    path, truth = d["truth_path"], {}
+    for row_no, row in csv_rows(path, ("subject_id", "is_progressor")):
+        sid, cell = row["subject_id"], row["is_progressor"]
+        flag = {"1": True, "true": True, "0": False, "false": False}.get(cell.lower())
+        if flag is None:
+            raise DataError(f"{path} row {row_no}: is_progressor {cell!r} is not "
+                            "0/1/true/false")
+        if sid in truth:
+            raise DataError(f"{path} row {row_no}: duplicate subject_id {sid!r}")
+        truth[sid] = {"is_progressor": flag}
+    return truth
 
 
 def _eval_params(cfg):
@@ -220,7 +229,7 @@ def cmd_calibrate(cfg, out: Path):
     model = load_model(model_dir / "model.json")
     with open(model_dir / "scaling.json", encoding="utf-8") as fh:
         sc = json.load(fh)
-    stats = StandardizationStats(sc["mean"], sc["std"])
+    stats = StandardizationStats(*(read_checked(fh.name, sc, k) for k in ("mean", "std")))
     _, test_frac, calib_frac = _eval_params(cfg)
     idx = split(ds, test_frac, calib_frac, cfg["seed"])
     calib_std, _ = standardize(ds.subset(idx.calib), stats)

@@ -52,22 +52,25 @@ class CalibrationResult:
 
 @dataclass(frozen=True)
 class PredictionBand:
+    """mu +/- R * sigma at each query time, stored as the calibrated radius
+    R (math.inf for an infinite band) and the predictive stds, not the
+    per-time radii they give."""
     subject_id: str
     times: tuple
     centers: tuple
-    radii: tuple | None     # None iff the calibration radius was infinite
-    finite: bool
+    stds: tuple
+    radius: float
 
     def __post_init__(self):
-        if self.finite and len(self.times) != len(self.radii):
-            raise DataError("band times/radii length mismatch")
-        if len(self.times) != len(self.centers):
-            raise DataError("band times/centers length mismatch")
+        if not len(self.times) == len(self.centers) == len(self.stds):
+            raise DataError("band times/centers/stds length mismatch")
+
+    @property
+    def finite(self):
+        return math.isfinite(self.radius)
 
     def radius_at(self, t):
-        if not self.finite:
-            return math.inf
-        return self.radii[self.times.index(t)]
+        return self.radius * self.stds[self.times.index(t)]   # stds > 0: inf stays inf
 
     def center_at(self, t):
         return self.centers[self.times.index(t)]
@@ -91,29 +94,24 @@ def calibrate(scores, alpha: float) -> CalibrationResult:
     return CalibrationResult(tuple(values), alpha, rank, radius)
 
 
-def _predict_rows(model, subjects, times):
-    """Batched (means, stds) over every (subject, query time) row, plus the
-    row offsets of each subject; times holds one list per subject."""
-    X, t, offsets = visit_rows(subjects, times)
-    means, stds = predict_batch(model, X, t)
-    return means, stds, offsets
+def worst_residual(values, means, stds):
+    """The nonconformity score of one trajectory, max_t |y_t - mu_t| /
+    sigma_t.  Calibration scores and test coverage both use it, so a test
+    subject is covered exactly when its score is at most the radius."""
+    return float(np.max(np.abs(np.asarray(values, dtype=float) - np.asarray(means))
+                        / np.asarray(stds)))
 
 
 def score_dataset(model, calib: Dataset):
     """Worst normalized residual max_t |y_t - mu_t| / sigma_t for every
-    calibration subject with visits."""
+    calibration subject with visits, against (mu, sigma) of its band at its
+    visit times (R plays no part in the score)."""
     subjects = calib.scored_subjects()
-    if not subjects:
-        return []
-    means, stds, offsets = _predict_rows(model, subjects,
-                                         [s.visit_times for s in subjects])
-    scores = []
-    for i, s in enumerate(subjects):
-        lo, hi = offsets[i], offsets[i + 1]
-        y = np.asarray(s.visit_values)
-        ratios = np.abs(y - means[lo:hi]) / stds[lo:hi]
-        scores.append(NonconformityScore(s.subject_id, float(np.max(ratios))))
-    return scores
+    bands = _make_bands(model, subjects, [s.visit_times for s in subjects],
+                        [math.inf] * len(subjects))
+    return [NonconformityScore(s.subject_id,
+                               worst_residual(s.visit_values, b.centers, b.stds))
+            for s, b in zip(subjects, bands)]
 
 
 def _radii(subjects, gcal):
@@ -123,38 +121,27 @@ def _radii(subjects, gcal):
     call."""
     if not isinstance(gcal, GroupCalibration):
         return [gcal.radius] * len(subjects)
-    radii, unseen = [], []
-    for s in subjects:
-        label = s.group_labels.get(gcal.grouping_column)
-        cal = gcal.per_group.get(label)
-        if cal is None:
-            unseen.append(label)
-            cal = gcal.fallback
-        radii.append(cal.radius)
+    labels = [s.group_labels.get(gcal.grouping_column) for s in subjects]
+    unseen = [g for g in labels if g not in gcal.per_group]
     if unseen:
         log.warning("%d subject(s) with %r categories unseen in calibration %s: "
                     "using the population radius", len(unseen),
                     gcal.grouping_column, sorted(set(unseen), key=repr))
-    return radii
+    return [gcal.per_group.get(g, gcal.fallback).radius for g in labels]
 
 
 def _make_bands(model, subjects, times, radii):
     """One band per subject, mu +/- R * sigma at that subject's query times
-    (one list of times and one radius R per subject); an infinite R gives
-    an infinite band."""
+    (one list of times and one radius R per subject)."""
     if not subjects:
         return []
     if any(len(ts) == 0 for ts in times):
         raise DataError("band requires at least one query time")
-    means, stds, offsets = _predict_rows(model, subjects, times)
-    bands = []
-    for i, (s, ts, radius) in enumerate(zip(subjects, times, radii)):
-        lo, hi = offsets[i], offsets[i + 1]
-        centers = tuple(float(v) for v in means[lo:hi])
-        finite = math.isfinite(radius)
-        radii = tuple(float(radius * v) for v in stds[lo:hi]) if finite else None
-        bands.append(PredictionBand(s.subject_id, tuple(ts), centers, radii, finite))
-    return bands
+    X, t, offsets = visit_rows(subjects, times)
+    means, stds = predict_batch(model, X, t)
+    return [PredictionBand(s.subject_id, tuple(ts), tuple(means[lo:hi].tolist()),
+                           tuple(stds[lo:hi].tolist()), radius)
+            for s, ts, radius, lo, hi in zip(subjects, times, radii, offsets, offsets[1:])]
 
 
 def bands_for_dataset(model, ds: Dataset, gcal):

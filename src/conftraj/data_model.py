@@ -123,6 +123,21 @@ def _parse_time(cell, row_no):
     return t
 
 
+def csv_rows(path, columns):
+    """(row number, row dict) for each data row of the CSV at path, whose
+    header must name every one of columns; the header is row 1, and a row
+    must have as many cells as the header."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        for col in columns:
+            if col not in (reader.fieldnames or []):
+                raise SchemaError(f"missing column {col!r} in {path}")
+        for row_no, row in enumerate(reader, start=2):
+            if None in row or None in row.values():
+                raise DataError(f"row {row_no}: cell count differs from the header of {path}")
+            yield row_no, row
+
+
 def load_csv(path, schema: CsvSchema) -> Dataset:
     """Load a long-format cohort CSV into a Dataset.
 
@@ -132,36 +147,29 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     features or group labels differ from the subject's earlier rows are
     rejected.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        needed = ([schema.subject_col, schema.time_col, schema.value_col]
-                  + list(schema.feature_cols) + list(schema.group_cols))
-        for col in needed:
-            if col not in header:
-                raise SchemaError(f"missing column {col!r} in {path}")
-
-        by_subject: dict = {}       # sid -> (features, group labels, [(t, y), ...])
-        seen = set()
-        for row_no, row in enumerate(reader, start=2):
-            sid = row[schema.subject_col]
-            t = _parse_time(row[schema.time_col], row_no)
-            if (sid, t) in seen:
-                raise DataError(f"row {row_no}: duplicate (subject, time) = ({sid}, {t})")
-            seen.add((sid, t))
-            try:
-                y = float(row[schema.value_col])
-                feats = [float(row[c]) for c in schema.feature_cols]
-            except ValueError as exc:
-                raise DataError(f"row {row_no}: non-numeric cell ({exc})")
-            if not (math.isfinite(y) and all(map(math.isfinite, feats))):
-                raise DataError(f"row {row_no}: non-finite biomarker or feature cell")
-            groups = {c: row[c] for c in schema.group_cols}
-            entry = by_subject.setdefault(sid, (feats, groups, []))
-            if feats != entry[0] or groups != entry[1]:
-                raise DataError(f"row {row_no}: subject {sid} features or group "
-                                "labels differ from its earlier rows")
-            entry[2].append((t, y))
+    needed = ([schema.subject_col, schema.time_col, schema.value_col]
+              + list(schema.feature_cols) + list(schema.group_cols))
+    by_subject: dict = {}       # sid -> (features, group labels, [(t, y), ...])
+    seen = set()
+    for row_no, row in csv_rows(path, needed):
+        sid = row[schema.subject_col]
+        t = _parse_time(row[schema.time_col], row_no)
+        if (sid, t) in seen:
+            raise DataError(f"row {row_no}: duplicate (subject, time) = ({sid}, {t})")
+        seen.add((sid, t))
+        try:
+            y = float(row[schema.value_col])
+            feats = [float(row[c]) for c in schema.feature_cols]
+        except ValueError as exc:
+            raise DataError(f"row {row_no}: non-numeric cell ({exc})")
+        if not (math.isfinite(y) and all(map(math.isfinite, feats))):
+            raise DataError(f"row {row_no}: non-finite biomarker or feature cell")
+        groups = {c: row[c] for c in schema.group_cols}
+        entry = by_subject.setdefault(sid, (feats, groups, []))
+        if feats != entry[0] or groups != entry[1]:
+            raise DataError(f"row {row_no}: subject {sid} features or group "
+                            "labels differ from its earlier rows")
+        entry[2].append((t, y))
 
     subjects = []
     n_empty = 0

@@ -1,9 +1,10 @@
 """Coverage / interval-width evaluation protocol.
 
-A test subject counts as covered when every observed visit lies inside
-the band (closed intervals).  Widths (2 * radius) are averaged over all
-finite-band (subject, visit) pairs; infinite bands count toward coverage
-but are excluded from width statistics with a reported count.
+A test subject is covered when its worst normalized residual, the score
+that calibration ranks, is at most the band's radius R: every visit lies
+in its closed interval mu +/- R * sigma.  Widths 2 * R * sigma are averaged
+over finite-band (subject, visit) pairs; infinite bands count toward
+coverage but are excluded from width statistics with a reported count.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .conformal import (PredictionBand, _make_bands, bands_for_dataset,
-                        calibrate, mondrian_calibrate, score_dataset)
+from .conformal import (_make_bands, bands_for_dataset, calibrate,
+                        mondrian_calibrate, score_dataset, worst_residual)
 from .data_model import Dataset, split, standardize
 from .errors import ConfigurationError, ConftrajError, DataError
 from .predictors import fit_predictor
@@ -44,17 +45,6 @@ class MultiSplitReport:
     deviation_p95: dict
 
 
-def _subject_covered(band: PredictionBand, s):
-    if not band.finite:
-        return True
-    for t, y in s.visits:
-        if t not in band.times:
-            raise DataError(f"band for {s.subject_id} missing visit time {t}")
-        if abs(y - band.center_at(t)) > band.radius_at(t):
-            return False
-    return True
-
-
 def coverage_and_width(bands, test: Dataset,
                        grouping_column: str | None = None) -> EvalReport:
     """Evaluate one band per test subject at that subject's visit times.
@@ -64,37 +54,34 @@ def coverage_and_width(bands, test: Dataset,
     """
     subjects = test.scored_subjects()
     by_id = {b.subject_id: b for b in bands}
-    covered = 0
-    n_inf = 0
-    widths = []
+    covered, n_inf, widths = 0, 0, []
     bucket_widths: dict = {}
-    group_stats: dict = {}
+    group_stats: dict = {}      # group label -> (coverage flags, widths)
     for s in subjects:
         band = by_id.get(s.subject_id)
         if band is None:
             raise DataError(f"no band for test subject {s.subject_id}")
-        ok = _subject_covered(band, s)
+        if list(band.times) != s.visit_times:
+            raise DataError(f"band for {s.subject_id} is at times {list(band.times)}, "
+                            f"not at its visit times {s.visit_times}")
+        ok = worst_residual(s.visit_values, band.centers, band.stds) <= band.radius
         covered += ok
+        n_inf += not band.finite
+        w = [2.0 * (band.radius * sd) for sd in band.stds] if band.finite else []
+        widths += w
+        for t, wt in zip(band.times, w):
+            bucket_widths.setdefault((t - 1) // BUCKET_MONTHS, []).append(wt)
         if grouping_column is not None:
-            g = s.group_labels.get(grouping_column)
-            group_stats.setdefault(g, ([], []))[0].append(ok)
-        if not band.finite:
-            n_inf += 1
-            continue
-        for t, _ in s.visits:
-            w = 2.0 * band.radius_at(t)
-            widths.append(w)
-            bucket_widths.setdefault((t - 1) // BUCKET_MONTHS, []).append(w)
-            if grouping_column is not None:
-                group_stats[g][1].append(w)
+            g_ok, g_widths = group_stats.setdefault(s.group_labels.get(grouping_column),
+                                                    ([], []))
+            g_ok.append(ok)
+            g_widths += w
 
-    per_group = None
-    if grouping_column is not None:
-        per_group = {
-            g: {"coverage": float(np.mean(cov)),
-                "width": float(np.mean(w)) if w else math.nan,
-                "n": len(cov)}
-            for g, (cov, w) in group_stats.items()}
+    per_group = None if grouping_column is None else {
+        g: {"coverage": float(np.mean(cov)),
+            "width": float(np.mean(w)) if w else math.nan,
+            "n": len(cov)}
+        for g, (cov, w) in group_stats.items()}
     return EvalReport(
         mean_coverage=covered / len(subjects) if subjects else math.nan,
         mean_width=float(np.mean(widths)) if widths else math.nan,

@@ -429,6 +429,38 @@ def save_model(model, path):
         json.dump(doc, fh, sort_keys=True)
 
 
+def _file_error(path, key, why):
+    return ConfigurationError(f"model file {path}: key {key!r} {why}")
+
+
+def read_checked(path, doc, key, axes=None, sizes=None):
+    """doc[key] from the JSON file at path: a finite number (not a bool) when
+    axes is None, else a finite float array with one axis per letter of
+    axes, a letter being one length across calls that share sizes.  Anything
+    else raises ConfigurationError naming the file and the key."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise _file_error(path, key, "is missing")
+    value = doc[key]
+    if axes is None:
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise _file_error(path, key, f"must be a finite number, got {value!r}")
+        return value
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise _file_error(path, key, "is not a rectangular list of numbers")
+    if not np.all(np.isfinite(a)):
+        raise _file_error(path, key, "holds a non-finite value")
+    if a.ndim != len(axes):
+        raise _file_error(path, key, f"has shape {a.shape}, not {len(axes)} axes")
+    sizes = {} if sizes is None else sizes
+    for axis, n in zip(axes, a.shape):
+        size, owner = sizes.setdefault(axis, (n, key))
+        if n != size:
+            raise _file_error(path, key, f"has shape {a.shape}, which does not fit {owner!r}")
+    return a
+
+
 def load_model(path):
     """Read a model written by save_model.  A missing or unknown kind, a
     missing field, a value that is not finite numbers, or arrays whose
@@ -439,48 +471,21 @@ def load_model(path):
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("schema_version") != 1:
         raise ConfigurationError(f"model file {path}: unsupported schema_version")
-
-    def fail(key, why):
-        return ConfigurationError(f"model file {path}: key {key!r} {why}")
-
-    sizes = {}                          # axis letter -> (length, key that set it)
-
-    def read(section, key, axes=None):         # axes None: a number
-        if key not in section:
-            raise fail(key, "is missing")
-        value = section[key]
-        if axes is None:
-            if type(value) not in (int, float) or not math.isfinite(value):
-                raise fail(key, f"must be a finite number, got {value!r}")
-            return value
-        try:
-            a = np.asarray(value, dtype=float)
-        except (TypeError, ValueError):
-            raise fail(key, "is not a rectangular list of numbers")
-        if not np.all(np.isfinite(a)):
-            raise fail(key, "holds a non-finite value")
-        if a.ndim != len(axes):
-            raise fail(key, f"has shape {a.shape}, not {len(axes)} axes")
-        for axis, n in zip(axes, a.shape):
-            size, owner = sizes.setdefault(axis, (n, key))
-            if n != size:
-                raise fail(key, f"has shape {a.shape}, which does not fit {owner!r}")
-        return a
-
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in KINDS:
-        raise fail("kind", f"must be one of {', '.join(KINDS)}, got {kind!r}")
+        raise _file_error(path, "kind", f"must be one of {', '.join(KINDS)}, got {kind!r}")
     if not isinstance(doc.get("scaler"), dict):
-        raise fail("scaler", "is missing or not an object")
-    values = {"scaler": InputScaler(read(doc["scaler"], "mean", "p"),
-                                    read(doc["scaler"], "std", "p"))}
+        raise _file_error(path, "scaler", "is missing or not an object")
+    sizes = {}
+    values = {"scaler": InputScaler(read_checked(path, doc["scaler"], "mean", "p", sizes),
+                                    read_checked(path, doc["scaler"], "std", "p", sizes))}
     sizes["q"] = (sizes["p"][0] + 1, "mean")
     shapes = KINDS[kind].shapes
     for f in fields(KINDS[kind].model):
         if f.init and f.name != "scaler":
-            value = read(doc, f.name, shapes.get(f.name))
+            value = read_checked(path, doc, f.name, shapes.get(f.name), sizes)
             values[f.name] = tuple(value.tolist()) if f.type == "tuple" else value
     try:
         return KINDS[kind].model(**values)
     except np.linalg.LinAlgError as exc:      # GpModel inverts L
-        raise fail("L", f"cannot be inverted ({exc})")
+        raise _file_error(path, "L", f"cannot be inverted ({exc})")

@@ -265,11 +265,9 @@ def risk_pipeline(test: Dataset, truth: dict, model, cal, direction: str,
         band = band_for_subject(model, s, cal, [tN])
         center = band.center_at(tN)
         rh = roc_hat(s.baseline_value, center, 0, tN)
-        if band.finite:
-            r = band.radius_at(tN)
-            rb = rocb(s.baseline_value, (center - r, center + r), 0, tN, direction)
-        else:
-            rb = math.nan
+        r = band.radius_at(tN)
+        rb = (rocb(s.baseline_value, (center - r, center + r), 0, tN, direction)
+              if band.finite else math.nan)
         records.append(RiskRecord(s.subject_id, 0, tN, s.baseline_value,
                                   rh, rb, label, direction))
 

@@ -32,6 +32,10 @@ class GroupSpec:
     def __post_init__(self):
         if len(self.categories) != len(self.probs):
             raise ConfigurationError(f"group {self.column}: categories/probs length mismatch")
+        for p in self.probs:
+            if isinstance(p, bool) or not (isinstance(p, (int, float)) and 0 <= p <= 1):
+                raise ConfigurationError(
+                    f"group {self.column}: prob {p!r} is not a number in [0, 1]")
         if abs(sum(self.probs) - 1.0) > 1e-9:
             raise ConfigurationError(f"group {self.column}: probabilities must sum to 1")
 

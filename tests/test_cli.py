@@ -334,3 +334,102 @@ def test_calibrate_rejects_bad_model_file(tmp_path, capsys, fitted_dirs, kind, k
     err = capsys.readouterr().err
     assert err.startswith("error [ConfigurationError]: model file ")
     assert "model.json" in err and repr(key) in err
+
+
+def rewrite_csv(src, dst, edit):
+    """Copy the CSV at src to dst with edit applied to its list of rows."""
+    with open(src, newline="") as fh:
+        rows = list(csv.reader(fh))
+    edit(rows)
+    with open(dst, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def drop_column(name):
+    def edit(rows):
+        i = rows[0].index(name)
+        for row in rows:
+            del row[i]
+    return edit
+
+
+def risk_with_truth(tmp_path, fitted_dirs, edit):
+    """Exit code of `conftraj risk` on the fitted cohort with an edited truth CSV."""
+    gen, _ = fitted_dirs
+    truth = tmp_path / "truth.csv"
+    rewrite_csv(gen / "truth.csv", truth, edit)
+    data = {**data_section(gen), "truth_path": str(truth)}
+    cfg = write_config(tmp_path / "risk.json", {
+        "data": data, "predictor": {"kind": "bootstrap"},
+        "evaluation": {"test_frac": 0.3, "calib_frac": 0.3},
+        "risk": {"bootstrap_B": 20}})
+    return run(["risk", "--config", cfg, "--out", str(tmp_path / "risk")])
+
+
+@pytest.mark.parametrize("edit,expected", [
+    (drop_column("subject_id"), "SchemaError]: missing column 'subject_id'"),
+    (drop_column("is_progressor"), "SchemaError]: missing column 'is_progressor'"),
+], ids=["no-subject_id", "no-is_progressor"])
+def test_risk_rejects_truth_csv_without_column(tmp_path, capsys, fitted_dirs, edit, expected):
+    assert risk_with_truth(tmp_path, fitted_dirs, edit) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [") and expected in err and "truth.csv" in err
+
+
+def test_truth_csv_errors_name_the_row(tmp_path, capsys, fitted_dirs):
+    assert risk_with_truth(tmp_path, fitted_dirs,
+                           lambda rows: rows[3].__setitem__(1, "yes")) == 1
+    assert "truth.csv row 4: is_progressor 'yes' is not 0/1/true/false" in capsys.readouterr().err
+    assert risk_with_truth(tmp_path, fitted_dirs,
+                           lambda rows: rows[5].__setitem__(0, rows[2][0])) == 1
+    assert "truth.csv row 6: duplicate subject_id" in capsys.readouterr().err
+
+
+def test_risk_reads_truth_flags_without_true_slope(tmp_path, fitted_dirs):
+    # flags are case-insensitive, and true_slope is not needed
+    def edit(rows):
+        drop_column("true_slope")(rows)
+        for row in rows[1:]:
+            row[1] = {"0": "False", "1": "TRUE"}[row[1]]
+    assert risk_with_truth(tmp_path, fitted_dirs, edit) == 0
+
+
+@pytest.mark.parametrize("edit,error,key", [
+    (lambda sc: sc.pop("mean"), "ConfigurationError", "mean"),
+    (lambda sc: sc.__setitem__("mean", "0.5"), "ConfigurationError", "mean"),
+    (lambda sc: sc.__setitem__("std", True), "ConfigurationError", "std"),
+    (lambda sc: sc.__setitem__("std", float("nan")), "ConfigurationError", "std"),
+    (lambda sc: sc.__setitem__("std", 0.0), "DataError", "std"),
+], ids=["mean-missing", "mean-string", "std-bool", "std-nan", "std-zero"])
+def test_calibrate_rejects_bad_scaling_file(tmp_path, capsys, fitted_dirs, edit,
+                                            error, key):
+    gen, dirs = fitted_dirs
+    model_dir = tmp_path / "model"
+    model_dir.mkdir()
+    (model_dir / "model.json").write_bytes((dirs["bootstrap"] / "model.json").read_bytes())
+    sc = json.loads((dirs["bootstrap"] / "scaling.json").read_text())
+    edit(sc)
+    (model_dir / "scaling.json").write_text(json.dumps(sc))
+    cfg = write_config(tmp_path / "cal.json", {
+        "data": data_section(gen),
+        "predictor": {"kind": "bootstrap", "model_dir": str(model_dir)},
+        "evaluation": {"test_frac": 0.2, "calib_frac": 0.3}})
+    assert run(["calibrate", "--config", cfg, "--out", str(tmp_path / "cal")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{error}]: ") and key in err
+    if error == "ConfigurationError":
+        assert "scaling.json" in err and repr(key) in err
+
+
+@pytest.mark.parametrize("probs,expected", [
+    (["0.5", "0.5"], "group site: prob '0.5' is not a number in [0, 1]"),
+    ([1.5, -0.5], "group site: prob 1.5 is not a number in [0, 1]"),
+    ([True, 0], "group site: prob True is not a number in [0, 1]"),
+    (0.5, "synth.group_spec[0].probs must be a list"),
+], ids=["strings", "out-of-range", "bool", "not-a-list"])
+def test_group_spec_bad_probs_rejected(tmp_path, capsys, probs, expected):
+    code, err = config_error(tmp_path, capsys, "generate", {
+        "synth": {"n_subjects": 20, "group_spec": [
+            {"column": "site", "categories": ["a", "b"], "probs": probs}]}})
+    assert code == 1
+    assert err.startswith("error [ConfigurationError]: ") and expected in err

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftraj.conformal import (CalibrationResult, GroupCalibration,
@@ -12,6 +12,7 @@ from conftraj.conformal import (CalibrationResult, GroupCalibration,
                                 mondrian_calibrate, score_dataset)
 from conftraj.data_model import Dataset, SubjectRecord
 from conftraj.errors import ConfigurationError, DataError
+from conftraj.evaluation import coverage_and_width
 from conftraj.predictors import (InputScaler, QuantileModel, fit_bootstrap,
                                  predict_batch)
 from tests.test_predictors import multi_visit_dataset
@@ -31,6 +32,11 @@ def constant_model(mean, std):
     W = np.zeros((3, 5))
     W[:, -1] = (mean - std, mean, mean + std)
     return QuantileModel(InputScaler(np.zeros(4), np.ones(4)), (0.1, 0.5, 0.9), W, 1.0)
+
+
+def radii(band):
+    """R * sigma at each of the band's times."""
+    return tuple(band.radius_at(t) for t in band.times)
 
 
 def score_of(model, s):
@@ -146,7 +152,7 @@ def test_build_band_zero_radius():
     cal = CalibrationResult((0.0,), 0.5, 1, 0.0)
     band = band_for_subject(m, subject("x", []), cal, [6, 12])
     assert band.finite
-    assert band.radii == (0.0, 0.0)
+    assert radii(band) == (0.0, 0.0)
 
 
 def test_build_band_infinite():
@@ -219,10 +225,10 @@ def test_band_for_subject_dispatch():
     s = subject("x", [(6, 0.0)], group="b")
     band = band_for_subject(m, s, gcal, [6])
     pop = band_for_subject(m, s, cal_b, [6])
-    assert band.radii == pop.radii
+    assert radii(band) == radii(pop)
     # the group radius times the predicted std at the subject's input row
     _, stds = predict_batch(m, np.zeros((1, 3)), [6])
-    assert band.radii == (3.0 * float(stds[0]),)
+    assert radii(band) == (3.0 * float(stds[0]),)
 
 
 def test_band_for_subject_unseen_category_fallback(caplog):
@@ -259,7 +265,7 @@ def test_single_group_degenerates_to_population():
     bands_pop = bands_for_dataset(m, ds, pop)
     bands_grp = bands_for_dataset(m, ds, gcal)
     for a, b in zip(bands_pop, bands_grp):
-        assert a.radii == b.radii
+        assert radii(a) == radii(b)
 
 
 def test_band_endpoints_invariant_under_sigma_rescaling():
@@ -274,4 +280,77 @@ def test_band_endpoints_invariant_under_sigma_rescaling():
     b1 = bands_for_dataset(m1, ds, cal1)
     b2 = bands_for_dataset(m2, ds, cal2)
     for a, b in zip(b1, b2):
-        assert np.allclose(a.radii, b.radii, rtol=1e-9)
+        assert np.allclose(radii(a), radii(b), rtol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Finite-sample validity through the public pipeline
+
+def conformal_radius(others, alpha):
+    """The k-th smallest of n scores, k = ceil((n+1)(1-alpha)), or inf when
+    k > n."""
+    k = math.ceil((len(others) + 1) * (1.0 - alpha))
+    return sorted(others)[k - 1] if k <= len(others) else math.inf
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abcd"),
+                          st.lists(st.floats(-4, 4, allow_nan=False),
+                                   min_size=1, max_size=3)),
+                min_size=2, max_size=16),
+       st.lists(st.integers(0, 15), max_size=6),
+       st.floats(0.02, 0.6),
+       st.sampled_from([(0.0, 1.0), (0.3, 0.7), (-1.1, 0.13)]),
+       st.booleans())
+# a held-out twin whose score is the radius: covered, though
+# |y - mu| > fl(R * sigma) here
+@example([("a", [0.0]), ("a", [3.6875])], [1], 0.5, (0.3, 0.7), False)
+@example([("a", [0.0]), ("a", [3.6875])], [1], 0.5, (0.3, 0.7), True)
+# Mondrian groups of 5 (finite radius), 2 (infinite) and 1 (fallback)
+@example([("a", [0.1]), ("a", [0.5]), ("a", [-0.9]), ("a", [1.7]), ("a", [2.2]),
+          ("b", [0.3]), ("b", [-1.4]), ("c", [0.8])], [], 0.2, (0.3, 0.7), True)
+def test_leave_one_out_coverage_is_exact(draws, duplicated, alpha, mean_std, mondrian):
+    # Hold each of the n+1 pool subjects out in turn and calibrate on the
+    # other n.  The held-out subject is covered iff its score is at most
+    # the radius of the others, so exactly min(k, n+1) of the n+1 are
+    # covered when scores are distinct, k = ceil((n+1)(1-alpha)), and at
+    # least that with ties; Mondrian: the same within each group, and a
+    # group of one falls back to the population radius.
+    pool = [subject(f"s{i}", [(6 * (j + 1), y) for j, y in enumerate(ys)], group=g)
+            for i, (g, ys) in enumerate(draws)]
+    pool += [subject(f"dup{i}", pool[d % len(draws)].visits,
+                     group=pool[d % len(draws)].group_labels["dx"])
+             for i, d in enumerate(duplicated)]
+    model = constant_model(*mean_std)
+    group = {s.subject_id: s.group_labels["dx"] for s in pool}
+    score = {sc.subject_id: sc.value
+             for sc in score_dataset(model, Dataset(tuple(pool), ("f0", "f1"), ("dx",)))}
+
+    covered = {}
+    for held in pool:
+        calib = Dataset(tuple(s for s in pool if s is not held), ("f0", "f1"), ("dx",))
+        test = Dataset((held,), ("f0", "f1"), ("dx",))
+        scores = score_dataset(model, calib)
+        cal = (mondrian_calibrate(calib, scores, "dx", alpha) if mondrian
+               else calibrate(scores, alpha))
+        report = coverage_and_width(bands_for_dataset(model, test, cal), test)
+        covered[held.subject_id] = report.mean_coverage == 1.0
+
+        sid = held.subject_id
+        others = [v for o, v in score.items() if o != sid]
+        peers = [v for o, v in score.items() if o != sid and group[o] == group[sid]]
+        radius = conformal_radius(peers if mondrian and peers else others, alpha)
+        assert covered[sid] == (score[sid] <= radius), sid
+
+    blocks = ({g: [s for s in score if group[s] == g] for g in set(group.values())}
+              if mondrian else {None: list(score)})
+    for members in blocks.values():
+        m = len(members)
+        if m == 1:
+            continue                     # the population fallback, checked above
+        bound = min(math.ceil(m * (1.0 - alpha)), m)
+        hits = sum(covered[s] for s in members)
+        if len({score[s] for s in members}) == m:
+            assert hits == bound
+        else:
+            assert hits >= bound

@@ -56,6 +56,14 @@ def test_missing_column(tmp_path):
         load_csv(p, SCHEMA)
 
 
+@pytest.mark.parametrize("row", ["s1,6,1.4,70,12\n", "s1,6,1.4,70,12,F,extra\n"],
+                         ids=["short", "long"])
+def test_ragged_row_names_row(tmp_path, row):
+    p = write_csv(tmp_path / "c.csv", ["s1,0,1.5,70,12,F\n", row])
+    with pytest.raises(DataError, match="row 3: cell count differs from the header"):
+        load_csv(p, SCHEMA)
+
+
 def test_non_numeric_cell_names_row(tmp_path):
     p = write_csv(tmp_path / "c.csv", [
         "s1,0,1.5,70,12,F\n",

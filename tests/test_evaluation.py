@@ -1,16 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftraj import evaluation
-from conftraj.conformal import PredictionBand
-from conftraj.data_model import Dataset, SubjectRecord
+from conftraj.conformal import (PredictionBand, bands_for_dataset, calibrate,
+                                score_dataset)
+from conftraj.data_model import Dataset, SubjectRecord, split, standardize
 from conftraj.errors import DataError
 from conftraj.evaluation import (coverage_and_width, evaluate_split, fit_split,
                                  run_protocol, stratified_compare,
                                  sweep_calibration_fraction)
-from conftraj.predictors import predict_batch, subject_row
+from conftraj.predictors import fit_quantile, predict_batch, subject_row
 from conftraj.synth import GroupSpec, SynthConfig, generate
 
 
@@ -24,7 +26,7 @@ def dataset(subjects, groups=("dx",)):
 
 def flat_band(sid, times, center, radius):
     return PredictionBand(sid, tuple(times), tuple(center for _ in times),
-                          tuple(radius for _ in times), True)
+                          stds=tuple(1.0 for _ in times), radius=radius)
 
 
 def test_coverage_fraction():
@@ -40,7 +42,7 @@ def test_coverage_fraction():
 
 def test_mean_width_over_visits():
     s = subject("a", [(6, 0.0), (12, 0.0)])
-    band = PredictionBand("a", (6, 12), (0.0, 0.0), (0.5, 1.5), True)
+    band = PredictionBand("a", (6, 12), (0.0, 0.0), stds=(0.5, 1.5), radius=1.0)
     report = coverage_and_width([band], dataset([s]))
     assert report.mean_width == pytest.approx(2.0)   # (1 + 3) / 2
 
@@ -55,7 +57,7 @@ def test_boundary_counts_as_covered():
 def test_infinite_band_covers_but_no_width():
     s1 = subject("a", [(6, 100.0)])
     s2 = subject("b", [(6, 0.0)])
-    inf_band = PredictionBand("a", (6,), (0.0,), None, False)
+    inf_band = PredictionBand("a", (6,), (0.0,), stds=(1.0,), radius=math.inf)
     report = coverage_and_width([inf_band, flat_band("b", [6], 0.0, 1.0)],
                                 dataset([s1, s2]))
     assert report.mean_coverage == 1.0
@@ -87,7 +89,7 @@ def test_width_over_time_matches_grouping_oracle():
         radii = rng.uniform(0.1, 2.0, size=3)
         subs.append(subject(f"s{i}", [(int(t), 0.0) for t in times]))
         bands.append(PredictionBand(f"s{i}", tuple(int(t) for t in times),
-                                    (0.0, 0.0, 0.0), tuple(radii), True))
+                                    (0.0, 0.0, 0.0), stds=tuple(radii), radius=1.0))
         for t, r in zip(times, radii):
             expected.setdefault((t - 1) // 12, []).append(2 * r)
     buckets = coverage_and_width(bands, dataset(subs)).per_time_width
@@ -176,6 +178,26 @@ def test_coverage_recomputable_by_brute_force():
         widths.extend(2 * band.radius_at(t) for t, _ in s.visits)
     assert report.mean_coverage == pytest.approx(covered / len(subs), abs=1e-12)
     assert report.mean_width == pytest.approx(np.mean(widths), abs=1e-12)
+
+
+def test_subject_scoring_the_radius_is_covered():
+    # A copy of the calibration subject whose score is R is covered by the
+    # conformal rule.  Testing |y - mu| <= fl(R * sigma) instead reported
+    # it uncovered on seeds 31 and 35.
+    for seed in range(40):
+        ds = cohort(200, seed=seed)
+        idx = split(ds, 0.3, 0.4, seed)
+        train, stats = standardize(ds.subset(idx.train))
+        calib, _ = standardize(ds.subset(idx.calib), stats)
+        model = fit_quantile(train, steps=100)
+        scores = score_dataset(model, calib)
+        cal = calibrate(scores, 0.1)
+        tie = next(sc.subject_id for sc in scores if sc.value == cal.radius)
+        (subj,) = [s for s in calib.subjects if s.subject_id == tie]
+        test = Dataset((replace(subj, subject_id="copy"),), calib.feature_names,
+                       calib.group_columns)
+        report = coverage_and_width(bands_for_dataset(model, test, cal), test)
+        assert report.mean_coverage == 1.0, seed
 
 
 def test_baseline_band_z_width():
