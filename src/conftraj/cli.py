@@ -24,8 +24,8 @@ from .data_model import (CsvSchema, StandardizationStats, csv_rows, load_csv,
 from .errors import ConfigurationError, ConftrajError, DataError, NumericalError
 from .evaluation import (calibrate_groups, fit_split, run_protocol,
                          stratified_compare, sweep_calibration_fraction)
-from .predictors import load_model, predictor_options, read_checked, save_model
-from .synth import GroupSpec, SynthConfig, generate
+from .predictors import KINDS, load_model, predictor_options, read_checked, save_model
+from .synth import GroupSpec, SynthConfig, generate, is_number
 
 SCHEMA_TAG = "conftraj-output-v1"
 
@@ -41,16 +41,26 @@ _KNOWN_KEYS = {
 _TOP_KEYS = set(_KNOWN_KEYS) | {"seed", "out"}
 
 
-def _number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _fraction(v):
-    return _number(v) and 0 < v < 1
+    return is_number(v) and 0 < v < 1
+
+
+def _numbers(v):
+    return isinstance(v, list) and v != [] and all(map(is_number, v))
+
+
+def _option_rule(default):
+    """(what a predictor option must be, test), from the type of its default
+    in the fit's signature; a tuple or None default is a grid or levels."""
+    if isinstance(default, int):
+        return "an int", _int
+    if isinstance(default, float):
+        return "a number", is_number
+    return "a non-empty list of numbers", _numbers
 
 
 # (section, key, what it must be, test) for each typed value checked on
@@ -59,7 +69,7 @@ _VALUE_RULES = (
     (None, "seed", "an int >= 0", lambda v: _int(v) and v >= 0),
     *(("synth", key, "an int", _int)
       for key in ("n_subjects", "feature_dim", "max_time", "min_horizon")),
-    *(("synth", key, "a number", _number)
+    *(("synth", key, "a number", is_number)
       for key in ("visits_mean", "noise_std", "progressor_frac", "slope_stable",
                   "slope_progressor", "heterogeneity_std", "feature_signal")),
     ("synth", "varying_horizon", "true or false", lambda v: isinstance(v, bool)),
@@ -71,11 +81,13 @@ _VALUE_RULES = (
     ("evaluation", "mode", "'conformal' or 'baseline'",
      lambda v: v in ("conformal", "baseline")),
     ("evaluation", "fracs", "a non-empty list of numbers in [0,1)",
-     lambda v: isinstance(v, list) and v != [] and all(_number(f) and 0 <= f < 1
-                                                       for f in v)),
+     lambda v: _numbers(v) and all(0 <= f < 1 for f in v)),
     ("risk", "bootstrap_B", "an int >= 1", lambda v: _int(v) and v >= 1),
     ("risk", "direction", "'decreasing' or 'increasing'",
      lambda v: v in ("decreasing", "increasing")),
+    ("predictor", "kind", f"one of {', '.join(KINDS)}",
+     lambda v: isinstance(v, str) and v in KINDS),
+    ("conformal", "group_by", "a string", lambda v: isinstance(v, str)),
 )
 
 
@@ -99,11 +111,15 @@ def _validate_config(cfg: dict):
     if not isinstance(options, dict):
         raise ConfigurationError("config key predictor.options must be an object")
     accepted = predictor_options(kind)
-    for name in options:
+    for name, value in options.items():
         if name not in accepted:
             raise ConfigurationError(
                 f"unknown key predictor.options.{name!r} for predictor kind "
                 f"{kind!r} (accepted: {', '.join(sorted(accepted))})")
+        expected, ok = _option_rule(accepted[name])
+        if not ok(value):
+            raise ConfigurationError(
+                f"predictor.options.{name} must be {expected}, got {value!r}")
 
 
 def _predictor(cfg):

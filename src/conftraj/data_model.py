@@ -123,12 +123,21 @@ def _parse_time(cell, row_no):
     return t
 
 
+def _nul_free_lines(fh, path):
+    """The lines of fh.  A NUL character is a DataError naming the line: the
+    csv module of Python 3.10 cannot read one, so no version accepts it."""
+    for line_no, line in enumerate(fh, start=1):
+        if "\0" in line:
+            raise DataError(f"{path} line {line_no}: NUL character")
+        yield line
+
+
 def csv_rows(path, columns):
     """(row number, row dict) for each data row of the CSV at path, whose
     header must name every one of columns; the header is row 1, and a row
     must have as many cells as the header."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(_nul_free_lines(fh, path))
         for col in columns:
             if col not in (reader.fieldnames or []):
                 raise SchemaError(f"missing column {col!r} in {path}")
@@ -189,7 +198,9 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
 
 
 def save_csv(ds: Dataset, path) -> None:
-    """Serialize a Dataset back to the long CSV format (round-trips load_csv)."""
+    """Serialize a Dataset back to the long CSV format (round-trips load_csv).
+    A subject ID or group label holding a NUL character, which load_csv
+    rejects, is a DataError naming the subject."""
     header = (["subject_id", "time_months", "biomarker"]
               + list(ds.feature_names) + list(ds.group_columns))
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -198,6 +209,9 @@ def save_csv(ds: Dataset, path) -> None:
         for s in ds.subjects:
             feats = [repr(float(v)) for v in s.features]
             groups = [s.group_labels[c] for c in ds.group_columns]
+            if "\0" in s.subject_id or any("\0" in g for g in groups):
+                raise DataError(f"subject {s.subject_id!r}: NUL character in its ID "
+                                "or a group label")
             writer.writerow([s.subject_id, 0, repr(float(s.baseline_value))] + feats + groups)
             for t, y in s.visits:
                 writer.writerow([s.subject_id, t, repr(float(y))] + feats + groups)

@@ -15,7 +15,7 @@ import inspect
 import json
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import accumulate
 from statistics import NormalDist
 from typing import Callable, NamedTuple
@@ -82,14 +82,9 @@ class GpModel:
     signal_var: float
     lengthscale: float
     noise_var: float
-    L: np.ndarray                 # Cholesky factor of K + noise_var I (+ jitter)
+    K_inv: np.ndarray             # (K + noise_var I)^-1, reused across queries
     alpha: np.ndarray             # (K + noise_var I)^-1 y
     log_marginal: float
-    K_inv: np.ndarray = field(init=False)   # (K + noise_var I)^-1 from L, reused across queries
-
-    def __post_init__(self):
-        L_inv = np.linalg.inv(self.L)
-        object.__setattr__(self, "K_inv", L_inv.T @ L_inv)
 
 
 def _sqdist(Z1, Z2):
@@ -103,23 +98,21 @@ def _rbf(Z1, Z2, signal_var, lengthscale):
     return signal_var * np.exp(-0.5 * _sqdist(Z1, Z2) / lengthscale ** 2)
 
 
-def _chol_with_jitter(A):
-    for jit in _JITTERS:
+def _gp_factor(Z, y, signal_var, lengthscale, noise_var):
+    """K_inv, alpha, log marginal likelihood and jitter from the Cholesky
+    factor L of K + noise_var I plus the first of _JITTERS that factorizes."""
+    A = _rbf(Z, Z, signal_var, lengthscale) + noise_var * np.eye(len(Z))
+    for jitter in _JITTERS:
         try:
-            return np.linalg.cholesky(A + jit * np.eye(len(A))), jit
+            L = np.linalg.cholesky(A + jitter * np.eye(len(A)))
         except np.linalg.LinAlgError:
             continue
+        L_inv = np.linalg.inv(L)
+        alpha = np.linalg.solve(L.T, np.linalg.solve(L, y))
+        lml = (-0.5 * float(y @ alpha) - float(np.sum(np.log(np.diag(L))))
+               - 0.5 * len(y) * math.log(2.0 * math.pi))
+        return L_inv.T @ L_inv, alpha, lml, jitter
     raise NumericalError("Cholesky failed at maximum jitter 1e-4")
-
-
-def _gp_factor(Z, y, signal_var, lengthscale, noise_var):
-    """Cholesky factor, alpha, log marginal likelihood and the jitter used."""
-    K = _rbf(Z, Z, signal_var, lengthscale)
-    L, jitter = _chol_with_jitter(K + noise_var * np.eye(len(Z)))
-    alpha = np.linalg.solve(L.T, np.linalg.solve(L, y))
-    lml = (-0.5 * float(y @ alpha) - float(np.sum(np.log(np.diag(L))))
-           - 0.5 * len(y) * math.log(2.0 * math.pi))
-    return L, alpha, lml, jitter
 
 
 def _median_heuristic(Z, rng):
@@ -130,40 +123,55 @@ def _median_heuristic(Z, rng):
     return med if med > 0 else 1.0
 
 
-def _grid_log_marginals(Z, y, lengthscales, signal_vars, noise_vars):
-    """(lml, ls, sv, nv) for every grid point, in (ls, sv, nv) order.
+def _grid_search(Z, y, lengthscales, signal_vars, noise_vars):
+    """(lml, ls, sv, nv) of every grid point in (ls, sv, nv) order, how many
+    took the fallback, and the first best point's (ls, sv, nv) and (K_inv,
+    alpha, lml, jitter).
 
     For a fixed lengthscale, K + nv I = sv R + nv I shares the eigenvectors
-    U of the unit-variance kernel R = U diag(lam) U^T, so with b = U^T y
+    U of the unit-variance kernel R = U diag(lam) U^T, so with b = U^T y and
+    d = sv lam + nv
 
         lml = -1/2 sum(b^2 / d) - 1/2 sum(log d) - n/2 log(2 pi),
-        d = sv lam + nv,
+        K_inv = U diag(1/d) U^T,   alpha = U (b / d),
 
-    and each (sv, nv) pair costs O(n) after one eigendecomposition per
-    lengthscale (Rasmussen & Williams 2006, sections 2.2 and 5.4).  A point
-    whose spectrum is numerically singular (d.min() <= 1e-8 d.max(), e.g.
-    a noiseless grid or duplicate rows) is scored by _gp_factor instead,
-    which applies the Cholesky jitter ladder.  Also returns how many points
-    took that fallback.
+    and each (sv, nv) pair is scored in O(n) after one eigendecomposition
+    per lengthscale (Rasmussen & Williams 2006, sections 2.2 and 5.4).  A
+    numerically singular point (d.min() <= 1e-8 d.max(), e.g. a noiseless
+    grid) is scored by _gp_factor's jittered Cholesky instead.  Only the
+    running best's (U, b, d) or _gp_factor result is kept.
     """
     d2 = _sqdist(Z, Z)
-    n = len(y)
-    const = 0.5 * n * math.log(2.0 * math.pi)
-    scored, n_fallback = [], 0
+    const = 0.5 * len(y) * math.log(2.0 * math.pi)
+    scored, n_fallback, best = [], 0, None
     for ls in lengthscales:
         lam, U = np.linalg.eigh(np.exp(-0.5 * d2 / ls ** 2))
-        b2 = (U.T @ y) ** 2
+        b = U.T @ y
         for sv in signal_vars:
             for nv in noise_vars:
                 d = sv * lam + nv
                 if d.min() <= 1e-8 * d.max():
-                    lml = _gp_factor(Z, y, sv, ls, nv)[2]
+                    factor = _gp_factor(Z, y, sv, ls, nv)
+                    lml = factor[2]
                     n_fallback += 1
                 else:
-                    lml = (-0.5 * float(np.sum(b2 / d))
+                    factor = (U, b, d)
+                    lml = (-0.5 * float(np.sum(b ** 2 / d))
                            - 0.5 * float(np.sum(np.log(d))) - const)
                 scored.append((lml, ls, sv, nv))
-    return scored, n_fallback
+                if best is None or lml > best[0]:    # first maximum wins
+                    best = (lml, ls, sv, nv, factor)
+    lml, ls, sv, nv, factor = best
+    if len(factor) == 3:              # scored from the spectrum
+        U, b, d = factor
+        W = U / np.sqrt(d)
+        factor = (W @ W.T, U @ (b / d), lml, 0.0)
+    return scored, n_fallback, (ls, sv, nv), factor
+
+
+def _grid_log_marginals(Z, y, lengthscales, signal_vars, noise_vars):
+    """_grid_search's (lml, ls, sv, nv) per grid point and fallback count."""
+    return _grid_search(Z, y, lengthscales, signal_vars, noise_vars)[:2]
 
 
 def fit_gp(train: Dataset, lengthscales=None, signal_vars=None, noise_vars=None,
@@ -173,12 +181,8 @@ def fit_gp(train: Dataset, lengthscales=None, signal_vars=None, noise_vars=None,
     Default grids anchor the lengthscale at the median pairwise distance
     and the variances at the target variance.  Training rows beyond
     max_points are subsampled (seeded) to keep the cubic cost bounded.
-
-    The grid is scored from one eigendecomposition of the kernel per
-    lengthscale (see _grid_log_marginals); numerically singular points
-    fall back to a jittered Cholesky factorization.  The first best point
-    in (lengthscale, signal_var, noise_var) order is then factorized once
-    with _gp_factor, which supplies the stored L, alpha and log marginal.
+    The model keeps K_inv, alpha and the log marginal of the factorization
+    that scored the first best grid point (see _grid_search).
     """
     Zraw, y, _ = design_matrix(train)
     if len(y) < 2:
@@ -200,14 +204,12 @@ def fit_gp(train: Dataset, lengthscales=None, signal_vars=None, noise_vars=None,
     if noise_vars is None:
         noise_vars = [m * var_y for m in (0.01, 0.05, 0.1, 0.25)]
 
-    scored, n_fallback = _grid_log_marginals(Z, y, lengthscales, signal_vars,
-                                             noise_vars)
-    _, ls, sv, nv = max(scored, key=lambda g: g[0])   # first maximum wins
-    L, alpha, lml, jitter = _gp_factor(Z, y, sv, ls, nv)
+    scored, n_fallback, (ls, sv, nv), (K_inv, alpha, lml, jitter) = _grid_search(
+        Z, y, lengthscales, signal_vars, noise_vars)
     log.debug("fit_gp: lengthscale=%.6g signal_var=%.6g noise_var=%.6g "
               "log_marginal=%.6f jitter=%g fallback_points=%d/%d",
               ls, sv, nv, lml, jitter, n_fallback, len(scored))
-    return GpModel(scaler, Z, y, sv, ls, nv, L, alpha, lml)
+    return GpModel(scaler, Z, y, sv, ls, nv, K_inv, alpha, lml)
 
 
 def _gp_predict_batch(m: GpModel, Zq_raw):
@@ -248,6 +250,9 @@ def fit_quantile(train: Dataset, levels=(0.1, 0.5, 0.9), steps: int = 600,
     non-increasing.
     """
     levels = tuple(levels)
+    if len(levels) < 2 or not all(0 < q < 1 for q in levels):
+        raise ConfigurationError(f"quantile levels must be 2 or more numbers in (0, 1), "
+                                 f"got {levels}")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigurationError("quantile levels must be strictly increasing")
     if abs(levels[0] + levels[-1] - 1.0) > 1e-9:
@@ -356,7 +361,7 @@ class Kind(NamedTuple):
 
 KINDS = {
     "gp": Kind(GpModel, fit_gp, _gp_predict_batch,
-               {"Z": "np", "y": "n", "L": "nn", "alpha": "n"}),
+               {"Z": "np", "y": "n", "K_inv": "nn", "alpha": "n"}),
     "quantile": Kind(QuantileModel, fit_quantile, _quantile_predict_batch,
                      {"levels": "k", "weights": "kq"}),
     "bootstrap": Kind(BootstrapModel, fit_bootstrap, _bootstrap_predict_batch,
@@ -378,9 +383,10 @@ def _kind_of(model):
 
 
 def predictor_options(kind: str):
-    """Option names the fit of a predictor kind accepts (fit_predictor
-    supplies train and seed itself)."""
-    return set(inspect.signature(_kind(kind).fit).parameters) - {"train", "seed"}
+    """Option name -> default of each option the fit of a predictor kind
+    accepts (fit_predictor supplies train and seed itself)."""
+    params = inspect.signature(_kind(kind).fit).parameters
+    return {name: p.default for name, p in params.items() if name not in ("train", "seed")}
 
 
 def fit_predictor(kind: str, train: Dataset, seed: int = 0, **opts):
@@ -416,13 +422,15 @@ def _arr(a):
     return np.asarray(a).tolist()
 
 
+SCHEMA_VERSION = 2      # 2: GpModel stores K_inv, not its Cholesky factor L
+
+
 def save_model(model, path):
-    """Write the model's kind, its scaler and every other field it is built
-    from as JSON (GpModel.K_inv is rebuilt from L on load)."""
-    doc = {"kind": _kind_of(model), "schema_version": 1,
+    """Write the model's kind, its scaler and every other field as JSON."""
+    doc = {"kind": _kind_of(model), "schema_version": SCHEMA_VERSION,
            "scaler": {"mean": _arr(model.scaler.mean), "std": _arr(model.scaler.std)}}
     for f in fields(model):
-        if f.init and f.name != "scaler":
+        if f.name != "scaler":
             value = getattr(model, f.name)
             doc[f.name] = _arr(value) if isinstance(value, (np.ndarray, tuple)) else value
     with open(path, "w", encoding="utf-8") as fh:
@@ -469,8 +477,9 @@ def load_model(path):
     is the scaler's width and q = p + 1."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("schema_version") != 1:
-        raise ConfigurationError(f"model file {path}: unsupported schema_version")
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if version != SCHEMA_VERSION:
+        raise ConfigurationError(f"model file {path}: cannot read schema_version {version!r}")
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in KINDS:
         raise _file_error(path, "kind", f"must be one of {', '.join(KINDS)}, got {kind!r}")
@@ -482,10 +491,7 @@ def load_model(path):
     sizes["q"] = (sizes["p"][0] + 1, "mean")
     shapes = KINDS[kind].shapes
     for f in fields(KINDS[kind].model):
-        if f.init and f.name != "scaler":
+        if f.name != "scaler":
             value = read_checked(path, doc, f.name, shapes.get(f.name), sizes)
             values[f.name] = tuple(value.tolist()) if f.type == "tuple" else value
-    try:
-        return KINDS[kind].model(**values)
-    except np.linalg.LinAlgError as exc:      # GpModel inverts L
-        raise _file_error(path, "L", f"cannot be inverted ({exc})")
+    return KINDS[kind].model(**values)

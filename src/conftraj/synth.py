@@ -12,12 +12,18 @@ sorted, so they are strictly increasing integers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data_model import Dataset, SubjectRecord
 from .errors import ConfigurationError
+
+
+def is_number(v):
+    """An int or float that is not a bool, as a JSON number is read."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -33,11 +39,27 @@ class GroupSpec:
         if len(self.categories) != len(self.probs):
             raise ConfigurationError(f"group {self.column}: categories/probs length mismatch")
         for p in self.probs:
-            if isinstance(p, bool) or not (isinstance(p, (int, float)) and 0 <= p <= 1):
+            if not (is_number(p) and 0 <= p <= 1):
                 raise ConfigurationError(
                     f"group {self.column}: prob {p!r} is not a number in [0, 1]")
         if abs(sum(self.probs) - 1.0) > 1e-9:
             raise ConfigurationError(f"group {self.column}: probabilities must sum to 1")
+        for key, expected, ok in (
+                ("noise_multipliers", "a positive finite number",
+                 lambda v: is_number(v) and 0 < v < math.inf),
+                ("progressor_rates", "a number in [0, 1]",
+                 lambda v: is_number(v) and 0 <= v <= 1)):
+            per_category = getattr(self, key)
+            if not isinstance(per_category, dict):
+                raise ConfigurationError(f"group {self.column}: {key} must be an object "
+                                         f"keyed by category, got {per_category!r}")
+            for cat, v in per_category.items():
+                if cat not in self.categories:
+                    raise ConfigurationError(
+                        f"group {self.column}: {key} names undeclared category {cat!r}")
+                if not ok(v):
+                    raise ConfigurationError(
+                        f"group {self.column}: {key}[{cat!r}] {v!r} is not {expected}")
 
 
 @dataclass(frozen=True)

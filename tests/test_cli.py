@@ -226,6 +226,19 @@ def test_unknown_predictor_option_rejected(tmp_path, capsys):
         "data": {"path": str(tmp_path / "missing.csv")},
         "predictor": {"kind": "quantile", "options": {"seed": 3}}})
     assert code == 1 and "'seed'" in err
+    # a value must match the type of the fit's default for that option
+    for kind, name, value in [
+            ("bootstrap", "B", "20"), ("bootstrap", "B", True), ("bootstrap", "B", 20.0),
+            ("bootstrap", "ridge_lambda", "x"), ("bootstrap", "std_scale", [0.3]),
+            ("gp", "noise_vars", []), ("gp", "lengthscales", 1.0),
+            ("gp", "signal_vars", [1.0, "2"]), ("gp", "max_points", None),
+            ("quantile", "levels", [0.1, "0.5", 0.9]), ("quantile", "steps", 1.5),
+            ("quantile", "learning_rate", False)]:
+        code, err = config_error(tmp_path, capsys, "evaluate", {
+            "data": {"path": str(tmp_path / "missing.csv")},
+            "predictor": {"kind": kind, "options": {name: value}}})
+        assert code == 1 and err.startswith("error [ConfigurationError]: ")
+        assert f"predictor.options.{name} must be" in err
 
 
 def test_group_spec_missing_key_rejected(tmp_path, capsys):
@@ -257,6 +270,9 @@ def test_group_spec_missing_key_rejected(tmp_path, capsys):
     ("evaluation", "fracs", 0.2), ("evaluation", "fracs", []),
     ("evaluation", "fracs", [0.1, 1.0]), ("evaluation", "fracs", [0.1, "0.2"]),
     ("evaluation", "fracs", [-0.1]), ("evaluation", "fracs", [True]),
+    ("predictor", "kind", ["gp"]), ("predictor", "kind", "forest"),
+    ("predictor", "kind", None), ("conformal", "group_by", ["site"]),
+    ("conformal", "group_by", 3),
 ])
 def test_typed_config_value_rejected(tmp_path, capsys, section, key, value):
     # the data file does not exist: the config is rejected before any load
@@ -314,10 +330,10 @@ def fitted_dirs(tmp_path_factory):
     ("bootstrap", "members",
      lambda doc: doc.__setitem__("members", [r[:-1] for r in doc["members"]])),
     ("bootstrap", "members", lambda doc: doc["members"][0].pop()),
-    ("gp", "L", lambda doc: doc.__setitem__("L", doc["L"][:-1])),
+    ("gp", "K_inv", lambda doc: doc.__setitem__("K_inv", doc["K_inv"][:-1])),
     ("gp", "alpha", lambda doc: doc.__setitem__("alpha", doc["alpha"][:-1])),
 ], ids=["members-missing", "kind-missing", "members-column-short", "members-ragged",
-        "L-row-short", "alpha-short"])
+        "K_inv-row-short", "alpha-short"])
 def test_calibrate_rejects_bad_model_file(tmp_path, capsys, fitted_dirs, kind, key, edit):
     gen, dirs = fitted_dirs
     model_dir = tmp_path / "model"
@@ -421,15 +437,32 @@ def test_calibrate_rejects_bad_scaling_file(tmp_path, capsys, fitted_dirs, edit,
         assert "scaling.json" in err and repr(key) in err
 
 
-@pytest.mark.parametrize("probs,expected", [
-    (["0.5", "0.5"], "group site: prob '0.5' is not a number in [0, 1]"),
-    ([1.5, -0.5], "group site: prob 1.5 is not a number in [0, 1]"),
-    ([True, 0], "group site: prob True is not a number in [0, 1]"),
-    (0.5, "synth.group_spec[0].probs must be a list"),
-], ids=["strings", "out-of-range", "bool", "not-a-list"])
-def test_group_spec_bad_probs_rejected(tmp_path, capsys, probs, expected):
+# (keys replaced in a valid group_spec entry, expected error)
+@pytest.mark.parametrize("entry,expected", [
+    ({"probs": ["0.5", "0.5"]}, "group site: prob '0.5' is not a number in [0, 1]"),
+    ({"probs": [1.5, -0.5]}, "group site: prob 1.5 is not a number in [0, 1]"),
+    ({"probs": [True, 0]}, "group site: prob True is not a number in [0, 1]"),
+    ({"probs": 0.5}, "synth.group_spec[0].probs must be a list"),
+    ({"noise_multipliers": {"a": "2"}},
+     "group site: noise_multipliers['a'] '2' is not a positive finite number"),
+    ({"noise_multipliers": {"b": 0}},
+     "group site: noise_multipliers['b'] 0 is not a positive finite number"),
+    ({"noise_multipliers": {"a": float("inf")}},
+     "group site: noise_multipliers['a'] inf is not a positive finite number"),
+    ({"noise_multipliers": [2.0]}, "group site: noise_multipliers must be an object"),
+    ({"noise_multipliers": {"c": 2.0}},
+     "group site: noise_multipliers names undeclared category 'c'"),
+    ({"progressor_rates": {"a": 1.5}},
+     "group site: progressor_rates['a'] 1.5 is not a number in [0, 1]"),
+    ({"progressor_rates": {"b": True}},
+     "group site: progressor_rates['b'] True is not a number in [0, 1]"),
+    ({"progressor_rates": 0.5}, "group site: progressor_rates must be an object"),
+], ids=["strings", "out-of-range", "bool", "not-a-list", "multiplier-string",
+        "multiplier-zero", "multiplier-inf", "multipliers-list", "multiplier-category",
+        "rate-above-one", "rate-bool", "rates-number"])
+def test_group_spec_bad_probs_rejected(tmp_path, capsys, entry, expected):
     code, err = config_error(tmp_path, capsys, "generate", {
         "synth": {"n_subjects": 20, "group_spec": [
-            {"column": "site", "categories": ["a", "b"], "probs": probs}]}})
+            {"column": "site", "categories": ["a", "b"], "probs": [0.5, 0.5], **entry}]}})
     assert code == 1
     assert err.startswith("error [ConfigurationError]: ") and expected in err

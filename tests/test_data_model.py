@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftraj.data_model import (CsvSchema, Dataset, StandardizationStats,
                                  SubjectRecord, load_csv, save_csv, split,
@@ -47,6 +52,13 @@ def test_baseline_only_subject_loaded(tmp_path):
     assert len(ds) == 1
     assert ds.subjects[0].visits == ()
     assert ds.scored_subjects() == []
+
+
+def test_nul_character_names_line(tmp_path):
+    # the csv module of Python 3.10 cannot read a NUL; no version accepts one
+    p = write_csv(tmp_path / "c.csv", ["s1,0,1.5,70,12,F\n", "s\x002,0,1.5,70,12,F\n"])
+    with pytest.raises(DataError, match="line 3: NUL"):
+        load_csv(p, SCHEMA)
 
 
 def test_missing_column(tmp_path):
@@ -126,6 +138,52 @@ def test_round_trip(tmp_path):
         assert a.visits == b.visits
         assert a.baseline_value == b.baseline_value
         assert list(a.features) == list(b.features)
+        assert a.group_labels == b.group_labels
+
+
+# subject IDs and group labels: any text (commas, quotes, newlines,
+# non-ASCII), long IDs, and the CSV metacharacters on their own
+ODD_TEXT = st.one_of(st.text(), st.text(min_size=200, max_size=400),
+                     st.text(st.sampled_from(',"\'\r\n \\;é字\u2028'), min_size=1))
+EXTREME_FLOATS = st.one_of(
+    st.sampled_from([1.7e308, -1.7e308, 5e-324, -5e-324, -0.0, 0.0]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def odd_cohorts(draw):
+    """Datasets with odd IDs and labels, extreme floats, and subjects that
+    may have only a baseline row."""
+    ids = draw(st.lists(ODD_TEXT, min_size=1, max_size=5, unique=True))
+    n_features = draw(st.integers(0, 2))
+    subjects = []
+    for sid in ids:
+        times = sorted(draw(st.lists(st.integers(1, 600), max_size=4, unique=True)))
+        subjects.append(SubjectRecord(
+            sid, np.array([draw(EXTREME_FLOATS) for _ in range(n_features)]),
+            {"site": draw(ODD_TEXT)}, draw(EXTREME_FLOATS),
+            tuple((t, draw(EXTREME_FLOATS)) for t in times)))
+    return Dataset(tuple(subjects), tuple(f"f{j}" for j in range(n_features)), ("site",))
+
+
+@settings(max_examples=150, deadline=None)
+@given(odd_cohorts())
+def test_save_load_round_trip_odd_values(ds):
+    schema = CsvSchema(feature_cols=ds.feature_names, group_cols=ds.group_columns)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cohort.csv"
+        if any("\0" in text for s in ds.subjects
+               for text in (s.subject_id, *s.group_labels.values())):
+            with pytest.raises(DataError, match="NUL"):
+                save_csv(ds, path)
+            return
+        save_csv(ds, path)
+        back = load_csv(path, schema)
+    assert [s.subject_id for s in back.subjects] == [s.subject_id for s in ds.subjects]
+    for a, b in zip(ds.subjects, back.subjects):
+        # repr tells -0.0 from 0.0, so the floats must come back bit for bit
+        assert repr([a.baseline_value, a.visits, a.features.tolist()]) == \
+            repr([b.baseline_value, b.visits, b.features.tolist()])
         assert a.group_labels == b.group_labels
 
 

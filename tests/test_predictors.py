@@ -79,6 +79,7 @@ def test_gp_matches_dense_oracle():
 def test_gp_noiseless_interpolation():
     ds, X, ts, ys = linear_dataset(25, seed=3, noise=0.0)
     m = fit_gp(ds, noise_vars=[0.0], seed=0)
+    assert_is_gp_factor(m)        # a noiseless grid is scored by the fallback
     rows, targets, _ = design_matrix(ds)
     for row, y in zip(rows[:10], targets[:10]):
         p = predict_one(m, row[:-1], int(row[-1]))
@@ -116,9 +117,24 @@ def brute_force_grid(Z, y, lengthscales, signal_vars, noise_vars):
             for ls in lengthscales for sv in signal_vars for nv in noise_vars]
 
 
-def assert_picks_brute_force_argmax(m, grid):
-    lml, ls, sv, nv = max(grid, key=lambda g: g[0])   # first maximum wins
+def assert_picks_brute_force_argmax(m, Z, y, lengthscales, signal_vars, noise_vars):
+    """m holds the brute-force argmax's hyperparameters, and as its log
+    marginal the grid's own score of that point, which agrees with the
+    Cholesky one."""
+    from conftraj.predictors import _grid_log_marginals
+    grid = (Z, y, lengthscales, signal_vars, noise_vars)
+    lml, ls, sv, nv = max(brute_force_grid(*grid), key=lambda g: g[0])   # first maximum wins
     assert (m.lengthscale, m.signal_var, m.noise_var) == (ls, sv, nv)
+    scored, _ = _grid_log_marginals(*grid)
+    assert m.log_marginal == next(g[0] for g in scored if g[1:] == (ls, sv, nv))
+    assert m.log_marginal == pytest.approx(lml, rel=0.0, abs=1e-6)
+
+
+def assert_is_gp_factor(m):
+    """m's K_inv, alpha and log marginal are _gp_factor's at its hyperparameters."""
+    from conftraj.predictors import _gp_factor
+    K_inv, alpha, lml, _ = _gp_factor(m.Z, m.y, m.signal_var, m.lengthscale, m.noise_var)
+    assert np.array_equal(m.K_inv, K_inv) and np.array_equal(m.alpha, alpha)
     assert m.log_marginal == lml
 
 
@@ -126,7 +142,7 @@ def test_gp_argmax_log_marginal():
     ds, *_ = linear_dataset(30, seed=5, noise=0.2)
     m = fit_gp(ds, seed=0)
     # the selected hyperparameters beat every other grid point
-    assert_picks_brute_force_argmax(m, brute_force_grid(*default_gp_grid(ds)))
+    assert_picks_brute_force_argmax(m, *default_gp_grid(ds))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -151,7 +167,7 @@ def test_gp_grid_argmax_on_acceptance_cohorts(seed):
     idx = split(ds, 500 / 1100, 500 / 600, seed)
     train, _ = standardize(ds.subset(idx.train))
     m = fit_gp(train, seed=seed)
-    assert_picks_brute_force_argmax(m, brute_force_grid(*default_gp_grid(train, seed)))
+    assert_picks_brute_force_argmax(m, *default_gp_grid(train, seed))
 
 
 def test_gp_degenerate_grid_falls_back_to_factor(caplog):
@@ -166,7 +182,9 @@ def test_gp_degenerate_grid_falls_back_to_factor(caplog):
     assert 0 < n_fallback < len(scored)
     with caplog.at_level(logging.DEBUG, logger="conftraj.predictors"):
         m = fit_gp(ds, noise_vars=nvs, seed=0)
-    assert_picks_brute_force_argmax(m, brute_force_grid(Z, y, lss, svs, nvs))
+    assert_picks_brute_force_argmax(m, Z, y, lss, svs, nvs)
+    assert m.noise_var == 0.0     # the chosen point was scored by the fallback
+    assert_is_gp_factor(m)
     assert f"fallback_points={n_fallback}/{len(scored)}" in caplog.text
     assert "jitter=" in caplog.text and "log_marginal=" in caplog.text
 
@@ -266,6 +284,10 @@ def test_quantile_bad_levels():
     ds, *_ = linear_dataset(10, seed=1)
     with pytest.raises(ConfigurationError):
         fit_quantile(ds, levels=(0.2, 0.5, 0.9))
+    # one level has no spread (z = 0); a level outside (0, 1) has no z-score
+    for levels in ((0.5,), (-0.1, 0.5, 1.1), ()):
+        with pytest.raises(ConfigurationError, match="levels"):
+            fit_quantile(ds, levels=levels)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +527,7 @@ BAD_MODEL_FILES = [
     ("bootstrap", "members one column short", "members", _drop_last_column("members")),
     ("bootstrap", "members ragged", "members",
      lambda doc: doc["members"][0].pop()),
-    ("gp", "L one row short", "L", _drop_last("L")),
+    ("gp", "K_inv one row short", "K_inv", _drop_last("K_inv")),
     ("gp", "alpha one element short", "alpha", _drop_last("alpha")),
     ("gp", "y one element short", "y", _drop_last("y")),
     ("gp", "Z one column short", "Z", _drop_last_column("Z")),
@@ -537,11 +559,14 @@ def test_load_model_rejects_bad_file(tmp_path, fitted, kind, what, key, edit):
     assert str(path) in str(err.value) and repr(key) in str(err.value)
 
 
-def test_load_model_rejects_singular_gp_factor(tmp_path, fitted):
+def test_load_model_names_unreadable_schema_version(tmp_path, fitted):
+    # a version-1 GP file stored the Cholesky factor L instead of K_inv
     path = tmp_path / "model.json"
     save_model(fitted["gp"], path)
     doc = json.loads(path.read_text())
-    doc["L"][0] = [0.0] * len(doc["L"][0])
+    doc["schema_version"] = 1
+    doc["L"] = doc.pop("K_inv")
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigurationError, match="'L'"):
+    with pytest.raises(ConfigurationError) as err:
         load_model(path)
+    assert str(path) in str(err.value) and "schema_version 1" in str(err.value)
