@@ -187,8 +187,7 @@ def _load_truth(cfg) -> dict:
     if "truth_path" not in d:
         raise ConfigurationError("data.truth_path is required for the risk command")
     path, truth = d["truth_path"], {}
-    for row_no, row in csv_rows(path, ("subject_id", "is_progressor")):
-        sid, cell = row["subject_id"], row["is_progressor"]
+    for row_no, (sid, cell) in csv_rows(path, ("subject_id", "is_progressor")):
         flag = {"1": True, "true": True, "0": False, "false": False}.get(cell.lower())
         if flag is None:
             raise DataError(f"{path} row {row_no}: is_progressor {cell!r} is not "

@@ -94,24 +94,31 @@ def calibrate(scores, alpha: float) -> CalibrationResult:
     return CalibrationResult(tuple(values), alpha, rank, radius)
 
 
-def worst_residual(values, means, stds):
-    """The nonconformity score of one trajectory, max_t |y_t - mu_t| /
-    sigma_t.  Calibration scores and test coverage both use it, so a test
-    subject is covered exactly when its score is at most the radius."""
-    return float(np.max(np.abs(np.asarray(values, dtype=float) - np.asarray(means))
-                        / np.asarray(stds)))
+def worst_residuals(values, means, stds, offsets):
+    """The nonconformity score of each trajectory, max_t |y_t - mu_t| /
+    sigma_t over rows offsets[i]:offsets[i + 1] of the flat values, means
+    and stds; every trajectory must have a row.  Calibration scores and
+    test coverage both use it, so a test subject is covered exactly when
+    its score is at most the radius."""
+    offsets = np.asarray(offsets, dtype=np.intp)
+    if np.any(np.diff(offsets) <= 0):
+        raise DataError("a trajectory to score has no rows")
+    residuals = np.abs(np.asarray(values, dtype=float) - np.asarray(means)) / np.asarray(stds)
+    return np.maximum.reduceat(residuals, offsets[:-1])
 
 
 def score_dataset(model, calib: Dataset):
     """Worst normalized residual max_t |y_t - mu_t| / sigma_t for every
-    calibration subject with visits, against (mu, sigma) of its band at its
-    visit times (R plays no part in the score)."""
+    calibration subject with visits, against the predicted (mu, sigma) at
+    its visit times."""
     subjects = calib.scored_subjects()
-    bands = _make_bands(model, subjects, [s.visit_times for s in subjects],
-                        [math.inf] * len(subjects))
-    return [NonconformityScore(s.subject_id,
-                               worst_residual(s.visit_values, b.centers, b.stds))
-            for s, b in zip(subjects, bands)]
+    if not subjects:
+        return []
+    X, t, offsets = visit_rows(subjects, [s.visit_times for s in subjects])
+    means, stds = predict_batch(model, X, t)
+    values = [y for s in subjects for _, y in s.visits]
+    return [NonconformityScore(s.subject_id, v)
+            for s, v in zip(subjects, worst_residuals(values, means, stds, offsets).tolist())]
 
 
 def _radii(subjects, gcal):

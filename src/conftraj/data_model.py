@@ -12,6 +12,8 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
+from operator import le, lt
 
 import numpy as np
 
@@ -30,9 +32,9 @@ class SubjectRecord:
 
     def __post_init__(self):
         times = [t for t, _ in self.visits]
-        if any(t < 1 for t in times):
+        if any(map(lt, times, repeat(1))):
             raise DataError(f"subject {self.subject_id}: visit time < 1")
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if any(map(le, times[1:], times)):
             raise DataError(f"subject {self.subject_id}: visit times not strictly increasing")
 
     @property
@@ -52,9 +54,6 @@ class StandardizationStats:
     def __post_init__(self):
         if not self.std > 0:
             raise DataError(f"standardization std must be positive, got {self.std}")
-
-    def apply(self, y):
-        return (np.asarray(y, dtype=float) - self.mean) / self.std
 
 
 @dataclass(frozen=True)
@@ -110,13 +109,24 @@ class CsvSchema:
     group_cols: tuple = ()
 
 
+MAX_TIME = 2 ** 53 - 1   # a float holds every integer month up to it
+
+
 def _parse_time(cell, row_no):
     try:
-        t = float(cell)
+        t = int(cell)
     except ValueError:
-        raise DataError(f"row {row_no}: non-numeric time {cell!r}")
-    if t != int(t):
-        raise DataError(f"row {row_no}: fractional visit time {cell!r} (integer months required)")
+        try:
+            t = float(cell)
+        except ValueError:
+            raise DataError(f"row {row_no}: non-numeric time {cell!r}")
+        if not math.isfinite(t):
+            raise DataError(f"row {row_no}: non-finite visit time {cell!r}")
+        if t != int(t):
+            raise DataError(f"row {row_no}: fractional visit time {cell!r} "
+                            "(integer months required)")
+    if abs(t) > MAX_TIME:
+        raise DataError(f"row {row_no}: visit time {cell!r} beyond 2**53 - 1 months")
     t = int(t)
     if t < 0:
         raise DataError(f"row {row_no}: negative visit time {t}")
@@ -133,18 +143,32 @@ def _nul_free_lines(fh, path):
 
 
 def csv_rows(path, columns):
-    """(row number, row dict) for each data row of the CSV at path, whose
-    header must name every one of columns; the header is row 1, and a row
-    must have as many cells as the header."""
+    """(row number, cells of columns in order) for each data row of the CSV
+    at path, whose header must name every one of columns.  The header is
+    row 1; blank lines are skipped and not counted; a header name that
+    repeats means its last column; a row must have as many cells as the
+    header.  A line the csv module cannot read (such as a field longer than
+    its field size limit) is a DataError naming the file and the line."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(_nul_free_lines(fh, path))
-        for col in columns:
-            if col not in (reader.fieldnames or []):
-                raise SchemaError(f"missing column {col!r} in {path}")
-        for row_no, row in enumerate(reader, start=2):
-            if None in row or None in row.values():
-                raise DataError(f"row {row_no}: cell count differs from the header of {path}")
-            yield row_no, row
+        reader = csv.reader(_nul_free_lines(fh, path))
+        try:
+            header = next(reader, [])
+            index = {name: i for i, name in enumerate(header)}
+            for col in columns:
+                if col not in index:
+                    raise SchemaError(f"missing column {col!r} in {path}")
+            picks = [index[col] for col in columns]
+            row_no = 1
+            for row in reader:
+                if not row:
+                    continue
+                row_no += 1
+                if len(row) != len(header):
+                    raise DataError(f"row {row_no}: cell count differs from the header "
+                                    f"of {path}")
+                yield row_no, [row[i] for i in picks]
+        except csv.Error as exc:
+            raise DataError(f"{path} line {reader.line_num}: {exc}") from None
 
 
 def load_csv(path, schema: CsvSchema) -> Dataset:
@@ -152,46 +176,49 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
 
     Rows are grouped by subject, visits sorted by time, and the month-0 row
     becomes the baseline observation.  Duplicate (subject, time) rows,
-    fractional times, non-finite biomarker or feature cells, and rows whose
-    features or group labels differ from the subject's earlier rows are
-    rejected.
+    fractional or non-finite times, non-finite biomarker or feature cells,
+    and rows whose features or group labels differ from the subject's
+    earlier rows are rejected.
     """
+    n_feat = len(schema.feature_cols)
     needed = ([schema.subject_col, schema.time_col, schema.value_col]
               + list(schema.feature_cols) + list(schema.group_cols))
-    by_subject: dict = {}       # sid -> (features, group labels, [(t, y), ...])
-    seen = set()
-    for row_no, row in csv_rows(path, needed):
-        sid = row[schema.subject_col]
-        t = _parse_time(row[schema.time_col], row_no)
-        if (sid, t) in seen:
+    # sid -> (first row's feature and group cells, its features, its group
+    # labels, {t: y}); a later row with the same cells reuses the features
+    by_subject: dict = {}
+    for row_no, cells in csv_rows(path, needed):
+        sid, rest = cells[0], cells[3:]
+        t = _parse_time(cells[1], row_no)
+        entry = by_subject.get(sid)
+        if entry is not None and t in entry[3]:
             raise DataError(f"row {row_no}: duplicate (subject, time) = ({sid}, {t})")
-        seen.add((sid, t))
+        reuse = entry is not None and rest == entry[0]
         try:
-            y = float(row[schema.value_col])
-            feats = [float(row[c]) for c in schema.feature_cols]
+            y = float(cells[2])
+            feats = entry[1] if reuse else [float(c) for c in rest[:n_feat]]
         except ValueError as exc:
             raise DataError(f"row {row_no}: non-numeric cell ({exc})")
-        if not (math.isfinite(y) and all(map(math.isfinite, feats))):
+        if not (math.isfinite(y) and (reuse or all(map(math.isfinite, feats)))):
             raise DataError(f"row {row_no}: non-finite biomarker or feature cell")
-        groups = {c: row[c] for c in schema.group_cols}
-        entry = by_subject.setdefault(sid, (feats, groups, []))
-        if feats != entry[0] or groups != entry[1]:
+        if entry is None:
+            entry = by_subject[sid] = (rest, feats,
+                                       dict(zip(schema.group_cols, rest[n_feat:])), {})
+        elif not reuse and (feats != entry[1] or rest[n_feat:] != entry[0][n_feat:]):
             raise DataError(f"row {row_no}: subject {sid} features or group "
                             "labels differ from its earlier rows")
-        entry[2].append((t, y))
+        entry[3][t] = y
 
     subjects = []
     n_empty = 0
-    for sid, (feats, groups, rows) in by_subject.items():
-        rows.sort()                 # times are unique within a subject
-        if rows[0][0] != 0:
+    for sid, (_, feats, groups, values) in by_subject.items():
+        times = sorted(values)
+        if times[0] != 0:
             raise DataError(f"subject {sid}: no month-0 baseline row")
-        baseline = rows[0][1]
-        visits = tuple(rows[1:])
+        visits = tuple((t, values[t]) for t in times[1:])
         if not visits:
             n_empty += 1
         subjects.append(SubjectRecord(sid, np.asarray(feats, dtype=float),
-                                      groups, baseline, visits))
+                                      groups, values[0], visits))
     if n_empty:
         log.info("loaded %d subjects, %d with no follow-up visits", len(subjects), n_empty)
     return Dataset(tuple(subjects), tuple(schema.feature_cols), tuple(schema.group_cols))
@@ -234,12 +261,13 @@ def standardize(ds: Dataset, stats: StandardizationStats | None = None):
             raise DataError("zero-variance biomarker: cannot standardize")
         stats = StandardizationStats(float(np.mean(vals)), std)
 
-    new_subjects = tuple(
-        replace(s,
-                baseline_value=float(stats.apply(s.baseline_value)),
-                visits=tuple((t, float(stats.apply(y))) for t, y in s.visits))
+    mean, std = stats.mean, stats.std
+    subjects = tuple(
+        SubjectRecord(s.subject_id, s.features, s.group_labels,
+                      (s.baseline_value - mean) / std,
+                      tuple([(t, (y - mean) / std) for t, y in s.visits]))
         for s in ds.subjects)
-    return replace(ds, subjects=new_subjects), stats
+    return Dataset(subjects, ds.feature_names, ds.group_columns), stats
 
 
 def split(ds: Dataset, test_frac: float, calib_frac: float, seed: int) -> SplitIndices:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from statistics import NormalDist
 
 import numpy as np
 
 from .conformal import (_make_bands, bands_for_dataset, calibrate,
-                        mondrian_calibrate, score_dataset, worst_residual)
+                        mondrian_calibrate, score_dataset, worst_residuals)
 from .data_model import Dataset, split, standardize
 from .errors import ConfigurationError, ConftrajError, DataError
 from .predictors import fit_predictor
@@ -54,9 +55,7 @@ def coverage_and_width(bands, test: Dataset,
     """
     subjects = test.scored_subjects()
     by_id = {b.subject_id: b for b in bands}
-    covered, n_inf, widths = 0, 0, []
-    bucket_widths: dict = {}
-    group_stats: dict = {}      # group label -> (coverage flags, widths)
+    matched = []
     for s in subjects:
         band = by_id.get(s.subject_id)
         if band is None:
@@ -64,7 +63,17 @@ def coverage_and_width(bands, test: Dataset,
         if list(band.times) != s.visit_times:
             raise DataError(f"band for {s.subject_id} is at times {list(band.times)}, "
                             f"not at its visit times {s.visit_times}")
-        ok = worst_residual(s.visit_values, band.centers, band.stds) <= band.radius
+        matched.append(band)
+    scores = worst_residuals([y for s in subjects for _, y in s.visits],
+                             [c for b in matched for c in b.centers],
+                             [sd for b in matched for sd in b.stds],
+                             list(accumulate((len(b.times) for b in matched), initial=0)))
+
+    covered, n_inf, widths = 0, 0, []
+    bucket_widths: dict = {}
+    group_stats: dict = {}      # group label -> (coverage flags, widths)
+    for s, band, score in zip(subjects, matched, scores.tolist()):
+        ok = score <= band.radius
         covered += ok
         n_inf += not band.finite
         w = [2.0 * (band.radius * sd) for sd in band.stds] if band.finite else []

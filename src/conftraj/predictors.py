@@ -32,6 +32,12 @@ SIGMA_FLOOR = 1e-3
 _JITTERS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 
 
+def _check_option(name, value, ok, expected):
+    """A fit option out of its range is a ConfigurationError naming it."""
+    if not ok:
+        raise ConfigurationError(f"{name} must be {expected}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class InputScaler:
     """Column-wise standardization of the [x; t] design matrix."""
@@ -184,6 +190,14 @@ def fit_gp(train: Dataset, lengthscales=None, signal_vars=None, noise_vars=None,
     The model keeps K_inv, alpha and the log marginal of the factorization
     that scored the first best grid point (see _grid_search).
     """
+    _check_option("max_points", max_points, max_points >= 2, "an int >= 2")
+    for name, grid in (("lengthscales", lengthscales), ("signal_vars", signal_vars),
+                       ("noise_vars", noise_vars)):
+        zero_ok = name == "noise_vars"
+        if grid is not None:
+            _check_option(name, grid, len(grid) > 0 and all(
+                math.isfinite(v) and (v >= 0 if zero_ok else v > 0) for v in grid),
+                f"a non-empty list of finite numbers {'>= 0' if zero_ok else '> 0'}")
     Zraw, y, _ = design_matrix(train)
     if len(y) < 2:
         raise DataError("GP fitting needs at least 2 visit rows")
@@ -257,6 +271,9 @@ def fit_quantile(train: Dataset, levels=(0.1, 0.5, 0.9), steps: int = 600,
         raise ConfigurationError("quantile levels must be strictly increasing")
     if abs(levels[0] + levels[-1] - 1.0) > 1e-9:
         raise ConfigurationError("outer quantile levels must satisfy lo + hi = 1")
+    _check_option("steps", steps, steps >= 1, "an int >= 1")
+    _check_option("learning_rate", learning_rate,
+                  math.isfinite(learning_rate) and learning_rate > 0, "a finite number > 0")
 
     Zraw, y, _ = design_matrix(train)
     scaler = InputScaler.fit(Zraw)
@@ -321,6 +338,10 @@ def fit_bootstrap(train: Dataset, B: int = 20, ridge_lambda: float = 1.0,
     """Fit B closed-form ridge regressors on subject-level bootstrap resamples."""
     if B < 2:
         raise ConfigurationError("ensemble size B must be >= 2")
+    _check_option("ridge_lambda", ridge_lambda,
+                  math.isfinite(ridge_lambda) and ridge_lambda >= 0, "a finite number >= 0")
+    _check_option("std_scale", std_scale, math.isfinite(std_scale) and std_scale > 0,
+                  "a finite number > 0")
     if len(train.scored_subjects()) < 2:
         raise DataError("bootstrap fitting needs at least 2 training subjects with visits")
     Zraw, y, offsets = design_matrix(train)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -466,3 +467,42 @@ def test_group_spec_bad_probs_rejected(tmp_path, capsys, entry, expected):
             {"column": "site", "categories": ["a", "b"], "probs": [0.5, 0.5], **entry}]}})
     assert code == 1
     assert err.startswith("error [ConfigurationError]: ") and expected in err
+
+
+@pytest.mark.parametrize("kind,name,value,expected", [
+    ("bootstrap", "std_scale", 0.0, "a finite number > 0"),
+    ("bootstrap", "std_scale", -1.0, "a finite number > 0"),
+    ("bootstrap", "std_scale", math.inf, "a finite number > 0"),
+    ("bootstrap", "ridge_lambda", -1.0, "a finite number >= 0"),
+    ("quantile", "steps", -5, "an int >= 1"),
+    ("quantile", "steps", 0, "an int >= 1"),
+    ("quantile", "learning_rate", 0.0, "a finite number > 0"),
+    ("quantile", "learning_rate", -1.0, "a finite number > 0"),
+    ("quantile", "learning_rate", math.nan, "a finite number > 0"),
+    ("gp", "max_points", 0, "an int >= 2"),
+    ("gp", "max_points", 1, "an int >= 2"),
+    ("gp", "lengthscales", [0.0], "a non-empty list of finite numbers > 0"),
+    ("gp", "lengthscales", [1.0, math.inf], "a non-empty list of finite numbers > 0"),
+    ("gp", "signal_vars", [-1.0], "a non-empty list of finite numbers > 0"),
+    ("gp", "noise_vars", [-1.0], "a non-empty list of finite numbers >= 0"),
+    ("gp", "noise_vars", [math.nan], "a non-empty list of finite numbers >= 0"),
+])
+def test_fit_option_out_of_range_rejected(tmp_path, capsys, fitted_dirs, kind, name, value,
+                                          expected):
+    # the type is right, so the config passes; the fit checks the range
+    gen, _ = fitted_dirs
+    cfg = write_config(tmp_path / "c.json", {
+        "data": data_section(gen), "predictor": {"kind": kind, "options": {name: value}},
+        "evaluation": {"n_splits": 1}})
+    assert run(["evaluate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [ConfigurationError]: split 0: "
+                          f"{name} must be {expected}, got ")
+
+
+def test_truth_csv_over_long_field_names_line(tmp_path, capsys, fitted_dirs):
+    assert risk_with_truth(tmp_path, fitted_dirs,
+                           lambda rows: rows[2].__setitem__(0, "s" * 200_000)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [DataError]: ")
+    assert "truth.csv line 3: field larger than field limit" in err

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from conftraj.conformal import (CalibrationResult, GroupCalibration,
                                 NonconformityScore, band_for_subject,
                                 bands_for_dataset, calibrate,
-                                mondrian_calibrate, score_dataset)
+                                mondrian_calibrate, score_dataset,
+                                worst_residuals)
 from conftraj.data_model import Dataset, SubjectRecord
 from conftraj.errors import ConfigurationError, DataError
 from conftraj.evaluation import coverage_and_width
 from conftraj.predictors import (InputScaler, QuantileModel, fit_bootstrap,
-                                 predict_batch)
+                                 predict_batch, visit_rows)
 from tests.test_predictors import multi_visit_dataset
 
 
@@ -354,3 +355,42 @@ def test_leave_one_out_coverage_is_exact(draws, duplicated, alpha, mean_std, mon
             assert hits == bound
         else:
             assert hits >= bound
+
+
+# ---------------------------------------------------------------------------
+# score_dataset against a per-subject max over the same predictions
+
+@st.composite
+def visit_count_cohorts(draw):
+    """Subjects with 0, 1, 2 or many visits and varied values and covariates."""
+    subjects = []
+    for i in range(draw(st.integers(1, 12))):
+        n = draw(st.sampled_from([0, 1, 2, 9]))
+        x = np.array([draw(st.floats(-3, 3)), draw(st.floats(-3, 3))])
+        subjects.append(SubjectRecord(
+            f"s{i}", x, {"dx": draw(st.sampled_from("ab"))}, draw(st.floats(-2, 2)),
+            tuple((6 * (j + 1), draw(st.floats(-5, 5))) for j in range(n))))
+    return Dataset(tuple(subjects), ("f0", "f1"), ("dx",))
+
+
+BOOTSTRAP_MODEL = fit_bootstrap(multi_visit_dataset(30, seed=4, noise=0.2), B=5, seed=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(visit_count_cohorts())
+def test_score_dataset_is_per_subject_max(ds):
+    subjects, want = ds.scored_subjects(), []
+    if subjects:
+        X, t, offsets = visit_rows(subjects, [s.visit_times for s in subjects])
+        means, stds = predict_batch(BOOTSTRAP_MODEL, X, t)
+        want = [max(abs(y - mu) / sd for y, mu, sd in
+                    zip(s.visit_values, means[lo:hi].tolist(), stds[lo:hi].tolist()))
+                for s, lo, hi in zip(subjects, offsets, offsets[1:])]
+    got = score_dataset(BOOTSTRAP_MODEL, ds)
+    assert [sc.subject_id for sc in got] == [s.subject_id for s in subjects]
+    assert [sc.value for sc in got] == want
+
+
+def test_worst_residuals_rejects_an_empty_trajectory():
+    with pytest.raises(DataError, match="no rows"):
+        worst_residuals([1.0, 2.0], [0.0, 0.0], [1.0, 1.0], [0, 1, 1, 2])

@@ -1,4 +1,7 @@
+import csv
+import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftraj.data_model import (CsvSchema, Dataset, StandardizationStats,
-                                 SubjectRecord, load_csv, save_csv, split,
-                                 standardize)
+from conftraj.data_model import (MAX_TIME, CsvSchema, Dataset,
+                                 StandardizationStats, SubjectRecord, load_csv,
+                                 save_csv, split, standardize)
 from conftraj.errors import ConfigurationError, DataError, SchemaError
 
 
@@ -104,6 +107,30 @@ def test_non_finite_cell_names_row(tmp_path, cell, column):
         f"s1,6,{row['biomarker']},{row['age']},12,F\n",
     ])
     with pytest.raises(DataError, match="row 3: non-finite"):
+        load_csv(p, SCHEMA)
+
+
+@pytest.mark.parametrize("cell,message", [
+    ("inf", "non-finite visit time 'inf'"), ("-inf", "non-finite visit time '-inf'"),
+    ("1e400", "non-finite visit time '1e400'"), ("nan", "non-finite visit time 'nan'"),
+    (str(MAX_TIME + 1), "visit time '9007199254740992' beyond 2\\*\\*53 - 1 months")])
+def test_non_finite_time_names_row(tmp_path, cell, message):
+    p = write_csv(tmp_path / "c.csv", [
+        "s1,0,1.5,70,12,F\n",
+        f"s1,{cell},1.4,70,12,F\n",
+    ])
+    with pytest.raises(DataError, match=f"row 3: {message}"):
+        load_csv(p, SCHEMA)
+
+
+def test_over_long_field_names_line(tmp_path):
+    # save_csv writes any ID; the csv module's field size limit (131072
+    # characters by default) is a DataError naming the line, not a csv.Error
+    ds = Dataset((SubjectRecord("s" * 200_000, np.array([70.0, 12.0]), {"sex": "F"},
+                                1.5, ((6, 1.4),)),), ("age", "edu"), ("sex",))
+    p = tmp_path / "c.csv"
+    save_csv(ds, p)
+    with pytest.raises(DataError, match=r"c\.csv line 2: field larger than field limit"):
         load_csv(p, SCHEMA)
 
 
@@ -267,3 +294,189 @@ def test_split_invalid_fractions_error():
         split(big_dataset(10), 1.2, 0.2, seed=0)
     with pytest.raises(ConfigurationError):
         split(big_dataset(10), 0.2, 1.0, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Reference loader: the DictReader-based load_csv that csv_rows and load_csv
+# replaced, with non-finite and over-large times rejected as they are now
+
+def _reference_parse_time(cell, row_no):
+    try:
+        t = float(cell)
+    except ValueError:
+        raise DataError(f"row {row_no}: non-numeric time {cell!r}")
+    if not math.isfinite(t):
+        raise DataError(f"row {row_no}: non-finite visit time {cell!r}")
+    if t != int(t):
+        raise DataError(f"row {row_no}: fractional visit time {cell!r} "
+                        "(integer months required)")
+    if abs(t) > MAX_TIME:
+        raise DataError(f"row {row_no}: visit time {cell!r} beyond 2**53 - 1 months")
+    if t < 0:
+        raise DataError(f"row {row_no}: negative visit time {int(t)}")
+    return int(t)
+
+
+def reference_load_csv(path, schema):
+    needed = ([schema.subject_col, schema.time_col, schema.value_col]
+              + list(schema.feature_cols) + list(schema.group_cols))
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        for col in needed:
+            if col not in (reader.fieldnames or []):
+                raise SchemaError(f"missing column {col!r} in {path}")
+        by_subject, seen = {}, set()
+        for row_no, row in enumerate(reader, start=2):
+            if None in row or None in row.values():
+                raise DataError(f"row {row_no}: cell count differs from the header of {path}")
+            sid = row[schema.subject_col]
+            t = _reference_parse_time(row[schema.time_col], row_no)
+            if (sid, t) in seen:
+                raise DataError(f"row {row_no}: duplicate (subject, time) = ({sid}, {t})")
+            seen.add((sid, t))
+            try:
+                y = float(row[schema.value_col])
+                feats = [float(row[c]) for c in schema.feature_cols]
+            except ValueError as exc:
+                raise DataError(f"row {row_no}: non-numeric cell ({exc})")
+            if not (math.isfinite(y) and all(map(math.isfinite, feats))):
+                raise DataError(f"row {row_no}: non-finite biomarker or feature cell")
+            groups = {c: row[c] for c in schema.group_cols}
+            entry = by_subject.setdefault(sid, (feats, groups, []))
+            if feats != entry[0] or groups != entry[1]:
+                raise DataError(f"row {row_no}: subject {sid} features or group "
+                                "labels differ from its earlier rows")
+            entry[2].append((t, y))
+    subjects = []
+    for sid, (feats, groups, rows) in by_subject.items():
+        rows.sort()
+        if rows[0][0] != 0:
+            raise DataError(f"subject {sid}: no month-0 baseline row")
+        subjects.append(SubjectRecord(sid, np.asarray(feats, dtype=float), groups,
+                                      rows[0][1], tuple(rows[1:])))
+    return Dataset(tuple(subjects), tuple(schema.feature_cols), tuple(schema.group_cols))
+
+
+def _outcome(load, path, schema):
+    """A loaded Dataset as the repr of every field, or the error's type and text."""
+    try:
+        ds = load(path, schema)
+    except Exception as exc:        # compared, type and message, with the other loader
+        return type(exc).__name__, str(exc)
+    return repr([(s.subject_id, s.features.tolist(), s.group_labels, s.baseline_value,
+                  s.visits) for s in ds.subjects]), ds.feature_names, ds.group_columns
+
+
+TIME_CELLS = ["0", "0", "1", "2", "6", "12", "6.0", "1e1", " 3", "-0", "2.5", "-1",
+              "inf", "-inf", "nan", "1e400", "x", "", str(MAX_TIME), str(MAX_TIME + 1),
+              str(MAX_TIME + 2), str(-MAX_TIME - 2)]
+VALUE_CELLS = ["1.5", "-0.25", "0", "1e-300", "nan", "inf", "oops", ""]
+FEATURE_CELLS = ["70", "70", "70.0", "7e1", "71", "-0", "0", "inf", "x"]
+
+
+@st.composite
+def cohort_csv_texts(draw):
+    """(CSV text, schema): blank lines, 70 against 70.0, an optionally
+    repeated header column, and ragged, duplicate, fractional and
+    non-finite rows."""
+    header = ["subject_id", "time_months", "biomarker", "age", "sex"]
+    repeated = draw(st.sampled_from([None, "age", "sex"]))
+    if repeated:
+        header.append(repeated)        # the last column of a name is the one read
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+            continue
+        cells = [draw(st.sampled_from(["s1", "s2", "s3"])), draw(st.sampled_from(TIME_CELLS)),
+                 draw(st.sampled_from(VALUE_CELLS)), draw(st.sampled_from(FEATURE_CELLS)),
+                 draw(st.sampled_from(["F", "M"]))]
+        if repeated:
+            extra = FEATURE_CELLS if repeated == "age" else ["F", "M"]
+            cells.append(draw(st.sampled_from(extra)))
+        ragged = draw(st.integers(0, 15))
+        if ragged == 0:
+            cells.pop()
+        elif ragged == 1:
+            cells.append("extra")
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n", CsvSchema(feature_cols=("age",), group_cols=("sex",))
+
+
+@settings(max_examples=400, deadline=None)
+@given(cohort_csv_texts())
+def test_load_csv_matches_dictreader_reference(case):
+    text, schema = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cohort.csv"
+        path.write_text(text, encoding="utf-8")
+        assert _outcome(load_csv, path, schema) == _outcome(reference_load_csv, path, schema)
+
+
+def test_load_csv_reference_cases(tmp_path):
+    # the cases the strategy is built for, each pinned once
+    cases = {
+        "blank lines keep row numbers": "h\ns1,0,1,70,F\n\n\ns1,0,2,70,F\n",
+        "70 against 70.0": "h\ns1,0,1,70,F\n\ns1,6,2,70.0,F\ns1,9,2,7e1,F\n",
+        "repeated header": "h,age\ns1,0,1,x,F,70\ns1,6,2,y,F,70.0\n",
+        "feature differs": "h\ns1,0,1,70,F\ns1,6,2,71,F\n",
+        "label differs": "h\ns1,0,1,70,F\ns1,6,2,70,M\n",
+        "ragged": "h\ns1,0,1,70,F\n\ns1,6,2,70\n",
+        "fractional": "h\ns1,0,1,70,F\ns1,6.5,2,70,F\n",
+        "non-finite time": "h\ns1,0,1,70,F\ns1,nan,2,70,F\n",
+        "non-finite feature on a later row": "h\ns1,0,1,70,F\ns1,6,2,inf,F\n",
+    }
+    schema = CsvSchema(feature_cols=("age",), group_cols=("sex",))
+    outcomes = {}
+    for name, text in cases.items():
+        path = tmp_path / "c.csv"
+        path.write_text(text.replace("h", "subject_id,time_months,biomarker,age,sex", 1))
+        outcomes[name] = _outcome(load_csv, path, schema)
+        assert outcomes[name] == _outcome(reference_load_csv, path, schema), name
+    assert outcomes["blank lines keep row numbers"][1].startswith("row 3: duplicate")
+    assert outcomes["70 against 70.0"][0].startswith("[('s1', [70.0], {'sex': 'F'}, 1.0, ((6")
+    assert outcomes["repeated header"][0].startswith("[('s1', [70.0]")
+    assert outcomes["ragged"][1].startswith("row 3: cell count differs")
+
+
+# ---------------------------------------------------------------------------
+# standardize against the replace/apply version it replaced, bit for bit
+
+def reference_standardize(ds, stats):
+    def apply(y):
+        return (np.asarray(y, dtype=float) - stats.mean) / stats.std
+    return replace(ds, subjects=tuple(
+        replace(s, baseline_value=float(apply(s.baseline_value)),
+                visits=tuple((t, float(apply(y))) for t, y in s.visits))
+        for s in ds.subjects))
+
+
+MODERATE_FLOATS = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def standardize_cases(draw):
+    subjects = []
+    for i in range(draw(st.integers(2, 6))):
+        times = sorted(draw(st.lists(st.integers(1, 120), max_size=draw(
+            st.sampled_from([0, 1, 2, 8])), unique=True)))
+        subjects.append(make_subject(f"s{i}", draw(MODERATE_FLOATS),
+                                     [(t, draw(MODERATE_FLOATS)) for t in times]))
+    return make_dataset(subjects)
+
+
+@settings(max_examples=200, deadline=None)
+@given(standardize_cases(), st.floats(-1e3, 1e3), st.floats(1e-3, 1e3))
+def test_standardize_matches_replace_apply_reference(ds, mean, std):
+    stats = StandardizationStats(mean, std)
+    out, _ = standardize(ds, stats)
+    want = reference_standardize(ds, stats)
+    for a, b in zip(out.subjects, want.subjects):
+        assert repr([a.baseline_value, a.visits]) == repr([b.baseline_value, b.visits])
+        assert (a.subject_id, a.group_labels) == (b.subject_id, b.group_labels)
+        assert a.features is b.features
+    assert (out.feature_names, out.group_columns) == (ds.feature_names, ds.group_columns)
+    # stats computed from ds are applied the same way
+    if np.std([v for s in ds.subjects for v in (s.baseline_value, *s.visit_values)]) > 0:
+        out, stats = standardize(ds)
+        assert repr(out.subjects) == repr(reference_standardize(ds, stats).subjects)

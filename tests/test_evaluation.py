@@ -6,7 +6,7 @@ import pytest
 
 from conftraj import evaluation
 from conftraj.conformal import (PredictionBand, bands_for_dataset, calibrate,
-                                score_dataset)
+                                mondrian_calibrate, score_dataset)
 from conftraj.data_model import Dataset, SubjectRecord, split, standardize
 from conftraj.errors import DataError
 from conftraj.evaluation import (coverage_and_width, evaluate_split, fit_split,
@@ -233,3 +233,51 @@ def test_run_protocol_names_split_of_package_errors(monkeypatch):
     monkeypatch.setattr(evaluation, "fit_predictor", broken_fit)
     with pytest.raises(DataError, match="split 0: no rows"):
         run_protocol(cohort(60, seed=1), "bootstrap", 0.1, n_splits=2, seed=0)
+
+
+def reference_coverage_and_width(bands, test, grouping_column=None):
+    """coverage_and_width as one loop per subject, each score a Python max
+    of |y - mu| / sigma over its visits."""
+    subjects = test.scored_subjects()
+    by_id = {b.subject_id: b for b in bands}
+    covered, n_inf, widths, buckets, groups = 0, 0, [], {}, {}
+    for s in subjects:
+        band = by_id[s.subject_id]
+        assert list(band.times) == s.visit_times
+        ok = max(abs(y - mu) / sd for y, mu, sd in
+                 zip(s.visit_values, band.centers, band.stds)) <= band.radius
+        covered += ok
+        n_inf += not band.finite
+        w = [2.0 * (band.radius * sd) for sd in band.stds] if band.finite else []
+        widths += w
+        for t, wt in zip(band.times, w):
+            buckets.setdefault((t - 1) // evaluation.BUCKET_MONTHS, []).append(wt)
+        g_ok, g_w = groups.setdefault(s.group_labels.get(grouping_column), ([], []))
+        g_ok.append(ok)
+        g_w += w
+    per_group = None if grouping_column is None else {
+        g: {"coverage": float(np.mean(c)), "width": float(np.mean(w)) if w else math.nan,
+            "n": len(c)} for g, (c, w) in groups.items()}
+    return evaluation.EvalReport(
+        covered / len(subjects) if subjects else math.nan,
+        float(np.mean(widths)) if widths else math.nan, len(subjects), n_inf,
+        {b: float(np.mean(w)) for b, w in sorted(buckets.items())}, per_group)
+
+
+@pytest.mark.parametrize("calib_frac", [0.3, 0.02], ids=["finite", "some-infinite"])
+def test_coverage_and_width_matches_per_subject_reference(calib_frac):
+    ds = cohort(300, seed=12, group_spec=(GroupSpec("dx", ("a", "b", "c"),
+                                                    (0.5, 0.3, 0.2)),))
+    model, _, calib, test = fit_split(ds, "bootstrap", 0.3, calib_frac, 5)
+    # trajectories of 1, 2 and all visits
+    test = replace(test, subjects=tuple(
+        replace(s, visits=s.visits[:(1, 2, None)[i % 3]])
+        for i, s in enumerate(test.subjects)))
+    assert {1, 2} <= {len(s.visits) for s in test.subjects}
+    scores = score_dataset(model, calib)
+    for cal, group_by in ((calibrate(scores, 0.1), None),
+                          (mondrian_calibrate(calib, scores, "dx", 0.1), "dx")):
+        bands = bands_for_dataset(model, test, cal)
+        got = coverage_and_width(bands, test, grouping_column=group_by)
+        assert repr(got) == repr(reference_coverage_and_width(bands, test, group_by))
+    assert calib_frac > 0.1 or got.n_infinite_bands > 0
