@@ -226,10 +226,12 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
 
 def save_csv(ds: Dataset, path) -> None:
     """Serialize a Dataset back to the long CSV format (round-trips load_csv).
-    A subject ID or group label holding a NUL character, which load_csv
-    rejects, is a DataError naming the subject."""
+    A subject ID or group label that load_csv rejects, one holding a NUL
+    character or longer than csv.field_size_limit(), is a DataError naming
+    the subject."""
     header = (["subject_id", "time_months", "biomarker"]
               + list(ds.feature_names) + list(ds.group_columns))
+    limit = csv.field_size_limit()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -239,6 +241,11 @@ def save_csv(ds: Dataset, path) -> None:
             if "\0" in s.subject_id or any("\0" in g for g in groups):
                 raise DataError(f"subject {s.subject_id!r}: NUL character in its ID "
                                 "or a group label")
+            longest = max(len(text) for text in (s.subject_id, *groups))
+            if longest > limit:
+                raise DataError(f"subject {s.subject_id[:20]!r} (ID of {len(s.subject_id)} "
+                                f"characters): its ID or a group label has {longest} "
+                                f"characters, over the csv field limit ({limit})")
             writer.writerow([s.subject_id, 0, repr(float(s.baseline_value))] + feats + groups)
             for t, y in s.visits:
                 writer.writerow([s.subject_id, t, repr(float(y))] + feats + groups)

@@ -55,6 +55,16 @@ class InputScaler:
         return (np.asarray(Z, dtype=float) - self.mean) / self.std
 
 
+def _linear_rows(Z1, W):
+    """Z1 @ W.T, each row computed the same way whatever the batch holds.
+
+    numpy's @ takes a vector path for a one-row operand that can differ
+    from the batched product in the last bit, so a subject's band would
+    depend on what it was predicted with; einsum without BLAS does not.
+    """
+    return np.einsum("ij,kj->ik", Z1, W)
+
+
 def subject_row(s):
     """Model input vector for one subject: covariates plus baseline."""
     return np.concatenate([s.features, [s.baseline_value]])
@@ -305,8 +315,8 @@ def fit_quantile(train: Dataset, levels=(0.1, 0.5, 0.9), steps: int = 600,
 
 def _quantile_predict_batch(m: QuantileModel, Zq_raw):
     Z1 = np.column_stack([m.scaler.apply(Zq_raw), np.ones(len(Zq_raw))])
-    preds = Z1 @ m.weights.T            # (n, n_levels)
-    preds = np.sort(preds, axis=1)      # monotone rearrangement repairs crossings
+    preds = _linear_rows(Z1, m.weights)   # (n, n_levels)
+    preds = np.sort(preds, axis=1)        # monotone rearrangement repairs crossings
     mean = preds[:, len(m.levels) // 2]
     std = (preds[:, -1] - preds[:, 0]) / (2.0 * m.z_score)
     return mean, np.maximum(std, SIGMA_FLOOR)
@@ -364,7 +374,7 @@ def fit_bootstrap(train: Dataset, B: int = 20, ridge_lambda: float = 1.0,
 
 def _bootstrap_predict_batch(m: BootstrapModel, Zq_raw):
     Z1 = np.column_stack([m.scaler.apply(Zq_raw), np.ones(len(Zq_raw))])
-    preds = Z1 @ m.members.T            # (n, B)
+    preds = _linear_rows(Z1, m.members)   # (n, B)
     mean = preds.mean(axis=1)
     std = preds.std(axis=1, ddof=1) * m.std_scale
     return mean, np.maximum(std, SIGMA_FLOOR)
@@ -423,6 +433,8 @@ def predict_batch(model, X, times):
 
     The one prediction call of every predictor.  Rejects rows whose width
     does not match the fitted model, and a std below SIGMA_FLOOR (or NaN).
+    A linear predictor's row is bit-identical whatever else is in the
+    batch; a GP's goes through BLAS and matches to about 1e-12.
     """
     rows = np.column_stack([np.asarray(X, dtype=float),
                             np.asarray(times, dtype=float)])

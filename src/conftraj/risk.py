@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import band_for_subject
+from .conformal import _make_bands, _radii
 from .data_model import Dataset
 from .errors import ConfigurationError, DataError
 
@@ -252,20 +252,26 @@ def risk_pipeline(test: Dataset, truth: dict, model, cal, direction: str,
     """Risk scores and Youden-threshold classification reports for a cohort.
 
     truth maps subject_id -> {"is_progressor": bool, ...}; the scoring
-    horizon tN is each subject's last observed visit.  Returns
-    (records, {"roc_hat": report, "rocb": report}).
+    horizon tN is each subject's last observed visit.  Every subject's
+    band at its tN comes from one batched prediction, equal to what
+    band_for_subject gives that subject alone for the linear predictors
+    (see predict_batch).  Returns (records, {"roc_hat": report,
+    "rocb": report}).
     """
     rule = "le" if direction == "decreasing" else "ge"
-    records = []
-    for s in test.scored_subjects():
+    subjects = test.scored_subjects()
+    for s in subjects:
         if s.subject_id not in truth:
             raise DataError(f"no progression label for subject {s.subject_id}")
+    horizons = [s.visit_times[-1] for s in subjects]
+    bands = _make_bands(model, subjects, [[tN] for tN in horizons],
+                        _radii(subjects, cal))
+    records = []
+    for s, tN, band in zip(subjects, horizons, bands):
         label = PROGRESSOR if truth[s.subject_id]["is_progressor"] else STABLE
-        tN = s.visit_times[-1]
-        band = band_for_subject(model, s, cal, [tN])
-        center = band.center_at(tN)
+        center = band.centers[0]
         rh = roc_hat(s.baseline_value, center, 0, tN)
-        r = band.radius_at(tN)
+        r = band.radius * band.stds[0]
         rb = (rocb(s.baseline_value, (center - r, center + r), 0, tN, direction)
               if band.finite else math.nan)
         records.append(RiskRecord(s.subject_id, 0, tN, s.baseline_value,

@@ -62,6 +62,21 @@ class GroupSpec:
                         f"group {self.column}: {key}[{cat!r}] {v!r} is not {expected}")
 
 
+# (field, what it must be, test); NaN fails every comparison, so each
+# test also rejects it
+_RANGES = (
+    ("feature_dim", "an int >= 0", lambda v: v >= 0),
+    ("max_time", "an int >= 1", lambda v: v >= 1),
+    ("min_horizon", "an int >= 1", lambda v: v >= 1),
+    ("visits_mean", "a finite number >= 1", lambda v: 1 <= v < math.inf),
+    ("noise_std", "a finite number >= 0", lambda v: 0 <= v < math.inf),
+    ("heterogeneity_std", "a finite number >= 0", lambda v: 0 <= v < math.inf),
+    ("progressor_frac", "a number in [0, 1]", lambda v: 0 <= v <= 1),
+    *((key, "a finite number", math.isfinite)
+      for key in ("slope_stable", "slope_progressor", "feature_signal")),
+)
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     n_subjects: int
@@ -83,8 +98,10 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_subjects < 1:
             raise ConfigurationError("n_subjects must be positive")
-        if self.visits_mean < 1:
-            raise ConfigurationError("visits_mean must be >= 1")
+        for key, expected, ok in _RANGES:
+            value = getattr(self, key)
+            if not ok(value):
+                raise ConfigurationError(f"{key} must be {expected}, got {value!r}")
         if self.direction not in ("decreasing", "increasing"):
             raise ConfigurationError(f"unknown direction {self.direction!r}")
         sign = -1.0 if self.direction == "decreasing" else 1.0

@@ -287,6 +287,32 @@ def test_typed_config_value_rejected(tmp_path, capsys, section, key, value):
     assert "error [ConfigurationError]" in err and name in err
 
 
+@pytest.mark.parametrize("key,value,expected", [
+    ("noise_std", math.nan, "a finite number >= 0"),
+    ("noise_std", math.inf, "a finite number >= 0"),
+    ("noise_std", -0.1, "a finite number >= 0"),
+    ("slope_stable", math.nan, "a finite number"),
+    ("slope_progressor", -math.inf, "a finite number"),
+    ("feature_signal", math.nan, "a finite number"),
+    ("visits_mean", math.inf, "a finite number >= 1"),
+    ("visits_mean", math.nan, "a finite number >= 1"),
+    ("visits_mean", 0.5, "a finite number >= 1"),
+    ("heterogeneity_std", -1.0, "a finite number >= 0"),
+    ("progressor_frac", 1.5, "a number in [0, 1]"),
+    ("progressor_frac", -0.1, "a number in [0, 1]"),
+    ("max_time", 0, "an int >= 1"),
+    ("min_horizon", 0, "an int >= 1"),
+    ("feature_dim", -1, "an int >= 0"),
+])
+def test_synth_value_out_of_range_rejected(tmp_path, capsys, key, value, expected):
+    # the type is right, so the config passes; SynthConfig checks the range
+    code, err = config_error(tmp_path, capsys, "generate",
+                             {"synth": {"n_subjects": 20, key: value}})
+    assert code == 1
+    assert err.startswith(f"error [ConfigurationError]: {key} must be {expected}, got ")
+    assert not (tmp_path / "o" / "cohort.csv").exists()
+
+
 def test_seed_checked_after_flag_override(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", {"synth": {"n_subjects": 10}, "seed": "x"})
     assert run(["generate", "--config", cfg, "--seed", "-1",

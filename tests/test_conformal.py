@@ -7,15 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftraj.conformal import (CalibrationResult, GroupCalibration,
-                                NonconformityScore, band_for_subject,
-                                bands_for_dataset, calibrate,
+                                NonconformityScore, _make_bands, _radii,
+                                band_for_subject, bands_for_dataset, calibrate,
                                 mondrian_calibrate, score_dataset,
                                 worst_residuals)
-from conftraj.data_model import Dataset, SubjectRecord
+from conftraj.data_model import Dataset, SubjectRecord, standardize
 from conftraj.errors import ConfigurationError, DataError
 from conftraj.evaluation import coverage_and_width
 from conftraj.predictors import (InputScaler, QuantileModel, fit_bootstrap,
-                                 predict_batch, visit_rows)
+                                 fit_predictor, predict_batch, visit_rows)
+from conftraj.synth import SynthConfig, generate
 from tests.test_predictors import multi_visit_dataset
 
 
@@ -394,3 +395,46 @@ def test_score_dataset_is_per_subject_max(ds):
 def test_worst_residuals_rejects_an_empty_trajectory():
     with pytest.raises(DataError, match="no rows"):
         worst_residuals([1.0, 2.0], [0.0, 0.0], [1.0, 1.0], [0, 1, 1, 2])
+
+
+# ---------------------------------------------------------------------------
+# batch independence
+
+@pytest.fixture(scope="module")
+def fitted_cohort():
+    """A standardized synthetic cohort and, per kind, a model fitted on it."""
+    ds, _ = generate(SynthConfig(n_subjects=240, seed=31))
+    ds, _ = standardize(ds)
+    return ds, {kind: fit_predictor(kind, ds, seed=0) for kind in ("bootstrap", "quantile", "gp")}
+
+
+@pytest.mark.parametrize("kind", ["bootstrap", "quantile", "gp"])
+def test_predictions_do_not_depend_on_the_batch(fitted_cohort, kind):
+    # a linear predictor's row is bit-identical whatever else is in its
+    # batch; a GP's goes through BLAS and matches to well within 1e-9
+    ds, models = fitted_cohort
+    model = models[kind]
+    same = np.array_equal if kind != "gp" else \
+        (lambda a, b: np.allclose(a, b, rtol=0, atol=1e-9))
+    subjects = ds.scored_subjects()
+    X, t, _ = visit_rows(subjects, [s.visit_times for s in subjects])
+    full = predict_batch(model, X, t)
+    for i in range(len(t)):
+        one = predict_batch(model, X[i:i + 1], t[i:i + 1])
+        assert all(same(o, f[i:i + 1]) for o, f in zip(one, full)), i
+    subset = np.random.default_rng(0).permutation(len(t))[:len(t) // 3]
+    assert all(same(o, f[subset]) for o, f in zip(predict_batch(model, X[subset], t[subset]),
+                                                  full))
+
+    # so band_for_subject at a subject's last visit is the batched band
+    cal = calibrate(score_dataset(model, ds), 0.1)
+    horizons = [[s.visit_times[-1]] for s in subjects]
+    batched = _make_bands(model, subjects, horizons, _radii(subjects, cal))
+    for s, tN, band in zip(subjects, horizons, batched):
+        alone = band_for_subject(model, s, cal, tN)
+        if kind == "gp":
+            assert (alone.subject_id, alone.times, alone.radius) == \
+                (band.subject_id, band.times, band.radius)
+            assert same(alone.centers, band.centers) and same(alone.stds, band.stds)
+        else:
+            assert alone == band

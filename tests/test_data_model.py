@@ -124,14 +124,35 @@ def test_non_finite_time_names_row(tmp_path, cell, message):
 
 
 def test_over_long_field_names_line(tmp_path):
-    # save_csv writes any ID; the csv module's field size limit (131072
-    # characters by default) is a DataError naming the line, not a csv.Error
-    ds = Dataset((SubjectRecord("s" * 200_000, np.array([70.0, 12.0]), {"sex": "F"},
-                                1.5, ((6, 1.4),)),), ("age", "edu"), ("sex",))
-    p = tmp_path / "c.csv"
-    save_csv(ds, p)
+    # the csv module's field size limit (131072 characters by default) is a
+    # DataError naming the line, not a csv.Error; save_csv refuses to write
+    # such a field, so the file is written directly
+    sid = "s" * 200_000
+    p = write_csv(tmp_path / "c.csv", [f"{sid},0,1.5,70,12,F\n", f"{sid},6,1.4,70,12,F\n"])
     with pytest.raises(DataError, match=r"c\.csv line 2: field larger than field limit"):
         load_csv(p, SCHEMA)
+
+
+@pytest.mark.parametrize("where", ["id", "group"])
+def test_save_csv_refuses_over_long_field(tmp_path, where):
+    # a field load_csv could not read back is refused, naming the subject by
+    # its first characters and the field's length; one at the limit round-trips
+    limit = csv.field_size_limit()
+
+    def cohort(n):
+        sid, sex = ("s" * n, "F") if where == "id" else ("s1", "F" * n)
+        return Dataset((SubjectRecord(sid, np.array([70.0, 12.0]), {"sex": sex},
+                                      1.5, ((6, 1.4),)),), ("age", "edu"), ("sex",))
+
+    p = tmp_path / "c.csv"
+    save_csv(cohort(limit), p)
+    at_limit, back = cohort(limit).subjects[0], load_csv(p, SCHEMA).subjects[0]
+    assert (back.subject_id, back.group_labels) == (at_limit.subject_id,
+                                                    at_limit.group_labels)
+    shown = repr("s" * 20) if where == "id" else repr("s1")
+    with pytest.raises(DataError, match=f"subject {shown} .*{limit + 1} characters, "
+                                        rf"over the csv field limit \({limit}\)"):
+        save_csv(cohort(limit + 1), tmp_path / "d.csv")
 
 
 @pytest.mark.parametrize("later_row", ["s1,12,1.3,71,12,F\n",     # feature

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 import tracemalloc
 
@@ -7,14 +8,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftraj.conformal import calibrate, score_dataset
+from conftraj.conformal import (GroupCalibration, band_for_subject, calibrate,
+                                mondrian_calibrate, score_dataset)
 from conftraj.data_model import split, standardize
 from conftraj.errors import ConfigurationError, DataError
 from conftraj.evaluation import fit_predictor
-from conftraj.risk import (PROGRESSOR, STABLE, bootstrap_ci, classify_metrics,
-                           risk_pipeline, roc_hat, rocb, threshold_free,
-                           youden_threshold)
-from conftraj.synth import SynthConfig, generate
+from conftraj.risk import (PROGRESSOR, STABLE, RiskRecord, _score_report,
+                           bootstrap_ci, classify_metrics, risk_pipeline,
+                           roc_hat, rocb, threshold_free, youden_threshold)
+from conftraj.synth import GroupSpec, SynthConfig, generate
 
 
 def labels_of(flags):
@@ -430,19 +432,46 @@ def test_statistics_reject_unknown_rule(call):
 # ---------------------------------------------------------------------------
 # end-to-end pipeline
 
-def fitted_risk_inputs(n=300, seed=0):
+def fitted_risk_inputs(n=300, seed=0, kind="bootstrap", group_spec=()):
     # fixed horizons keep the 1/tN factor in the rate scores comparable
     # across subjects, so the slope signal dominates the ranking
     cfg = SynthConfig(n_subjects=n, progressor_frac=0.4, feature_signal=1.5,
-                      seed=seed, varying_horizon=False)
+                      seed=seed, varying_horizon=False, group_spec=group_spec)
     ds, truth = generate(cfg)
     idx = split(ds, 0.3, 0.3, seed)
     train_std, stats = standardize(ds.subset(idx.train))
     calib_std, _ = standardize(ds.subset(idx.calib), stats)
     test_std, _ = standardize(ds.subset(idx.test), stats)
-    model = fit_predictor("bootstrap", train_std, seed=seed)
+    model = fit_predictor(kind, train_std, seed=seed)
     cal = calibrate(score_dataset(model, calib_std), 0.1)
     return test_std, truth, model, cal
+
+
+def reference_risk_pipeline(test, truth, model, cal, direction, bootstrap_B=2000, seed=0):
+    """risk_pipeline as it was: one band_for_subject call per test subject."""
+    rule = "le" if direction == "decreasing" else "ge"
+    records = []
+    for s in test.scored_subjects():
+        if s.subject_id not in truth:
+            raise DataError(f"no progression label for subject {s.subject_id}")
+        label = PROGRESSOR if truth[s.subject_id]["is_progressor"] else STABLE
+        tN = s.visit_times[-1]
+        band = band_for_subject(model, s, cal, [tN])
+        center = band.center_at(tN)
+        rh = roc_hat(s.baseline_value, center, 0, tN)
+        r = band.radius_at(tN)
+        rb = (rocb(s.baseline_value, (center - r, center + r), 0, tN, direction)
+              if band.finite else math.nan)
+        records.append(RiskRecord(s.subject_id, 0, tN, s.baseline_value,
+                                  rh, rb, label, direction))
+    finite = [r for r in records if math.isfinite(r.rocb)]
+    reports = {"roc_hat": _score_report("roc_hat", [r.roc_hat for r in records],
+                                        [r.label for r in records], rule,
+                                        bootstrap_B, seed, 0),
+               "rocb": _score_report("rocb", [r.rocb for r in finite],
+                                     [r.label for r in finite], rule, bootstrap_B,
+                                     seed, len(records) - len(finite))}
+    return records, reports
 
 
 def test_risk_pipeline_records_and_reports():
@@ -473,11 +502,14 @@ def test_risk_pipeline_separates_synthetic_progressors():
 
 
 def test_risk_pipeline_missing_truth_errors():
+    # every label is checked before the batched prediction, so the error
+    # names the first unlabelled subject, as the per-subject loop did
     test, truth, model, cal = fitted_risk_inputs(n=120, seed=2)
-    some_id = test.scored_subjects()[0].subject_id
-    truth = {k: v for k, v in truth.items() if k != some_id}
-    with pytest.raises(DataError, match=some_id):
-        risk_pipeline(test, truth, model, cal, "decreasing", bootstrap_B=10)
+    ids = [s.subject_id for s in test.scored_subjects()]
+    truth = {k: v for k, v in truth.items() if k not in (ids[3], ids[7])}
+    for pipeline in (risk_pipeline, reference_risk_pipeline):
+        with pytest.raises(DataError, match=f"no progression label for subject {ids[3]}$"):
+            pipeline(test, truth, model, cal, "decreasing", bootstrap_B=10)
 
 
 def test_risk_pipeline_all_bands_infinite_errors():
@@ -485,3 +517,48 @@ def test_risk_pipeline_all_bands_infinite_errors():
     inf_cal = calibrate([], 0.1)
     with pytest.raises(DataError, match="infinite"):
         risk_pipeline(test, truth, model, inf_cal, "decreasing", bootstrap_B=10)
+
+
+@pytest.mark.parametrize("kind", ["bootstrap", "quantile", "gp"])
+@pytest.mark.parametrize("direction", ["decreasing", "increasing"])
+def test_risk_pipeline_matches_per_subject_reference(kind, direction):
+    # one batched prediction gives a linear predictor's per-subject bands
+    # bit for bit; a GP's predictions go through BLAS, so its scores agree
+    # to within 1e-9
+    test, truth, model, cal = fitted_risk_inputs(n=200, seed=4, kind=kind)
+    got = risk_pipeline(test, truth, model, cal, direction, bootstrap_B=50, seed=4)
+    want = reference_risk_pipeline(test, truth, model, cal, direction,
+                                   bootstrap_B=50, seed=4)
+    if kind != "gp":
+        assert got == want
+        return
+    records, reports = got
+    assert [(r.subject_id, r.tN, r.label) for r in records] == \
+        [(r.subject_id, r.tN, r.label) for r in want[0]]
+    for name in ("roc_hat", "rocb"):
+        assert np.allclose([getattr(r, name) for r in records],
+                           [getattr(r, name) for r in want[0]], rtol=0, atol=1e-9)
+        assert (reports[name].n, reports[name].n_excluded) == \
+            (want[1][name].n, want[1][name].n_excluded)
+
+
+def test_risk_pipeline_mondrian_warns_once_per_call(caplog):
+    sites = GroupSpec("site", ("a", "b", "c"), (0.4, 0.3, 0.3))
+    test, truth, model, _ = fitted_risk_inputs(n=300, seed=5, group_spec=(sites,))
+    full = mondrian_calibrate(test, score_dataset(model, test), "site", 0.1)
+    # calibration saw no subject of site c: those fall back to the population radius
+    gcal = GroupCalibration("site", {g: c for g, c in full.per_group.items() if g != "c"},
+                            full.fallback)
+    n_unseen = sum(s.group_labels["site"] == "c" for s in test.scored_subjects())
+    assert n_unseen > 1
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="conftraj.conformal"):
+        got = risk_pipeline(test, truth, model, gcal, "decreasing", bootstrap_B=10)
+    assert len(caplog.records) == 1
+    assert f"{n_unseen} subject(s)" in caplog.text and "['c']" in caplog.text
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="conftraj.conformal"):
+        want = reference_risk_pipeline(test, truth, model, gcal, "decreasing",
+                                       bootstrap_B=10)
+    assert len(caplog.records) == n_unseen
+    assert got == want
