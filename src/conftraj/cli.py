@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from . import conformal, risk as risk_mod
@@ -29,20 +30,13 @@ from .synth import GroupSpec, SynthConfig, generate, is_number
 
 SCHEMA_TAG = "conftraj-output-v1"
 
-_KNOWN_KEYS = {
-    "synth": {f.name for f in fields(SynthConfig)} - {"seed"},
-    "data": {"path", "truth_path", "feature_cols", "group_cols",
-             "subject_col", "time_col", "value_col"},
-    "predictor": {"kind", "options", "model_dir"},
-    "conformal": {"alpha", "group_by"},
-    "evaluation": {"n_splits", "test_frac", "calib_frac", "mode", "fracs"},
-    "risk": {"direction", "bootstrap_B"},
-}
-_TOP_KEYS = set(_KNOWN_KEYS) | {"seed", "out"}
-
 
 def _int(v):
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _positive_int(v):
+    return _int(v) and v >= 1
 
 
 def _fraction(v):
@@ -63,55 +57,80 @@ def _option_rule(default):
     return "a non-empty list of numbers", _numbers
 
 
-# (section, key, what it must be, test) for each typed value checked on
-# load; section None is the top level
-_VALUE_RULES = (
-    (None, "seed", "an int >= 0", lambda v: _int(v) and v >= 0),
-    *(("synth", key, "an int", _int)
-      for key in ("n_subjects", "feature_dim", "max_time", "min_horizon")),
-    *(("synth", key, "a number", is_number)
-      for key in ("visits_mean", "noise_std", "progressor_frac", "slope_stable",
-                  "slope_progressor", "heterogeneity_std", "feature_signal")),
-    ("synth", "varying_horizon", "true or false", lambda v: isinstance(v, bool)),
-    ("conformal", "alpha", "a number in (0,1) (conformal.calibrate precondition)",
-     _fraction),
-    ("evaluation", "n_splits", "an int >= 1", lambda v: _int(v) and v >= 1),
-    ("evaluation", "test_frac", "a number in (0,1)", _fraction),
-    ("evaluation", "calib_frac", "a number in (0,1)", _fraction),
-    ("evaluation", "mode", "'conformal' or 'baseline'",
-     lambda v: v in ("conformal", "baseline")),
-    ("evaluation", "fracs", "a non-empty list of numbers in [0,1)",
-     lambda v: _numbers(v) and all(0 <= f < 1 for f in v)),
-    ("risk", "bootstrap_B", "an int >= 1", lambda v: _int(v) and v >= 1),
-    ("risk", "direction", "'decreasing' or 'increasing'",
-     lambda v: v in ("decreasing", "increasing")),
-    ("predictor", "kind", f"one of {', '.join(KINDS)}",
-     lambda v: isinstance(v, str) and v in KINDS),
-    ("conformal", "group_by", "a string", lambda v: isinstance(v, str)),
-)
+def _defaults(fn):
+    """Parameter name -> default, from fn's signature."""
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+
+
+_STRING = ("a string", lambda v: isinstance(v, str))
+_STRINGS = ("a list of strings",
+            lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v))
+# (what a value must be, test) for each annotation of a SynthConfig field
+_ANNOTATED = {"int": ("an int", _int), "float": ("a number", is_number),
+              "bool": ("true or false", lambda v: isinstance(v, bool)), "str": _STRING,
+              "tuple": ("a list of objects",
+                        lambda v: isinstance(v, list) and all(isinstance(g, dict) for g in v))}
+_RUN, _SWEEP, _RISK = map(_defaults, (run_protocol, sweep_calibration_fraction,
+                                      risk_mod.risk_pipeline))
+
+# section -> key -> (default, what the value must be, test) for every key a
+# config may hold; section None is the top level.  Every given value is
+# checked on load, and _get reads it or its default; a MISSING default marks
+# a key that each command reading it requires.
+_CONFIG = {
+    None: {"seed": (0, "an int >= 0", lambda v: _int(v) and v >= 0),
+           "out": (MISSING, *_STRING)},
+    "synth": {f.name: (f.default, *_ANNOTATED[f.type])
+              for f in fields(SynthConfig) if f.name != "seed"},
+    "data": {"path": (MISSING, *_STRING), "truth_path": (MISSING, *_STRING),
+             **{f.name: (f.default, *(_STRING if f.type == "str" else _STRINGS))
+                for f in fields(CsvSchema)}},
+    "predictor": {"kind": ("gp", f"one of {', '.join(KINDS)}",
+                           lambda v: isinstance(v, str) and v in KINDS),
+                  "options": ({}, "an object", lambda v: isinstance(v, dict)),
+                  "model_dir": (None, *_STRING)},      # None: the output directory
+    "conformal": {"alpha": (0.1, "a number in (0,1) (conformal.calibrate precondition)",
+                            _fraction),
+                  "group_by": (_RUN["group_by"], *_STRING)},
+    "evaluation": {"n_splits": (_RUN["n_splits"], "an int >= 1", _positive_int),
+                   "test_frac": (_RUN["test_frac"], "a number in (0,1)", _fraction),
+                   "calib_frac": (_RUN["calib_frac"], "a number in (0,1)", _fraction),
+                   "mode": (_RUN["mode"], "'conformal' or 'baseline'",
+                            lambda v: v in ("conformal", "baseline")),
+                   "fracs": (_SWEEP["fracs"], "a non-empty list of numbers in [0,1)",
+                             lambda v: _numbers(v) and all(0 <= f < 1 for f in v))},
+    "risk": {"direction": ("decreasing", "'decreasing' or 'increasing'",
+                           lambda v: v in ("decreasing", "increasing")),
+             "bootstrap_B": (_RISK["bootstrap_B"], "an int >= 1", _positive_int)},
+}
+
+
+def _get(cfg, name):
+    """The value of config key name ("section.key", or a top-level key):
+    the config's own, checked on load, else the key's default."""
+    section, _, key = name.rpartition(".")
+    scope = cfg.get(section, {}) if section else cfg
+    value = scope.get(key, _CONFIG[section or None][key][0])
+    if value is MISSING:
+        raise ConfigurationError(f"{name} is required for this command")
+    return value
 
 
 def _validate_config(cfg: dict):
-    for key in cfg:
-        if key not in _TOP_KEYS:
-            raise ConfigurationError(f"unknown config key {key!r}")
-        if key in _KNOWN_KEYS:
-            section = cfg[key]
-            if not isinstance(section, dict):
-                raise ConfigurationError(f"config section {key!r} must be an object")
-            for sub in section:
-                if sub not in _KNOWN_KEYS[key]:
-                    raise ConfigurationError(f"unknown key {key}.{sub!r}")
-    for section, key, expected, ok in _VALUE_RULES:
-        scope = cfg if section is None else cfg.get(section, {})
-        if key in scope and not ok(scope[key]):
-            name = key if section is None else f"{section}.{key}"
-            raise ConfigurationError(f"{name} must be {expected}, got {scope[key]!r}")
-    kind, options = _predictor(cfg)
-    if not isinstance(options, dict):
-        raise ConfigurationError("config key predictor.options must be an object")
+    for key, value in cfg.items():
+        if key in _CONFIG and not isinstance(value, dict):
+            raise ConfigurationError(f"config section {key!r} must be an object")
+        given = ([(f"{key}.{sub}", _CONFIG[key], sub, v) for sub, v in value.items()]
+                 if key in _CONFIG else [(key, _CONFIG[None], key, value)])
+        for name, rules, sub, v in given:
+            if sub not in rules:
+                raise ConfigurationError(f"unknown config key {name!r}")
+            _, expected, ok = rules[sub]
+            if not ok(v):
+                raise ConfigurationError(f"{name} must be {expected}, got {v!r}")
+    kind = _get(cfg, "predictor.kind")
     accepted = predictor_options(kind)
-    for name, value in options.items():
+    for name, value in _get(cfg, "predictor.options").items():
         if name not in accepted:
             raise ConfigurationError(
                 f"unknown key predictor.options.{name!r} for predictor kind "
@@ -122,25 +141,18 @@ def _validate_config(cfg: dict):
                 f"predictor.options.{name} must be {expected}, got {value!r}")
 
 
-def _predictor(cfg):
-    """(kind, fit options) of the config's predictor."""
-    pred = cfg.get("predictor", {})
-    return pred.get("kind", "gp"), pred.get("options", {})
-
-
 def _load_config(args) -> dict:
     cfg = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+        if not isinstance(cfg, dict):
+            raise ConfigurationError(f"config {args.config} must be a JSON object")
+    for key in ("seed", "out"):         # a flag replaces the config's value
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
     _validate_config(cfg)
-    cfg.setdefault("seed", 0)
-    if args.out is not None:
-        cfg["out"] = args.out
-    if "out" not in cfg:
-        raise ConfigurationError("output directory required (--out or config 'out')")
+    cfg["seed"] = _get(cfg, "seed")     # the resolved config names the seed used
     return cfg
 
 
@@ -151,42 +163,33 @@ def _write_json(path: Path, doc):
 
 
 def _synth_config(cfg) -> SynthConfig:
-    section = dict(cfg.get("synth", {}))
-    for i, g in enumerate(section.get("group_spec", [])):
+    values = {key: _get(cfg, f"synth.{key}") for key in _CONFIG["synth"]}
+    accepted = {f.name for f in fields(GroupSpec)}
+    for i, g in enumerate(values["group_spec"]):
         for key in ("column", "categories", "probs"):
-            if not isinstance(g, dict) or key not in g:
+            if key not in g:
                 raise ConfigurationError(f"synth.group_spec[{i}] needs key {key!r}")
             if key != "column" and not isinstance(g[key], list):
                 raise ConfigurationError(f"synth.group_spec[{i}].{key} must be a list")
-    groups = tuple(
-        GroupSpec(g["column"], tuple(g["categories"]), tuple(g["probs"]),
-                  g.get("noise_multipliers", {}), g.get("progressor_rates", {}))
-        for g in section.pop("group_spec", []))
-    return SynthConfig(seed=cfg["seed"], group_spec=groups, **section)
-
-
-def _csv_schema(cfg) -> CsvSchema:
-    d = cfg.get("data", {})
-    return CsvSchema(subject_col=d.get("subject_col", "subject_id"),
-                     time_col=d.get("time_col", "time_months"),
-                     value_col=d.get("value_col", "biomarker"),
-                     feature_cols=tuple(d.get("feature_cols", ())),
-                     group_cols=tuple(d.get("group_cols", ())))
+        for key in g:
+            if key not in accepted:
+                raise ConfigurationError(f"unknown config key 'synth.group_spec[{i}].{key}'")
+    values["group_spec"] = tuple(
+        GroupSpec(**{**g, "categories": tuple(g["categories"]), "probs": tuple(g["probs"])})
+        for g in values["group_spec"])
+    return SynthConfig(seed=_get(cfg, "seed"), **values)
 
 
 def _load_dataset(cfg):
-    d = cfg.get("data", {})
-    if "path" not in d:
-        raise ConfigurationError("data.path is required for this command")
-    return load_csv(d["path"], _csv_schema(cfg))
+    path = _get(cfg, "data.path")
+    columns = {f.name: _get(cfg, f"data.{f.name}") for f in fields(CsvSchema)}
+    return load_csv(path, CsvSchema(**{key: tuple(v) if isinstance(v, list) else v
+                                       for key, v in columns.items()}))
 
 
 def _load_truth(cfg) -> dict:
     """subject_id -> {"is_progressor": bool} from the data.truth_path CSV."""
-    d = cfg.get("data", {})
-    if "truth_path" not in d:
-        raise ConfigurationError("data.truth_path is required for the risk command")
-    path, truth = d["truth_path"], {}
+    path, truth = _get(cfg, "data.truth_path"), {}
     for row_no, (sid, cell) in csv_rows(path, ("subject_id", "is_progressor")):
         flag = {"1": True, "true": True, "0": False, "false": False}.get(cell.lower())
         if flag is None:
@@ -196,16 +199,6 @@ def _load_truth(cfg) -> dict:
             raise DataError(f"{path} row {row_no}: duplicate subject_id {sid!r}")
         truth[sid] = {"is_progressor": flag}
     return truth
-
-
-def _eval_params(cfg):
-    e = cfg.get("evaluation", {})
-    return (e.get("n_splits", 10), e.get("test_frac", 0.10),
-            e.get("calib_frac", 0.20))
-
-
-def _alpha(cfg) -> float:
-    return cfg.get("conformal", {}).get("alpha", 0.1)      # checked on load
 
 
 def _cal_to_doc(cal) -> dict:
@@ -228,11 +221,15 @@ def cmd_generate(cfg, out: Path):
                              repr(truth[sid]["true_slope"])])
 
 
+def _fit_split(cfg, ds):
+    """fit_split of ds with the config's predictor, split and seed."""
+    return fit_split(ds, _get(cfg, "predictor.kind"), _get(cfg, "evaluation.test_frac"),
+                     _get(cfg, "evaluation.calib_frac"), _get(cfg, "seed"),
+                     _get(cfg, "predictor.options"))
+
+
 def cmd_fit(cfg, out: Path):
-    ds = _load_dataset(cfg)
-    _, test_frac, calib_frac = _eval_params(cfg)
-    kind, options = _predictor(cfg)
-    model, stats, _, _ = fit_split(ds, kind, test_frac, calib_frac, cfg["seed"], options)
+    model, stats, _, _ = _fit_split(cfg, _load_dataset(cfg))
     save_model(model, out / "model.json")
     _write_json(out / "scaling.json",
                 {"schema": SCHEMA_TAG, "mean": stats.mean, "std": stats.std})
@@ -240,16 +237,17 @@ def cmd_fit(cfg, out: Path):
 
 def cmd_calibrate(cfg, out: Path):
     ds = _load_dataset(cfg)
-    model_dir = Path(cfg.get("predictor", {}).get("model_dir", out))
+    model_dir = _get(cfg, "predictor.model_dir")
+    model_dir = out if model_dir is None else Path(model_dir)
     model = load_model(model_dir / "model.json")
     with open(model_dir / "scaling.json", encoding="utf-8") as fh:
         sc = json.load(fh)
     stats = StandardizationStats(*(read_checked(fh.name, sc, k) for k in ("mean", "std")))
-    _, test_frac, calib_frac = _eval_params(cfg)
-    idx = split(ds, test_frac, calib_frac, cfg["seed"])
+    idx = split(ds, _get(cfg, "evaluation.test_frac"), _get(cfg, "evaluation.calib_frac"),
+                _get(cfg, "seed"))
     calib_std, _ = standardize(ds.subset(idx.calib), stats)
     cal = calibrate_groups(calib_std, conformal.score_dataset(model, calib_std),
-                           _alpha(cfg), cfg.get("conformal", {}).get("group_by"))
+                           _get(cfg, "conformal.alpha"), _get(cfg, "conformal.group_by"))
     _write_json(out / "calibration.json", {"schema": SCHEMA_TAG, **_cal_to_doc(cal)})
 
 
@@ -269,15 +267,12 @@ def _write_rows(path: Path, rows, fieldnames):
 
 
 def cmd_evaluate(cfg, out: Path):
-    ds = _load_dataset(cfg)
-    n_splits, test_frac, calib_frac = _eval_params(cfg)
-    kind, options = _predictor(cfg)
-    report = run_protocol(ds, kind, _alpha(cfg),
-                          n_splits=n_splits, test_frac=test_frac,
-                          calib_frac=calib_frac, seed=cfg["seed"],
-                          group_by=cfg.get("conformal", {}).get("group_by"),
-                          mode=cfg.get("evaluation", {}).get("mode", "conformal"),
-                          predictor_opts=options)
+    report = run_protocol(
+        _load_dataset(cfg), _get(cfg, "predictor.kind"), _get(cfg, "conformal.alpha"),
+        n_splits=_get(cfg, "evaluation.n_splits"), test_frac=_get(cfg, "evaluation.test_frac"),
+        calib_frac=_get(cfg, "evaluation.calib_frac"), seed=_get(cfg, "seed"),
+        group_by=_get(cfg, "conformal.group_by"), mode=_get(cfg, "evaluation.mode"),
+        predictor_opts=_get(cfg, "predictor.options"))
     _write_json(out / "report.json", {
         "schema": SCHEMA_TAG, "mean": report.mean, "p95": report.p95,
         "deviation_p95": report.deviation_p95,
@@ -292,26 +287,25 @@ def cmd_evaluate(cfg, out: Path):
 
 
 def cmd_sweep(cfg, out: Path):
-    ds = _load_dataset(cfg)
-    kind, options = _predictor(cfg)
-    _, test_frac, _ = _eval_params(cfg)
     rows = sweep_calibration_fraction(
-        ds, kind, _alpha(cfg), fracs=cfg.get("evaluation", {}).get("fracs"),
-        seed=cfg["seed"], test_frac=test_frac, predictor_opts=options)
+        _load_dataset(cfg), _get(cfg, "predictor.kind"), _get(cfg, "conformal.alpha"),
+        fracs=_get(cfg, "evaluation.fracs"), seed=_get(cfg, "seed"),
+        test_frac=_get(cfg, "evaluation.test_frac"),
+        predictor_opts=_get(cfg, "predictor.options"))
     _write_rows(out / "sweep.csv", rows,
                 ["calib_frac", "coverage", "width", "n_infinite_bands"])
 
 
 def cmd_stratify(cfg, out: Path):
     ds = _load_dataset(cfg)
-    group_by = cfg.get("conformal", {}).get("group_by")
+    group_by = _get(cfg, "conformal.group_by")
     if not group_by:
         raise ConfigurationError("stratify requires conformal.group_by")
-    kind, options = _predictor(cfg)
-    _, test_frac, calib_frac = _eval_params(cfg)
-    results = stratified_compare(ds, kind, _alpha(cfg), group_by, seed=cfg["seed"],
-                                 test_frac=test_frac, calib_frac=calib_frac,
-                                 predictor_opts=options)
+    results = stratified_compare(
+        ds, _get(cfg, "predictor.kind"), _get(cfg, "conformal.alpha"), group_by,
+        seed=_get(cfg, "seed"), test_frac=_get(cfg, "evaluation.test_frac"),
+        calib_frac=_get(cfg, "evaluation.calib_frac"),
+        predictor_opts=_get(cfg, "predictor.options"))
     rows = [{"method": method, "group": g, **stats}
             for method in ("population", "group_conditional")
             for g, stats in sorted((results[method].per_group or {}).items())]
@@ -321,16 +315,12 @@ def cmd_stratify(cfg, out: Path):
 def cmd_risk(cfg, out: Path):
     ds = _load_dataset(cfg)
     truth = _load_truth(cfg)
-    kind, options = _predictor(cfg)
-    _, test_frac, calib_frac = _eval_params(cfg)
-    model, _, calib_std, test_std = fit_split(ds, kind, test_frac, calib_frac,
-                                              cfg["seed"], options)
-    scores = conformal.score_dataset(model, calib_std)
-    cal = conformal.calibrate(scores, _alpha(cfg))
-    r = cfg.get("risk", {})
+    model, _, calib_std, test_std = _fit_split(cfg, ds)
+    cal = conformal.calibrate(conformal.score_dataset(model, calib_std),
+                              _get(cfg, "conformal.alpha"))
     records, reports = risk_mod.risk_pipeline(
-        test_std, truth, model, cal, r.get("direction", "decreasing"),
-        bootstrap_B=r.get("bootstrap_B", 2000), seed=cfg["seed"])
+        test_std, truth, model, cal, _get(cfg, "risk.direction"),
+        bootstrap_B=_get(cfg, "risk.bootstrap_B"), seed=_get(cfg, "seed"))
 
     rows = [{"method": name, "metric": m, "tau_star": reports[name].tau_star,
              "value": getattr(reports[name], m), "ci_lo": reports[name].ci_95[m][0],
@@ -369,7 +359,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        out = Path(cfg["out"])
+        out = Path(_get(cfg, "out"))
         out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](cfg, out)
         _write_json(out / "resolved_config.json", {"schema": SCHEMA_TAG, "config": cfg})

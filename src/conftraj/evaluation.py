@@ -168,12 +168,15 @@ def run_protocol(ds: Dataset, predictor_kind: str, alpha: float,
             raise type(exc)(f"split {k}: {exc}") from exc
         reports.append(report)
 
-    per_metric = {m: np.asarray([r.metrics()[m] for r in reports])
-                  for m in ("coverage", "width")}
-    mean = {m: float(np.nanmean(v)) for m, v in per_metric.items()}
-    p95 = {m: float(np.nanpercentile(v, 95)) for m, v in per_metric.items()}
-    dev = {m: float(np.nanpercentile(np.abs(v - mean[m]), 95))
-           for m, v in per_metric.items()}
+    mean, p95, dev = {}, {}, {}
+    for m in ("coverage", "width"):
+        v = np.asarray([r.metrics()[m] for r in reports])
+        if np.isnan(v).all():       # e.g. the width when every band is infinite
+            mean[m] = p95[m] = dev[m] = math.nan
+            continue
+        mean[m] = float(np.nanmean(v))
+        p95[m] = float(np.nanpercentile(v, 95))
+        dev[m] = float(np.nanpercentile(np.abs(v - mean[m]), 95))
     return MultiSplitReport(tuple(reports), mean, p95, dev)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_model import Dataset, SubjectRecord
+from .data_model import MAX_TIME, Dataset, SubjectRecord
 from .errors import ConfigurationError
 
 
@@ -63,12 +63,14 @@ class GroupSpec:
 
 
 # (field, what it must be, test); NaN fails every comparison, so each
-# test also rejects it
+# test also rejects it.  A visit time beyond MAX_TIME would not load back.
 _RANGES = (
     ("feature_dim", "an int >= 0", lambda v: v >= 0),
     ("max_time", "an int >= 1", lambda v: v >= 1),
+    ("max_time", "at most 2**53 - 1", lambda v: v <= MAX_TIME),
     ("min_horizon", "an int >= 1", lambda v: v >= 1),
     ("visits_mean", "a finite number >= 1", lambda v: 1 <= v < math.inf),
+    ("visits_mean", "at most 2**53 - 1", lambda v: v <= MAX_TIME),
     ("noise_std", "a finite number >= 0", lambda v: 0 <= v < math.inf),
     ("heterogeneity_std", "a finite number >= 0", lambda v: 0 <= v < math.inf),
     ("progressor_frac", "a number in [0, 1]", lambda v: 0 <= v <= 1),
@@ -145,7 +147,8 @@ def generate(cfg: SynthConfig):
             horizon = int(rng.integers(min(cfg.min_horizon, cfg.max_time), cfg.max_time + 1))
         n_visits = 1 + rng.poisson(cfg.visits_mean - 1.0)
         n_visits = min(n_visits, horizon)
-        times = np.sort(rng.choice(np.arange(1, horizon + 1), size=n_visits, replace=False))
+        # the draw of choice(arange(1, horizon + 1)) without its O(horizon) array
+        times = np.sort(rng.choice(horizon, size=n_visits, replace=False) + 1)
 
         noise = rng.normal(0.0, cfg.noise_std * noise_mult, size=n_visits)
         values = baseline + slope * times + noise

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from conftraj.cli import main
+from conftraj.cli import _CONFIG, main
 
 
 def run(argv):
@@ -274,6 +274,13 @@ def test_group_spec_missing_key_rejected(tmp_path, capsys):
     ("predictor", "kind", ["gp"]), ("predictor", "kind", "forest"),
     ("predictor", "kind", None), ("conformal", "group_by", ["site"]),
     ("conformal", "group_by", 3),
+    # a path of 0 would read the cohort from standard input
+    ("data", "path", 0), ("data", "path", ["cohort.csv"]), ("data", "truth_path", 1),
+    ("data", "subject_col", 1), ("data", "time_col", None),
+    ("data", "value_col", ["biomarker"]), ("data", "feature_cols", "f0"),
+    ("data", "feature_cols", [1]), ("data", "group_cols", 5),
+    ("predictor", "model_dir", 5), ("predictor", "options", ["B"]),
+    (None, "out", 5),
 ])
 def test_typed_config_value_rejected(tmp_path, capsys, section, key, value):
     # the data file does not exist: the config is rejected before any load
@@ -282,9 +289,25 @@ def test_typed_config_value_rejected(tmp_path, capsys, section, key, value):
         doc[key], name = value, key
     else:
         doc[section], name = {key: value}, f"{section}.{key}"
-    code, err = config_error(tmp_path, capsys, "risk", doc)
-    assert code == 1
+    cfg = write_config(tmp_path / "bad.json", doc)
+    out_flag = [] if key == "out" else ["--out", str(tmp_path / "o")]
+    assert run(["risk", "--config", cfg, *out_flag]) == 1
+    err = capsys.readouterr().err
     assert "error [ConfigurationError]" in err and name in err
+
+
+@pytest.mark.parametrize("name", [key if section is None else f"{section}.{key}"
+                                  for section, keys in _CONFIG.items() for key in keys])
+def test_every_config_key_is_checked(tmp_path, capsys, name):
+    # null and a list of a list fit no key's type, so a key declared in the
+    # table without a real check fails here
+    section, _, key = name.rpartition(".")
+    for value in (None, [[]]):
+        cfg = write_config(tmp_path / "bad.json",
+                           {section: {key: value}} if section else {key: value})
+        assert run(["risk", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error [ConfigurationError]: {name} must be ")
 
 
 @pytest.mark.parametrize("key,value,expected", [
@@ -303,6 +326,9 @@ def test_typed_config_value_rejected(tmp_path, capsys, section, key, value):
     ("max_time", 0, "an int >= 1"),
     ("min_horizon", 0, "an int >= 1"),
     ("feature_dim", -1, "an int >= 0"),
+    # a visit time beyond 2**53 - 1 would not load back
+    ("max_time", 2 ** 53, "at most 2**53 - 1"),
+    ("visits_mean", 1e19, "at most 2**53 - 1"),
 ])
 def test_synth_value_out_of_range_rejected(tmp_path, capsys, key, value, expected):
     # the type is right, so the config passes; SynthConfig checks the range
@@ -484,9 +510,11 @@ def test_calibrate_rejects_bad_scaling_file(tmp_path, capsys, fitted_dirs, edit,
     ({"progressor_rates": {"b": True}},
      "group site: progressor_rates['b'] True is not a number in [0, 1]"),
     ({"progressor_rates": 0.5}, "group site: progressor_rates must be an object"),
+    ({"noise_multiplier": {"a": 2.0}},
+     "unknown config key 'synth.group_spec[0].noise_multiplier'"),
 ], ids=["strings", "out-of-range", "bool", "not-a-list", "multiplier-string",
         "multiplier-zero", "multiplier-inf", "multipliers-list", "multiplier-category",
-        "rate-above-one", "rate-bool", "rates-number"])
+        "rate-above-one", "rate-bool", "rates-number", "misspelt-key"])
 def test_group_spec_bad_probs_rejected(tmp_path, capsys, entry, expected):
     code, err = config_error(tmp_path, capsys, "generate", {
         "synth": {"n_subjects": 20, "group_spec": [

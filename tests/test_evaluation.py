@@ -129,6 +129,16 @@ def test_run_protocol_aggregates_bounded_by_splits():
         assert 0.0 <= msr.deviation_p95[m] <= np.abs(vals - msr.mean[m]).max() + 1e-12
 
 
+def test_run_protocol_width_nan_when_every_band_infinite():
+    # 8 calibration subjects are fewer than the 9 that alpha 0.1 needs, so
+    # every band is infinite and no split has a width; the aggregate is NaN
+    # with no RuntimeWarning (pytest turns one into an error)
+    msr = run_protocol(cohort(40, seed=1), "bootstrap", 0.1, n_splits=3, seed=0)
+    assert all(r.n_infinite_bands == r.n_test for r in msr.reports)
+    assert all(math.isnan(agg["width"]) for agg in (msr.mean, msr.p95, msr.deviation_p95))
+    assert msr.mean["coverage"] == 1.0
+
+
 def test_sweep_row_count_and_tiny_fraction():
     ds = cohort(300, seed=6)
     rows = sweep_calibration_fraction(ds, "bootstrap", 0.1,

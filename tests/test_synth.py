@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -72,3 +74,14 @@ def test_slope_ordering_enforced():
     # increasing direction flips the requirement
     SynthConfig(n_subjects=10, direction="increasing",
                 slope_stable=0.002, slope_progressor=0.02)
+
+
+def test_generate_memory_does_not_grow_with_max_time():
+    # visit times are drawn without building the range 1..horizon
+    tracemalloc.start()
+    try:
+        generate(SynthConfig(n_subjects=20, max_time=10 ** 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
