@@ -139,6 +139,10 @@ def _validate_config(cfg: dict):
         if not ok(value):
             raise ConfigurationError(
                 f"predictor.options.{name} must be {expected}, got {value!r}")
+    group_by, group_cols = _get(cfg, "conformal.group_by"), _get(cfg, "data.group_cols")
+    if group_by is not None and group_by not in group_cols:
+        raise ConfigurationError(f"conformal.group_by must be one of data.group_cols "
+                                 f"{list(group_cols)}, got {group_by!r}")
 
 
 def _load_config(args) -> dict:
@@ -316,8 +320,8 @@ def cmd_risk(cfg, out: Path):
     ds = _load_dataset(cfg)
     truth = _load_truth(cfg)
     model, _, calib_std, test_std = _fit_split(cfg, ds)
-    cal = conformal.calibrate(conformal.score_dataset(model, calib_std),
-                              _get(cfg, "conformal.alpha"))
+    cal = calibrate_groups(calib_std, conformal.score_dataset(model, calib_std),
+                           _get(cfg, "conformal.alpha"), _get(cfg, "conformal.group_by"))
     records, reports = risk_mod.risk_pipeline(
         test_std, truth, model, cal, _get(cfg, "risk.direction"),
         bootstrap_B=_get(cfg, "risk.bootstrap_B"), seed=_get(cfg, "seed"))

@@ -36,18 +36,14 @@ class NonconformityScore:
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    scores_sorted: tuple
+    n: int               # calibration scores ranked
     alpha: float
     rank: int
-    radius: float        # math.inf when rank exceeds the score count
+    radius: float        # math.inf when rank exceeds n
 
     @property
     def finite(self):
         return math.isfinite(self.radius)
-
-    @property
-    def n(self):
-        return len(self.scores_sorted)
 
 
 @dataclass(frozen=True)
@@ -90,8 +86,7 @@ def calibrate(scores, alpha: float) -> CalibrationResult:
     values = sorted(s.value for s in scores)
     n = len(values)
     rank = math.ceil((n + 1) * (1.0 - alpha))
-    radius = values[rank - 1] if rank <= n else math.inf
-    return CalibrationResult(tuple(values), alpha, rank, radius)
+    return CalibrationResult(n, alpha, rank, values[rank - 1] if rank <= n else math.inf)
 
 
 def worst_residuals(values, means, stds, offsets):

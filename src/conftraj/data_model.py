@@ -280,6 +280,7 @@ def standardize(ds: Dataset, stats: StandardizationStats | None = None):
 def split(ds: Dataset, test_frac: float, calib_frac: float, seed: int) -> SplitIndices:
     """Seeded shuffle-split into train / calibration / test subject indices.
 
+    The seed permutes the subjects sorted by subject_id, not in file order.
     floor(N * test_frac) subjects go to test; of the remainder,
     floor(. * calib_frac) go to calibration; the rest train.
     """
@@ -289,7 +290,8 @@ def split(ds: Dataset, test_frac: float, calib_frac: float, seed: int) -> SplitI
         raise ConfigurationError(f"calib_frac must be in [0,1), got {calib_frac}")
     n = len(ds)
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
+    by_id = sorted(range(n), key=lambda i: ds.subjects[i].subject_id)
+    perm = np.asarray(by_id, dtype=int)[rng.permutation(n)]
     n_test = int(n * test_frac)
     n_calib = int((n - n_test) * calib_frac)
     test = perm[:n_test]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from statistics import NormalDist
 
 import numpy as np
@@ -46,6 +46,14 @@ class MultiSplitReport:
     deviation_p95: dict
 
 
+def _means_by_key(keys, values):
+    """{key: mean of its values, in their order} for each distinct int key, ascending."""
+    order = np.argsort(keys, kind="stable")
+    distinct, starts = np.unique(keys[order], return_index=True)
+    means = map(np.mean, np.split(values[order], starts[1:]))
+    return dict(zip(distinct.tolist(), map(float, means)))
+
+
 def coverage_and_width(bands, test: Dataset,
                        grouping_column: str | None = None) -> EvalReport:
     """Evaluate one band per test subject at that subject's visit times.
@@ -64,39 +72,30 @@ def coverage_and_width(bands, test: Dataset,
             raise DataError(f"band for {s.subject_id} is at times {list(band.times)}, "
                             f"not at its visit times {s.visit_times}")
         matched.append(band)
-    scores = worst_residuals([y for s in subjects for _, y in s.visits],
-                             [c for b in matched for c in b.centers],
-                             [sd for b in matched for sd in b.stds],
-                             list(accumulate((len(b.times) for b in matched), initial=0)))
-
-    covered, n_inf, widths = 0, 0, []
-    bucket_widths: dict = {}
-    group_stats: dict = {}      # group label -> (coverage flags, widths)
-    for s, band, score in zip(subjects, matched, scores.tolist()):
-        ok = score <= band.radius
-        covered += ok
-        n_inf += not band.finite
-        w = [2.0 * (band.radius * sd) for sd in band.stds] if band.finite else []
-        widths += w
-        for t, wt in zip(band.times, w):
-            bucket_widths.setdefault((t - 1) // BUCKET_MONTHS, []).append(wt)
-        if grouping_column is not None:
-            g_ok, g_widths = group_stats.setdefault(s.group_labels.get(grouping_column),
-                                                    ([], []))
-            g_ok.append(ok)
-            g_widths += w
-
-    per_group = None if grouping_column is None else {
-        g: {"coverage": float(np.mean(cov)),
-            "width": float(np.mean(w)) if w else math.nan,
-            "n": len(cov)}
-        for g, (cov, w) in group_stats.items()}
+    counts = [len(b.times) for b in matched]
+    radii = np.array([b.radius for b in matched], dtype=float)
+    stds = np.fromiter(chain.from_iterable(b.stds for b in matched), float)
+    covered = worst_residuals(list(chain.from_iterable(s.visit_values for s in subjects)),
+                              list(chain.from_iterable(b.centers for b in matched)),
+                              stds, list(accumulate(counts, initial=0))) <= radii
+    rows = np.repeat(np.isfinite(radii), counts)        # visit rows of finite bands
+    widths = 2.0 * (np.repeat(radii, counts)[rows] * stds[rows])
+    times = np.fromiter(chain.from_iterable(b.times for b in matched), np.int64)[rows]
+    per_group = None
+    if grouping_column is not None:
+        codes: dict = {}            # group label -> code, in order of appearance
+        group = np.array([codes.setdefault(s.group_labels.get(grouping_column), len(codes))
+                          for s in subjects], dtype=np.intp)
+        coverage = _means_by_key(group, covered)
+        width = _means_by_key(np.repeat(group, counts)[rows], widths)
+        per_group = {g: {"coverage": coverage[c], "width": width.get(c, math.nan),
+                         "n": int(np.sum(group == c))} for g, c in codes.items()}
     return EvalReport(
-        mean_coverage=covered / len(subjects) if subjects else math.nan,
-        mean_width=float(np.mean(widths)) if widths else math.nan,
+        mean_coverage=int(covered.sum()) / len(subjects) if subjects else math.nan,
+        mean_width=float(np.mean(widths)) if len(widths) else math.nan,
         n_test=len(subjects),
-        n_infinite_bands=n_inf,
-        per_time_width={b: float(np.mean(w)) for b, w in sorted(bucket_widths.items())},
+        n_infinite_bands=int(np.sum(~np.isfinite(radii))),
+        per_time_width=_means_by_key((times - 1) // BUCKET_MONTHS, widths),
         per_group=per_group)
 
 

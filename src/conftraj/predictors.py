@@ -65,17 +65,13 @@ def _linear_rows(Z1, W):
     return np.einsum("ij,kj->ik", Z1, W)
 
 
-def subject_row(s):
-    """Model input vector for one subject: covariates plus baseline."""
-    return np.concatenate([s.features, [s.baseline_value]])
-
-
 def visit_rows(subjects, times):
     """Inputs X = [x; baseline] and t for each time in each subject's list of
     times, and the row offsets: subject i owns rows offsets[i]:offsets[i + 1]."""
     counts = [len(ts) for ts in times]
-    X = np.repeat([subject_row(s) for s in subjects], counts, axis=0)
-    return X, np.concatenate(times), list(accumulate(counts, initial=0))
+    X = np.column_stack([[s.features for s in subjects], [s.baseline_value for s in subjects]])
+    return (np.repeat(X, counts, axis=0), np.concatenate(times),
+            list(accumulate(counts, initial=0)))
 
 
 def design_matrix(train: Dataset):
@@ -183,11 +179,6 @@ def _grid_search(Z, y, lengthscales, signal_vars, noise_vars):
         W = U / np.sqrt(d)
         factor = (W @ W.T, U @ (b / d), lml, 0.0)
     return scored, n_fallback, (ls, sv, nv), factor
-
-
-def _grid_log_marginals(Z, y, lengthscales, signal_vars, noise_vars):
-    """_grid_search's (lml, ls, sv, nv) per grid point and fallback count."""
-    return _grid_search(Z, y, lengthscales, signal_vars, noise_vars)[:2]
 
 
 def fit_gp(train: Dataset, lengthscales=None, signal_vars=None, noise_vars=None,

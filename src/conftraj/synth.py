@@ -104,6 +104,10 @@ class SynthConfig:
             value = getattr(self, key)
             if not ok(value):
                 raise ConfigurationError(f"{key} must be {expected}, got {value!r}")
+        if self.n_subjects * self.visits_mean > 10 ** 7:     # expected visit rows
+            raise ConfigurationError(
+                "n_subjects * visits_mean must be at most 10**7 expected visit rows, "
+                f"got {self.n_subjects} * {self.visits_mean!r}")
         if self.direction not in ("decreasing", "increasing"):
             raise ConfigurationError(f"unknown direction {self.direction!r}")
         sign = -1.0 if self.direction == "decreasing" else 1.0

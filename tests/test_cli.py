@@ -5,6 +5,10 @@ import math
 import pytest
 
 from conftraj.cli import _CONFIG, main
+from conftraj.conformal import mondrian_calibrate, score_dataset
+from conftraj.data_model import CsvSchema, load_csv
+from conftraj.evaluation import fit_split
+from conftraj.risk import risk_pipeline
 
 
 def run(argv):
@@ -329,14 +333,105 @@ def test_every_config_key_is_checked(tmp_path, capsys, name):
     # a visit time beyond 2**53 - 1 would not load back
     ("max_time", 2 ** 53, "at most 2**53 - 1"),
     ("visits_mean", 1e19, "at most 2**53 - 1"),
+    # a value that is a dict is the whole synth section: a cohort of more
+    # than 10**7 expected visit rows, which would not fit in memory
+    ("n_subjects * visits_mean", {"n_subjects": 1, "max_time": 10 ** 15,
+                                  "visits_mean": 10 ** 15, "varying_horizon": False},
+     "at most 10**7 expected visit rows"),
+    ("n_subjects * visits_mean", {"n_subjects": 2, "visits_mean": 5_000_000.5},
+     "at most 10**7 expected visit rows"),
 ])
 def test_synth_value_out_of_range_rejected(tmp_path, capsys, key, value, expected):
     # the type is right, so the config passes; SynthConfig checks the range
-    code, err = config_error(tmp_path, capsys, "generate",
-                             {"synth": {"n_subjects": 20, key: value}})
+    synth = value if isinstance(value, dict) else {"n_subjects": 20, key: value}
+    code, err = config_error(tmp_path, capsys, "generate", {"synth": synth})
     assert code == 1
     assert err.startswith(f"error [ConfigurationError]: {key} must be {expected}, got ")
     assert not (tmp_path / "o" / "cohort.csv").exists()
+
+
+@pytest.mark.parametrize("command,mode,group_by", [
+    ("evaluate", "conformal", "sitee"), ("evaluate", "baseline", "sitee"),
+    ("calibrate", "conformal", "sitee"), ("stratify", "conformal", "sitee"),
+    ("risk", "conformal", "sitee"), ("evaluate", "conformal", "f0"),
+])
+def test_group_by_outside_group_cols_rejected(tmp_path, capsys, command, mode, group_by):
+    # the data file does not exist: the config is rejected before any load
+    code, err = config_error(tmp_path, capsys, command, {
+        "data": {"path": str(tmp_path / "missing.csv"), "feature_cols": ["f0"],
+                 "group_cols": ["site"]},
+        "conformal": {"group_by": group_by}, "evaluation": {"mode": mode}})
+    assert code == 1
+    assert err == ("error [ConfigurationError]: conformal.group_by must be one of "
+                   f"data.group_cols ['site'], got {group_by!r}\n")
+
+
+SITE = {"column": "site", "categories": ["a", "b", "c"], "probs": [0.4, 0.4, 0.2],
+        "noise_multipliers": {"c": 2.0}}
+
+
+def reverse_subjects(src, dst):
+    """Copy the cohort CSV at src to dst with its subjects in reverse order."""
+    with open(src, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    by_subject = {}
+    for row in rows:
+        by_subject.setdefault(row[0], []).append(row)
+    with open(dst, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for sid in reversed(by_subject):
+            writer.writerows(by_subject[sid])
+
+
+def test_outputs_do_not_depend_on_subject_order(tmp_path):
+    # the split permutes the subjects in subject_id order, not in file order
+    gen = gen_cohort(tmp_path, n=300, extra={"group_spec": [SITE]})
+    reverse_subjects(gen / "cohort.csv", tmp_path / "reversed.csv")
+    for name, path in (("file", gen / "cohort.csv"), ("reversed", tmp_path / "reversed.csv")):
+        cfg = write_config(tmp_path / f"{name}.json", {
+            "data": {**data_section(gen), "path": str(path), "group_cols": ["site"]},
+            "predictor": {"kind": "bootstrap"}, "conformal": {"group_by": "site"},
+            "evaluation": {"n_splits": 3}, "risk": {"bootstrap_B": 100}})
+        for command in ("evaluate", "risk"):
+            assert run([command, "--config", cfg, "--seed", "0",
+                        "--out", str(tmp_path / name / command)]) == 0
+    for command, files in (("evaluate", ("report.json", "report.csv")),
+                           ("risk", ("risk.csv", "threshold_free.csv"))):
+        for f in files:
+            assert (tmp_path / "file" / command / f).read_bytes() == \
+                (tmp_path / "reversed" / command / f).read_bytes(), f
+
+
+def test_risk_with_group_by_uses_mondrian_calibration(tmp_path):
+    gen = gen_cohort(tmp_path, n=300, extra={"group_spec": [SITE]})
+    cfg = write_config(tmp_path / "risk.json", {
+        "data": {**data_section(gen), "group_cols": ["site"]},
+        "predictor": {"kind": "bootstrap"}, "conformal": {"group_by": "site"},
+        "evaluation": {"test_frac": 0.3}, "risk": {"bootstrap_B": 100}})
+    assert run(["risk", "--config", cfg, "--seed", "2", "--out", str(tmp_path / "o")]) == 0
+
+    ds = load_csv(gen / "cohort.csv", CsvSchema(feature_cols=("f0", "f1", "f2", "f3"),
+                                                group_cols=("site",)))
+    model, _, calib, test = fit_split(ds, "bootstrap", 0.3, 0.2, 2)
+    gcal = mondrian_calibrate(calib, score_dataset(model, calib), "site", 0.1)
+    with open(gen / "truth.csv", newline="") as fh:
+        truth = {r["subject_id"]: {"is_progressor": r["is_progressor"] == "1"}
+                 for r in csv.DictReader(fh)}
+    _, reports = risk_pipeline(test, truth, model, gcal, "decreasing", bootstrap_B=100,
+                               seed=2)
+    with open(tmp_path / "o" / "risk.csv", newline="") as fh:
+        got = [(r["method"], r["metric"], float(r["tau_star"]), float(r["value"]),
+                float(r["ci_lo"]), float(r["ci_hi"])) for r in csv.DictReader(fh)]
+    assert got == [(name, m, reports[name].tau_star, getattr(reports[name], m),
+                    *reports[name].ci_95[m])
+                   for name in ("roc_hat", "rocb")
+                   for m in ("precision", "recall", "f1", "balanced_accuracy")]
+    with open(tmp_path / "o" / "threshold_free.csv", newline="") as fh:
+        got = [(r["method"], float(r["roc_auc"]), float(r["pr_auc"]), int(r["n"]),
+                int(r["n_excluded"])) for r in csv.DictReader(fh)]
+    assert got == [(name, reports[name].roc_auc, reports[name].pr_auc, reports[name].n,
+                    reports[name].n_excluded) for name in ("roc_hat", "rocb")]
 
 
 def test_seed_checked_after_flag_override(tmp_path, capsys):

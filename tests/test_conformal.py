@@ -140,7 +140,7 @@ def fitted_model():
 def test_build_band_arithmetic():
     # R = 2: the interval is mu -/+ 2 sigma at the subject's input row
     m = fitted_model()
-    cal = CalibrationResult((2.0,), 0.5, 1, 2.0)
+    cal = CalibrationResult(1, 0.5, 1, 2.0)
     band = band_for_subject(m, subject("x", []), cal, [6])
     lo = band.center_at(6) - band.radius_at(6)
     hi = band.center_at(6) + band.radius_at(6)
@@ -151,7 +151,7 @@ def test_build_band_arithmetic():
 
 def test_build_band_zero_radius():
     m = fitted_model()
-    cal = CalibrationResult((0.0,), 0.5, 1, 0.0)
+    cal = CalibrationResult(1, 0.5, 1, 0.0)
     band = band_for_subject(m, subject("x", []), cal, [6, 12])
     assert band.finite
     assert radii(band) == (0.0, 0.0)
@@ -207,9 +207,11 @@ def test_mondrian_multiset_union():
     values = list(rng.exponential(size=40))
     scores = [NonconformityScore(f"s{i}", v) for i, v in enumerate(values)]
     gcal = mondrian_calibrate(ds, scores, "dx", alpha=0.2)
-    merged = sorted(v for cal in gcal.per_group.values() for v in cal.scores_sorted)
-    assert merged == sorted(values)
-    assert list(gcal.fallback.scores_sorted) == sorted(values)
+    assert set(gcal.per_group) == set(groups)
+    for g, cal in gcal.per_group.items():
+        assert cal == calibrate([sc for sc, h in zip(scores, groups) if h == g], 0.2)
+    assert sum(cal.n for cal in gcal.per_group.values()) == gcal.fallback.n
+    assert gcal.fallback == calibrate(scores, 0.2)
 
 
 def test_mondrian_missing_label_errors():
@@ -221,8 +223,8 @@ def test_mondrian_missing_label_errors():
 
 def test_band_for_subject_dispatch():
     m = fitted_model()
-    cal_a = CalibrationResult((1.0,), 0.5, 1, 1.0)
-    cal_b = CalibrationResult((3.0,), 0.5, 1, 3.0)
+    cal_a = CalibrationResult(1, 0.5, 1, 1.0)
+    cal_b = CalibrationResult(1, 0.5, 1, 3.0)
     gcal = GroupCalibration("dx", {"a": cal_a, "b": cal_b}, cal_a)
     s = subject("x", [(6, 0.0)], group="b")
     band = band_for_subject(m, s, gcal, [6])
@@ -235,7 +237,7 @@ def test_band_for_subject_dispatch():
 
 def test_band_for_subject_unseen_category_fallback(caplog):
     m = fitted_model()
-    cal = CalibrationResult((1.0,), 0.5, 1, 1.0)
+    cal = CalibrationResult(1, 0.5, 1, 1.0)
     gcal = GroupCalibration("dx", {"a": cal}, cal)
     s = subject("x", [(6, 0.0)], group="other")
     band = band_for_subject(m, s, gcal, [6])

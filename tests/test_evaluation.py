@@ -12,7 +12,7 @@ from conftraj.errors import DataError
 from conftraj.evaluation import (coverage_and_width, evaluate_split, fit_split,
                                  run_protocol, stratified_compare,
                                  sweep_calibration_fraction)
-from conftraj.predictors import fit_quantile, predict_batch, subject_row
+from conftraj.predictors import fit_quantile, predict_batch, visit_rows
 from conftraj.synth import GroupSpec, SynthConfig, generate
 
 
@@ -217,8 +217,8 @@ def test_baseline_band_z_width():
                                         mode="baseline")
     assert cal is None
     _, _, _, test = fit_split(ds, "bootstrap", 0.2, 0.2, 3)
-    X = [subject_row(s) for s in test.scored_subjects() for _ in s.visits]
-    ts = [t for s in test.scored_subjects() for t in s.visit_times]
+    subjects = test.scored_subjects()
+    X, ts, _ = visit_rows(subjects, [s.visit_times for s in subjects])
     _, stds = predict_batch(model, X, ts)
     assert report.mean_width == pytest.approx(2 * 1.6448536269514722 * np.mean(stds),
                                               rel=1e-12)
@@ -274,8 +274,10 @@ def reference_coverage_and_width(bands, test, grouping_column=None):
         {b: float(np.mean(w)) for b, w in sorted(buckets.items())}, per_group)
 
 
-@pytest.mark.parametrize("calib_frac", [0.3, 0.02], ids=["finite", "some-infinite"])
-def test_coverage_and_width_matches_per_subject_reference(calib_frac):
+@pytest.mark.parametrize("case", ["finite", "some-infinite", "empty", "all-infinite",
+                                  "group-infinite"])
+def test_coverage_and_width_matches_per_subject_reference(case):
+    calib_frac = 0.02 if case == "some-infinite" else 0.3
     ds = cohort(300, seed=12, group_spec=(GroupSpec("dx", ("a", "b", "c"),
                                                     (0.5, 0.3, 0.2)),))
     model, _, calib, test = fit_split(ds, "bootstrap", 0.3, calib_frac, 5)
@@ -284,10 +286,26 @@ def test_coverage_and_width_matches_per_subject_reference(calib_frac):
         replace(s, visits=s.visits[:(1, 2, None)[i % 3]])
         for i, s in enumerate(test.subjects)))
     assert {1, 2} <= {len(s.visits) for s in test.subjects}
+    if case == "empty":
+        test = replace(test, subjects=())
     scores = score_dataset(model, calib)
-    for cal, group_by in ((calibrate(scores, 0.1), None),
-                          (mondrian_calibrate(calib, scores, "dx", 0.1), "dx")):
+    pop, grp = calibrate(scores, 0.1), mondrian_calibrate(calib, scores, "dx", 0.1)
+    infinite = calibrate([], 0.1)
+    if case == "all-infinite":
+        pop = infinite
+        grp = replace(grp, per_group={g: infinite for g in grp.per_group}, fallback=infinite)
+    if case == "group-infinite":
+        grp = replace(grp, per_group={**grp.per_group, "c": infinite})
+    for cal, group_by in ((pop, None), (grp, "dx")):
         bands = bands_for_dataset(model, test, cal)
         got = coverage_and_width(bands, test, grouping_column=group_by)
         assert repr(got) == repr(reference_coverage_and_width(bands, test, group_by))
     assert calib_frac > 0.1 or got.n_infinite_bands > 0
+    if case == "empty":
+        assert got.n_test == 0 and got.per_group == {} and math.isnan(got.mean_coverage)
+    if case == "all-infinite":
+        assert got.n_infinite_bands == got.n_test > 0 and got.per_time_width == {}
+        assert all(math.isnan(g["width"]) for g in got.per_group.values())
+    if case == "group-infinite":
+        assert math.isnan(got.per_group["c"]["width"]) and got.per_group["c"]["n"] > 0
+        assert math.isfinite(got.mean_width)

@@ -2,6 +2,7 @@ import json
 import logging
 import math
 from collections import namedtuple
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from conftraj.errors import ConfigurationError, DataError, NumericalError
 from conftraj.predictors import (SIGMA_FLOOR, BootstrapModel, InputScaler,
                                  QuantileModel, design_matrix, fit_bootstrap,
                                  fit_gp, fit_quantile, load_model,
-                                 pinball_loss, predict_batch, save_model)
+                                 pinball_loss, predict_batch, save_model,
+                                 visit_rows)
 from conftraj.synth import SynthConfig, generate
 
 Point = namedtuple("Point", "mean std")
@@ -46,6 +48,21 @@ def linear_dataset(n, d=2, seed=0, noise=0.0, slope=-0.01):
 
 # ---------------------------------------------------------------------------
 # GP
+
+@pytest.mark.parametrize("d", [0, 3])
+def test_visit_rows_are_per_subject_rows(d):
+    # subjects of 0, 1 and 2 visits; feature_dim 0 leaves the baseline alone
+    rng = np.random.default_rng(d)
+    subjects = [SubjectRecord(f"s{i}", rng.standard_normal(d), {}, float(rng.standard_normal()),
+                              tuple((6 * (j + 1), 0.0) for j in range(i % 3)))
+                for i in range(7)]
+    times = [s.visit_times for s in subjects]
+    X, t, offsets = visit_rows(subjects, times)
+    want = [[*s.features, s.baseline_value] for s in subjects for _ in s.visits]
+    assert X.shape == (len(want), d + 1) and X.tolist() == want
+    assert t.tolist() == [tv for ts in times for tv in ts]
+    assert offsets == list(accumulate(map(len, times), initial=0))
+
 
 def dense_gp_oracle(Zt, yt, Zq, signal_var, ls, noise_var):
     """Direct matrix-inverse GP posterior, independent of the Cholesky path."""
@@ -121,11 +138,11 @@ def assert_picks_brute_force_argmax(m, Z, y, lengthscales, signal_vars, noise_va
     """m holds the brute-force argmax's hyperparameters, and as its log
     marginal the grid's own score of that point, which agrees with the
     Cholesky one."""
-    from conftraj.predictors import _grid_log_marginals
+    from conftraj.predictors import _grid_search
     grid = (Z, y, lengthscales, signal_vars, noise_vars)
     lml, ls, sv, nv = max(brute_force_grid(*grid), key=lambda g: g[0])   # first maximum wins
     assert (m.lengthscale, m.signal_var, m.noise_var) == (ls, sv, nv)
-    scored, _ = _grid_log_marginals(*grid)
+    scored, _ = _grid_search(*grid)[:2]
     assert m.log_marginal == next(g[0] for g in scored if g[1:] == (ls, sv, nv))
     assert m.log_marginal == pytest.approx(lml, rel=0.0, abs=1e-6)
 
@@ -147,12 +164,12 @@ def test_gp_argmax_log_marginal():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_gp_eigen_grid_matches_factor(seed):
-    from conftraj.predictors import _grid_log_marginals
+    from conftraj.predictors import _grid_search
     rng = np.random.default_rng(100 + seed)
     n, d = int(rng.integers(5, 60)), int(rng.integers(1, 4))
     ds, *_ = linear_dataset(n, d=d, seed=200 + seed, noise=float(rng.uniform(0.01, 0.5)))
     Z, y, lss, svs, nvs = default_gp_grid(ds)
-    scored, n_fallback = _grid_log_marginals(Z, y, lss, svs, nvs)
+    scored, n_fallback = _grid_search(Z, y, lss, svs, nvs)[:2]
     brute = brute_force_grid(Z, y, lss, svs, nvs)
     assert n_fallback == 0
     assert [g[1:] for g in scored] == [g[1:] for g in brute]
@@ -171,14 +188,14 @@ def test_gp_grid_argmax_on_acceptance_cohorts(seed):
 
 
 def test_gp_degenerate_grid_falls_back_to_factor(caplog):
-    from conftraj.predictors import _grid_log_marginals
+    from conftraj.predictors import _grid_search
     ds, X, ts, ys = linear_dataset(30, seed=4, noise=0.2)
     # every row twice: the noiseless kernel matrix is singular
     ds = dataset_from_rows(np.vstack([X, X]), np.concatenate([ts, ts]),
                            np.concatenate([ys, ys]))
     Z, y, lss, svs, _ = default_gp_grid(ds)
     nvs = [0.0, 0.01 * float(np.var(y))]
-    scored, n_fallback = _grid_log_marginals(Z, y, lss, svs, nvs)
+    scored, n_fallback = _grid_search(Z, y, lss, svs, nvs)[:2]
     assert 0 < n_fallback < len(scored)
     with caplog.at_level(logging.DEBUG, logger="conftraj.predictors"):
         m = fit_gp(ds, noise_vars=nvs, seed=0)
