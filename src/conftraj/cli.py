@@ -101,7 +101,9 @@ _CONFIG = {
                              lambda v: _numbers(v) and all(0 <= f < 1 for f in v))},
     "risk": {"direction": ("decreasing", "'decreasing' or 'increasing'",
                            lambda v: v in ("decreasing", "increasing")),
-             "bootstrap_B": (_RISK["bootstrap_B"], "an int >= 1", _positive_int)},
+             "bootstrap_B": (_RISK["bootstrap_B"],
+                             f"an int in [1, {risk_mod.MAX_BOOTSTRAP_B}]",
+                             lambda v: _int(v) and 1 <= v <= risk_mod.MAX_BOOTSTRAP_B)},
 }
 
 
@@ -233,10 +235,27 @@ def _fit_split(cfg, ds):
 
 
 def cmd_fit(cfg, out: Path):
-    model, stats, _, _ = _fit_split(cfg, _load_dataset(cfg))
+    ds = _load_dataset(cfg)
+    model, stats, calib, test = _fit_split(cfg, ds)
     save_model(model, out / "model.json")
     _write_json(out / "scaling.json",
                 {"schema": SCHEMA_TAG, "mean": stats.mean, "std": stats.std})
+    held_out = {s.subject_id for part in (calib, test) for s in part.subjects}
+    _write_json(out / "train_subjects.json", {"schema": SCHEMA_TAG, "subject_ids": sorted(
+        s.subject_id for s in ds.subjects if s.subject_id not in held_out)})
+
+
+def _training_ids(model_dir: Path) -> set:
+    """The IDs of the subjects that trained the model in model_dir, as fit
+    wrote them to train_subjects.json."""
+    path = model_dir / "train_subjects.json"
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    ids = doc.get("subject_ids") if isinstance(doc, dict) else None
+    if not isinstance(ids, list) or not all(isinstance(s, str) for s in ids):
+        raise ConfigurationError(f"model file {path}: key 'subject_ids' must be a "
+                                 f"list of strings, got {ids!r}")
+    return set(ids)
 
 
 def cmd_calibrate(cfg, out: Path):
@@ -249,7 +268,16 @@ def cmd_calibrate(cfg, out: Path):
     stats = StandardizationStats(*(read_checked(fh.name, sc, k) for k in ("mean", "std")))
     idx = split(ds, _get(cfg, "evaluation.test_frac"), _get(cfg, "evaluation.calib_frac"),
                 _get(cfg, "seed"))
-    calib_std, _ = standardize(ds.subset(idx.calib), stats)
+    calib = ds.subset(idx.calib)
+    # split conformal's guarantee needs calibration subjects the model never saw
+    trained = _training_ids(model_dir)
+    overlap = sorted(s.subject_id for s in calib.subjects if s.subject_id in trained)
+    if overlap:
+        raise ConfigurationError(
+            f"{len(overlap)} of the {len(calib)} calibration subjects trained the model "
+            f"in {model_dir}, first {overlap[0]!r}; calibrate with the seed, "
+            "evaluation.test_frac and evaluation.calib_frac that fit used")
+    calib_std, _ = standardize(calib, stats)
     cal = calibrate_groups(calib_std, conformal.score_dataset(model, calib_std),
                            _get(cfg, "conformal.alpha"), _get(cfg, "conformal.group_by"))
     _write_json(out / "calibration.json", {"schema": SCHEMA_TAG, **_cal_to_doc(cal)})

@@ -22,6 +22,8 @@ from .errors import ConfigurationError, DataError
 
 PROGRESSOR = "progressor"
 STABLE = "stable"
+# the most bootstrap replicates one CI draws: their (B, 4) counts take 32 MB
+MAX_BOOTSTRAP_B = 10**6
 
 
 @dataclass(frozen=True)
@@ -162,28 +164,38 @@ def youden_threshold(scores, labels, rule="le"):
     return best_tau
 
 
+def _replicate_counts(cell, B, seed):
+    """(tn, fn, fp, tp) counts of B uniform resamples of the n cells.
+
+    A resample of n subjects draws each cell with its frequency, so its
+    four counts are Multinomial(n, cell frequencies): one multinomial call
+    draws every replicate.
+    """
+    n = len(cell)
+    return np.random.default_rng(seed).multinomial(
+        n, np.bincount(cell, minlength=4) / n, size=B)
+
+
 def bootstrap_ci(scores, labels, tau, rule="le", B=2000, level=0.95, seed=0):
     """Percentile bootstrap CIs for the metrics at a fixed threshold.
 
     tau is fixed, so each subject's confusion cell is too: a replicate
-    reduces to four counts of the resampled cells.  Replicates that
-    resample a single class are skipped; the skip count is reported under
-    "n_skipped".
+    reduces to four counts of the resampled cells, and all B replicates'
+    counts come from one multinomial draw (see _replicate_counts).
+    Replicates that resample a single class are skipped; the skip count is
+    reported under "n_skipped".
     """
-    if isinstance(B, bool) or not isinstance(B, (int, np.integer)) or B < 1:
-        raise ConfigurationError(f"bootstrap B must be a positive int, got {B!r}")
+    if (isinstance(B, bool) or not isinstance(B, (int, np.integer))
+            or not 1 <= B <= MAX_BOOTSTRAP_B):
+        raise ConfigurationError(
+            f"bootstrap B must be an int in [1, {MAX_BOOTSTRAP_B}], got {B!r}")
     if not isinstance(level, (int, float)) or not 0 < level < 1:   # bools fail too
         raise ConfigurationError(f"bootstrap level must be in (0,1), got {level!r}")
     scores, pos = _checked(scores, labels)
     _both_classes(pos, f"bootstrap CI (B={B})")
     n = len(scores)
     cell = 2 * _flags(scores, tau, rule) + pos          # 0 tn, 1 fn, 2 fp, 3 tp
-    rng = np.random.default_rng(seed)
-    # n indices per replicate, not a B x n index matrix: at n = B = 2000
-    # that would take 32 MB
-    counts = np.empty((B, 4), dtype=np.int64)
-    for b in range(B):
-        counts[b] = np.bincount(cell[rng.integers(0, n, size=n)], minlength=4)
+    counts = _replicate_counts(cell, B, seed)
     n_pos = counts[:, 1] + counts[:, 3]
     kept = counts[(n_pos > 0) & (n_pos < n)]
     if not len(kept):

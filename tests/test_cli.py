@@ -1,12 +1,18 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftraj.cli import _CONFIG, main
 from conftraj.conformal import mondrian_calibrate, score_dataset
-from conftraj.data_model import CsvSchema, load_csv
+from conftraj.data_model import CsvSchema, load_csv, split
 from conftraj.evaluation import fit_split
 from conftraj.risk import risk_pipeline
 
@@ -27,6 +33,9 @@ def gen_cohort(tmp_path, n=120, seed=0, extra=None):
     assert run(["generate", "--config", cfg, "--seed", str(seed),
                 "--out", str(out)]) == 0
     return out
+
+
+FEATURES = ("f0", "f1", "f2", "f3")
 
 
 def data_section(gen_dir, feature_dim=4):
@@ -94,6 +103,104 @@ def test_fit_then_calibrate(tmp_path):
     assert cal["alpha"] == 0.2
     assert cal["rank"] >= 1
     assert cal["radius"] == "inf" or cal["radius"] >= 0
+
+    ds = load_csv(gen / "cohort.csv", CsvSchema(feature_cols=FEATURES))
+    train = json.loads((out / "train_subjects.json").read_text())
+    assert train == {"schema": "conftraj-output-v1", "subject_ids": sorted(
+        ds.subjects[i].subject_id for i in split(ds, 0.2, 0.2, 1).train)}
+
+
+def calibrate_after_fit(tmp, gen, fit_seed, fit_fracs, cal_seed, cal_fracs):
+    """Exit code and stderr of `calibrate` on the model that `fit` wrote, each
+    with its own seed and (test_frac, calib_frac)."""
+    for command, seed, fracs in (("fit", fit_seed, fit_fracs),
+                                 ("calibrate", cal_seed, cal_fracs)):
+        cfg = write_config(tmp / f"{command}.json", {
+            "data": data_section(gen),
+            "predictor": {"kind": "bootstrap", "model_dir": str(tmp / "fit")},
+            "evaluation": dict(zip(("test_frac", "calib_frac"), fracs))})
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run([command, "--config", cfg, "--seed", str(seed),
+                        "--out", str(tmp / command)])
+    return code, err.getvalue()
+
+
+def test_calibrate_refuses_subjects_that_trained_the_model(tmp_path):
+    # fit --seed 0 then calibrate --seed 1 draws a calibration set that is
+    # mostly training subjects; the same seed draws none of them
+    gen = gen_cohort(tmp_path, n=300)
+    ds = load_csv(gen / "cohort.csv", CsvSchema(feature_cols=FEATURES))
+    train = {ds.subjects[i].subject_id for i in split(ds, 0.1, 0.2, 0).train}
+    calib = [ds.subjects[i].subject_id for i in split(ds, 0.1, 0.2, 1).calib]
+    overlap = sorted(set(calib) & train)
+    assert len(calib) == 54 and len(overlap) > 30
+    code, err = calibrate_after_fit(tmp_path, gen, 0, (0.1, 0.2), 1, (0.1, 0.2))
+    assert code == 1
+    assert err == (f"error [ConfigurationError]: {len(overlap)} of the 54 calibration "
+                   f"subjects trained the model in {tmp_path / 'fit'}, first "
+                   f"{overlap[0]!r}; calibrate with the seed, evaluation.test_frac and "
+                   "evaluation.calib_frac that fit used\n")
+    assert not (tmp_path / "calibrate" / "calibration.json").exists()
+    assert calibrate_after_fit(tmp_path, gen, 0, (0.1, 0.2), 0, (0.1, 0.2)) == (0, "")
+
+
+@pytest.fixture(scope="module")
+def small_cohort(tmp_path_factory):
+    gen = gen_cohort(tmp_path_factory.mktemp("small"), n=40)
+    return gen, load_csv(gen / "cohort.csv", CsvSchema(feature_cols=FEATURES))
+
+
+FRACTIONS = st.tuples(st.sampled_from([0.1, 0.2, 0.3]), st.sampled_from([0.2, 0.3, 0.5]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 3), FRACTIONS, st.integers(0, 3), FRACTIONS)
+def test_calibrate_refuses_or_calibrates_on_unseen_subjects(small_cohort, fit_seed,
+                                                            fit_fracs, cal_seed, cal_fracs):
+    gen, ds = small_cohort
+    train = {ds.subjects[i].subject_id for i in split(ds, *fit_fracs, fit_seed).train}
+    calib = [ds.subjects[i].subject_id for i in split(ds, *cal_fracs, cal_seed).calib]
+    overlap = sorted(set(calib) & train)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        code, err = calibrate_after_fit(tmp, gen, fit_seed, fit_fracs, cal_seed, cal_fracs)
+        if overlap:
+            assert code == 1 and err.startswith(
+                f"error [ConfigurationError]: {len(overlap)} of the {len(calib)} "
+                f"calibration subjects trained the model in {tmp / 'fit'}, first "
+                f"{overlap[0]!r}; ")
+        else:
+            assert (code, err) == (0, "")
+            doc = json.loads((tmp / "calibrate" / "calibration.json").read_text())
+            assert doc["n"] == len(calib)
+
+
+@pytest.mark.parametrize("doc,error", [
+    (None, "FileNotFoundError"),
+    ({"schema": "conftraj-output-v1"}, "ConfigurationError"),
+    ({"subject_ids": "s0001"}, "ConfigurationError"),
+    ({"subject_ids": [1, 2]}, "ConfigurationError"),
+    (["s0001"], "ConfigurationError"),
+], ids=["missing", "no-ids", "ids-string", "ids-ints", "not-an-object"])
+def test_calibrate_rejects_bad_training_subjects_file(tmp_path, capsys, fitted_dirs,
+                                                     doc, error):
+    gen, dirs = fitted_dirs
+    model_dir = tmp_path / "model"
+    model_dir.mkdir()
+    for name in ("model.json", "scaling.json"):
+        (model_dir / name).write_bytes((dirs["bootstrap"] / name).read_bytes())
+    if doc is not None:
+        (model_dir / "train_subjects.json").write_text(json.dumps(doc))
+    cfg = write_config(tmp_path / "cal.json", {
+        "data": data_section(gen),
+        "predictor": {"kind": "bootstrap", "model_dir": str(model_dir)},
+        "evaluation": {"test_frac": 0.2, "calib_frac": 0.3}})
+    assert run(["calibrate", "--config", cfg, "--out", str(tmp_path / "cal")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{error}]: ") and "train_subjects.json" in err
+    if error == "ConfigurationError":
+        assert "'subject_ids' must be a list of strings" in err
 
 
 def test_sweep_and_stratify_and_risk(tmp_path):
@@ -432,6 +539,18 @@ def test_risk_with_group_by_uses_mondrian_calibration(tmp_path):
                 int(r["n_excluded"])) for r in csv.DictReader(fh)]
     assert got == [(name, reports[name].roc_auc, reports[name].pr_auc, reports[name].n,
                     reports[name].n_excluded) for name in ("roc_hat", "rocb")]
+
+
+def test_bootstrap_B_above_bound_rejected(tmp_path, capsys, fitted_dirs):
+    # the counts of 10**15 replicates would not fit in memory
+    gen, _ = fitted_dirs
+    code, err = config_error(tmp_path, capsys, "risk", {
+        "data": data_section(gen), "predictor": {"kind": "bootstrap"},
+        "risk": {"bootstrap_B": 10**15}})
+    assert code == 1
+    assert err == ("error [ConfigurationError]: risk.bootstrap_B must be an int in "
+                   "[1, 1000000], got 1000000000000000\n")
+    assert _CONFIG["risk"]["bootstrap_B"][2](10**6)
 
 
 def test_seed_checked_after_flag_override(tmp_path, capsys):

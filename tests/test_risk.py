@@ -13,9 +13,10 @@ from conftraj.conformal import (GroupCalibration, band_for_subject, calibrate,
 from conftraj.data_model import split, standardize
 from conftraj.errors import ConfigurationError, DataError
 from conftraj.evaluation import fit_predictor
-from conftraj.risk import (PROGRESSOR, STABLE, RiskRecord, _score_report,
-                           bootstrap_ci, classify_metrics, risk_pipeline,
-                           roc_hat, rocb, threshold_free, youden_threshold)
+from conftraj.risk import (MAX_BOOTSTRAP_B, PROGRESSOR, STABLE, RiskRecord,
+                           _replicate_counts, _score_report, bootstrap_ci,
+                           classify_metrics, risk_pipeline, roc_hat, rocb,
+                           threshold_free, youden_threshold)
 from conftraj.synth import GroupSpec, SynthConfig, generate
 
 
@@ -187,16 +188,13 @@ def classify_metrics_oracle(scores, labels, tau, rule):
             "balanced_accuracy": 0.5 * (recall + specificity)}
 
 
-def bootstrap_ci_loop_oracle(scores, labels, tau, rule, B, seed, level=0.95):
-    """One classify_metrics call per resample, as bootstrap_ci once ran."""
+def _percentile_ci_oracle(picks, scores, labels, tau, rule, level):
+    """Percentile CIs of classify_metrics_oracle over the index resamples
+    in picks, skipping those that hold a single class."""
     scores = np.asarray(scores, dtype=float)
-    labels = list(labels)
-    rng = np.random.default_rng(seed)
     samples = {m: [] for m in ("precision", "recall", "f1", "balanced_accuracy")}
     skipped = 0
-    n = len(scores)
-    for _ in range(B):
-        pick = rng.integers(0, n, size=n)
+    for pick in picks:
         lab = [labels[i] for i in pick]
         if len(set(lab)) < 2:
             skipped += 1
@@ -209,6 +207,33 @@ def bootstrap_ci_loop_oracle(scores, labels, tau, rule, B, seed, level=0.95):
            for m, v in samples.items()}
     out["n_skipped"] = skipped
     return out
+
+
+def bootstrap_ci_loop_oracle(scores, labels, tau, rule, B, seed, level=0.95):
+    """bootstrap_ci's multinomial draw of (tn, fn, fp, tp) counts, each
+    replicate realized as an index resample with those counts and scored by
+    classify_metrics_oracle."""
+    labels = list(labels)
+    scores = np.asarray(scores, dtype=float)
+    flagged = scores <= tau if rule == "le" else scores >= tau
+    pos = np.asarray([lab == PROGRESSOR for lab in labels])
+    members = [np.flatnonzero(~flagged & ~pos), np.flatnonzero(~flagged & pos),
+               np.flatnonzero(flagged & ~pos), np.flatnonzero(flagged & pos)]
+    n = len(scores)
+    freq = np.asarray([len(m) for m in members]) / n
+    draws = np.random.default_rng(seed).multinomial(n, freq, size=B)
+    picks = (np.concatenate([np.resize(m, k) for m, k in zip(members, counts)])
+             for counts in draws)
+    return _percentile_ci_oracle(picks, scores, labels, tau, rule, level)
+
+
+def bootstrap_ci_integers_oracle(scores, labels, tau, rule, B, seed, level=0.95):
+    """Uniform resampling of n subject indices per replicate, as bootstrap_ci
+    once drew them: equal to bootstrap_ci in distribution, not draw by draw."""
+    n = len(scores)
+    rng = np.random.default_rng(seed)
+    picks = (rng.integers(0, n, size=n) for _ in range(B))
+    return _percentile_ci_oracle(picks, scores, list(labels), tau, rule, level)
 
 
 def test_bootstrap_ci_skips_single_class_replicates():
@@ -230,7 +255,8 @@ def test_bootstrap_ci_matches_loop_oracle_with_many_skips():
 
 
 @pytest.mark.parametrize("kwargs", [{"B": 0}, {"B": -3}, {"B": 20.0}, {"B": "20"},
-                                    {"B": True}, {"level": 0.0}, {"level": 1.0},
+                                    {"B": True}, {"B": MAX_BOOTSTRAP_B + 1}, {"B": 10**15},
+                                    {"level": 0.0}, {"level": 1.0},
                                     {"level": "0.9"}, {"level": True}])
 def test_bootstrap_ci_rejects_bad_settings(kwargs):
     with pytest.raises(ConfigurationError):
@@ -240,9 +266,59 @@ def test_bootstrap_ci_rejects_bad_settings(kwargs):
 def test_bootstrap_ci_single_class_errors_name_B():
     with pytest.raises(DataError, match="B=40"):
         bootstrap_ci([0.1, 0.2], labels_of([True, True]), 0.1, B=40)
-    # seed 0 draws subject 1 twice, so the only replicate is single-class
+    # seed 3 draws the progressor's cell twice, so the only replicate is
+    # single-class
     with pytest.raises(DataError, match="B=1 "):
-        bootstrap_ci([0.1, 0.2], labels_of([True, False]), 0.1, B=1, seed=0)
+        bootstrap_ci([0.1, 0.2], labels_of([True, False]), 0.1, B=1, seed=3)
+
+
+def test_bootstrap_ci_agrees_in_distribution_with_uniform_resampling():
+    # over 300 seeds, each CI endpoint's mean and the skip rate of the
+    # multinomial draw match index resampling within 4 Monte Carlo standard
+    # errors; with two progressors among seven, about a tenth of the
+    # replicates ((5/7)**7) miss both
+    scores = [-1.0, -0.4, 0.1, 0.2, 0.3, 0.4, 0.5]
+    labels = labels_of([True, False, False, True, False, False, False])
+    B, seeds = 40, range(300)
+
+    def endpoints(ci):
+        return [v for m in ("precision", "recall", "f1", "balanced_accuracy")
+                for v in ci[m]] + [ci["n_skipped"] / B]
+
+    for rule, tau in (("le", 0.1), ("ge", 0.2)):
+        a = np.asarray([endpoints(bootstrap_ci(scores, labels, tau, rule, B=B, seed=seed))
+                        for seed in seeds])
+        b = np.asarray([endpoints(bootstrap_ci_integers_oracle(scores, labels, tau, rule,
+                                                               B, seed))
+                        for seed in seeds])
+        se = np.sqrt((a.var(axis=0, ddof=1) + b.var(axis=0, ddof=1)) / len(seeds))
+        assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 4 * se), rule
+        assert b[:, -1].mean() > 0.05, rule      # the skip rule is exercised
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=2, max_size=30), st.integers(1, 200),
+       st.integers(0, 2**16))
+def test_replicate_counts_invariants(cells, B, seed):
+    # each replicate resamples n subjects from the cells present, and
+    # bootstrap_ci skips a replicate iff it holds one class
+    cell = np.asarray(cells)
+    n = len(cell)
+    counts = _replicate_counts(cell, B, seed)
+    assert counts.shape == (B, 4)
+    assert np.all(counts.sum(axis=1) == n)
+    assert np.all(counts[:, np.bincount(cell, minlength=4) == 0] == 0)
+    n_pos = counts[:, 1] + counts[:, 3]
+    single = (n_pos == 0) | (n_pos == n)
+    pos = cell % 2 == 1
+    assume(pos.any() and not pos.all())
+    scores = np.where(cell >= 2, -1.0, 1.0)          # flagged iff score <= 0
+    if single.all():
+        with pytest.raises(DataError, match="single class"):
+            bootstrap_ci(scores, labels_of(pos), 0.0, "le", B=B, seed=seed)
+    else:
+        ci = bootstrap_ci(scores, labels_of(pos), 0.0, "le", B=B, seed=seed)
+        assert ci["n_skipped"] == int(single.sum())
 
 
 def test_bootstrap_ci_memory_stays_below_an_index_matrix():
