@@ -22,39 +22,18 @@ from pathlib import Path
 from . import conformal, risk as risk_mod
 from .data_model import (CsvSchema, StandardizationStats, csv_rows, load_csv,
                          save_csv, split, standardize)
-from .errors import ConfigurationError, ConftrajError, DataError, NumericalError
-from .evaluation import (calibrate_groups, fit_split, run_protocol,
+from .errors import (ConfigurationError, ConftrajError, DataError, NumericalError,
+                     check_rules, is_int, is_number, is_numbers)
+from .evaluation import (MAX_SPLITS, calibrate_groups, fit_split, run_protocol,
                          stratified_compare, sweep_calibration_fraction)
-from .predictors import KINDS, load_model, predictor_options, read_checked, save_model
-from .synth import GroupSpec, SynthConfig, generate, is_number
+from .predictors import KINDS, load_model, read_checked, save_model
+from .synth import SYNTH_RULES, GroupSpec, SynthConfig, generate
 
 SCHEMA_TAG = "conftraj-output-v1"
 
 
-def _int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _positive_int(v):
-    return _int(v) and v >= 1
-
-
 def _fraction(v):
     return is_number(v) and 0 < v < 1
-
-
-def _numbers(v):
-    return isinstance(v, list) and v != [] and all(map(is_number, v))
-
-
-def _option_rule(default):
-    """(what a predictor option must be, test), from the type of its default
-    in the fit's signature; a tuple or None default is a grid or levels."""
-    if isinstance(default, int):
-        return "an int", _int
-    if isinstance(default, float):
-        return "a number", is_number
-    return "a non-empty list of numbers", _numbers
 
 
 def _defaults(fn):
@@ -65,22 +44,20 @@ def _defaults(fn):
 _STRING = ("a string", lambda v: isinstance(v, str))
 _STRINGS = ("a list of strings",
             lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v))
-# (what a value must be, test) for each annotation of a SynthConfig field
-_ANNOTATED = {"int": ("an int", _int), "float": ("a number", is_number),
-              "bool": ("true or false", lambda v: isinstance(v, bool)), "str": _STRING,
-              "tuple": ("a list of objects",
-                        lambda v: isinstance(v, list) and all(isinstance(g, dict) for g in v))}
+_OBJECTS = ("a list of objects",
+            lambda v: isinstance(v, list) and all(isinstance(g, dict) for g in v))
 _RUN, _SWEEP, _RISK = map(_defaults, (run_protocol, sweep_calibration_fraction,
                                       risk_mod.risk_pipeline))
 
 # section -> key -> (default, what the value must be, test) for every key a
 # config may hold; section None is the top level.  Every given value is
 # checked on load, and _get reads it or its default; a MISSING default marks
-# a key that each command reading it requires.
+# a key that each command reading it requires.  synth keys and
+# predictor.options take the rules of their owners, SynthConfig and the fits.
 _CONFIG = {
-    None: {"seed": (0, "an int >= 0", lambda v: _int(v) and v >= 0),
+    None: {"seed": (0, "an int >= 0", lambda v: is_int(v) and v >= 0),
            "out": (MISSING, *_STRING)},
-    "synth": {f.name: (f.default, *_ANNOTATED[f.type])
+    "synth": {f.name: (f.default, *SYNTH_RULES.get(f.name, _OBJECTS))
               for f in fields(SynthConfig) if f.name != "seed"},
     "data": {"path": (MISSING, *_STRING), "truth_path": (MISSING, *_STRING),
              **{f.name: (f.default, *(_STRING if f.type == "str" else _STRINGS))
@@ -92,18 +69,19 @@ _CONFIG = {
     "conformal": {"alpha": (0.1, "a number in (0,1) (conformal.calibrate precondition)",
                             _fraction),
                   "group_by": (_RUN["group_by"], *_STRING)},
-    "evaluation": {"n_splits": (_RUN["n_splits"], "an int >= 1", _positive_int),
+    "evaluation": {"n_splits": (_RUN["n_splits"], f"an int in [1, {MAX_SPLITS}]",
+                                lambda v: is_int(v) and 1 <= v <= MAX_SPLITS),
                    "test_frac": (_RUN["test_frac"], "a number in (0,1)", _fraction),
                    "calib_frac": (_RUN["calib_frac"], "a number in (0,1)", _fraction),
                    "mode": (_RUN["mode"], "'conformal' or 'baseline'",
                             lambda v: v in ("conformal", "baseline")),
                    "fracs": (_SWEEP["fracs"], "a non-empty list of numbers in [0,1)",
-                             lambda v: _numbers(v) and all(0 <= f < 1 for f in v))},
+                             lambda v: is_numbers(v) and all(0 <= f < 1 for f in v))},
     "risk": {"direction": ("decreasing", "'decreasing' or 'increasing'",
                            lambda v: v in ("decreasing", "increasing")),
              "bootstrap_B": (_RISK["bootstrap_B"],
                              f"an int in [1, {risk_mod.MAX_BOOTSTRAP_B}]",
-                             lambda v: _int(v) and 1 <= v <= risk_mod.MAX_BOOTSTRAP_B)},
+                             lambda v: is_int(v) and 1 <= v <= risk_mod.MAX_BOOTSTRAP_B)},
 }
 
 
@@ -130,17 +108,14 @@ def _validate_config(cfg: dict):
             _, expected, ok = rules[sub]
             if not ok(v):
                 raise ConfigurationError(f"{name} must be {expected}, got {v!r}")
-    kind = _get(cfg, "predictor.kind")
-    accepted = predictor_options(kind)
-    for name, value in _get(cfg, "predictor.options").items():
+    kind, options = _get(cfg, "predictor.kind"), _get(cfg, "predictor.options")
+    accepted = KINDS[kind].options
+    for name in options:
         if name not in accepted:
             raise ConfigurationError(
                 f"unknown key predictor.options.{name!r} for predictor kind "
                 f"{kind!r} (accepted: {', '.join(sorted(accepted))})")
-        expected, ok = _option_rule(accepted[name])
-        if not ok(value):
-            raise ConfigurationError(
-                f"predictor.options.{name} must be {expected}, got {value!r}")
+    check_rules(accepted, options, "predictor.options.")
     group_by, group_cols = _get(cfg, "conformal.group_by"), _get(cfg, "data.group_cols")
     if group_by is not None and group_by not in group_cols:
         raise ConfigurationError(f"conformal.group_by must be one of data.group_cols "

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the value rules whose
+failure is a ConfigurationError."""
+
+import sys
 
 
 class ConftrajError(Exception):
@@ -19,3 +22,32 @@ class ConfigurationError(ConftrajError):
 
 class NumericalError(ConftrajError):
     """A numerical routine failed beyond recoverable tolerances."""
+
+
+def is_int(v):
+    """An int that is not a bool, as a JSON integer is read."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_number(v):
+    """An int or float that is not a bool, as a JSON number is read."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def is_finite(v):
+    """A number that converts to a finite float (NaN fails the comparison)."""
+    return is_number(v) and abs(v) <= sys.float_info.max
+
+
+def is_numbers(v, test=is_number):
+    """A non-empty list or tuple whose every item passes test."""
+    return isinstance(v, (list, tuple)) and len(v) > 0 and all(map(test, v))
+
+
+def check_rules(rules, values, prefix=""):
+    """Raise a ConfigurationError naming prefix + name for the first value in
+    values (name -> value) that fails its rule (what it must be, test) in rules."""
+    for name, value in values.items():
+        expected, ok = rules[name]
+        if not ok(value):
+            raise ConfigurationError(f"{prefix}{name} must be {expected}, got {value!r}")

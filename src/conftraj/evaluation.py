@@ -19,10 +19,13 @@ import numpy as np
 from .conformal import (_make_bands, bands_for_dataset, calibrate,
                         mondrian_calibrate, score_dataset, worst_residuals)
 from .data_model import Dataset, split, standardize
-from .errors import ConfigurationError, ConftrajError, DataError
+from .errors import ConfigurationError, ConftrajError, DataError, is_int
 from .predictors import fit_predictor
 
 BUCKET_MONTHS = 12          # per_time_width buckets are follow-up years
+# every split refits the predictor and keeps its EvalReport, which report.json
+# and report.csv write out in full
+MAX_SPLITS = 10**4
 
 
 @dataclass(frozen=True)
@@ -155,6 +158,9 @@ def run_protocol(ds: Dataset, predictor_kind: str, alpha: float,
                  group_by: str | None = None, mode: str = "conformal",
                  predictor_opts: dict | None = None) -> MultiSplitReport:
     """Multi-split evaluation with mean and 95th-percentile aggregation."""
+    if not (is_int(n_splits) and 1 <= n_splits <= MAX_SPLITS):
+        raise ConfigurationError(
+            f"n_splits must be an int in [1, {MAX_SPLITS}], got {n_splits!r}")
     rng = np.random.default_rng(seed)
     split_seeds = rng.integers(0, 2 ** 31 - 1, size=n_splits)
     reports = []

@@ -23,19 +23,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .data_model import Dataset
-from .errors import ConfigurationError, DataError, NumericalError
+from .errors import (ConfigurationError, DataError, NumericalError, check_rules, is_finite,
+                     is_int, is_numbers)
 
 log = logging.getLogger(__name__)
 
 SIGMA_FLOOR = 1e-3
 
 _JITTERS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
-
-
-def _check_option(name, value, ok, expected):
-    """A fit option out of its range is a ConfigurationError naming it."""
-    if not ok:
-        raise ConfigurationError(f"{name} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -181,6 +176,16 @@ def _grid_search(Z, y, lengthscales, signal_vars, noise_vars):
     return scored, n_fallback, (ls, sv, nv), factor
 
 
+# option -> (what it must be, test), for each option of a fit; a None grid
+# in a library call is the default grid
+_GRID = ("a non-empty list of finite numbers > 0",
+         lambda v: is_numbers(v, is_finite) and min(v) > 0)
+_GP_OPTIONS = {"lengthscales": _GRID, "signal_vars": _GRID,
+               "noise_vars": ("a non-empty list of finite numbers >= 0",
+                              lambda v: is_numbers(v, is_finite) and min(v) >= 0),
+               "max_points": ("an int >= 2", lambda v: is_int(v) and v >= 2)}
+
+
 def fit_gp(train: Dataset, lengthscales=None, signal_vars=None, noise_vars=None,
            max_points: int = 512, seed: int = 0) -> GpModel:
     """Fit an exact RBF GP by grid search over the log marginal likelihood.
@@ -191,14 +196,9 @@ def fit_gp(train: Dataset, lengthscales=None, signal_vars=None, noise_vars=None,
     The model keeps K_inv, alpha and the log marginal of the factorization
     that scored the first best grid point (see _grid_search).
     """
-    _check_option("max_points", max_points, max_points >= 2, "an int >= 2")
-    for name, grid in (("lengthscales", lengthscales), ("signal_vars", signal_vars),
-                       ("noise_vars", noise_vars)):
-        zero_ok = name == "noise_vars"
-        if grid is not None:
-            _check_option(name, grid, len(grid) > 0 and all(
-                math.isfinite(v) and (v >= 0 if zero_ok else v > 0) for v in grid),
-                f"a non-empty list of finite numbers {'>= 0' if zero_ok else '> 0'}")
+    grids = dict(lengthscales=lengthscales, signal_vars=signal_vars, noise_vars=noise_vars)
+    check_rules(_GP_OPTIONS, {"max_points": max_points,
+                              **{name: g for name, g in grids.items() if g is not None}})
     Zraw, y, _ = design_matrix(train)
     if len(y) < 2:
         raise DataError("GP fitting needs at least 2 visit rows")
@@ -256,6 +256,15 @@ def pinball_loss(weights, Z1, y, levels):
     return total
 
 
+_QUANTILE_OPTIONS = {
+    "levels": ("a strictly increasing list of 2 or more numbers in (0, 1) "
+               "whose first and last sum to 1",
+               lambda v: is_numbers(v) and len(v) >= 2 and 0 < v[0] and v[-1] < 1
+               and all(a < b for a, b in zip(v, v[1:])) and abs(v[0] + v[-1] - 1) <= 1e-9),
+    "steps": ("an int >= 1", lambda v: is_int(v) and v >= 1),
+    "learning_rate": ("a finite number > 0", lambda v: is_finite(v) and v > 0)}
+
+
 def fit_quantile(train: Dataset, levels=(0.1, 0.5, 0.9), steps: int = 600,
                  learning_rate: float = 0.1) -> QuantileModel:
     """Minimize mean pinball loss by full-batch subgradient descent.
@@ -264,18 +273,9 @@ def fit_quantile(train: Dataset, levels=(0.1, 0.5, 0.9), steps: int = 600,
     reverted and the step size halved, so the recorded loss sequence is
     non-increasing.
     """
+    check_rules(_QUANTILE_OPTIONS,
+                {"levels": levels, "steps": steps, "learning_rate": learning_rate})
     levels = tuple(levels)
-    if len(levels) < 2 or not all(0 < q < 1 for q in levels):
-        raise ConfigurationError(f"quantile levels must be 2 or more numbers in (0, 1), "
-                                 f"got {levels}")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ConfigurationError("quantile levels must be strictly increasing")
-    if abs(levels[0] + levels[-1] - 1.0) > 1e-9:
-        raise ConfigurationError("outer quantile levels must satisfy lo + hi = 1")
-    _check_option("steps", steps, steps >= 1, "an int >= 1")
-    _check_option("learning_rate", learning_rate,
-                  math.isfinite(learning_rate) and learning_rate > 0, "a finite number > 0")
-
     Zraw, y, _ = design_matrix(train)
     scaler = InputScaler.fit(Zraw)
     Z1 = np.column_stack([scaler.apply(Zraw), np.ones(len(y))])
@@ -334,15 +334,17 @@ def _ridge_solve(Z1, y, lam):
         raise NumericalError("singular ridge normal equations")
 
 
+_BOOTSTRAP_OPTIONS = {
+    "B": ("an int >= 2", lambda v: is_int(v) and v >= 2),
+    "ridge_lambda": ("a finite number >= 0", lambda v: is_finite(v) and v >= 0),
+    "std_scale": ("a finite number > 0", lambda v: is_finite(v) and v > 0)}
+
+
 def fit_bootstrap(train: Dataset, B: int = 20, ridge_lambda: float = 1.0,
                   seed: int = 0, std_scale: float = 1.0) -> BootstrapModel:
     """Fit B closed-form ridge regressors on subject-level bootstrap resamples."""
-    if B < 2:
-        raise ConfigurationError("ensemble size B must be >= 2")
-    _check_option("ridge_lambda", ridge_lambda,
-                  math.isfinite(ridge_lambda) and ridge_lambda >= 0, "a finite number >= 0")
-    _check_option("std_scale", std_scale, math.isfinite(std_scale) and std_scale > 0,
-                  "a finite number > 0")
+    check_rules(_BOOTSTRAP_OPTIONS, {"B": B, "ridge_lambda": ridge_lambda,
+                                     "std_scale": std_scale})
     if len(train.scored_subjects()) < 2:
         raise DataError("bootstrap fitting needs at least 2 training subjects with visits")
     Zraw, y, offsets = design_matrix(train)
@@ -379,15 +381,16 @@ class Kind(NamedTuple):
     fit: Callable                 # fit(train, **options); seeded kinds also take seed
     predict: Callable             # predict(model, rows) -> (means, stds)
     shapes: dict                  # array field -> one letter per axis (see load_model)
+    options: dict                 # option of fit -> (what it must be, test)
 
 
 KINDS = {
     "gp": Kind(GpModel, fit_gp, _gp_predict_batch,
-               {"Z": "np", "y": "n", "K_inv": "nn", "alpha": "n"}),
+               {"Z": "np", "y": "n", "K_inv": "nn", "alpha": "n"}, _GP_OPTIONS),
     "quantile": Kind(QuantileModel, fit_quantile, _quantile_predict_batch,
-                     {"levels": "k", "weights": "kq"}),
+                     {"levels": "k", "weights": "kq"}, _QUANTILE_OPTIONS),
     "bootstrap": Kind(BootstrapModel, fit_bootstrap, _bootstrap_predict_batch,
-                      {"members": "Bq"}),
+                      {"members": "Bq"}, _BOOTSTRAP_OPTIONS),
 }
 
 
@@ -402,13 +405,6 @@ def _kind_of(model):
         if type(model) is kind.model:
             return name
     raise ConfigurationError(f"not a predictor model: {type(model).__name__}")
-
-
-def predictor_options(kind: str):
-    """Option name -> default of each option the fit of a predictor kind
-    accepts (fit_predictor supplies train and seed itself)."""
-    params = inspect.signature(_kind(kind).fit).parameters
-    return {name: p.default for name, p in params.items() if name not in ("train", "seed")}
 
 
 def fit_predictor(kind: str, train: Dataset, seed: int = 0, **opts):

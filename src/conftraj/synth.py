@@ -12,18 +12,12 @@ sorted, so they are strictly increasing integers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data_model import MAX_TIME, Dataset, SubjectRecord
-from .errors import ConfigurationError
-
-
-def is_number(v):
-    """An int or float that is not a bool, as a JSON number is read."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+from .errors import ConfigurationError, check_rules, is_finite, is_int, is_number
 
 
 @dataclass(frozen=True)
@@ -46,7 +40,7 @@ class GroupSpec:
             raise ConfigurationError(f"group {self.column}: probabilities must sum to 1")
         for key, expected, ok in (
                 ("noise_multipliers", "a positive finite number",
-                 lambda v: is_number(v) and 0 < v < math.inf),
+                 lambda v: is_finite(v) and v > 0),
                 ("progressor_rates", "a number in [0, 1]",
                  lambda v: is_number(v) and 0 <= v <= 1)):
             per_category = getattr(self, key)
@@ -62,21 +56,26 @@ class GroupSpec:
                         f"group {self.column}: {key}[{cat!r}] {v!r} is not {expected}")
 
 
-# (field, what it must be, test); NaN fails every comparison, so each
-# test also rejects it.  A visit time beyond MAX_TIME would not load back.
-_RANGES = (
-    ("feature_dim", "an int >= 0", lambda v: v >= 0),
-    ("max_time", "an int >= 1", lambda v: v >= 1),
-    ("max_time", "at most 2**53 - 1", lambda v: v <= MAX_TIME),
-    ("min_horizon", "an int >= 1", lambda v: v >= 1),
-    ("visits_mean", "a finite number >= 1", lambda v: 1 <= v < math.inf),
-    ("visits_mean", "at most 2**53 - 1", lambda v: v <= MAX_TIME),
-    ("noise_std", "a finite number >= 0", lambda v: 0 <= v < math.inf),
-    ("heterogeneity_std", "a finite number >= 0", lambda v: 0 <= v < math.inf),
-    ("progressor_frac", "a number in [0, 1]", lambda v: 0 <= v <= 1),
-    *((key, "a finite number", math.isfinite)
-      for key in ("slope_stable", "slope_progressor", "feature_signal")),
-)
+# field -> (what it must be, test), for every field but seed and group_spec
+# (GroupSpec checks its own).  A visit time beyond MAX_TIME would not load back.
+SYNTH_RULES = {
+    "n_subjects": ("an int >= 1", lambda v: is_int(v) and v >= 1),
+    "feature_dim": ("an int >= 0", lambda v: is_int(v) and v >= 0),
+    "max_time": ("an int >= 1 and at most 2**53 - 1",
+                 lambda v: is_int(v) and 1 <= v <= MAX_TIME),
+    "visits_mean": ("a finite number >= 1 and at most 2**53 - 1",
+                    lambda v: is_number(v) and 1 <= v <= MAX_TIME),
+    "noise_std": ("a finite number >= 0", lambda v: is_finite(v) and v >= 0),
+    "progressor_frac": ("a number in [0, 1]", lambda v: is_number(v) and 0 <= v <= 1),
+    "slope_stable": ("a finite number", is_finite),
+    "slope_progressor": ("a finite number", is_finite),
+    "heterogeneity_std": ("a finite number >= 0", lambda v: is_finite(v) and v >= 0),
+    "feature_signal": ("a finite number", is_finite),
+    "direction": ("'decreasing' or 'increasing'",
+                  lambda v: v in ("decreasing", "increasing")),
+    "varying_horizon": ("true or false", lambda v: isinstance(v, bool)),
+    "min_horizon": ("an int >= 1", lambda v: is_int(v) and v >= 1),
+}
 
 
 @dataclass(frozen=True)
@@ -98,18 +97,15 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_subjects < 1:
-            raise ConfigurationError("n_subjects must be positive")
-        for key, expected, ok in _RANGES:
-            value = getattr(self, key)
-            if not ok(value):
-                raise ConfigurationError(f"{key} must be {expected}, got {value!r}")
+        check_rules(SYNTH_RULES, {key: getattr(self, key) for key in SYNTH_RULES})
         if self.n_subjects * self.visits_mean > 10 ** 7:     # expected visit rows
             raise ConfigurationError(
                 "n_subjects * visits_mean must be at most 10**7 expected visit rows, "
                 f"got {self.n_subjects} * {self.visits_mean!r}")
-        if self.direction not in ("decreasing", "increasing"):
-            raise ConfigurationError(f"unknown direction {self.direction!r}")
+        if self.n_subjects * self.feature_dim > 10 ** 7:     # generated feature values
+            raise ConfigurationError(
+                "n_subjects * feature_dim must be at most 10**7 feature values, "
+                f"got {self.n_subjects} * {self.feature_dim}")
         sign = -1.0 if self.direction == "decreasing" else 1.0
         if sign * self.slope_progressor <= sign * self.slope_stable:
             raise ConfigurationError(

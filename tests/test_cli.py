@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from conftraj.cli import _CONFIG, main
 from conftraj.conformal import mondrian_calibrate, score_dataset
 from conftraj.data_model import CsvSchema, load_csv, split
-from conftraj.evaluation import fit_split
+from conftraj.evaluation import MAX_SPLITS, fit_split
+from conftraj.predictors import KINDS
 from conftraj.risk import risk_pipeline
+from conftraj.synth import SYNTH_RULES
 
 
 def run(argv):
@@ -338,7 +340,7 @@ def test_unknown_predictor_option_rejected(tmp_path, capsys):
         "data": {"path": str(tmp_path / "missing.csv")},
         "predictor": {"kind": "quantile", "options": {"seed": 3}}})
     assert code == 1 and "'seed'" in err
-    # a value must match the type of the fit's default for that option
+    # a value of the wrong type breaks the option's one rule, in predictors.KINDS
     for kind, name, value in [
             ("bootstrap", "B", "20"), ("bootstrap", "B", True), ("bootstrap", "B", 20.0),
             ("bootstrap", "ridge_lambda", "x"), ("bootstrap", "std_scale", [0.3]),
@@ -349,8 +351,9 @@ def test_unknown_predictor_option_rejected(tmp_path, capsys):
         code, err = config_error(tmp_path, capsys, "evaluate", {
             "data": {"path": str(tmp_path / "missing.csv")},
             "predictor": {"kind": kind, "options": {name: value}}})
-        assert code == 1 and err.startswith("error [ConfigurationError]: ")
-        assert f"predictor.options.{name} must be" in err
+        assert code == 1 and err.startswith(
+            f"error [ConfigurationError]: predictor.options.{name} must be "
+            f"{KINDS[kind].options[name][0]}, got ")
 
 
 def test_group_spec_missing_key_rejected(tmp_path, capsys):
@@ -392,6 +395,10 @@ def test_group_spec_missing_key_rejected(tmp_path, capsys):
     ("data", "feature_cols", [1]), ("data", "group_cols", 5),
     ("predictor", "model_dir", 5), ("predictor", "options", ["B"]),
     (None, "out", 5),
+    # each split refits, and run_protocol draws one seed per split up front
+    ("evaluation", "n_splits", MAX_SPLITS + 1), ("evaluation", "n_splits", 10 ** 12),
+    # a synth range is checked for every command, not only by generate
+    ("synth", "noise_std", -5), ("synth", "n_subjects", 0), ("synth", "direction", "up"),
 ])
 def test_typed_config_value_rejected(tmp_path, capsys, section, key, value):
     # the data file does not exist: the config is rejected before any load
@@ -404,7 +411,7 @@ def test_typed_config_value_rejected(tmp_path, capsys, section, key, value):
     out_flag = [] if key == "out" else ["--out", str(tmp_path / "o")]
     assert run(["risk", "--config", cfg, *out_flag]) == 1
     err = capsys.readouterr().err
-    assert "error [ConfigurationError]" in err and name in err
+    assert err.startswith(f"error [ConfigurationError]: {name} must be ")
 
 
 @pytest.mark.parametrize("name", [key if section is None else f"{section}.{key}"
@@ -419,6 +426,19 @@ def test_every_config_key_is_checked(tmp_path, capsys, name):
         assert run(["risk", "--config", cfg]) == 1
         assert capsys.readouterr().err.startswith(
             f"error [ConfigurationError]: {name} must be ")
+
+
+@pytest.mark.parametrize("kind,name", [(kind, name) for kind in KINDS
+                                       for name in KINDS[kind].options])
+def test_every_predictor_option_is_checked(tmp_path, capsys, kind, name):
+    # as for the config keys: null and a list of a list fit no option's rule,
+    # and the data file does not exist, so the config is rejected before any load
+    for value in (None, [[]]):
+        code, err = config_error(tmp_path, capsys, "evaluate", {
+            "data": {"path": str(tmp_path / "missing.csv")},
+            "predictor": {"kind": kind, "options": {name: value}}})
+        assert code == 1
+        assert err.startswith(f"error [ConfigurationError]: predictor.options.{name} must be ")
 
 
 @pytest.mark.parametrize("key,value,expected", [
@@ -447,13 +467,27 @@ def test_every_config_key_is_checked(tmp_path, capsys, name):
      "at most 10**7 expected visit rows"),
     ("n_subjects * visits_mean", {"n_subjects": 2, "visits_mean": 5_000_000.5},
      "at most 10**7 expected visit rows"),
+    # a feature matrix of 10**12 values would not fit in memory
+    ("n_subjects * feature_dim", {"n_subjects": 1, "feature_dim": 10 ** 12},
+     "at most 10**7 feature values"),
+    ("n_subjects * feature_dim", {"n_subjects": 10 ** 6 + 1, "feature_dim": 10,
+                                  "visits_mean": 1},
+     "at most 10**7 feature values"),
+    # an int beyond the float range is not a finite number either
+    pytest.param("slope_stable", 10 ** 400, "a finite number", id="slope_stable-10**400"),
 ])
 def test_synth_value_out_of_range_rejected(tmp_path, capsys, key, value, expected):
-    # the type is right, so the config passes; SynthConfig checks the range
-    synth = value if isinstance(value, dict) else {"n_subjects": 20, key: value}
+    # a single key breaks its rule in synth.SYNTH_RULES when the config is
+    # read; a whole section breaks a bound that SynthConfig checks across keys
+    if isinstance(value, dict):
+        synth, message = value, f"{key} must be {expected}, got "
+    else:
+        synth = {"n_subjects": 20, key: value}
+        message = f"synth.{key} must be {SYNTH_RULES[key][0]}, got "
+        assert expected in SYNTH_RULES[key][0]
     code, err = config_error(tmp_path, capsys, "generate", {"synth": synth})
     assert code == 1
-    assert err.startswith(f"error [ConfigurationError]: {key} must be {expected}, got ")
+    assert err.startswith(f"error [ConfigurationError]: {message}")
     assert not (tmp_path / "o" / "cohort.csv").exists()
 
 
@@ -716,6 +750,8 @@ def test_calibrate_rejects_bad_scaling_file(tmp_path, capsys, fitted_dirs, edit,
      "group site: noise_multipliers['b'] 0 is not a positive finite number"),
     ({"noise_multipliers": {"a": float("inf")}},
      "group site: noise_multipliers['a'] inf is not a positive finite number"),
+    ({"noise_multipliers": {"a": 10 ** 400}},
+     "group site: noise_multipliers['a'] 1000"),
     ({"noise_multipliers": [2.0]}, "group site: noise_multipliers must be an object"),
     ({"noise_multipliers": {"c": 2.0}},
      "group site: noise_multipliers names undeclared category 'c'"),
@@ -727,7 +763,8 @@ def test_calibrate_rejects_bad_scaling_file(tmp_path, capsys, fitted_dirs, edit,
     ({"noise_multiplier": {"a": 2.0}},
      "unknown config key 'synth.group_spec[0].noise_multiplier'"),
 ], ids=["strings", "out-of-range", "bool", "not-a-list", "multiplier-string",
-        "multiplier-zero", "multiplier-inf", "multipliers-list", "multiplier-category",
+        "multiplier-zero", "multiplier-inf", "multiplier-huge-int", "multipliers-list",
+        "multiplier-category",
         "rate-above-one", "rate-bool", "rates-number", "misspelt-key"])
 def test_group_spec_bad_probs_rejected(tmp_path, capsys, entry, expected):
     code, err = config_error(tmp_path, capsys, "generate", {
@@ -754,18 +791,21 @@ def test_group_spec_bad_probs_rejected(tmp_path, capsys, entry, expected):
     ("gp", "signal_vars", [-1.0], "a non-empty list of finite numbers > 0"),
     ("gp", "noise_vars", [-1.0], "a non-empty list of finite numbers >= 0"),
     ("gp", "noise_vars", [math.nan], "a non-empty list of finite numbers >= 0"),
+    ("bootstrap", "B", 1, "an int >= 2"),
+    ("quantile", "levels", [0.2, 0.5, 0.9], "whose first and last sum to 1"),
+    ("quantile", "levels", [0.9, 0.5, 0.1], "a strictly increasing list"),
+    ("quantile", "levels", [0.5], "2 or more numbers in (0, 1)"),
 ])
-def test_fit_option_out_of_range_rejected(tmp_path, capsys, fitted_dirs, kind, name, value,
-                                          expected):
-    # the type is right, so the config passes; the fit checks the range
-    gen, _ = fitted_dirs
-    cfg = write_config(tmp_path / "c.json", {
-        "data": data_section(gen), "predictor": {"kind": kind, "options": {name: value}},
-        "evaluation": {"n_splits": 1}})
-    assert run(["evaluate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error [ConfigurationError]: split 0: "
-                          f"{name} must be {expected}, got ")
+def test_fit_option_out_of_range_rejected(tmp_path, capsys, kind, name, value, expected):
+    # the option's rule in predictors.KINDS, the one its fit applies too,
+    # refuses the value when the config is read: the data file does not exist
+    code, err = config_error(tmp_path, capsys, "evaluate", {
+        "data": {"path": str(tmp_path / "missing.csv")},
+        "predictor": {"kind": kind, "options": {name: value}}})
+    assert code == 1
+    assert err.startswith(f"error [ConfigurationError]: predictor.options.{name} must be "
+                          f"{KINDS[kind].options[name][0]}, got ")
+    assert expected in KINDS[kind].options[name][0]
 
 
 def test_truth_csv_over_long_field_names_line(tmp_path, capsys, fitted_dirs):

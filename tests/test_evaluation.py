@@ -8,8 +8,8 @@ from conftraj import evaluation
 from conftraj.conformal import (PredictionBand, bands_for_dataset, calibrate,
                                 mondrian_calibrate, score_dataset)
 from conftraj.data_model import Dataset, SubjectRecord, split, standardize
-from conftraj.errors import DataError
-from conftraj.evaluation import (coverage_and_width, evaluate_split, fit_split,
+from conftraj.errors import ConfigurationError, DataError
+from conftraj.evaluation import (MAX_SPLITS, coverage_and_width, evaluate_split, fit_split,
                                  run_protocol, stratified_compare,
                                  sweep_calibration_fraction)
 from conftraj.predictors import fit_quantile, predict_batch, visit_rows
@@ -243,6 +243,13 @@ def test_run_protocol_names_split_of_package_errors(monkeypatch):
     monkeypatch.setattr(evaluation, "fit_predictor", broken_fit)
     with pytest.raises(DataError, match="split 0: no rows"):
         run_protocol(cohort(60, seed=1), "bootstrap", 0.1, n_splits=2, seed=0)
+
+
+@pytest.mark.parametrize("n_splits", [0, MAX_SPLITS + 1, 10 ** 12, 2.0, True])
+def test_run_protocol_refuses_n_splits_before_drawing_seeds(n_splits):
+    with pytest.raises(ConfigurationError,
+                       match=rf"^n_splits must be an int in \[1, {MAX_SPLITS}\], got "):
+        run_protocol(cohort(60, seed=1), "bootstrap", 0.1, n_splits=n_splits, seed=0)
 
 
 def reference_coverage_and_width(bands, test, grouping_column=None):

@@ -9,7 +9,7 @@ import pytest
 
 from conftraj.data_model import Dataset, SubjectRecord, split, standardize
 from conftraj.errors import ConfigurationError, DataError, NumericalError
-from conftraj.predictors import (SIGMA_FLOOR, BootstrapModel, InputScaler,
+from conftraj.predictors import (KINDS, SIGMA_FLOOR, BootstrapModel, InputScaler,
                                  QuantileModel, design_matrix, fit_bootstrap,
                                  fit_gp, fit_quantile, load_model,
                                  pinball_loss, predict_batch, save_model,
@@ -387,6 +387,25 @@ def test_bootstrap_requires_two_members():
     ds = multi_visit_dataset(5, seed=1)
     with pytest.raises(ConfigurationError):
         fit_bootstrap(ds, B=1)
+
+
+@pytest.mark.parametrize("kind,name", [(kind, name) for kind in KINDS
+                                       for name in KINDS[kind].options])
+def test_fit_wrong_type_names_the_option(kind, name):
+    # the rule a fit applies to its own arguments is the one the CLI applies
+    # to predictor.options
+    ds = multi_visit_dataset(5, seed=1)
+    for value in ("x", [[]]):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be "):
+            KINDS[kind].fit(ds, **{name: value})
+
+
+@pytest.mark.parametrize("kind,name,value", [
+    ("bootstrap", "B", 3.0), ("bootstrap", "B", "3"), ("bootstrap", "B", True),
+    ("quantile", "steps", 2.5), ("gp", "max_points", 512.0)])
+def test_fit_refuses_a_non_int_count(kind, name, value):
+    with pytest.raises(ConfigurationError, match=f"^{name} must be an int >= "):
+        KINDS[kind].fit(multi_visit_dataset(5, seed=1), **{name: value})
 
 
 def test_bootstrap_mean_converges_to_full_ridge():

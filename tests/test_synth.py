@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftraj.errors import ConfigurationError
-from conftraj.synth import GroupSpec, SynthConfig, generate
+from conftraj.synth import SYNTH_RULES, GroupSpec, SynthConfig, generate
 
 
 def test_noiseless_linear():
@@ -66,6 +66,21 @@ def test_group_labels_and_rates():
 def test_visits_mean_below_one_rejected():
     with pytest.raises(ConfigurationError):
         SynthConfig(n_subjects=10, visits_mean=0.5)
+
+
+@pytest.mark.parametrize("key", SYNTH_RULES)
+def test_wrong_type_names_the_field(key):
+    # each field's one rule covers its type as well as its range
+    for value in ("x", [[]]):
+        with pytest.raises(ConfigurationError, match=f"^{key} must be "):
+            SynthConfig(**{"n_subjects": 10, key: value})
+
+
+def test_feature_matrix_bounded():
+    with pytest.raises(ConfigurationError, match=r"^n_subjects \* feature_dim must be "
+                       r"at most 10\*\*7 feature values, got 1 \* 1000000000000$"):
+        SynthConfig(n_subjects=1, feature_dim=10 ** 12)
+    SynthConfig(n_subjects=10 ** 6, feature_dim=10, visits_mean=1)
 
 
 def test_slope_ordering_enforced():
