@@ -215,9 +215,9 @@ def cmd_fit(cfg, out: Path):
     save_model(model, out / "model.json")
     _write_json(out / "scaling.json",
                 {"schema": SCHEMA_TAG, "mean": stats.mean, "std": stats.std})
-    held_out = {s.subject_id for part in (calib, test) for s in part.subjects}
+    held_out = {*calib.subject_ids, *test.subject_ids}
     _write_json(out / "train_subjects.json", {"schema": SCHEMA_TAG, "subject_ids": sorted(
-        s.subject_id for s in ds.subjects if s.subject_id not in held_out)})
+        sid for sid in ds.subject_ids if sid not in held_out)})
 
 
 def _training_ids(model_dir: Path) -> set:
@@ -246,7 +246,7 @@ def cmd_calibrate(cfg, out: Path):
     calib = ds.subset(idx.calib)
     # split conformal's guarantee needs calibration subjects the model never saw
     trained = _training_ids(model_dir)
-    overlap = sorted(s.subject_id for s in calib.subjects if s.subject_id in trained)
+    overlap = sorted(sid for sid in calib.subject_ids if sid in trained)
     if overlap:
         raise ConfigurationError(
             f"{len(overlap)} of the {len(calib)} calibration subjects trained the model "

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Dataset, SubjectRecord
+from .data_model import Dataset, SubjectRecord, _offsets
 from .errors import ConfigurationError, DataError
 from .predictors import predict_batch, visit_rows
 
@@ -106,24 +106,30 @@ def score_dataset(model, calib: Dataset):
     """Worst normalized residual max_t |y_t - mu_t| / sigma_t for every
     calibration subject with visits, against the predicted (mu, sigma) at
     its visit times."""
-    subjects = calib.scored_subjects()
-    if not subjects:
+    counts = calib.visit_counts
+    scored = np.flatnonzero(counts)
+    if not len(scored):
         return []
-    X, t, offsets = visit_rows(subjects, [s.visit_times for s in subjects])
-    means, stds = predict_batch(model, X, t)
-    values = [y for s in subjects for _, y in s.visits]
-    return [NonconformityScore(s.subject_id, v)
-            for s, v in zip(subjects, worst_residuals(values, means, stds, offsets).tolist())]
+    means, stds = predict_batch(model, visit_rows(calib, counts), calib.times)
+    scores = worst_residuals(calib.values, means, stds, _offsets(counts[scored]))
+    ids = calib.subject_ids
+    return [NonconformityScore(ids[i], v) for i, v in zip(scored.tolist(), scores.tolist())]
 
 
-def _radii(subjects, gcal):
-    """One conformal radius per subject: its group's under Mondrian
-    calibration, else the population radius.  A category unseen in
+def _labels(ds: Dataset, rows, gcal):
+    """The labels of subjects rows of ds in the grouping column of a
+    Mondrian calibration gcal (None each for a population calibration)."""
+    codes, categories = ds.group(getattr(gcal, "grouping_column", None))
+    return [categories[c] for c in codes[rows].tolist()]
+
+
+def _radii(gcal, labels):
+    """One conformal radius per subject, given its label: its group's under
+    Mondrian calibration, else the population radius.  A category unseen in
     calibration falls back to the population radius, with one warning per
     call."""
     if not isinstance(gcal, GroupCalibration):
-        return [gcal.radius] * len(subjects)
-    labels = [s.group_labels.get(gcal.grouping_column) for s in subjects]
+        return [gcal.radius] * len(labels)
     unseen = [g for g in labels if g not in gcal.per_group]
     if unseen:
         log.warning("%d subject(s) with %r categories unseen in calibration %s: "
@@ -132,37 +138,41 @@ def _radii(subjects, gcal):
     return [gcal.per_group.get(g, gcal.fallback).radius for g in labels]
 
 
-def _make_bands(model, subjects, times, radii):
-    """One band per subject, mu +/- R * sigma at that subject's query times
-    (one list of times and one radius R per subject)."""
-    if not subjects:
+def _make_bands(model, ids, inputs, counts, times, radii):
+    """One band per subject i with counts[i] > 0, mu +/- R * sigma at its
+    counts[i] query times, consecutive in times, from its ID ids[i] and its
+    inputs[i] = [x; baseline], with one radius R per such subject from
+    radii."""
+    counts = np.asarray(counts)
+    rows = np.flatnonzero(counts)
+    if not len(rows):
         return []
-    if any(len(ts) == 0 for ts in times):
-        raise DataError("band requires at least one query time")
-    X, t, offsets = visit_rows(subjects, times)
-    means, stds = predict_batch(model, X, t)
-    return [PredictionBand(s.subject_id, tuple(ts), tuple(means[lo:hi].tolist()),
-                           tuple(stds[lo:hi].tolist()), radius)
-            for s, ts, radius, lo, hi in zip(subjects, times, radii, offsets, offsets[1:])]
+    means, stds = predict_batch(model, np.repeat(inputs, counts, axis=0), times)
+    t, mu, sd = np.asarray(times).tolist(), means.tolist(), stds.tolist()
+    bounds = _offsets(counts[rows]).tolist()
+    return [PredictionBand(ids[i], tuple(t[lo:hi]), tuple(mu[lo:hi]), tuple(sd[lo:hi]), radius)
+            for i, radius, lo, hi in zip(rows.tolist(), radii, bounds, bounds[1:])]
 
 
 def bands_for_dataset(model, ds: Dataset, gcal):
     """One band per scored subject, at that subject's visit times (batched)."""
-    subjects = ds.scored_subjects()
-    return _make_bands(model, subjects, [s.visit_times for s in subjects],
-                       _radii(subjects, gcal))
+    counts = ds.visit_counts
+    return _make_bands(model, ds.subject_ids, visit_rows(ds, 1), counts, ds.times,
+                       _radii(gcal, _labels(ds, np.flatnonzero(counts), gcal)))
 
 
 def mondrian_calibrate(calib: Dataset, scores, grouping_column: str,
                        alpha: float) -> GroupCalibration:
     """Per-category conformal radii plus a whole-set fallback."""
-    by_id = {s.subject_id: s for s in calib.subjects}
+    row_of = {sid: i for i, sid in enumerate(calib.subject_ids)}
+    codes, categories = calib.group(grouping_column)
+    codes = codes.tolist()
     groups: dict = {}
     for sc in scores:
-        subj = by_id.get(sc.subject_id)
-        if subj is None:
+        i = row_of.get(sc.subject_id)
+        if i is None:
             raise DataError(f"score for unknown subject {sc.subject_id}")
-        label = subj.group_labels.get(grouping_column)
+        label = categories[codes[i]]
         if label is None:
             raise DataError(f"subject {sc.subject_id} has no label for "
                             f"column {grouping_column!r}")
@@ -174,4 +184,8 @@ def mondrian_calibrate(calib: Dataset, scores, grouping_column: str,
 def band_for_subject(model, s: SubjectRecord, gcal, times) -> PredictionBand:
     """Band for one subject over a query time grid, selecting the group
     radius when gcal is Mondrian."""
-    return _make_bands(model, [s], [times], _radii([s], gcal))[0]
+    if not len(times):
+        raise DataError("band requires at least one query time")
+    label = s.group_labels.get(getattr(gcal, "grouping_column", None))
+    return _make_bands(model, [s.subject_id], [[*s.features, s.baseline_value]],
+                       [len(times)], times, _radii(gcal, [label]))[0]

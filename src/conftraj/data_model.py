@@ -3,7 +3,8 @@
 A cohort is a collection of subjects, each carrying a covariate vector, a
 baseline biomarker observation at month 0, and an ordered list of
 randomly-timed follow-up visits (positive integer months, strictly
-increasing).
+increasing).  A Dataset stores the cohort one array per column; the
+per-subject SubjectRecord is a view built on demand.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from array import array
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import repeat
 from operator import le, lt
 
@@ -56,27 +59,144 @@ class StandardizationStats:
             raise DataError(f"standardization std must be positive, got {self.std}")
 
 
-@dataclass(frozen=True)
+def _offsets(counts):
+    """Row offsets of consecutive runs of the given lengths: run i owns rows
+    offsets[i]:offsets[i + 1]."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    subjects: tuple
+    """A cohort, one array per column.  Subject i has ID subject_ids[i],
+    covariates features[i] and month-0 biomarker baseline[i]; its visits
+    are times[offsets[i]:offsets[i + 1]] (months >= 1, strictly increasing)
+    with biomarker values values[offsets[i]:offsets[i + 1]]; its label in
+    group_columns[j] is group_categories[j][group_codes[i, j]].  The arrays
+    are read-only."""
+    subject_ids: tuple
+    features: np.ndarray          # (n, d) float
+    baseline: np.ndarray          # (n,) float
+    offsets: np.ndarray           # (n + 1,) int
+    times: np.ndarray             # (offsets[-1],) int
+    values: np.ndarray            # (offsets[-1],) float
+    group_codes: np.ndarray       # (n, len(group_columns)) int
+    group_categories: tuple       # per group column, the labels its codes index
     feature_names: tuple
     group_columns: tuple
 
     def __post_init__(self):
-        ids = [s.subject_id for s in self.subjects]
-        if len(set(ids)) != len(ids):
+        for name, dtype in (("features", float), ("baseline", float), ("offsets", np.intp),
+                            ("times", np.int64), ("values", float),
+                            ("group_codes", np.intp)):
+            given = np.asarray(getattr(self, name))
+            if dtype is not float and given.dtype.kind not in "iu" and given.size and not (
+                    given.dtype.kind == "f"
+                    and np.all((given == np.floor(given)) & (abs(given) <= MAX_TIME))):
+                raise DataError(f"dataset column {name} holds a value that is not "
+                                "a whole number")
+            column = given.astype(dtype)       # a copy: the caller's array stays as it was
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        ids, offsets, times = self.subject_ids, self.offsets, self.times
+        n, d, g = len(ids), len(self.feature_names), len(self.group_columns)
+        if not (self.features.ndim == 2 and len(self.features) == n
+                and self.baseline.shape == (n,) and offsets.shape == (n + 1,)
+                and offsets[0] == 0 and np.all(offsets[1:] >= offsets[:-1])
+                and offsets[-1] == len(times) == len(self.values)
+                and self.group_codes.shape == (n, g) and len(self.group_categories) == g
+                and all(np.all((0 <= codes) & (codes < len(c)))
+                        for codes, c in zip(self.group_codes.T, self.group_categories))):
+            raise DataError(f"dataset columns do not line up with its {n} subjects "
+                            f"and {len(times)} visits")
+        # the checks of SubjectRecord, in subject order, then those of the cohort
+        owner = np.repeat(np.arange(n), np.diff(offsets))
+        early = owner[times < 1]
+        unordered = owner[1:][(times[1:] <= times[:-1]) & (owner[1:] == owner[:-1])]
+        first = min(early[:1].tolist() + unordered[:1].tolist(), default=None)
+        if first is not None:
+            raise DataError(f"subject {ids[first]}: visit time < 1" if first in early[:1]
+                            else f"subject {ids[first]}: visit times not strictly increasing")
+        if len(set(ids)) != n:
             raise DataError("duplicate subject_ids in dataset")
-        d = len(self.feature_names)
-        for s in self.subjects:
+        if n and self.features.shape[1] != d:
+            raise DataError(f"subject {ids[0]}: feature vector length "
+                            f"{self.features.shape[1]} != {d}")
+
+    @classmethod
+    def from_subjects(cls, subjects, feature_names, group_columns) -> "Dataset":
+        """The Dataset of a sequence of SubjectRecords, each holding a label
+        for every one of group_columns."""
+        subjects = tuple(subjects)
+        feature_names, group_columns = tuple(feature_names), tuple(group_columns)
+        n, d = len(subjects), len(feature_names)
+        categories = [{} for _ in group_columns]     # label -> code, in order of appearance
+        codes = []
+        for s in subjects:
             if len(s.features) != d:
                 raise DataError(f"subject {s.subject_id}: feature vector length "
                                 f"{len(s.features)} != {d}")
+            missing = [c for c in group_columns if c not in s.group_labels]
+            if missing:
+                raise DataError(f"subject {s.subject_id} has no label for "
+                                f"column {missing[0]!r}")
+            codes.append([cats.setdefault(s.group_labels[c], len(cats))
+                          for c, cats in zip(group_columns, categories)])
+        return cls(subject_ids=tuple(s.subject_id for s in subjects),
+                   features=np.array([s.features for s in subjects], dtype=float).reshape(n, d),
+                   baseline=[s.baseline_value for s in subjects],
+                   offsets=_offsets([len(s.visits) for s in subjects]),
+                   times=[t for s in subjects for t, _ in s.visits],
+                   values=[y for s in subjects for _, y in s.visits],
+                   group_codes=np.array(codes, dtype=np.intp).reshape(n, len(group_columns)),
+                   group_categories=tuple(tuple(c) for c in categories),
+                   feature_names=feature_names, group_columns=group_columns)
 
     def __len__(self):
-        return len(self.subjects)
+        return len(self.subject_ids)
+
+    @property
+    def visit_counts(self):
+        """The number of follow-up visits of each subject."""
+        return np.diff(self.offsets)
+
+    def group(self, column):
+        """(codes, categories) of a group column: subject i's label is
+        categories[codes[i]].  Every subject's label in a column the dataset
+        does not have is None."""
+        if column not in self.group_columns:
+            return np.zeros(len(self), dtype=np.intp), (None,)
+        j = self.group_columns.index(column)
+        return self.group_codes[:, j], self.group_categories[j]
+
+    def _label_rows(self):
+        """Each subject's labels, one per group column."""
+        columns = [[cats[c] for c in codes] for codes, cats in
+                   zip(self.group_codes.T.tolist(), self.group_categories)]
+        return list(zip(*columns)) if columns else [()] * len(self)
+
+    @cached_property
+    def subjects(self):
+        """One SubjectRecord per subject, built on first use."""
+        times, values = self.times.tolist(), self.values.tolist()
+        labels, bounds = self._label_rows(), self.offsets.tolist()
+        return tuple(
+            SubjectRecord(sid, self.features[i], dict(zip(self.group_columns, labels[i])),
+                          baseline, tuple(zip(times[lo:hi], values[lo:hi])))
+            for i, (sid, baseline, lo, hi) in enumerate(zip(
+                self.subject_ids, self.baseline.tolist(), bounds, bounds[1:])))
 
     def subset(self, indices) -> "Dataset":
-        return replace(self, subjects=tuple(self.subjects[i] for i in indices))
+        idx = np.asarray(indices, dtype=np.intp)
+        counts = self.visit_counts[idx]
+        offsets = _offsets(counts)
+        rows = np.repeat(self.offsets[:-1][idx] - offsets[:-1], counts) + np.arange(offsets[-1])
+        ids = self.subject_ids
+        return replace(self, subject_ids=tuple(ids[i] for i in idx.tolist()),
+                       features=self.features[idx], baseline=self.baseline[idx],
+                       offsets=offsets, times=self.times[rows], values=self.values[rows],
+                       group_codes=self.group_codes[idx])
 
     def scored_subjects(self):
         """Subjects with at least one follow-up visit (the only ones Eq-style
@@ -178,50 +298,66 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     becomes the baseline observation.  Duplicate (subject, time) rows,
     fractional or non-finite times, non-finite biomarker or feature cells,
     and rows whose features or group labels differ from the subject's
-    earlier rows are rejected.
+    earlier rows are rejected; the error names the first faulty row in file
+    order.  The file is read one row at a time into flat columns.
     """
     n_feat = len(schema.feature_cols)
     needed = ([schema.subject_col, schema.time_col, schema.value_col]
               + list(schema.feature_cols) + list(schema.group_cols))
-    # sid -> (first row's feature and group cells, its features, its group
-    # labels, {t: y}); a later row with the same cells reuses the features
+    # sid -> (code, first row's feature and group cells, its times so far)
     by_subject: dict = {}
+    labels = [{} for _ in schema.group_cols]     # per group column, label -> code
+    features, group_codes = [], []               # per subject, from its first row
+    codes, times, values = array("q"), array("q"), array("d")    # per row
     for row_no, cells in csv_rows(path, needed):
         sid, rest = cells[0], cells[3:]
         t = _parse_time(cells[1], row_no)
         entry = by_subject.get(sid)
-        if entry is not None and t in entry[3]:
+        if entry is not None and t in entry[2]:
             raise DataError(f"row {row_no}: duplicate (subject, time) = ({sid}, {t})")
-        reuse = entry is not None and rest == entry[0]
+        reuse = entry is not None and rest == entry[1]
         try:
             y = float(cells[2])
-            feats = entry[1] if reuse else [float(c) for c in rest[:n_feat]]
+            feats = None if reuse else [float(c) for c in rest[:n_feat]]
         except ValueError as exc:
             raise DataError(f"row {row_no}: non-numeric cell ({exc})")
         if not (math.isfinite(y) and (reuse or all(map(math.isfinite, feats)))):
             raise DataError(f"row {row_no}: non-finite biomarker or feature cell")
         if entry is None:
-            entry = by_subject[sid] = (rest, feats,
-                                       dict(zip(schema.group_cols, rest[n_feat:])), {})
-        elif not reuse and (feats != entry[1] or rest[n_feat:] != entry[0][n_feat:]):
+            entry = by_subject[sid] = (len(by_subject), rest, set())
+            features.append(feats)
+            group_codes.append([lab.setdefault(v, len(lab))
+                                for lab, v in zip(labels, rest[n_feat:])])
+        elif not reuse and (feats != features[entry[0]] or rest[n_feat:] != entry[1][n_feat:]):
             raise DataError(f"row {row_no}: subject {sid} features or group "
                             "labels differ from its earlier rows")
-        entry[3][t] = y
+        entry[2].add(t)
+        codes.append(entry[0])
+        times.append(t)
+        values.append(y)
 
-    subjects = []
-    n_empty = 0
-    for sid, (_, feats, groups, values) in by_subject.items():
-        times = sorted(values)
-        if times[0] != 0:
-            raise DataError(f"subject {sid}: no month-0 baseline row")
-        visits = tuple((t, values[t]) for t in times[1:])
-        if not visits:
-            n_empty += 1
-        subjects.append(SubjectRecord(sid, np.asarray(feats, dtype=float),
-                                      groups, values[0], visits))
+    n = len(by_subject)
+    codes, times = np.frombuffer(codes, dtype=np.int64), np.frombuffer(times, dtype=np.int64)
+    order = np.lexsort((times, codes))
+    counts = np.bincount(codes, minlength=n)
+    starts = _offsets(counts)[:-1]
+    times, values = times[order], np.frombuffer(values)[order]
+    sids = tuple(by_subject)
+    missing = np.flatnonzero(times[starts] != 0)
+    if len(missing):
+        raise DataError(f"subject {sids[missing[0]]}: no month-0 baseline row")
+    visit = np.ones(len(times), dtype=bool)
+    visit[starts] = False
+    n_empty = int(np.count_nonzero(counts == 1))
     if n_empty:
-        log.info("loaded %d subjects, %d with no follow-up visits", len(subjects), n_empty)
-    return Dataset(tuple(subjects), tuple(schema.feature_cols), tuple(schema.group_cols))
+        log.info("loaded %d subjects, %d with no follow-up visits", n, n_empty)
+    return Dataset(subject_ids=sids, features=np.array(features, dtype=float).reshape(n, n_feat),
+                   baseline=values[starts], offsets=_offsets(counts - 1),
+                   times=times[visit], values=values[visit],
+                   group_codes=np.array(group_codes, dtype=np.intp).reshape(n, len(labels)),
+                   group_categories=tuple(tuple(lab) for lab in labels),
+                   feature_names=tuple(schema.feature_cols),
+                   group_columns=tuple(schema.group_cols))
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -232,35 +368,37 @@ def save_csv(ds: Dataset, path) -> None:
     header = (["subject_id", "time_months", "biomarker"]
               + list(ds.feature_names) + list(ds.group_columns))
     limit = csv.field_size_limit()
+    times, values, bounds = ds.times.tolist(), ds.values.tolist(), ds.offsets.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for s in ds.subjects:
-            feats = [repr(float(v)) for v in s.features]
-            groups = [s.group_labels[c] for c in ds.group_columns]
-            if "\0" in s.subject_id or any("\0" in g for g in groups):
-                raise DataError(f"subject {s.subject_id!r}: NUL character in its ID "
+        for sid, feats, groups, baseline, lo, hi in zip(
+                ds.subject_ids, ds.features.tolist(), ds._label_rows(), ds.baseline.tolist(),
+                bounds, bounds[1:]):
+            if "\0" in sid or any("\0" in g for g in groups):
+                raise DataError(f"subject {sid!r}: NUL character in its ID "
                                 "or a group label")
-            longest = max(len(text) for text in (s.subject_id, *groups))
+            longest = max(len(text) for text in (sid, *groups))
             if longest > limit:
-                raise DataError(f"subject {s.subject_id[:20]!r} (ID of {len(s.subject_id)} "
+                raise DataError(f"subject {sid[:20]!r} (ID of {len(sid)} "
                                 f"characters): its ID or a group label has {longest} "
                                 f"characters, over the csv field limit ({limit})")
-            writer.writerow([s.subject_id, 0, repr(float(s.baseline_value))] + feats + groups)
-            for t, y in s.visits:
-                writer.writerow([s.subject_id, t, repr(float(y))] + feats + groups)
+            tail = [repr(v) for v in feats] + list(groups)
+            writer.writerow([sid, 0, repr(baseline)] + tail)
+            writer.writerows([sid, t, repr(y)] + tail
+                             for t, y in zip(times[lo:hi], values[lo:hi]))
 
 
 def standardize(ds: Dataset, stats: StandardizationStats | None = None):
     """Z-score all biomarker values (baseline + visits).
 
     When stats is None they are computed from ds (the training set, sample
-    std); pass the returned stats to standardize calibration/test sets with
-    the training scale.
+    std), over each subject's baseline then its visits, subjects in order;
+    pass the returned stats to standardize calibration/test sets with the
+    training scale.
     """
     if stats is None:
-        vals = np.asarray([v for s in ds.subjects
-                           for v in (s.baseline_value, *s.visit_values)], dtype=float)
+        vals = np.insert(ds.values, ds.offsets[:-1], ds.baseline)
         if len(vals) < 2:
             raise DataError("need at least 2 biomarker values to standardize")
         std = float(np.std(vals, ddof=1))
@@ -269,12 +407,8 @@ def standardize(ds: Dataset, stats: StandardizationStats | None = None):
         stats = StandardizationStats(float(np.mean(vals)), std)
 
     mean, std = stats.mean, stats.std
-    subjects = tuple(
-        SubjectRecord(s.subject_id, s.features, s.group_labels,
-                      (s.baseline_value - mean) / std,
-                      tuple([(t, (y - mean) / std) for t, y in s.visits]))
-        for s in ds.subjects)
-    return Dataset(subjects, ds.feature_names, ds.group_columns), stats
+    return replace(ds, baseline=(ds.baseline - mean) / std,
+                   values=(ds.values - mean) / std), stats
 
 
 def split(ds: Dataset, test_frac: float, calib_frac: float, seed: int) -> SplitIndices:
@@ -290,7 +424,7 @@ def split(ds: Dataset, test_frac: float, calib_frac: float, seed: int) -> SplitI
         raise ConfigurationError(f"calib_frac must be in [0,1), got {calib_frac}")
     n = len(ds)
     rng = np.random.default_rng(seed)
-    by_id = sorted(range(n), key=lambda i: ds.subjects[i].subject_id)
+    by_id = sorted(range(n), key=ds.subject_ids.__getitem__)
     perm = np.asarray(by_id, dtype=int)[rng.permutation(n)]
     n_test = int(n * test_frac)
     n_calib = int((n - n_test) * calib_frac)
@@ -299,6 +433,4 @@ def split(ds: Dataset, test_frac: float, calib_frac: float, seed: int) -> SplitI
     train = perm[n_test + n_calib:]
     if len(train) < 1:
         raise ConfigurationError("split fractions leave no training subjects")
-    return SplitIndices(tuple(int(i) for i in train),
-                        tuple(int(i) for i in calib),
-                        tuple(int(i) for i in test))
+    return SplitIndices(tuple(train.tolist()), tuple(calib.tolist()), tuple(test.tolist()))

@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain
 from statistics import NormalDist
 
 import numpy as np
 
 from .conformal import (_make_bands, bands_for_dataset, calibrate,
                         mondrian_calibrate, score_dataset, worst_residuals)
-from .data_model import Dataset, split, standardize
+from .data_model import Dataset, _offsets, split, standardize
 from .errors import ConfigurationError, ConftrajError, DataError, is_int
-from .predictors import fit_predictor
+from .predictors import fit_predictor, visit_rows
 
 BUCKET_MONTHS = 12          # per_time_width buckets are follow-up years
 # every split refits the predictor and keeps its EvalReport, which report.json
@@ -64,39 +64,43 @@ def coverage_and_width(bands, test: Dataset,
     per_time_width maps each follow-up year floor((t-1)/12) to the mean
     finite-band width there; empty years are omitted.
     """
-    subjects = test.scored_subjects()
+    counts = test.visit_counts
+    scored = np.flatnonzero(counts)
+    ids, bounds, all_times = test.subject_ids, test.offsets.tolist(), test.times.tolist()
     by_id = {b.subject_id: b for b in bands}
     matched = []
-    for s in subjects:
-        band = by_id.get(s.subject_id)
+    for i in scored.tolist():
+        band = by_id.get(ids[i])
         if band is None:
-            raise DataError(f"no band for test subject {s.subject_id}")
-        if list(band.times) != s.visit_times:
-            raise DataError(f"band for {s.subject_id} is at times {list(band.times)}, "
-                            f"not at its visit times {s.visit_times}")
+            raise DataError(f"no band for test subject {ids[i]}")
+        visit_times = all_times[bounds[i]:bounds[i + 1]]
+        if list(band.times) != visit_times:
+            raise DataError(f"band for {ids[i]} is at times {list(band.times)}, "
+                            f"not at its visit times {visit_times}")
         matched.append(band)
-    counts = [len(b.times) for b in matched]
+    counts = counts[scored]
     radii = np.array([b.radius for b in matched], dtype=float)
     stds = np.fromiter(chain.from_iterable(b.stds for b in matched), float)
-    covered = worst_residuals(list(chain.from_iterable(s.visit_values for s in subjects)),
+    covered = worst_residuals(test.values,
                               list(chain.from_iterable(b.centers for b in matched)),
-                              stds, list(accumulate(counts, initial=0))) <= radii
+                              stds, _offsets(counts)) <= radii
     rows = np.repeat(np.isfinite(radii), counts)        # visit rows of finite bands
     widths = 2.0 * (np.repeat(radii, counts)[rows] * stds[rows])
-    times = np.fromiter(chain.from_iterable(b.times for b in matched), np.int64)[rows]
+    times = test.times[rows]
     per_group = None
     if grouping_column is not None:
+        labels, categories = test.group(grouping_column)
         codes: dict = {}            # group label -> code, in order of appearance
-        group = np.array([codes.setdefault(s.group_labels.get(grouping_column), len(codes))
-                          for s in subjects], dtype=np.intp)
+        group = np.array([codes.setdefault(categories[c], len(codes))
+                          for c in labels[scored].tolist()], dtype=np.intp)
         coverage = _means_by_key(group, covered)
         width = _means_by_key(np.repeat(group, counts)[rows], widths)
         per_group = {g: {"coverage": coverage[c], "width": width.get(c, math.nan),
                          "n": int(np.sum(group == c))} for g, c in codes.items()}
     return EvalReport(
-        mean_coverage=int(covered.sum()) / len(subjects) if subjects else math.nan,
+        mean_coverage=int(covered.sum()) / len(scored) if len(scored) else math.nan,
         mean_width=float(np.mean(widths)) if len(widths) else math.nan,
-        n_test=len(subjects),
+        n_test=len(scored),
         n_infinite_bands=int(np.sum(~np.isfinite(radii))),
         per_time_width=_means_by_key((times - 1) // BUCKET_MONTHS, widths),
         per_group=per_group)
@@ -144,10 +148,10 @@ def evaluate_split(ds: Dataset, predictor_kind: str, alpha: float,
                                group_by)
         bands = bands_for_dataset(model, test_std, cal)
     else:
-        subjects = test_std.scored_subjects()
+        counts = test_std.visit_counts
         z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
-        bands = _make_bands(model, subjects, [s.visit_times for s in subjects],
-                            [z] * len(subjects))
+        bands = _make_bands(model, test_std.subject_ids, visit_rows(test_std, 1), counts,
+                            test_std.times, [z] * np.count_nonzero(counts))
     report = coverage_and_width(bands, test_std, grouping_column=group_by)
     return report, cal, model
 

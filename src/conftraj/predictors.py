@@ -16,7 +16,6 @@ import json
 import logging
 import math
 from dataclasses import dataclass, fields
-from itertools import accumulate
 from statistics import NormalDist
 from typing import Callable, NamedTuple
 
@@ -60,22 +59,18 @@ def _linear_rows(Z1, W):
     return np.einsum("ij,kj->ik", Z1, W)
 
 
-def visit_rows(subjects, times):
-    """Inputs X = [x; baseline] and t for each time in each subject's list of
-    times, and the row offsets: subject i owns rows offsets[i]:offsets[i + 1]."""
-    counts = [len(ts) for ts in times]
-    X = np.column_stack([[s.features for s in subjects], [s.baseline_value for s in subjects]])
-    return (np.repeat(X, counts, axis=0), np.concatenate(times),
-            list(accumulate(counts, initial=0)))
+def visit_rows(ds: Dataset, counts):
+    """Inputs X = [x; baseline] of each subject of ds, repeated counts[i]
+    times for subject i (one row per query time)."""
+    return np.repeat(np.column_stack([ds.features, ds.baseline]), counts, axis=0)
 
 
 def design_matrix(train: Dataset):
     """Rows [x; baseline; t] and targets at every visit, and the row offsets."""
-    if not train.scored_subjects():
+    if not len(train.times):
         raise DataError("training set has no visit rows")
-    X, t, offsets = visit_rows(train.subjects, [s.visit_times for s in train.subjects])
-    targets = [y for s in train.subjects for y in s.visit_values]
-    return np.column_stack([X, t]), np.asarray(targets, dtype=float), np.asarray(offsets)
+    return (np.column_stack([visit_rows(train, train.visit_counts), train.times]),
+            train.values, train.offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +340,7 @@ def fit_bootstrap(train: Dataset, B: int = 20, ridge_lambda: float = 1.0,
     """Fit B closed-form ridge regressors on subject-level bootstrap resamples."""
     check_rules(_BOOTSTRAP_OPTIONS, {"B": B, "ridge_lambda": ridge_lambda,
                                      "std_scale": std_scale})
-    if len(train.scored_subjects()) < 2:
+    if np.count_nonzero(train.visit_counts) < 2:
         raise DataError("bootstrap fitting needs at least 2 training subjects with visits")
     Zraw, y, offsets = design_matrix(train)
     scaler = InputScaler.fit(Zraw)

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import _make_bands, _radii
+from .conformal import _labels, _make_bands, _radii
 from .data_model import Dataset
 from .errors import ConfigurationError, DataError
+from .predictors import visit_rows
 
 PROGRESSOR = "progressor"
 STABLE = "stable"
@@ -271,23 +272,25 @@ def risk_pipeline(test: Dataset, truth: dict, model, cal, direction: str,
     "rocb": report}).
     """
     rule = "le" if direction == "decreasing" else "ge"
-    subjects = test.scored_subjects()
-    for s in subjects:
-        if s.subject_id not in truth:
-            raise DataError(f"no progression label for subject {s.subject_id}")
-    horizons = [s.visit_times[-1] for s in subjects]
-    bands = _make_bands(model, subjects, [[tN] for tN in horizons],
-                        _radii(subjects, cal))
+    counts = test.visit_counts
+    scored = np.flatnonzero(counts)
+    ids = [test.subject_ids[i] for i in scored.tolist()]
+    for sid in ids:
+        if sid not in truth:
+            raise DataError(f"no progression label for subject {sid}")
+    horizons = test.times[test.offsets[1:][scored] - 1]
+    bands = _make_bands(model, test.subject_ids, visit_rows(test, 1), counts > 0, horizons,
+                        _radii(cal, _labels(test, scored, cal)))
     records = []
-    for s, tN, band in zip(subjects, horizons, bands):
-        label = PROGRESSOR if truth[s.subject_id]["is_progressor"] else STABLE
+    for sid, baseline, tN, band in zip(ids, test.baseline[scored].tolist(),
+                                       horizons.tolist(), bands):
+        label = PROGRESSOR if truth[sid]["is_progressor"] else STABLE
         center = band.centers[0]
-        rh = roc_hat(s.baseline_value, center, 0, tN)
+        rh = roc_hat(baseline, center, 0, tN)
         r = band.radius * band.stds[0]
-        rb = (rocb(s.baseline_value, (center - r, center + r), 0, tN, direction)
+        rb = (rocb(baseline, (center - r, center + r), 0, tN, direction)
               if band.finite else math.nan)
-        records.append(RiskRecord(s.subject_id, 0, tN, s.baseline_value,
-                                  rh, rb, label, direction))
+        records.append(RiskRecord(sid, 0, tN, baseline, rh, rb, label, direction))
 
     labels_all = [r.label for r in records]
     reports = {"roc_hat": _score_report(

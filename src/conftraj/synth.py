@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_model import MAX_TIME, Dataset, SubjectRecord
+from .data_model import MAX_TIME, Dataset, _offsets
 from .errors import ConfigurationError, check_rules, is_finite, is_int, is_number
 
 
@@ -120,15 +120,16 @@ def generate(cfg: SynthConfig):
     {"is_progressor": bool, "true_slope": float}.
     """
     rng = np.random.default_rng(cfg.seed)
-    subjects = []
+    features, baselines, times, values, codes = [], [], [], [], []
     truth = {}
     for i in range(cfg.n_subjects):
-        labels = {}
+        row_codes = []
         noise_mult = 1.0
         prog_rate = cfg.progressor_frac
         for gs in cfg.group_spec:
-            cat = gs.categories[rng.choice(len(gs.categories), p=np.asarray(gs.probs))]
-            labels[gs.column] = cat
+            code = rng.choice(len(gs.categories), p=np.asarray(gs.probs))
+            cat = gs.categories[code]
+            row_codes.append(code)
             noise_mult *= gs.noise_multipliers.get(cat, 1.0)
             if cat in gs.progressor_rates:
                 prog_rate = gs.progressor_rates[cat]
@@ -137,9 +138,9 @@ def generate(cfg: SynthConfig):
         slope = cfg.slope_progressor if is_prog else cfg.slope_stable
         slope += rng.normal(0.0, cfg.heterogeneity_std)
 
-        features = rng.standard_normal(cfg.feature_dim)
+        x = rng.standard_normal(cfg.feature_dim)
         if cfg.feature_dim > 0 and is_prog:
-            features[0] += cfg.feature_signal
+            x[0] += cfg.feature_signal
         baseline = float(rng.standard_normal())
 
         horizon = cfg.max_time
@@ -148,16 +149,21 @@ def generate(cfg: SynthConfig):
         n_visits = 1 + rng.poisson(cfg.visits_mean - 1.0)
         n_visits = min(n_visits, horizon)
         # the draw of choice(arange(1, horizon + 1)) without its O(horizon) array
-        times = np.sort(rng.choice(horizon, size=n_visits, replace=False) + 1)
+        t = np.sort(rng.choice(horizon, size=n_visits, replace=False) + 1)
 
         noise = rng.normal(0.0, cfg.noise_std * noise_mult, size=n_visits)
-        values = baseline + slope * times + noise
-        sid = f"s{i:05d}"
-        subjects.append(SubjectRecord(
-            sid, features, labels, baseline,
-            tuple((int(t), float(y)) for t, y in zip(times, values))))
-        truth[sid] = {"is_progressor": is_prog, "true_slope": float(slope)}
+        features.append(x)
+        baselines.append(baseline)
+        times.append(t)
+        values.append(baseline + slope * t + noise)
+        codes.append(row_codes)
+        truth[f"s{i:05d}"] = {"is_progressor": is_prog, "true_slope": float(slope)}
 
-    feature_names = tuple(f"f{j}" for j in range(cfg.feature_dim))
-    group_columns = tuple(gs.column for gs in cfg.group_spec)
-    return Dataset(tuple(subjects), feature_names, group_columns), truth
+    n, groups = cfg.n_subjects, len(cfg.group_spec)
+    return Dataset(subject_ids=tuple(truth), features=np.reshape(features, (n, cfg.feature_dim)),
+                   baseline=baselines, offsets=_offsets(list(map(len, times))),
+                   times=np.concatenate(times), values=np.concatenate(values),
+                   group_codes=np.reshape(codes, (n, groups)).astype(np.intp),
+                   group_categories=tuple(tuple(gs.categories) for gs in cfg.group_spec),
+                   feature_names=tuple(f"f{j}" for j in range(cfg.feature_dim)),
+                   group_columns=tuple(gs.column for gs in cfg.group_spec)), truth

@@ -1,5 +1,6 @@
 import logging
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ def radii(band):
 
 
 def score_of(model, s):
-    (score,) = score_dataset(model, Dataset((s,), ("f0", "f1"), ("dx",)))
+    (score,) = score_dataset(model, Dataset.from_subjects((s,), ("f0", "f1"), ("dx",)))
     return score.value
 
 
@@ -177,7 +178,7 @@ def test_build_band_empty_times_errors():
 def calib_dataset(groups):
     subjects = [subject(f"s{i}", [(6, 0.0)], group=g)
                 for i, g in enumerate(groups)]
-    return Dataset(tuple(subjects), ("f0", "f1"), ("dx",))
+    return Dataset.from_subjects(tuple(subjects), ("f0", "f1"), ("dx",))
 
 
 def test_mondrian_two_groups():
@@ -216,7 +217,7 @@ def test_mondrian_multiset_union():
 
 def test_mondrian_missing_label_errors():
     s = SubjectRecord("s0", np.zeros(2), {}, 0.0, ((6, 0.0),))
-    ds = Dataset((s,), ("f0", "f1"), ())
+    ds = Dataset.from_subjects((s,), ("f0", "f1"), ())
     with pytest.raises(DataError, match="s0"):
         mondrian_calibrate(ds, scores_of([1.0]), "dx", 0.5)
 
@@ -243,9 +244,9 @@ def test_band_for_subject_unseen_category_fallback(caplog):
     band = band_for_subject(m, s, gcal, [6])
     assert band.finite
     # a batch logs one warning with the count and labels, not one per subject
-    ds = Dataset(tuple(subject(f"s{i}", [(6, 0.0)], group=g)
-                       for i, g in enumerate(["a", "b", "c", "b"])),
-                 ("f0", "f1"), ("dx",))
+    ds = Dataset.from_subjects(tuple(subject(f"s{i}", [(6, 0.0)], group=g)
+                                     for i, g in enumerate(["a", "b", "c", "b"])),
+                               ("f0", "f1"), ("dx",))
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="conftraj.conformal"):
         bands = bands_for_dataset(m, ds, gcal)
@@ -260,7 +261,7 @@ def test_single_group_degenerates_to_population():
     subjects = tuple(
         SubjectRecord(s.subject_id, s.features, {"dx": "only"}, s.baseline_value,
                       s.visits) for s in ds.subjects)
-    ds = Dataset(subjects, ds.feature_names, ("dx",))
+    ds = Dataset.from_subjects(subjects, ds.feature_names, ("dx",))
     m = fit_bootstrap(ds, B=5, seed=0)
     scores = score_dataset(m, ds)
     pop = calibrate(scores, 0.2)
@@ -327,13 +328,14 @@ def test_leave_one_out_coverage_is_exact(draws, duplicated, alpha, mean_std, mon
              for i, d in enumerate(duplicated)]
     model = constant_model(*mean_std)
     group = {s.subject_id: s.group_labels["dx"] for s in pool}
-    score = {sc.subject_id: sc.value
-             for sc in score_dataset(model, Dataset(tuple(pool), ("f0", "f1"), ("dx",)))}
+    score = {sc.subject_id: sc.value for sc in score_dataset(
+        model, Dataset.from_subjects(tuple(pool), ("f0", "f1"), ("dx",)))}
 
     covered = {}
     for held in pool:
-        calib = Dataset(tuple(s for s in pool if s is not held), ("f0", "f1"), ("dx",))
-        test = Dataset((held,), ("f0", "f1"), ("dx",))
+        calib = Dataset.from_subjects(tuple(s for s in pool if s is not held),
+                                      ("f0", "f1"), ("dx",))
+        test = Dataset.from_subjects((held,), ("f0", "f1"), ("dx",))
         scores = score_dataset(model, calib)
         cal = (mondrian_calibrate(calib, scores, "dx", alpha) if mondrian
                else calibrate(scores, alpha))
@@ -373,7 +375,7 @@ def visit_count_cohorts(draw):
         subjects.append(SubjectRecord(
             f"s{i}", x, {"dx": draw(st.sampled_from("ab"))}, draw(st.floats(-2, 2)),
             tuple((6 * (j + 1), draw(st.floats(-5, 5))) for j in range(n))))
-    return Dataset(tuple(subjects), ("f0", "f1"), ("dx",))
+    return Dataset.from_subjects(tuple(subjects), ("f0", "f1"), ("dx",))
 
 
 BOOTSTRAP_MODEL = fit_bootstrap(multi_visit_dataset(30, seed=4, noise=0.2), B=5, seed=1)
@@ -384,7 +386,9 @@ BOOTSTRAP_MODEL = fit_bootstrap(multi_visit_dataset(30, seed=4, noise=0.2), B=5,
 def test_score_dataset_is_per_subject_max(ds):
     subjects, want = ds.scored_subjects(), []
     if subjects:
-        X, t, offsets = visit_rows(subjects, [s.visit_times for s in subjects])
+        X = [[*s.features, s.baseline_value] for s in subjects for _ in s.visits]
+        t = [tv for s in subjects for tv in s.visit_times]
+        offsets = list(accumulate((len(s.visits) for s in subjects), initial=0))
         means, stds = predict_batch(BOOTSTRAP_MODEL, X, t)
         want = [max(abs(y - mu) / sd for y, mu, sd in
                     zip(s.visit_values, means[lo:hi].tolist(), stds[lo:hi].tolist()))
@@ -419,7 +423,7 @@ def test_predictions_do_not_depend_on_the_batch(fitted_cohort, kind):
     same = np.array_equal if kind != "gp" else \
         (lambda a, b: np.allclose(a, b, rtol=0, atol=1e-9))
     subjects = ds.scored_subjects()
-    X, t, _ = visit_rows(subjects, [s.visit_times for s in subjects])
+    X, t = visit_rows(ds, ds.visit_counts), ds.times
     full = predict_batch(model, X, t)
     for i in range(len(t)):
         one = predict_batch(model, X[i:i + 1], t[i:i + 1])
@@ -431,7 +435,8 @@ def test_predictions_do_not_depend_on_the_batch(fitted_cohort, kind):
     # so band_for_subject at a subject's last visit is the batched band
     cal = calibrate(score_dataset(model, ds), 0.1)
     horizons = [[s.visit_times[-1]] for s in subjects]
-    batched = _make_bands(model, subjects, horizons, _radii(subjects, cal))
+    batched = _make_bands(model, ds.subject_ids, visit_rows(ds, 1), ds.visit_counts > 0,
+                          np.concatenate(horizons), _radii(cal, [None] * len(subjects)))
     for s, tN, band in zip(subjects, horizons, batched):
         alone = band_for_subject(model, s, cal, tN)
         if kind == "gp":

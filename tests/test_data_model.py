@@ -2,6 +2,7 @@ import csv
 import math
 import tempfile
 from dataclasses import replace
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from conftraj.data_model import (MAX_TIME, CsvSchema, Dataset,
                                  StandardizationStats, SubjectRecord, load_csv,
                                  save_csv, split, standardize)
 from conftraj.errors import ConfigurationError, DataError, SchemaError
+from conftraj.predictors import design_matrix, visit_rows
 
 
 SCHEMA = CsvSchema(feature_cols=("age", "edu"), group_cols=("sex",))
@@ -141,7 +143,7 @@ def test_save_csv_refuses_over_long_field(tmp_path, where):
 
     def cohort(n):
         sid, sex = ("s" * n, "F") if where == "id" else ("s1", "F" * n)
-        return Dataset((SubjectRecord(sid, np.array([70.0, 12.0]), {"sex": sex},
+        return Dataset.from_subjects((SubjectRecord(sid, np.array([70.0, 12.0]), {"sex": sex},
                                       1.5, ((6, 1.4),)),), ("age", "edu"), ("sex",))
 
     p = tmp_path / "c.csv"
@@ -211,7 +213,8 @@ def odd_cohorts(draw):
             sid, np.array([draw(EXTREME_FLOATS) for _ in range(n_features)]),
             {"site": draw(ODD_TEXT)}, draw(EXTREME_FLOATS),
             tuple((t, draw(EXTREME_FLOATS)) for t in times)))
-    return Dataset(tuple(subjects), tuple(f"f{j}" for j in range(n_features)), ("site",))
+    return Dataset.from_subjects(tuple(subjects), tuple(f"f{j}" for j in range(n_features)),
+                                 ("site",))
 
 
 @settings(max_examples=150, deadline=None)
@@ -241,7 +244,7 @@ def make_subject(sid, baseline, visits, group="F"):
 
 
 def make_dataset(subjects):
-    return Dataset(tuple(subjects), ("f0", "f1"), ("sex",))
+    return Dataset.from_subjects(tuple(subjects), ("f0", "f1"), ("sex",))
 
 
 def test_standardize_computed_stats():
@@ -375,7 +378,8 @@ def reference_load_csv(path, schema):
             raise DataError(f"subject {sid}: no month-0 baseline row")
         subjects.append(SubjectRecord(sid, np.asarray(feats, dtype=float), groups,
                                       rows[0][1], tuple(rows[1:])))
-    return Dataset(tuple(subjects), tuple(schema.feature_cols), tuple(schema.group_cols))
+    return Dataset.from_subjects(tuple(subjects), tuple(schema.feature_cols),
+                                 tuple(schema.group_cols))
 
 
 def _outcome(load, path, schema):
@@ -460,16 +464,29 @@ def test_load_csv_reference_cases(tmp_path):
     assert outcomes["ragged"][1].startswith("row 3: cell count differs")
 
 
+def test_load_csv_sorts_each_subjects_rows(tmp_path):
+    # subjects interleaved, each with its rows out of time order
+    path = write_csv(tmp_path / "c.csv", ["s2,12,2.5,60,12,M\n", "s1,6,1.5,70,12,F\n",
+                                          "s2,0,2.0,60,12,M\n", "s1,0,1.0,70,12,F\n",
+                                          "s2,3,2.25,60,12,M\n", "s1,1,1.25,70,12,F\n"])
+    ds = load_csv(path, SCHEMA)
+    assert _outcome(load_csv, path, SCHEMA) == _outcome(reference_load_csv, path, SCHEMA)
+    assert ds.subject_ids == ("s2", "s1")
+    assert ds.baseline.tolist() == [2.0, 1.0] and ds.offsets.tolist() == [0, 2, 4]
+    assert ds.times.tolist() == [3, 12, 1, 6]
+    assert ds.values.tolist() == [2.25, 2.5, 1.25, 1.5]
+
+
 # ---------------------------------------------------------------------------
 # standardize against the replace/apply version it replaced, bit for bit
 
 def reference_standardize(ds, stats):
     def apply(y):
         return (np.asarray(y, dtype=float) - stats.mean) / stats.std
-    return replace(ds, subjects=tuple(
+    return Dataset.from_subjects(tuple(
         replace(s, baseline_value=float(apply(s.baseline_value)),
                 visits=tuple((t, float(apply(y))) for t, y in s.visits))
-        for s in ds.subjects))
+        for s in ds.subjects), ds.feature_names, ds.group_columns)
 
 
 MODERATE_FLOATS = st.floats(-1e6, 1e6, allow_nan=False)
@@ -495,9 +512,223 @@ def test_standardize_matches_replace_apply_reference(ds, mean, std):
     for a, b in zip(out.subjects, want.subjects):
         assert repr([a.baseline_value, a.visits]) == repr([b.baseline_value, b.visits])
         assert (a.subject_id, a.group_labels) == (b.subject_id, b.group_labels)
-        assert a.features is b.features
+        assert a.features.tobytes() == b.features.tobytes()
     assert (out.feature_names, out.group_columns) == (ds.feature_names, ds.group_columns)
     # stats computed from ds are applied the same way
     if np.std([v for s in ds.subjects for v in (s.baseline_value, *s.visit_values)]) > 0:
         out, stats = standardize(ds)
         assert repr(out.subjects) == repr(reference_standardize(ds, stats).subjects)
+
+
+# ---------------------------------------------------------------------------
+# Faults thousands of rows into a long file, against the reference loader.
+# BLOCK is a row count past which a loader that reads in blocks would have
+# started its second block.
+
+BLOCK = 4096
+
+
+def long_cohort_lines(n_subjects=2000, visits=4):
+    """Data lines of a valid cohort, each subject's rows together: more rows
+    than two blocks."""
+    return [f"s{i:04d},{t},{0.5 * t + i / 7!r},{60 + i % 30},{12 + i % 5},{'FM'[i % 2]}\n"
+            for i in range(n_subjects) for t in range(0, 6 * (visits + 1), 6)]
+
+
+@pytest.mark.parametrize("case", ["straddle", "duplicate", "feature", "label",
+                                  "last row non-numeric", "two faults"])
+def test_load_csv_faults_far_into_a_long_file(tmp_path, case):
+    lines = long_cohort_lines()
+    assert len(lines) > 2 * BLOCK
+    boundary = BLOCK                # index of the first row of the second block
+    owner = lines[boundary].split(",")[0]
+    first = next(k for k, line in enumerate(lines) if line.startswith(owner + ","))
+    want = None
+    if case == "straddle":
+        assert first < boundary < first + 4        # the subject's rows straddle it
+    elif case == "duplicate":
+        # a later block repeats the month-0 row of a subject from the first block
+        lines.insert(3 * BLOCK // 2 + 2, lines[10].replace(",0.", ",9.", 1))
+        want = f"row {3 * BLOCK // 2 + 4}: duplicate (subject, time) = (s0002, 0)"
+    elif case in ("feature", "label"):
+        k = first + 3
+        assert k >= boundary
+        cells = lines[k].rstrip("\n").split(",")
+        cells[3 if case == "feature" else 5] = "99" if case == "feature" else "X"
+        lines[k] = ",".join(cells) + "\n"
+        want = f"row {k + 2}: subject {owner} features or group labels differ"
+    elif case == "last row non-numeric":
+        cells = lines[-1].split(",")
+        cells[2] = "twelve"
+        lines[-1] = ",".join(cells)
+        want = f"row {len(lines) + 1}: non-numeric cell"
+    else:
+        # a label change in the second block comes before a fractional time
+        # in the third, and before a duplicate row in the last
+        cells = lines[boundary + 7].rstrip("\n").split(",")
+        cells[5] = "X"
+        lines[boundary + 7] = ",".join(cells) + "\n"
+        lines[2 * BLOCK + 1] = lines[2 * BLOCK + 1].replace(",", ",0.5", 1)
+        lines.append(lines[0])
+        want = f"row {boundary + 9}: subject "
+    path = write_csv(tmp_path / "c.csv", lines)
+    got = _outcome(load_csv, path, SCHEMA)
+    assert got == _outcome(reference_load_csv, path, SCHEMA)
+    if want is None:
+        assert len(got) == 3            # loaded, not an error
+    else:
+        assert got[0] == "DataError" and got[1].startswith(want), got
+
+
+# ---------------------------------------------------------------------------
+# The columnar Dataset against record-by-record references
+
+def reference_visit_rows(subjects):
+    return [[*s.features.tolist(), s.baseline_value] for s in subjects for _ in s.visits]
+
+
+def reference_design_matrix(subjects):
+    rows = [[*s.features.tolist(), s.baseline_value, float(t)]
+            for s in subjects for t in s.visit_times]
+    targets = [y for s in subjects for y in s.visit_values]
+    return rows, targets, list(accumulate((len(s.visits) for s in subjects), initial=0))
+
+
+def reference_stats(subjects):
+    vals = np.asarray([v for s in subjects for v in (s.baseline_value, *s.visit_values)])
+    return StandardizationStats(float(np.mean(vals)), float(np.std(vals, ddof=1)))
+
+
+def records_repr(subjects):
+    """Every field of each record; repr tells -0.0 from 0.0."""
+    return repr([(s.subject_id, s.features.tolist(), s.group_labels, s.baseline_value,
+                  s.visits) for s in subjects])
+
+
+@st.composite
+def record_cohorts(draw):
+    """Small cohorts of records with zero to two features, two group
+    columns, and subjects that may have only a baseline."""
+    n_features = draw(st.integers(0, 2))
+    subjects = []
+    for i in range(draw(st.integers(1, 7))):
+        times = sorted(draw(st.lists(st.integers(1, 240), max_size=4, unique=True)))
+        subjects.append(SubjectRecord(
+            f"s{draw(st.integers(0, 99))}-{i}",
+            np.array([draw(MODERATE_FLOATS) for _ in range(n_features)]),
+            {"sex": draw(st.sampled_from("FM")), "site": draw(st.sampled_from("abc"))},
+            draw(MODERATE_FLOATS), tuple((t, draw(MODERATE_FLOATS)) for t in times)))
+    return subjects, tuple(f"f{j}" for j in range(n_features))
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_cohorts(), st.data())
+def test_columnar_paths_match_record_references(cohort, data):
+    subjects, names = cohort
+    ds = Dataset.from_subjects(subjects, names, ("sex", "site"))
+    assert records_repr(ds.subjects) == records_repr(subjects)
+    again = Dataset.from_subjects(ds.subjects, ds.feature_names, ds.group_columns)
+    for column in ("features", "baseline", "offsets", "times", "values"):
+        assert getattr(again, column).tobytes() == getattr(ds, column).tobytes(), column
+    assert [again.group(c)[1][k] for c in ("sex", "site") for k in again.group(c)[0]] == \
+        [ds.group(c)[1][k] for c in ("sex", "site") for k in ds.group(c)[0]]
+    assert (again.subject_ids, again.feature_names, again.group_columns) == \
+        (ds.subject_ids, ds.feature_names, ds.group_columns)
+
+    picks = data.draw(st.lists(st.integers(0, len(subjects) - 1), unique=True))
+    part = ds.subset(picks)
+    assert records_repr(part.subjects) == records_repr([subjects[i] for i in picks])
+
+    X = visit_rows(ds, ds.visit_counts)
+    assert repr(X.tolist()) == repr(reference_visit_rows(subjects))
+    if any(s.visits for s in subjects):
+        rows, y, offsets = design_matrix(ds)
+        assert repr((rows.tolist(), y.tolist(), offsets.tolist())) == \
+            repr(reference_design_matrix(subjects))
+
+    stats = StandardizationStats(data.draw(st.floats(-1e3, 1e3)),
+                                 data.draw(st.floats(1e-3, 1e3)))
+    assert records_repr(standardize(ds, stats)[0].subjects) == \
+        records_repr(reference_standardize(ds, stats).subjects)
+    if np.std([v for s in subjects for v in (s.baseline_value, *s.visit_values)]) > 0:
+        out, computed = standardize(ds)
+        assert computed == reference_stats(subjects)
+        assert records_repr(out.subjects) == \
+            records_repr(reference_standardize(ds, computed).subjects)
+
+
+# ---------------------------------------------------------------------------
+# Construction errors name the subject, from records and from columns
+
+def columns(**changes):
+    """Keyword arguments of a valid two-subject Dataset, with changes."""
+    return {"subject_ids": ("a", "b"), "features": [[1.0, 2.0], [3.0, 4.0]],
+            "baseline": [0.5, 0.25], "offsets": [0, 2, 3], "times": [6, 12, 3],
+            "values": [1.0, 2.0, 3.0], "group_codes": [[0], [1]],
+            "group_categories": (("F", "M"),), "feature_names": ("f0", "f1"),
+            "group_columns": ("sex",), **changes}
+
+
+@pytest.mark.parametrize("visits,message", [
+    (((0, 1.0),), "subject b: visit time < 1"),
+    (((3, 1.0), (3, 2.0)), "subject b: visit times not strictly increasing"),
+    (((3, 1.0), (2, 2.0)), "subject b: visit times not strictly increasing")])
+def test_bad_visit_times_name_the_subject(visits, message):
+    with pytest.raises(DataError, match=f"^{message}$"):
+        SubjectRecord("b", np.zeros(2), {"sex": "M"}, 0.0, visits)
+    times = [6, 12] + [t for t, _ in visits]
+    with pytest.raises(DataError, match=f"^{message}$"):
+        Dataset(**columns(offsets=[0, 2, len(times)], times=times,
+                          values=[0.0] * len(times)))
+
+
+def test_duplicate_subject_ids_rejected():
+    a = make_subject("a", 0.0, [(6, 1.0)])
+    with pytest.raises(DataError, match="^duplicate subject_ids in dataset$"):
+        Dataset.from_subjects([a, a], ("f0", "f1"), ("sex",))
+    with pytest.raises(DataError, match="^duplicate subject_ids in dataset$"):
+        Dataset(**columns(subject_ids=("a", "a")))
+
+
+def test_feature_vector_length_names_the_subject():
+    good, bad = make_subject("a", 0.0, []), replace(make_subject("b", 0.0, []),
+                                                     features=np.zeros(3))
+    with pytest.raises(DataError, match=r"^subject b: feature vector length 3 != 2$"):
+        Dataset.from_subjects([good, bad], ("f0", "f1"), ("sex",))
+    with pytest.raises(DataError, match=r"^subject a: feature vector length 3 != 2$"):
+        Dataset(**columns(features=np.zeros((2, 3))))
+
+
+def test_valid_columns_build_the_records():
+    ds = Dataset(**columns())
+    assert records_repr(ds.subjects) == records_repr([
+        SubjectRecord("a", np.array([1.0, 2.0]), {"sex": "F"}, 0.5, ((6, 1.0), (12, 2.0))),
+        SubjectRecord("b", np.array([3.0, 4.0]), {"sex": "M"}, 0.25, ((3, 3.0),))])
+    assert not ds.values.flags.writeable
+
+
+@pytest.mark.parametrize("name,column", [
+    ("times", [6.5, 12, 3]), ("times", [6, float("nan"), 3]), ("times", [6, 12, 1e300]),
+    ("offsets", [0, 1.5, 3])])
+def test_columns_of_whole_numbers_refuse_other_values(name, column):
+    with pytest.raises(DataError, match=f"^dataset column {name} holds a value that is "
+                                        "not a whole number$"):
+        Dataset(**columns(**{name: column}))
+
+
+def test_columns_leave_the_callers_arrays_writeable():
+    times, values = np.array([6, 12, 3], dtype=np.int64), np.array([1.0, 2.0, 3.0])
+    ds = Dataset(**columns(times=times, values=values))
+    assert times.flags.writeable and values.flags.writeable
+    times[0] = 99
+    assert ds.times.tolist() == [6, 12, 3]
+    assert Dataset(**columns(times=[6.0, 12.0, 3.0])).times.tolist() == [6, 12, 3]
+
+
+@pytest.mark.parametrize("change", [{"offsets": [0, 2, 4]}, {"offsets": [0, 3, 2]},
+                                    {"baseline": [0.5]}, {"group_codes": [[0], [2]]},
+                                    {"features": [1.0, 2.0]}])
+def test_columns_that_do_not_line_up_are_refused(change):
+    with pytest.raises(DataError, match="^dataset columns do not line up with its 2 "
+                                        "subjects and 3 visits$"):
+        Dataset(**columns(**change))

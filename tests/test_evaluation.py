@@ -21,7 +21,7 @@ def subject(sid, visits, group="g"):
 
 
 def dataset(subjects, groups=("dx",)):
-    return Dataset(tuple(subjects), ("f0",), tuple(groups))
+    return Dataset.from_subjects(tuple(subjects), ("f0",), tuple(groups))
 
 
 def flat_band(sid, times, center, radius):
@@ -204,8 +204,8 @@ def test_subject_scoring_the_radius_is_covered():
         cal = calibrate(scores, 0.1)
         tie = next(sc.subject_id for sc in scores if sc.value == cal.radius)
         (subj,) = [s for s in calib.subjects if s.subject_id == tie]
-        test = Dataset((replace(subj, subject_id="copy"),), calib.feature_names,
-                       calib.group_columns)
+        test = Dataset.from_subjects((replace(subj, subject_id="copy"),),
+                                     calib.feature_names, calib.group_columns)
         report = coverage_and_width(bands_for_dataset(model, test, cal), test)
         assert report.mean_coverage == 1.0, seed
 
@@ -217,9 +217,7 @@ def test_baseline_band_z_width():
                                         mode="baseline")
     assert cal is None
     _, _, _, test = fit_split(ds, "bootstrap", 0.2, 0.2, 3)
-    subjects = test.scored_subjects()
-    X, ts, _ = visit_rows(subjects, [s.visit_times for s in subjects])
-    _, stds = predict_batch(model, X, ts)
+    _, stds = predict_batch(model, visit_rows(test, test.visit_counts), test.times)
     assert report.mean_width == pytest.approx(2 * 1.6448536269514722 * np.mean(stds),
                                               rel=1e-12)
 
@@ -289,12 +287,12 @@ def test_coverage_and_width_matches_per_subject_reference(case):
                                                     (0.5, 0.3, 0.2)),))
     model, _, calib, test = fit_split(ds, "bootstrap", 0.3, calib_frac, 5)
     # trajectories of 1, 2 and all visits
-    test = replace(test, subjects=tuple(
+    test = Dataset.from_subjects(tuple(
         replace(s, visits=s.visits[:(1, 2, None)[i % 3]])
-        for i, s in enumerate(test.subjects)))
+        for i, s in enumerate(test.subjects)), test.feature_names, test.group_columns)
     assert {1, 2} <= {len(s.visits) for s in test.subjects}
     if case == "empty":
-        test = replace(test, subjects=())
+        test = Dataset.from_subjects((), test.feature_names, test.group_columns)
     scores = score_dataset(model, calib)
     pop, grp = calibrate(scores, 0.1), mondrian_calibrate(calib, scores, "dx", 0.1)
     infinite = calibrate([], 0.1)

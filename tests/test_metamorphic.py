@@ -24,7 +24,7 @@ COHORT = generate(SynthConfig(n_subjects=80, seed=3))[0]
 
 def affine(ds, a, b):
     """ds with every biomarker value y (baseline and visits) made a * y + b."""
-    return Dataset(tuple(
+    return Dataset.from_subjects(tuple(
         SubjectRecord(s.subject_id, s.features, s.group_labels, a * s.baseline_value + b,
                       tuple((t, a * y + b) for t, y in s.visits))
         for s in ds.subjects), ds.feature_names, ds.group_columns)

@@ -35,7 +35,7 @@ def dataset_from_rows(X, ts, ys):
         for i in range(len(ys))
     ]
     names = tuple(f"f{j}" for j in range(X.shape[1]))
-    return Dataset(tuple(subjects), names, ())
+    return Dataset.from_subjects(tuple(subjects), names, ())
 
 
 def linear_dataset(n, d=2, seed=0, noise=0.0, slope=-0.01):
@@ -57,11 +57,12 @@ def test_visit_rows_are_per_subject_rows(d):
                               tuple((6 * (j + 1), 0.0) for j in range(i % 3)))
                 for i in range(7)]
     times = [s.visit_times for s in subjects]
-    X, t, offsets = visit_rows(subjects, times)
+    ds = Dataset.from_subjects(subjects, tuple(f"f{j}" for j in range(d)), ())
+    X = visit_rows(ds, ds.visit_counts)
     want = [[*s.features, s.baseline_value] for s in subjects for _ in s.visits]
     assert X.shape == (len(want), d + 1) and X.tolist() == want
-    assert t.tolist() == [tv for ts in times for tv in ts]
-    assert offsets == list(accumulate(map(len, times), initial=0))
+    assert ds.times.tolist() == [tv for ts in times for tv in ts]
+    assert ds.offsets.tolist() == list(accumulate(map(len, times), initial=0))
 
 
 def dense_gp_oracle(Zt, yt, Zq, signal_var, ls, noise_var):
@@ -320,7 +321,7 @@ def multi_visit_dataset(n_subjects, seed=0, noise=0.0):
         subjects.append(SubjectRecord(f"s{i}", x, {}, float(0.3 * x[0]),
                                       tuple((int(t), float(y))
                                             for t, y in zip(times, ys))))
-    return Dataset(tuple(subjects), ("f0", "f1"), ())
+    return Dataset.from_subjects(tuple(subjects), ("f0", "f1"), ())
 
 
 def ridge_oracle(Z1, y, lam):
@@ -483,7 +484,7 @@ def ragged_visit_dataset(n_subjects, seed):
                                       tuple((int(t), float(0.2 * x[0] - 0.01 * t
                                                            + rng.normal(0, 0.1)))
                                             for t in times)))
-    return Dataset(tuple(subjects), ("f0", "f1"), ())
+    return Dataset.from_subjects(tuple(subjects), ("f0", "f1"), ())
 
 
 def dict_regrouping_members(ds, B, ridge_lambda, seed):
