@@ -46,30 +46,45 @@ class CalibrationResult:
         return math.isfinite(self.radius)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictionBand:
-    """mu +/- R * sigma at each query time, stored as the calibrated radius
-    R (math.inf for an infinite band) and the predictive stds, not the
-    per-time radii they give."""
-    subject_id: str
-    times: tuple
-    centers: tuple
-    stds: tuple
-    radius: float
+    """A band set, one array per column like a Dataset: band i is mu +/- R *
+    sigma for subject subject_ids[i] at times[offsets[i]:offsets[i + 1]],
+    with mu and sigma in the same rows of centers and stds, and its radius
+    R in radii[i] (math.inf for an infinite band)."""
+    subject_ids: tuple
+    offsets: np.ndarray           # (n + 1,) int
+    times: np.ndarray             # (offsets[-1],) int
+    centers: np.ndarray           # (offsets[-1],) float
+    stds: np.ndarray              # (offsets[-1],) float
+    radii: np.ndarray             # (n,) float
 
     def __post_init__(self):
-        if not len(self.times) == len(self.centers) == len(self.stds):
-            raise DataError("band times/centers/stds length mismatch")
+        object.__setattr__(self, "subject_ids", tuple(self.subject_ids))
+        for name in ("offsets", "times", "centers", "stds", "radii"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+        if not (len(self.offsets) == len(self.radii) + 1 == len(self.subject_ids) + 1
+                and len(self.times) == len(self.centers) == len(self.stds) == self.offsets[-1]):
+            raise DataError("band columns do not line up")
 
     @property
     def finite(self):
-        return math.isfinite(self.radius)
+        return bool(np.all(np.isfinite(self.radii)))
+
+    def _row(self, t):
+        """The row of query time t in a one-subject set."""
+        if len(self.radii) != 1:
+            raise DataError(f"a time lookup needs a one-subject band set, not {len(self.radii)}")
+        rows = np.flatnonzero(self.times == t)
+        if not len(rows):
+            raise DataError(f"time {t} is not one of the band's times {self.times.tolist()}")
+        return rows[0]
 
     def radius_at(self, t):
-        return self.radius * self.stds[self.times.index(t)]   # stds > 0: inf stays inf
+        return float(self.radii[0] * self.stds[self._row(t)])   # stds > 0: inf stays inf
 
     def center_at(self, t):
-        return self.centers[self.times.index(t)]
+        return float(self.centers[self._row(t)])
 
 
 @dataclass(frozen=True)
@@ -108,57 +123,44 @@ def score_dataset(model, calib: Dataset):
     its visit times."""
     counts = calib.visit_counts
     scored = np.flatnonzero(counts)
-    if not len(scored):
-        return []
     means, stds = predict_batch(model, visit_rows(calib, counts), calib.times)
     scores = worst_residuals(calib.values, means, stds, _offsets(counts[scored]))
     ids = calib.subject_ids
     return [NonconformityScore(ids[i], v) for i, v in zip(scored.tolist(), scores.tolist())]
 
 
-def _labels(ds: Dataset, rows, gcal):
-    """The labels of subjects rows of ds in the grouping column of a
-    Mondrian calibration gcal (None each for a population calibration)."""
-    codes, categories = ds.group(getattr(gcal, "grouping_column", None))
-    return [categories[c] for c in codes[rows].tolist()]
-
-
-def _radii(gcal, labels):
-    """One conformal radius per subject, given its label: its group's under
-    Mondrian calibration, else the population radius.  A category unseen in
-    calibration falls back to the population radius, with one warning per
-    call."""
+def _radii(gcal, ds: Dataset, rows):
+    """The conformal radius of each of the subjects rows of ds: its group's
+    under Mondrian calibration, else the population radius.  A category
+    unseen in calibration falls back to the population radius, with one
+    warning per call."""
     if not isinstance(gcal, GroupCalibration):
-        return [gcal.radius] * len(labels)
+        return np.full(len(rows), gcal.radius)
+    codes, categories = ds.group(gcal.grouping_column)
+    labels = [categories[c] for c in codes[rows].tolist()]
     unseen = [g for g in labels if g not in gcal.per_group]
     if unseen:
         log.warning("%d subject(s) with %r categories unseen in calibration %s: "
                     "using the population radius", len(unseen),
                     gcal.grouping_column, sorted(set(unseen), key=repr))
-    return [gcal.per_group.get(g, gcal.fallback).radius for g in labels]
+    return np.array([gcal.per_group.get(g, gcal.fallback).radius for g in labels])
 
 
-def _make_bands(model, ids, inputs, counts, times, radii):
-    """One band per subject i with counts[i] > 0, mu +/- R * sigma at its
-    counts[i] query times, consecutive in times, from its ID ids[i] and its
-    inputs[i] = [x; baseline], with one radius R per such subject from
-    radii."""
+def _make_bands(model, ds: Dataset, counts, times, gcal):
+    """The band set of the subjects i of ds with counts[i] > 0: mu +/- R *
+    sigma at their counts[i] query times, consecutive in times, with the
+    radius R that gcal gives each (see _radii)."""
     counts = np.asarray(counts)
     rows = np.flatnonzero(counts)
-    if not len(rows):
-        return []
-    means, stds = predict_batch(model, np.repeat(inputs, counts, axis=0), times)
-    t, mu, sd = np.asarray(times).tolist(), means.tolist(), stds.tolist()
-    bounds = _offsets(counts[rows]).tolist()
-    return [PredictionBand(ids[i], tuple(t[lo:hi]), tuple(mu[lo:hi]), tuple(sd[lo:hi]), radius)
-            for i, radius, lo, hi in zip(rows.tolist(), radii, bounds, bounds[1:])]
+    means, stds = predict_batch(model, visit_rows(ds, counts), times)
+    return PredictionBand(tuple(ds.subject_ids[i] for i in rows.tolist()),
+                          _offsets(counts[rows]), times, means, stds,
+                          _radii(gcal, ds, rows))
 
 
 def bands_for_dataset(model, ds: Dataset, gcal):
-    """One band per scored subject, at that subject's visit times (batched)."""
-    counts = ds.visit_counts
-    return _make_bands(model, ds.subject_ids, visit_rows(ds, 1), counts, ds.times,
-                       _radii(gcal, _labels(ds, np.flatnonzero(counts), gcal)))
+    """The band set of the scored subjects, each at its visit times."""
+    return _make_bands(model, ds, ds.visit_counts, ds.times, gcal)
 
 
 def mondrian_calibrate(calib: Dataset, scores, grouping_column: str,
@@ -182,10 +184,9 @@ def mondrian_calibrate(calib: Dataset, scores, grouping_column: str,
 
 
 def band_for_subject(model, s: SubjectRecord, gcal, times) -> PredictionBand:
-    """Band for one subject over a query time grid, selecting the group
+    """The one-subject band set of s over a query time grid, with the group
     radius when gcal is Mondrian."""
     if not len(times):
         raise DataError("band requires at least one query time")
-    label = s.group_labels.get(getattr(gcal, "grouping_column", None))
-    return _make_bands(model, [s.subject_id], [[*s.features, s.baseline_value]],
-                       [len(times)], times, _radii(gcal, [label]))[0]
+    one = Dataset.from_subjects((s,), [None] * len(s.features), tuple(s.group_labels))
+    return _make_bands(model, one, [len(times)], times, gcal)

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from statistics import NormalDist
 
 import numpy as np
 
-from .conformal import (_make_bands, bands_for_dataset, calibrate,
+from .conformal import (CalibrationResult, bands_for_dataset, calibrate,
                         mondrian_calibrate, score_dataset, worst_residuals)
 from .data_model import Dataset, _offsets, split, standardize
 from .errors import ConfigurationError, ConftrajError, DataError, is_int
-from .predictors import fit_predictor, visit_rows
+from .predictors import fit_predictor
 
 BUCKET_MONTHS = 12          # per_time_width buckets are follow-up years
 # every split refits the predictor and keeps its EvalReport, which report.json
@@ -59,33 +58,29 @@ def _means_by_key(keys, values):
 
 def coverage_and_width(bands, test: Dataset,
                        grouping_column: str | None = None) -> EvalReport:
-    """Evaluate one band per test subject at that subject's visit times.
+    """Evaluate a band set that holds each scored test subject's band at its
+    visit times, subjects in test order.
 
     per_time_width maps each follow-up year floor((t-1)/12) to the mean
     finite-band width there; empty years are omitted.
     """
-    counts = test.visit_counts
-    scored = np.flatnonzero(counts)
-    ids, bounds, all_times = test.subject_ids, test.offsets.tolist(), test.times.tolist()
-    by_id = {b.subject_id: b for b in bands}
-    matched = []
-    for i in scored.tolist():
-        band = by_id.get(ids[i])
-        if band is None:
-            raise DataError(f"no band for test subject {ids[i]}")
-        visit_times = all_times[bounds[i]:bounds[i + 1]]
-        if list(band.times) != visit_times:
-            raise DataError(f"band for {ids[i]} is at times {list(band.times)}, "
-                            f"not at its visit times {visit_times}")
-        matched.append(band)
-    counts = counts[scored]
-    radii = np.array([b.radius for b in matched], dtype=float)
-    stds = np.fromiter(chain.from_iterable(b.stds for b in matched), float)
-    covered = worst_residuals(test.values,
-                              list(chain.from_iterable(b.centers for b in matched)),
-                              stds, _offsets(counts)) <= radii
-    rows = np.repeat(np.isfinite(radii), counts)        # visit rows of finite bands
-    widths = 2.0 * (np.repeat(radii, counts)[rows] * stds[rows])
+    scored = np.flatnonzero(test.visit_counts)
+    counts = test.visit_counts[scored]
+    ids = tuple(test.subject_ids[i] for i in scored.tolist())
+    if bands.subject_ids != ids:
+        k = next(k for k, pair in enumerate(zip(ids + (None,), bands.subject_ids + (None,)))
+                 if pair[0] != pair[1])
+        raise DataError(f"no band for test subject {ids[k]} at band {k}" if k < len(ids)
+                        else f"band {k} is for {bands.subject_ids[k]}, not a test subject")
+    bounds = _offsets(counts)
+    if not (np.array_equal(bands.offsets, bounds) and np.array_equal(bands.times, test.times)):
+        got, want = np.split(bands.times, bands.offsets[1:-1]), np.split(test.times, bounds[1:-1])
+        k = next(k for k in range(len(ids)) if not np.array_equal(got[k], want[k]))
+        raise DataError(f"band for {ids[k]} is at times {got[k].tolist()}, "
+                        f"not at its visit times {want[k].tolist()}")
+    covered = worst_residuals(test.values, bands.centers, bands.stds, bounds) <= bands.radii
+    rows = np.repeat(np.isfinite(bands.radii), counts)      # visit rows of finite bands
+    widths = 2.0 * (np.repeat(bands.radii, counts)[rows] * bands.stds[rows])
     times = test.times[rows]
     per_group = None
     if grouping_column is not None:
@@ -101,7 +96,7 @@ def coverage_and_width(bands, test: Dataset,
         mean_coverage=int(covered.sum()) / len(scored) if len(scored) else math.nan,
         mean_width=float(np.mean(widths)) if len(widths) else math.nan,
         n_test=len(scored),
-        n_infinite_bands=int(np.sum(~np.isfinite(radii))),
+        n_infinite_bands=int(np.sum(~np.isfinite(bands.radii))),
         per_time_width=_means_by_key((times - 1) // BUCKET_MONTHS, widths),
         per_group=per_group)
 
@@ -147,11 +142,9 @@ def evaluate_split(ds: Dataset, predictor_kind: str, alpha: float,
         cal = calibrate_groups(calib_std, score_dataset(model, calib_std), alpha,
                                group_by)
         bands = bands_for_dataset(model, test_std, cal)
-    else:
-        counts = test_std.visit_counts
+    else:       # no calibration scores: the radius is the normal quantile
         z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
-        bands = _make_bands(model, test_std.subject_ids, visit_rows(test_std, 1), counts,
-                            test_std.times, [z] * np.count_nonzero(counts))
+        bands = bands_for_dataset(model, test_std, CalibrationResult(0, alpha, 0, z))
     report = coverage_and_width(bands, test_std, grouping_column=group_by)
     return report, cal, model
 

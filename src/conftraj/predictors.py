@@ -484,12 +484,21 @@ def read_checked(path, doc, key, axes=None, sizes=None):
     return a
 
 
+# model field -> (what it must be, test), for the scalars a fit computes; a
+# field that is an option of the fit takes the option's rule (see load_model)
+_POSITIVE = ("a number > 0", lambda v: v > 0)
+_FIELD_RULES = {"lengthscale": _POSITIVE, "signal_var": _POSITIVE, "z_score": _POSITIVE,
+                "noise_var": ("a number >= 0", lambda v: v >= 0)}
+
+
 def load_model(path):
     """Read a model written by save_model.  A missing or unknown kind, a
-    missing field, a value that is not finite numbers, or arrays whose
-    shapes do not fit together raise ConfigurationError naming the file and
-    the key.  In KINDS shapes a letter is one length wherever it appears; p
-    is the scaler's width and q = p + 1."""
+    missing field, a value that is not finite numbers, arrays whose shapes
+    do not fit together, or a value out of its range (a fit option's rule
+    in KINDS options, else _FIELD_RULES; scaler stds > 0) raise
+    ConfigurationError naming the file and the key.  In KINDS shapes a
+    letter is one length wherever it appears; p is the scaler's width and
+    q = p + 1."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     version = doc.get("schema_version") if isinstance(doc, dict) else None
@@ -503,10 +512,15 @@ def load_model(path):
     sizes = {}
     values = {"scaler": InputScaler(read_checked(path, doc["scaler"], "mean", "p", sizes),
                                     read_checked(path, doc["scaler"], "std", "p", sizes))}
+    if not np.all(values["scaler"].std > 0):
+        raise _file_error(path, "std", "must hold numbers > 0 only")
     sizes["q"] = (sizes["p"][0] + 1, "mean")
-    shapes = KINDS[kind].shapes
+    shapes, rules = KINDS[kind].shapes, {**_FIELD_RULES, **KINDS[kind].options}
     for f in fields(KINDS[kind].model):
         if f.name != "scaler":
             value = read_checked(path, doc, f.name, shapes.get(f.name), sizes)
             values[f.name] = tuple(value.tolist()) if f.type == "tuple" else value
+            if f.name in rules and not rules[f.name][1](values[f.name]):
+                raise _file_error(path, f.name,
+                                  f"must be {rules[f.name][0]}, got {values[f.name]!r}")
     return KINDS[kind].model(**values)

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import _labels, _make_bands, _radii
+from .conformal import _make_bands
 from .data_model import Dataset
 from .errors import ConfigurationError, DataError
-from .predictors import visit_rows
 
 PROGRESSOR = "progressor"
 STABLE = "stable"
@@ -272,24 +271,20 @@ def risk_pipeline(test: Dataset, truth: dict, model, cal, direction: str,
     "rocb": report}).
     """
     rule = "le" if direction == "decreasing" else "ge"
-    counts = test.visit_counts
-    scored = np.flatnonzero(counts)
-    ids = [test.subject_ids[i] for i in scored.tolist()]
-    for sid in ids:
+    scored = np.flatnonzero(test.visit_counts)
+    bands = _make_bands(model, test, test.visit_counts > 0,
+                        test.times[test.offsets[1:][scored] - 1], cal)
+    for sid in bands.subject_ids:
         if sid not in truth:
             raise DataError(f"no progression label for subject {sid}")
-    horizons = test.times[test.offsets[1:][scored] - 1]
-    bands = _make_bands(model, test.subject_ids, visit_rows(test, 1), counts > 0, horizons,
-                        _radii(cal, _labels(test, scored, cal)))
     records = []
-    for sid, baseline, tN, band in zip(ids, test.baseline[scored].tolist(),
-                                       horizons.tolist(), bands):
+    for sid, baseline, tN, center, r in zip(bands.subject_ids, test.baseline[scored].tolist(),
+                                            bands.times.tolist(), bands.centers.tolist(),
+                                            (bands.radii * bands.stds).tolist()):
         label = PROGRESSOR if truth[sid]["is_progressor"] else STABLE
-        center = band.centers[0]
         rh = roc_hat(baseline, center, 0, tN)
-        r = band.radius * band.stds[0]
         rb = (rocb(baseline, (center - r, center + r), 0, tN, direction)
-              if band.finite else math.nan)
+              if math.isfinite(r) else math.nan)
         records.append(RiskRecord(sid, 0, tN, baseline, rh, rb, label, direction))
 
     labels_all = [r.label for r in records]

@@ -30,6 +30,12 @@ class GroupSpec:
     progressor_rates: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.column, str):
+            raise ConfigurationError(f"group {self.column!r}: column must be a string")
+        if not (isinstance(self.categories, (list, tuple))
+                and all(isinstance(c, str) for c in self.categories)):
+            raise ConfigurationError(f"group {self.column}: categories must be a list of "
+                                     f"strings, got {self.categories!r}")
         if len(self.categories) != len(self.probs):
             raise ConfigurationError(f"group {self.column}: categories/probs length mismatch")
         for p in self.probs:

@@ -762,10 +762,13 @@ def test_calibrate_rejects_bad_scaling_file(tmp_path, capsys, fitted_dirs, edit,
     ({"progressor_rates": 0.5}, "group site: progressor_rates must be an object"),
     ({"noise_multiplier": {"a": 2.0}},
      "unknown config key 'synth.group_spec[0].noise_multiplier'"),
+    ({"categories": [1, 2]}, "group site: categories must be a list of strings, got (1, 2)"),
+    ({"column": 5}, "group 5: column must be a string"),
 ], ids=["strings", "out-of-range", "bool", "not-a-list", "multiplier-string",
         "multiplier-zero", "multiplier-inf", "multiplier-huge-int", "multipliers-list",
         "multiplier-category",
-        "rate-above-one", "rate-bool", "rates-number", "misspelt-key"])
+        "rate-above-one", "rate-bool", "rates-number", "misspelt-key", "categories-ints",
+        "column-int"])
 def test_group_spec_bad_probs_rejected(tmp_path, capsys, entry, expected):
     code, err = config_error(tmp_path, capsys, "generate", {
         "synth": {"n_subjects": 20, "group_spec": [

@@ -8,10 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftraj.conformal import (CalibrationResult, GroupCalibration,
-                                NonconformityScore, _make_bands, _radii,
-                                band_for_subject, bands_for_dataset, calibrate,
-                                mondrian_calibrate, score_dataset,
-                                worst_residuals)
+                                NonconformityScore, _make_bands, band_for_subject,
+                                bands_for_dataset, calibrate, mondrian_calibrate,
+                                score_dataset, worst_residuals)
 from conftraj.data_model import Dataset, SubjectRecord, standardize
 from conftraj.errors import ConfigurationError, DataError
 from conftraj.evaluation import coverage_and_width
@@ -38,8 +37,13 @@ def constant_model(mean, std):
 
 
 def radii(band):
-    """R * sigma at each of the band's times."""
+    """R * sigma at each of a one-subject band's times."""
     return tuple(band.radius_at(t) for t in band.times)
+
+
+def row_radii(bands):
+    """R * sigma at each row of a band set, from its columns."""
+    return np.repeat(bands.radii, np.diff(bands.offsets)) * bands.stds
 
 
 def score_of(model, s):
@@ -166,6 +170,18 @@ def test_build_band_infinite():
     assert band.radius_at(6) == math.inf
 
 
+def test_band_time_lookup_names_a_time_the_band_lacks():
+    band = band_for_subject(fitted_model(), subject("x", []),
+                            calibrate(scores_of([1.0]), 0.5), [6, 12])
+    for lookup in (band.center_at, band.radius_at):
+        with pytest.raises(DataError, match=r"^time 7 is not one of the band's times \[6, 12\]"):
+            lookup(7)
+    two = bands_for_dataset(fitted_model(), calib_dataset(["a", "b"]),
+                            calibrate(scores_of([1.0]), 0.5))
+    with pytest.raises(DataError, match="one-subject band set, not 2"):
+        two.center_at(6)
+
+
 def test_build_band_empty_times_errors():
     with pytest.raises(DataError):
         band_for_subject(fitted_model(), subject("x", []),
@@ -250,7 +266,7 @@ def test_band_for_subject_unseen_category_fallback(caplog):
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="conftraj.conformal"):
         bands = bands_for_dataset(m, ds, gcal)
-    assert all(b.finite for b in bands)
+    assert bands.finite and bands.radii.tolist() == [1.0] * 4
     assert len(caplog.records) == 1
     assert "3 subject(s)" in caplog.text and "['b', 'c']" in caplog.text
 
@@ -269,8 +285,8 @@ def test_single_group_degenerates_to_population():
     assert gcal.per_group["only"].radius == pop.radius
     bands_pop = bands_for_dataset(m, ds, pop)
     bands_grp = bands_for_dataset(m, ds, gcal)
-    for a, b in zip(bands_pop, bands_grp):
-        assert radii(a) == radii(b)
+    assert bands_pop.subject_ids == bands_grp.subject_ids
+    assert row_radii(bands_pop).tolist() == row_radii(bands_grp).tolist()
 
 
 def test_band_endpoints_invariant_under_sigma_rescaling():
@@ -284,8 +300,8 @@ def test_band_endpoints_invariant_under_sigma_rescaling():
     assert cal2.radius == pytest.approx(cal1.radius / 2.5, rel=1e-9)
     b1 = bands_for_dataset(m1, ds, cal1)
     b2 = bands_for_dataset(m2, ds, cal2)
-    for a, b in zip(b1, b2):
-        assert np.allclose(radii(a), radii(b), rtol=1e-9)
+    assert b1.subject_ids == b2.subject_ids and len(b1.stds) == len(b2.stds)
+    assert np.allclose(row_radii(b1), row_radii(b2), rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -435,13 +451,12 @@ def test_predictions_do_not_depend_on_the_batch(fitted_cohort, kind):
     # so band_for_subject at a subject's last visit is the batched band
     cal = calibrate(score_dataset(model, ds), 0.1)
     horizons = [[s.visit_times[-1]] for s in subjects]
-    batched = _make_bands(model, ds.subject_ids, visit_rows(ds, 1), ds.visit_counts > 0,
-                          np.concatenate(horizons), _radii(cal, [None] * len(subjects)))
-    for s, tN, band in zip(subjects, horizons, batched):
+    batched = _make_bands(model, ds, ds.visit_counts > 0, np.concatenate(horizons), cal)
+    assert batched.offsets.tolist() == list(range(len(subjects) + 1))
+    for k, (s, tN) in enumerate(zip(subjects, horizons)):
         alone = band_for_subject(model, s, cal, tN)
-        if kind == "gp":
-            assert (alone.subject_id, alone.times, alone.radius) == \
-                (band.subject_id, band.times, band.radius)
-            assert same(alone.centers, band.centers) and same(alone.stds, band.stds)
-        else:
-            assert alone == band
+        assert (alone.subject_ids, alone.offsets.tolist(), alone.times.tolist(),
+                alone.radii.tolist()) == ((batched.subject_ids[k],), [0, 1], tN,
+                                          batched.radii[k:k + 1].tolist())
+        assert same(alone.centers, batched.centers[k:k + 1])
+        assert same(alone.stds, batched.stds[k:k + 1])

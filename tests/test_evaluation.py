@@ -7,7 +7,7 @@ import pytest
 from conftraj import evaluation
 from conftraj.conformal import (PredictionBand, bands_for_dataset, calibrate,
                                 mondrian_calibrate, score_dataset)
-from conftraj.data_model import Dataset, SubjectRecord, split, standardize
+from conftraj.data_model import Dataset, SubjectRecord, _offsets, split, standardize
 from conftraj.errors import ConfigurationError, DataError
 from conftraj.evaluation import (MAX_SPLITS, coverage_and_width, evaluate_split, fit_split,
                                  run_protocol, stratified_compare,
@@ -24,9 +24,16 @@ def dataset(subjects, groups=("dx",)):
     return Dataset.from_subjects(tuple(subjects), ("f0",), tuple(groups))
 
 
+def band_set(*bands):
+    """The band set of the given (subject ID, times, centers, stds, radius)
+    bands, in order."""
+    times, centers, stds = ([row for b in bands for row in b[j]] for j in (1, 2, 3))
+    return PredictionBand([b[0] for b in bands], _offsets([len(b[1]) for b in bands]),
+                          times, centers, stds, [b[4] for b in bands])
+
+
 def flat_band(sid, times, center, radius):
-    return PredictionBand(sid, tuple(times), tuple(center for _ in times),
-                          stds=tuple(1.0 for _ in times), radius=radius)
+    return sid, times, [center] * len(times), [1.0] * len(times), radius
 
 
 def test_coverage_fraction():
@@ -35,30 +42,31 @@ def test_coverage_fraction():
         y = 0.0 if i < 8 else 5.0       # last two fall outside
         subs.append(subject(f"s{i}", [(6, y)]))
         bands.append(flat_band(f"s{i}", [6], 0.0, 1.0))
-    report = coverage_and_width(bands, dataset(subs))
+    report = coverage_and_width(band_set(*bands), dataset(subs))
     assert report.mean_coverage == pytest.approx(0.8)
     assert report.n_test == 10
 
 
 def test_mean_width_over_visits():
     s = subject("a", [(6, 0.0), (12, 0.0)])
-    band = PredictionBand("a", (6, 12), (0.0, 0.0), stds=(0.5, 1.5), radius=1.0)
-    report = coverage_and_width([band], dataset([s]))
+    # columns given as lists are taken as arrays
+    band = PredictionBand(["a"], [0, 2], [6, 12], [0.0, 0.0], [0.5, 1.5], [1.0])
+    report = coverage_and_width(band, dataset([s]))
     assert report.mean_width == pytest.approx(2.0)   # (1 + 3) / 2
 
 
 def test_boundary_counts_as_covered():
     s = subject("a", [(6, 1.0)])
     band = flat_band("a", [6], 0.0, 1.0)
-    report = coverage_and_width([band], dataset([s]))
+    report = coverage_and_width(band_set(band), dataset([s]))
     assert report.mean_coverage == 1.0
 
 
 def test_infinite_band_covers_but_no_width():
     s1 = subject("a", [(6, 100.0)])
     s2 = subject("b", [(6, 0.0)])
-    inf_band = PredictionBand("a", (6,), (0.0,), stds=(1.0,), radius=math.inf)
-    report = coverage_and_width([inf_band, flat_band("b", [6], 0.0, 1.0)],
+    inf_band = ("a", (6,), (0.0,), (1.0,), math.inf)
+    report = coverage_and_width(band_set(inf_band, flat_band("b", [6], 0.0, 1.0)),
                                 dataset([s1, s2]))
     assert report.mean_coverage == 1.0
     assert report.n_infinite_bands == 1
@@ -69,13 +77,13 @@ def test_missing_band_time_errors():
     s = subject("a", [(6, 0.0), (12, 0.0)])
     band = flat_band("a", [6], 0.0, 1.0)
     with pytest.raises(DataError, match="12"):
-        coverage_and_width([band], dataset([s]))
+        coverage_and_width(band_set(band), dataset([s]))
 
 
 def test_width_over_time_buckets():
     s = subject("a", [(3, 0.0), (12, 0.0), (13, 0.0), (30, 0.0)])
     band = flat_band("a", [3, 12, 13, 30], 0.0, 0.5)
-    buckets = coverage_and_width([band], dataset([s])).per_time_width
+    buckets = coverage_and_width(band_set(band), dataset([s])).per_time_width
     assert set(buckets) == {0, 1, 2}
     assert all(v == pytest.approx(1.0) for v in buckets.values())
 
@@ -88,11 +96,10 @@ def test_width_over_time_matches_grouping_oracle():
         times = sorted(rng.choice(np.arange(1, 60), size=3, replace=False))
         radii = rng.uniform(0.1, 2.0, size=3)
         subs.append(subject(f"s{i}", [(int(t), 0.0) for t in times]))
-        bands.append(PredictionBand(f"s{i}", tuple(int(t) for t in times),
-                                    (0.0, 0.0, 0.0), stds=tuple(radii), radius=1.0))
+        bands.append((f"s{i}", [int(t) for t in times], (0.0, 0.0, 0.0), radii, 1.0))
         for t, r in zip(times, radii):
             expected.setdefault((t - 1) // 12, []).append(2 * r)
-    buckets = coverage_and_width(bands, dataset(subs)).per_time_width
+    buckets = coverage_and_width(band_set(*bands), dataset(subs)).per_time_width
     assert set(buckets) == set(expected)
     for b in expected:
         assert buckets[b] == pytest.approx(np.mean(expected[b]), abs=1e-12)
@@ -252,20 +259,23 @@ def test_run_protocol_refuses_n_splits_before_drawing_seeds(n_splits):
 
 def reference_coverage_and_width(bands, test, grouping_column=None):
     """coverage_and_width as one loop per subject, each score a Python max
-    of |y - mu| / sigma over its visits."""
+    of |y - mu| / sigma over its visits, read from its rows of the band set."""
     subjects = test.scored_subjects()
-    by_id = {b.subject_id: b for b in bands}
+    assert bands.subject_ids == tuple(s.subject_id for s in subjects)
     covered, n_inf, widths, buckets, groups = 0, 0, [], {}, {}
-    for s in subjects:
-        band = by_id[s.subject_id]
-        assert list(band.times) == s.visit_times
+    for k, s in enumerate(subjects):
+        lo, hi = bands.offsets[k], bands.offsets[k + 1]
+        times, centers, stds = (c[lo:hi].tolist() for c in (bands.times, bands.centers,
+                                                             bands.stds))
+        radius = float(bands.radii[k])
+        assert times == s.visit_times
         ok = max(abs(y - mu) / sd for y, mu, sd in
-                 zip(s.visit_values, band.centers, band.stds)) <= band.radius
+                 zip(s.visit_values, centers, stds)) <= radius
         covered += ok
-        n_inf += not band.finite
-        w = [2.0 * (band.radius * sd) for sd in band.stds] if band.finite else []
+        n_inf += not math.isfinite(radius)
+        w = [2.0 * (radius * sd) for sd in stds] if math.isfinite(radius) else []
         widths += w
-        for t, wt in zip(band.times, w):
+        for t, wt in zip(times, w):
             buckets.setdefault((t - 1) // evaluation.BUCKET_MONTHS, []).append(wt)
         g_ok, g_w = groups.setdefault(s.group_labels.get(grouping_column), ([], []))
         g_ok.append(ok)
@@ -314,3 +324,21 @@ def test_coverage_and_width_matches_per_subject_reference(case):
     if case == "group-infinite":
         assert math.isnan(got.per_group["c"]["width"]) and got.per_group["c"]["n"] > 0
         assert math.isfinite(got.mean_width)
+
+
+@pytest.mark.parametrize("ids, times, error", [
+    (("s0", "x1", "s2"), {}, "no band for test subject s1 at band 1"),        # other subjects
+    (("s0", "s2", "s1"), {}, "no band for test subject s1 at band 1"),        # another order
+    (("s0", "s1"), {}, "no band for test subject s2 at band 2"),
+    (("s0", "s1", "s2", "s3"), {}, "band 3 is for s3, not a test subject"),
+    (("s0", "s1", "s2"), {"s1": [6, 18]},                                     # other times
+     r"band for s1 is at times \[6, 18\], not at its visit times \[6, 12\]"),
+    (("s0", "s1", "s2"), {"s2": [6]}, r"band for s2 is at times \[6\]"),
+])
+def test_coverage_and_width_names_the_first_subject_whose_band_differs(ids, times, error):
+    test = dataset([subject(f"s{i}", [(6, 0.0), (12, 0.0)]) for i in range(3)])
+    right = band_set(*(flat_band(f"s{i}", [6, 12], 0.0, 1.0) for i in range(3)))
+    assert coverage_and_width(right, test).mean_coverage == 1.0
+    wrong = band_set(*(flat_band(sid, times.get(sid, [6, 12]), 0.0, 1.0) for sid in ids))
+    with pytest.raises(DataError, match=f"^{error}"):
+        coverage_and_width(wrong, test)

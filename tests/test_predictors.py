@@ -580,6 +580,23 @@ BAD_MODEL_FILES = [
     ("bootstrap", "unknown kind", "kind", lambda doc: doc.__setitem__("kind", "forest")),
     ("bootstrap", "scaler std too wide", "std",
      lambda doc: doc["scaler"]["std"].append(1.0)),
+    # values out of range: a fit option's own rule, else the field's
+    ("bootstrap", "std_scale negative", "std_scale",
+     lambda doc: doc.__setitem__("std_scale", -1.0)),
+    ("bootstrap", "ridge_lambda negative", "ridge_lambda",
+     lambda doc: doc.__setitem__("ridge_lambda", -0.5)),
+    ("quantile", "levels decreasing", "levels",
+     lambda doc: doc.__setitem__("levels", [0.9, 0.5, 0.1])),
+    ("quantile", "z_score negative", "z_score",
+     lambda doc: doc.__setitem__("z_score", -1.2816)),
+    ("gp", "lengthscale zero", "lengthscale", lambda doc: doc.__setitem__("lengthscale", 0)),
+    ("gp", "signal_var zero", "signal_var", lambda doc: doc.__setitem__("signal_var", 0.0)),
+    ("gp", "noise_var negative", "noise_var",
+     lambda doc: doc.__setitem__("noise_var", -1e-3)),
+    ("gp", "scaler std all zero", "std",
+     lambda doc: doc["scaler"].__setitem__("std", [0.0] * len(doc["scaler"]["std"]))),
+    ("quantile", "scaler std one zero", "std",
+     lambda doc: doc["scaler"]["std"].__setitem__(0, 0.0)),
 ]
 
 
