@@ -17,10 +17,11 @@ import inspect
 import json
 import sys
 from dataclasses import MISSING, fields
+from itertools import count
 from pathlib import Path
 
 from . import conformal, risk as risk_mod
-from .data_model import (CsvSchema, StandardizationStats, csv_rows, load_csv,
+from .data_model import (CsvSchema, StandardizationStats, csv_blocks, load_csv,
                          save_csv, split, standardize)
 from .errors import (ConfigurationError, ConftrajError, DataError, NumericalError,
                      check_rules, is_int, is_number, is_numbers)
@@ -116,6 +117,7 @@ def _validate_config(cfg: dict):
                 f"unknown key predictor.options.{name!r} for predictor kind "
                 f"{kind!r} (accepted: {', '.join(sorted(accepted))})")
     check_rules(accepted, options, "predictor.options.")
+    _csv_schema(cfg)      # the data columns are distinct names
     group_by, group_cols = _get(cfg, "conformal.group_by"), _get(cfg, "data.group_cols")
     if group_by is not None and group_by not in group_cols:
         raise ConfigurationError(f"conformal.group_by must be one of data.group_cols "
@@ -161,24 +163,28 @@ def _synth_config(cfg) -> SynthConfig:
     return SynthConfig(seed=_get(cfg, "seed"), **values)
 
 
-def _load_dataset(cfg):
-    path = _get(cfg, "data.path")
+def _csv_schema(cfg) -> CsvSchema:
     columns = {f.name: _get(cfg, f"data.{f.name}") for f in fields(CsvSchema)}
-    return load_csv(path, CsvSchema(**{key: tuple(v) if isinstance(v, list) else v
-                                       for key, v in columns.items()}))
+    return CsvSchema(**{key: tuple(v) if isinstance(v, list) else v
+                        for key, v in columns.items()})
+
+
+def _load_dataset(cfg):
+    return load_csv(_get(cfg, "data.path"), _csv_schema(cfg))
 
 
 def _load_truth(cfg) -> dict:
     """subject_id -> {"is_progressor": bool} from the data.truth_path CSV."""
     path, truth = _get(cfg, "data.truth_path"), {}
-    for row_no, (sid, cell) in csv_rows(path, ("subject_id", "is_progressor")):
-        flag = {"1": True, "true": True, "0": False, "false": False}.get(cell.lower())
-        if flag is None:
-            raise DataError(f"{path} row {row_no}: is_progressor {cell!r} is not "
-                            "0/1/true/false")
-        if sid in truth:
-            raise DataError(f"{path} row {row_no}: duplicate subject_id {sid!r}")
-        truth[sid] = {"is_progressor": flag}
+    for first, (sids, cells) in csv_blocks(path, ("subject_id", "is_progressor")):
+        for row_no, sid, cell in zip(count(first), sids, cells):
+            flag = {"1": True, "true": True, "0": False, "false": False}.get(cell.lower())
+            if flag is None:
+                raise DataError(f"{path} row {row_no}: is_progressor {cell!r} is not "
+                                "0/1/true/false")
+            if sid in truth:
+                raise DataError(f"{path} row {row_no}: duplicate subject_id {sid!r}")
+            truth[sid] = {"is_progressor": flag}
     return truth
 
 

@@ -10,13 +10,13 @@ per-subject SubjectRecord is a view built on demand.
 from __future__ import annotations
 
 import csv
+import gc
 import logging
 import math
-from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import repeat
-from operator import le, lt
+from itertools import chain, compress, islice, repeat
+from operator import eq, le, lt, not_
 
 import numpy as np
 
@@ -228,6 +228,15 @@ class CsvSchema:
     feature_cols: tuple = ()
     group_cols: tuple = ()
 
+    def __post_init__(self):
+        seen = set()
+        for name in (self.subject_col, self.time_col, self.value_col,
+                     *self.feature_cols, *self.group_cols):
+            if name in seen:
+                raise SchemaError(f"column {name!r} is named twice among the subject, "
+                                  "time, value, feature and group columns")
+            seen.add(name)
+
 
 MAX_TIME = 2 ** 53 - 1   # a float holds every integer month up to it
 
@@ -253,42 +262,225 @@ def _parse_time(cell, row_no):
     return t
 
 
-def _nul_free_lines(fh, path):
-    """The lines of fh.  A NUL character is a DataError naming the line: the
-    csv module of Python 3.10 cannot read one, so no version accepts it."""
-    for line_no, line in enumerate(fh, start=1):
-        if "\0" in line:
-            raise DataError(f"{path} line {line_no}: NUL character")
-        yield line
+BLOCK = 2048      # lines and rows read at a time (4096 held 2 MB more on 20,000 rows)
 
 
-def csv_rows(path, columns):
-    """(row number, cells of columns in order) for each data row of the CSV
-    at path, whose header must name every one of columns.  The header is
-    row 1; blank lines are skipped and not counted; a header name that
-    repeats means its last column; a row must have as many cells as the
-    header.  A line the csv module cannot read (such as a field longer than
-    its field size limit) is a DataError naming the file and the line."""
+def _line_blocks(fh, path):
+    """Blocks of BLOCK lines of fh.  A NUL character is a DataError naming
+    the line, raised after a block of the lines before it: the csv module
+    of Python 3.10 cannot read one, so no version accepts it."""
+    line_no = 0
+    while lines := list(islice(fh, BLOCK)):
+        if "\0" in "".join(lines):
+            k = next(k for k, line in enumerate(lines) if "\0" in line)
+            yield lines[:k]
+            raise DataError(f"{path} line {line_no + k + 1}: NUL character")
+        line_no += len(lines)
+        yield lines
+
+
+def _read_rows(reader, path, n):
+    """Up to n more rows of reader, and the DataError that ended them early
+    (None if none did)."""
+    rows = []
+    try:
+        rows.extend(islice(reader, n))      # keeps the rows read before an error
+    except csv.Error as exc:
+        return rows, DataError(f"{path} line {reader.line_num}: {exc}")
+    except DataError as exc:
+        return rows, exc
+    return rows, None
+
+
+def csv_blocks(path, columns):
+    """(number of the first row, cells of each of columns) for each block of
+    up to BLOCK data rows of the CSV at path, whose header must name every
+    one of columns; the cells of a column are a tuple, one per row.  The
+    header is row 1; blank lines are skipped and not counted; a header name
+    that repeats means its last column; a row must have as many cells as
+    the header.  A faulty row or line (one with another cell count, a NUL
+    character, or a line the csv module cannot read, such as a field longer
+    than its field size limit) is a DataError naming it, raised after a
+    block of the rows before it."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(_nul_free_lines(fh, path))
+        reader = csv.reader(chain.from_iterable(_line_blocks(fh, path)))
+        header, fault = _read_rows(reader, path, 1)
+        if fault:
+            raise fault
+        header = header[0] if header else []
+        index = {name: i for i, name in enumerate(header)}
+        for col in columns:
+            if col not in index:
+                raise SchemaError(f"missing column {col!r} in {path}")
+        picks = [index[col] for col in columns]
+        row_no = 2
+        while True:
+            rows, fault = _read_rows(reader, path, BLOCK)
+            done = fault is not None or len(rows) < BLOCK
+            if not all(rows):
+                rows = [row for row in rows if row]
+            counts = list(map(len, rows))
+            if counts.count(len(header)) != len(rows):
+                k = next(k for k, m in enumerate(counts) if m != len(header))
+                rows, fault = rows[:k], DataError(
+                    f"row {row_no + k}: cell count differs from the header of {path}")
+            if rows:
+                cells = list(zip(*rows))
+                yield row_no, [cells[i] for i in picks]
+            if fault:
+                raise fault
+            if done:
+                return
+            row_no += len(rows)
+
+
+def _parse_times(cells, row_no):
+    """The visit times of cells, the first on row row_no, up to the first
+    that is not a valid time, and that cell's DataError (None if all are)."""
+    try:
+        times = list(map(int, cells))
+        if 0 <= min(times) and max(times) <= MAX_TIME:
+            return times, None
+    except ValueError:
+        pass
+    times = []
+    for k, cell in enumerate(cells):
         try:
-            header = next(reader, [])
-            index = {name: i for i, name in enumerate(header)}
-            for col in columns:
-                if col not in index:
-                    raise SchemaError(f"missing column {col!r} in {path}")
-            picks = [index[col] for col in columns]
-            row_no = 1
-            for row in reader:
-                if not row:
-                    continue
-                row_no += 1
-                if len(row) != len(header):
-                    raise DataError(f"row {row_no}: cell count differs from the header "
-                                    f"of {path}")
-                yield row_no, [row[i] for i in picks]
-        except csv.Error as exc:
-            raise DataError(f"{path} line {reader.line_num}: {exc}") from None
+            times.append(_parse_time(cell, row_no + k))
+        except DataError as exc:
+            return times, exc
+    return times, None
+
+
+def _float_or_nan(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def _floats(cells):
+    """The floats of a list of cells, NaN for a cell that is not a number."""
+    try:
+        return np.array(list(map(float, cells)), dtype=float)
+    except ValueError:
+        return np.array(list(map(_float_or_nan, cells)), dtype=float)
+
+
+def _row_fault(row_no, sid, value, rest, first, n_feat):
+    """The DataError of data row row_no, whose time is valid and no
+    duplicate, or None: its biomarker value, and its feature and group
+    cells (the feature cells first, joined by NULs, which no cell holds) in
+    rest against first, those of its subject's first row (None on that
+    row)."""
+    reuse = rest == first
+    cells = rest.split("\0")
+    try:
+        y = float(value)
+        feats = None if reuse else [float(c) for c in cells[:n_feat]]
+    except ValueError as exc:
+        return DataError(f"row {row_no}: non-numeric cell ({exc})")
+    if not (math.isfinite(y) and (reuse or all(map(math.isfinite, feats)))):
+        return DataError(f"row {row_no}: non-finite biomarker or feature cell")
+    if not reuse and first is not None:
+        first = first.split("\0")
+        if feats != [float(c) for c in first[:n_feat]] or cells[n_feat:] != first[n_feat:]:
+            return DataError(f"row {row_no}: subject {sid} features or group "
+                             "labels differ from its earlier rows")
+    return None
+
+
+def _sort_rows(sids, codes, times):
+    """The stable order of rows by subject code then time, and the DataError
+    of the first row in file order that repeats an earlier row's (subject,
+    time), or None.  Row k of codes and times is data row k + 2."""
+    order = np.lexsort((times, codes))
+    c, t = codes[order], times[order]
+    repeats = order[1:][(c[1:] == c[:-1]) & (t[1:] == t[:-1])]
+    if not len(repeats):
+        return order, None
+    k = int(repeats.min())
+    return order, DataError(f"row {k + 2}: duplicate (subject, time) = "
+                            f"({sids[codes[k]]}, {times[k]})")
+
+
+def _read_columns(path, schema):
+    """The columns of the cohort CSV at path, unsorted: the subject IDs in
+    order of first row; per row, in file order, its subject's code, its time
+    and its value; per subject, its features and group codes; and per group
+    column, its label -> code.  Raises the DataError of the first faulty row
+    in file order; a duplicate (subject, time) is found here only when
+    another fault stops the read, and else by load_csv once the rows are
+    sorted."""
+    n_feat = len(schema.feature_cols)
+    index = {}                                   # subject ID -> code, in file order
+    firsts = []                                  # per subject, its first row's rest key
+    labels = [{} for _ in schema.group_cols]     # per group column, label -> code
+    # per block: codes, times and values of its rows; features and group
+    # codes of the subjects it is first to name
+    codes, times, values = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    features, group_codes = [np.empty((0, n_feat))], [np.empty((0, len(labels)), np.intp)]
+
+    def first_fault(fault):
+        """A duplicate among the rows read so far comes before fault."""
+        return _sort_rows(list(index), np.concatenate(codes), np.concatenate(times))[1] or fault
+
+    blocks = csv_blocks(path, [schema.subject_col, schema.time_col, schema.value_col,
+                               *schema.feature_cols, *schema.group_cols])
+    while True:
+        try:
+            row_no, (sid_cells, time_cells, value_cells, *rest_cols) = next(blocks)
+        except StopIteration:
+            break
+        except DataError as exc:
+            raise first_fault(exc)
+        n, known = len(sid_cells), len(index)
+        for sid in dict.fromkeys(sid_cells):
+            index.setdefault(sid, len(index))
+        block_codes = list(map(index.__getitem__, sid_cells))
+        first_rows = np.unique(block_codes, return_index=True)[1]     # of each subject
+        first_rows = first_rows[len(first_rows) - (len(index) - known):].tolist()  # new ones
+        # a row's feature and group cells as one string: a key, not a tracked object
+        rests = list(map("\0".join, zip(*rest_cols))) if rest_cols else [""] * n
+        firsts.extend(map(rests.__getitem__, first_rows))
+
+        # stop: the first row with an invalid time, value or first-row
+        # feature, or (below) with features or labels unlike its first row's
+        block_times, time_fault = _parse_times(time_cells, row_no)
+        block_values = _floats(value_cells)
+        block_feats = _floats(list(chain.from_iterable(
+            map(col.__getitem__, first_rows) for col in rest_cols[:n_feat])))
+        block_feats = block_feats.reshape(n_feat, len(first_rows)).T
+        flagged = ~np.isfinite(block_values)
+        flagged[first_rows] |= ~np.isfinite(block_feats).all(axis=1)
+        flagged[len(block_times):] = True     # from the first invalid time on
+        stop = int(flagged.argmax()) if flagged.any() else n
+        same = list(map(eq, rests, map(firsts.__getitem__, block_codes)))
+        for k in compress(range(stop), map(not_, same)):
+            if _row_fault(row_no + k, sid_cells[k], value_cells[k], rests[k],
+                          firsts[block_codes[k]], n_feat):
+                stop = k
+                break
+
+        block_codes = np.array(block_codes, dtype=np.int64)
+        if stop < n:
+            timed = stop < len(block_times)   # a valid time: a duplicate comes first
+            first = None if stop in first_rows else firsts[block_codes[stop]]
+            fault = (_row_fault(row_no + stop, sid_cells[stop], value_cells[stop],
+                                rests[stop], first, n_feat) if timed else time_fault)
+            codes.append(block_codes[:stop + timed])
+            times.append(np.array(block_times[:stop + timed], dtype=np.int64))
+            raise first_fault(fault)
+        codes.append(block_codes)
+        times.append(np.array(block_times, dtype=np.int64))
+        values.append(block_values)
+        features.append(block_feats)
+        group_codes.append(np.array(
+            [[lab.setdefault(label, len(lab)) for label in map(col.__getitem__, first_rows)]
+             for lab, col in zip(labels, rest_cols[n_feat:])],
+            dtype=np.intp).reshape(len(labels), len(first_rows)).T)
+    return (tuple(index), np.concatenate(codes), np.concatenate(times), np.concatenate(values),
+            np.concatenate(features), np.concatenate(group_codes), labels)
 
 
 def load_csv(path, schema: CsvSchema) -> Dataset:
@@ -299,50 +491,28 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     fractional or non-finite times, non-finite biomarker or feature cells,
     and rows whose features or group labels differ from the subject's
     earlier rows are rejected; the error names the first faulty row in file
-    order.  The file is read one row at a time into flat columns.
+    order.  The file is read one block of rows at a time, a column at a
+    time; a row's feature cells are parsed only on its subject's first row
+    and where they differ from that row's as text.  Duplicates are found
+    once the rows are sorted, and, when another fault stops the read, among
+    the rows before it.
     """
-    n_feat = len(schema.feature_cols)
-    needed = ([schema.subject_col, schema.time_col, schema.value_col]
-              + list(schema.feature_cols) + list(schema.group_cols))
-    # sid -> (code, first row's feature and group cells, its times so far)
-    by_subject: dict = {}
-    labels = [{} for _ in schema.group_cols]     # per group column, label -> code
-    features, group_codes = [], []               # per subject, from its first row
-    codes, times, values = array("q"), array("q"), array("d")    # per row
-    for row_no, cells in csv_rows(path, needed):
-        sid, rest = cells[0], cells[3:]
-        t = _parse_time(cells[1], row_no)
-        entry = by_subject.get(sid)
-        if entry is not None and t in entry[2]:
-            raise DataError(f"row {row_no}: duplicate (subject, time) = ({sid}, {t})")
-        reuse = entry is not None and rest == entry[1]
-        try:
-            y = float(cells[2])
-            feats = None if reuse else [float(c) for c in rest[:n_feat]]
-        except ValueError as exc:
-            raise DataError(f"row {row_no}: non-numeric cell ({exc})")
-        if not (math.isfinite(y) and (reuse or all(map(math.isfinite, feats)))):
-            raise DataError(f"row {row_no}: non-finite biomarker or feature cell")
-        if entry is None:
-            entry = by_subject[sid] = (len(by_subject), rest, set())
-            features.append(feats)
-            group_codes.append([lab.setdefault(v, len(lab))
-                                for lab, v in zip(labels, rest[n_feat:])])
-        elif not reuse and (feats != features[entry[0]] or rest[n_feat:] != entry[1][n_feat:]):
-            raise DataError(f"row {row_no}: subject {sid} features or group "
-                            "labels differ from its earlier rows")
-        entry[2].add(t)
-        codes.append(entry[0])
-        times.append(t)
-        values.append(y)
-
-    n = len(by_subject)
-    codes, times = np.frombuffer(codes, dtype=np.int64), np.frombuffer(times, dtype=np.int64)
-    order = np.lexsort((times, codes))
+    # a block of csv rows is thousands of live lists, whose allocation would
+    # start garbage collections that free nothing
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        sids, codes, times, values, features, group_codes, labels = _read_columns(path, schema)
+    finally:
+        if collecting:
+            gc.enable()
+    n = len(sids)
+    order, duplicate = _sort_rows(sids, codes, times)
+    if duplicate:
+        raise duplicate
     counts = np.bincount(codes, minlength=n)
     starts = _offsets(counts)[:-1]
-    times, values = times[order], np.frombuffer(values)[order]
-    sids = tuple(by_subject)
+    times, values = times[order], values[order]
     missing = np.flatnonzero(times[starts] != 0)
     if len(missing):
         raise DataError(f"subject {sids[missing[0]]}: no month-0 baseline row")
@@ -351,10 +521,10 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     n_empty = int(np.count_nonzero(counts == 1))
     if n_empty:
         log.info("loaded %d subjects, %d with no follow-up visits", n, n_empty)
-    return Dataset(subject_ids=sids, features=np.array(features, dtype=float).reshape(n, n_feat),
+    return Dataset(subject_ids=sids, features=features,
                    baseline=values[starts], offsets=_offsets(counts - 1),
                    times=times[visit], values=values[visit],
-                   group_codes=np.array(group_codes, dtype=np.intp).reshape(n, len(labels)),
+                   group_codes=group_codes,
                    group_categories=tuple(tuple(lab) for lab in labels),
                    feature_names=tuple(schema.feature_cols),
                    group_columns=tuple(schema.group_cols))

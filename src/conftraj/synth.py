@@ -12,6 +12,7 @@ sorted, so they are strictly increasing integers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,6 +113,14 @@ class SynthConfig:
             raise ConfigurationError(
                 "n_subjects * feature_dim must be at most 10**7 feature values, "
                 f"got {self.n_subjects} * {self.feature_dim}")
+        written = {"subject_id", "time_months", "biomarker"}    # and f0 ... f{d-1}
+        for gs in self.group_spec:
+            # a feature column's index has at most 8 digits (feature_dim <= 10**7)
+            feature = re.fullmatch("f(0|[1-9][0-9]{0,7})", gs.column)
+            if gs.column in written or (feature and int(feature[1]) < self.feature_dim):
+                raise ConfigurationError(f"group {gs.column}: column {gs.column!r} is "
+                                         "already a column of the generated cohort CSV")
+            written.add(gs.column)
         sign = -1.0 if self.direction == "decreasing" else 1.0
         if sign * self.slope_progressor <= sign * self.slope_stable:
             raise ConfigurationError(

@@ -817,3 +817,25 @@ def test_truth_csv_over_long_field_names_line(tmp_path, capsys, fitted_dirs):
     err = capsys.readouterr().err
     assert err.startswith("error [DataError]: ")
     assert "truth.csv line 3: field larger than field limit" in err
+
+
+@pytest.mark.parametrize("data,named", [
+    ({"feature_cols": ["f0", "f0"]}, "f0"),
+    ({"feature_cols": ["f0"], "group_cols": ["f0"]}, "f0"),
+    ({"group_cols": ["subject_id"]}, "subject_id"),
+    ({"time_col": "biomarker"}, "biomarker")])
+def test_data_column_named_twice_rejected(tmp_path, capsys, data, named):
+    # the data file does not exist: the config is rejected before any load
+    code, err = config_error(tmp_path, capsys, "evaluate", {
+        "data": {"path": str(tmp_path / "missing.csv"), **data}})
+    assert code == 1
+    assert err.startswith(f"error [SchemaError]: column '{named}' is named twice")
+
+
+def test_generate_refuses_a_group_column_it_writes_already(tmp_path, capsys):
+    code, err = config_error(tmp_path, capsys, "generate", {"synth": {
+        "n_subjects": 20, "group_spec": [{**SITE, "column": "f0"}]}})
+    assert code == 1
+    assert err == ("error [ConfigurationError]: group f0: column 'f0' is already "
+                   "a column of the generated cohort CSV\n")
+    assert not (tmp_path / "o" / "cohort.csv").exists()

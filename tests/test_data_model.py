@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftraj import data_model
 from conftraj.data_model import (MAX_TIME, CsvSchema, Dataset,
                                  StandardizationStats, SubjectRecord, load_csv,
                                  save_csv, split, standardize)
@@ -71,6 +72,17 @@ def test_missing_column(tmp_path):
     p.write_text("subject_id,time_months,biomarker,age,edu\ns1,0,1,70,12\n")
     with pytest.raises(SchemaError, match="sex"):
         load_csv(p, SCHEMA)
+
+
+@pytest.mark.parametrize("columns,named", [
+    ({"feature_cols": ("age", "age")}, "age"),
+    ({"feature_cols": ("age",), "group_cols": ("age",)}, "age"),
+    ({"group_cols": ("subject_id",)}, "subject_id"),
+    ({"value_col": "time_months"}, "time_months"),
+    ({"group_cols": ("sex", "sex")}, "sex")])
+def test_schema_refuses_a_column_named_twice(columns, named):
+    with pytest.raises(SchemaError, match=f"^column '{named}' is named twice"):
+        CsvSchema(**columns)
 
 
 @pytest.mark.parametrize("row", ["s1,6,1.4,70,12\n", "s1,6,1.4,70,12,F,extra\n"],
@@ -438,6 +450,19 @@ def test_load_csv_matches_dictreader_reference(case):
         assert _outcome(load_csv, path, schema) == _outcome(reference_load_csv, path, schema)
 
 
+@settings(max_examples=200, deadline=None)
+@given(cohort_csv_texts(), st.integers(1, 4))
+def test_load_csv_in_small_blocks_matches_dictreader_reference(case, block):
+    # blocks of a few lines and rows put block boundaries between every
+    # pair of faults the strategy draws
+    text, schema = case
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_model, "BLOCK", block)
+        path = Path(tmp) / "cohort.csv"
+        path.write_text(text, encoding="utf-8")
+        assert _outcome(load_csv, path, schema) == _outcome(reference_load_csv, path, schema)
+
+
 def test_load_csv_reference_cases(tmp_path):
     # the cases the strategy is built for, each pinned once
     cases = {
@@ -536,7 +561,10 @@ def long_cohort_lines(n_subjects=2000, visits=4):
 
 
 @pytest.mark.parametrize("case", ["straddle", "duplicate", "feature", "label",
-                                  "last row non-numeric", "two faults"])
+                                  "last row non-numeric", "two faults",
+                                  "non-numeric before duplicate",
+                                  "duplicate before non-numeric",
+                                  "NUL after duplicate", "NUL after straddling duplicate"])
 def test_load_csv_faults_far_into_a_long_file(tmp_path, case):
     lines = long_cohort_lines()
     assert len(lines) > 2 * BLOCK
@@ -557,6 +585,23 @@ def test_load_csv_faults_far_into_a_long_file(tmp_path, case):
         cells[3 if case == "feature" else 5] = "99" if case == "feature" else "X"
         lines[k] = ",".join(cells) + "\n"
         want = f"row {k + 2}: subject {owner} features or group labels differ"
+    elif case in ("non-numeric before duplicate", "duplicate before non-numeric"):
+        # a second copy of a block-1 row in block 2, before or after a
+        # non-numeric biomarker cell in block 2
+        bad = boundary + (100 if case.startswith("non") else 600)
+        cells = lines[bad].split(",")
+        cells[2] = "twelve"
+        lines[bad] = ",".join(cells)
+        lines.insert(boundary + 500, lines[10].replace(",0.", ",9.", 1))
+        want = (f"row {bad + 2}: non-numeric cell" if case.startswith("non")
+                else f"row {boundary + 502}: duplicate (subject, time) = (s0002, 0)")
+    elif case.startswith("NUL"):
+        # a NUL on a block-2 line after a duplicate whose second copy is in
+        # block 1, or in block 2 before the NUL
+        dup = 2000 if case == "NUL after duplicate" else boundary + 200
+        lines.insert(dup, lines[10].replace(",0.", ",9.", 1))
+        lines[boundary + 300] = lines[boundary + 300].replace(",", ",\0", 1)
+        want = f"row {dup + 2}: duplicate (subject, time) = (s0002, 0)"
     elif case == "last row non-numeric":
         cells = lines[-1].split(",")
         cells[2] = "twelve"

@@ -2,6 +2,7 @@ import json
 import logging
 import math
 from collections import namedtuple
+from dataclasses import replace
 from itertools import accumulate
 
 import numpy as np
@@ -9,10 +10,10 @@ import pytest
 
 from conftraj.data_model import Dataset, SubjectRecord, split, standardize
 from conftraj.errors import ConfigurationError, DataError, NumericalError
-from conftraj.predictors import (KINDS, SIGMA_FLOOR, BootstrapModel, InputScaler,
-                                 QuantileModel, design_matrix, fit_bootstrap,
-                                 fit_gp, fit_quantile, load_model,
-                                 pinball_loss, predict_batch, save_model,
+from conftraj.predictors import (KINDS, MEMBER_CHUNK, ROW_BLOCK, SIGMA_FLOOR,
+                                 BootstrapModel, InputScaler, QuantileModel,
+                                 design_matrix, fit_bootstrap, fit_gp, fit_quantile,
+                                 load_model, pinball_loss, predict_batch, save_model,
                                  visit_rows)
 from conftraj.synth import SynthConfig, generate
 
@@ -487,9 +488,21 @@ def ragged_visit_dataset(n_subjects, seed):
     return Dataset.from_subjects(tuple(subjects), ("f0", "f1"), ())
 
 
+def ridge_solve(Z1, y, lam):
+    """One ridge member from its gathered rows, as fit_bootstrap solved it
+    before it summed weighted outer products."""
+    penalty = lam * np.eye(Z1.shape[1])
+    penalty[-1, -1] = 0.0         # intercept unpenalized
+    A = Z1.T @ Z1 + penalty
+    try:
+        return np.linalg.solve(A, Z1.T @ y)
+    except np.linalg.LinAlgError:
+        raise NumericalError("singular ridge normal equations")
+
+
 def dict_regrouping_members(ds, B, ridge_lambda, seed):
-    """The ensemble as fit_bootstrap built it from per-row owners and a dict."""
-    from conftraj.predictors import _ridge_solve
+    """The ensemble as fit_bootstrap built it from per-row owners and a dict:
+    each member's picked subjects' rows gathered, in pick order."""
     rows, y, _ = design_matrix(ds)
     owners = [i for i, s in enumerate(ds.subjects) for _ in s.visits]
     Z1 = np.column_stack([InputScaler.fit(rows).apply(rows), np.ones(len(y))])
@@ -502,7 +515,7 @@ def dict_regrouping_members(ds, B, ridge_lambda, seed):
     for _ in range(B):
         picks = rng.choice(len(subject_ids), size=len(subject_ids), replace=True)
         idx = np.concatenate([subject_rows[subject_ids[p]] for p in picks])
-        members.append(_ridge_solve(Z1[idx], y[idx], ridge_lambda))
+        members.append(ridge_solve(Z1[idx], y[idx], ridge_lambda))
     return np.asarray(members)
 
 
@@ -518,13 +531,42 @@ def test_design_matrix_offsets_partition_rows():
         assert np.all(rows[lo:hi, :-1] == np.append(s.features, s.baseline_value))
 
 
+# the weighted sums add the rows in another order than the gathered rows'
+# products, so members agree to rounding, not bit for bit
+GATHER_RTOL = 1e-10
+
+
 @pytest.mark.parametrize("seed", (0, 7, 31))
 @pytest.mark.parametrize("B", (2, 5, 40))
 def test_bootstrap_gather_matches_dict_regrouping(seed, B):
     ds = ragged_visit_dataset(25 + seed, seed=seed)
     assert any(not s.visits for s in ds.subjects)
     m = fit_bootstrap(ds, B=B, ridge_lambda=0.5, seed=seed)
-    assert np.array_equal(m.members, dict_regrouping_members(ds, B, 0.5, seed))
+    np.testing.assert_allclose(m.members, dict_regrouping_members(ds, B, 0.5, seed),
+                               rtol=GATHER_RTOL, atol=0)
+
+
+@pytest.mark.parametrize("n_subjects,B", [
+    (2000, 3),                          # more design rows than one row block
+    (40, 2 * MEMBER_CHUNK + 3)])        # more members than one member chunk
+def test_bootstrap_blocks_and_chunks_match_dict_regrouping(n_subjects, B):
+    ds = ragged_visit_dataset(n_subjects, seed=5)
+    assert len(ds.times) > ROW_BLOCK or B > MEMBER_CHUNK
+    m = fit_bootstrap(ds, B=B, ridge_lambda=0.5, seed=2)
+    np.testing.assert_allclose(m.members, dict_regrouping_members(ds, B, 0.5, 2),
+                               rtol=GATHER_RTOL, atol=0)
+
+
+def test_bootstrap_singular_normal_equations_raise():
+    # no ridge penalty and a constant feature: the standardized column is
+    # exactly zero, so every member's system is singular
+    ds = ragged_visit_dataset(30, seed=4)
+    ds = replace(ds, features=np.column_stack([ds.features[:, :1],
+                                               np.full(len(ds), 3.0)]))
+    with pytest.raises(NumericalError, match="singular ridge normal equations"):
+        dict_regrouping_members(ds, 3, 0.0, 0)
+    with pytest.raises(NumericalError, match="singular ridge normal equations"):
+        fit_bootstrap(ds, B=3, ridge_lambda=0.0, seed=0)
 
 
 # ---------------------------------------------------------------------------

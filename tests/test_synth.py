@@ -100,3 +100,22 @@ def test_generate_memory_does_not_grow_with_max_time():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("columns,named", [
+    (("subject_id",), "subject_id"), (("time_months",), "time_months"),
+    (("biomarker",), "biomarker"), (("f0",), "f0"), (("f3",), "f3"),
+    (("site", "site"), "site")])
+def test_group_column_must_not_repeat_a_written_column(columns, named):
+    # save_csv writes subject_id, time_months, biomarker, f0 ... f{d-1} and
+    # then the group columns; a repeated header name would not load back
+    specs = tuple(GroupSpec(c, ("a", "b"), (0.5, 0.5)) for c in columns)
+    with pytest.raises(ConfigurationError, match=f"column '{named}' is already a column"):
+        SynthConfig(n_subjects=10, feature_dim=4, group_spec=specs)
+
+
+@pytest.mark.parametrize("column", ["f4", "f01", "F0", "site", "f" + "9" * 5000],
+                         ids=["f4", "f01", "F0", "site", "f99...9"])
+def test_group_column_beside_the_written_columns_accepted(column):
+    SynthConfig(n_subjects=10, feature_dim=4,
+                group_spec=(GroupSpec(column, ("a", "b"), (0.5, 0.5)),))
