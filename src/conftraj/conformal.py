@@ -188,5 +188,8 @@ def band_for_subject(model, s: SubjectRecord, gcal, times) -> PredictionBand:
     radius when gcal is Mondrian."""
     if not len(times):
         raise DataError("band requires at least one query time")
-    one = Dataset.from_subjects((s,), [None] * len(s.features), tuple(s.group_labels))
+    # placeholder feature names, each longer than any group column's name
+    pad = "_" * max(map(len, s.group_labels), default=0)
+    names = [f"{pad}_{j}" for j in range(len(s.features))]
+    one = Dataset.from_subjects((s,), names, tuple(s.group_labels))
     return _make_bands(model, one, [len(times)], times, gcal)

@@ -67,6 +67,9 @@ def _offsets(counts):
     return offsets
 
 
+CSV_COLUMNS = ("subject_id", "time_months", "biomarker")   # save_csv's first columns
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """A cohort, one array per column.  Subject i has ID subject_ids[i],
@@ -123,6 +126,13 @@ class Dataset:
         if n and self.features.shape[1] != d:
             raise DataError(f"subject {ids[0]}: feature vector length "
                             f"{self.features.shape[1]} != {d}")
+        # save_csv writes these names as one header, which load_csv must read back
+        seen = set(CSV_COLUMNS)
+        for name in (*self.feature_names, *self.group_columns):
+            if name in seen:
+                raise DataError(f"dataset column {name!r} is named twice among "
+                                f"{', '.join(CSV_COLUMNS)} and its feature and group columns")
+            seen.add(name)
 
     @classmethod
     def from_subjects(cls, subjects, feature_names, group_columns) -> "Dataset":
@@ -296,12 +306,13 @@ def csv_blocks(path, columns):
     """(number of the first row, cells of each of columns) for each block of
     up to BLOCK data rows of the CSV at path, whose header must name every
     one of columns; the cells of a column are a tuple, one per row.  The
-    header is row 1; blank lines are skipped and not counted; a header name
-    that repeats means its last column; a row must have as many cells as
-    the header.  A faulty row or line (one with another cell count, a NUL
-    character, or a line the csv module cannot read, such as a field longer
-    than its field size limit) is a DataError naming it, raised after a
-    block of the rows before it."""
+    header is row 1; blank lines are skipped and not counted; one of
+    columns missing from the header, or named there twice, is a
+    SchemaError; a row must have as many cells as the header.  A faulty
+    row or line (one with another cell count, a NUL character, or a line
+    the csv module cannot read, such as a field longer than its field size
+    limit) is a DataError naming it, raised after a block of the rows
+    before it."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(chain.from_iterable(_line_blocks(fh, path)))
         header, fault = _read_rows(reader, path, 1)
@@ -312,6 +323,8 @@ def csv_blocks(path, columns):
         for col in columns:
             if col not in index:
                 raise SchemaError(f"missing column {col!r} in {path}")
+            if header.count(col) > 1:
+                raise SchemaError(f"column {col!r} is named twice in the header of {path}")
         picks = [index[col] for col in columns]
         row_no = 2
         while True:
@@ -535,8 +548,7 @@ def save_csv(ds: Dataset, path) -> None:
     A subject ID or group label that load_csv rejects, one holding a NUL
     character or longer than csv.field_size_limit(), is a DataError naming
     the subject."""
-    header = (["subject_id", "time_months", "biomarker"]
-              + list(ds.feature_names) + list(ds.group_columns))
+    header = [*CSV_COLUMNS, *ds.feature_names, *ds.group_columns]
     limit = csv.field_size_limit()
     times, values, bounds = ds.times.tolist(), ds.values.tolist(), ds.offsets.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -222,12 +222,22 @@ def fit_gp(train: Dataset, lengthscales=None, signal_vars=None, noise_vars=None,
     return GpModel(scaler, Z, y, sv, ls, nv, K_inv, alpha, lml)
 
 
+GP_TILE = 2 ** 18      # kernel entries per tile of query rows (2 MB of float64)
+
+
 def _gp_predict_batch(m: GpModel, Zq_raw):
-    Zq = m.scaler.apply(Zq_raw)
-    Ks = _rbf(m.Z, Zq, m.signal_var, m.lengthscale)
-    mean = Ks.T @ m.alpha
-    var = m.signal_var - np.sum(Ks * (m.K_inv @ Ks), axis=0) + m.noise_var
-    std = np.sqrt(np.maximum(var, 0.0))
+    """Posterior mean and floored std of each query row, predicted over
+    consecutive tiles of GP_TILE // len(m.Z) rows, so the kernel and its
+    temporaries take O(len(m.Z) × tile) memory whatever the query count."""
+    n = len(Zq_raw)
+    mean, std = np.empty(n), np.empty(n)
+    rows = max(1, GP_TILE // len(m.Z))
+    for lo in range(0, n, rows):
+        Zq = m.scaler.apply(Zq_raw[lo:lo + rows])
+        Ks = _rbf(m.Z, Zq, m.signal_var, m.lengthscale)
+        mean[lo:lo + rows] = Ks.T @ m.alpha
+        var = m.signal_var - np.sum(Ks * (m.K_inv @ Ks), axis=0) + m.noise_var
+        std[lo:lo + rows] = np.sqrt(np.maximum(var, 0.0))
     return mean, np.maximum(std, SIGMA_FLOOR)
 
 
@@ -242,12 +252,16 @@ class QuantileModel:
     z_score: float
 
 
+def _pinball(u, q):
+    """Mean pinball loss at level q of the residuals u."""
+    return float(np.mean(np.where(u >= 0, q * u, (q - 1.0) * u)))
+
+
 def pinball_loss(weights, Z1, y, levels):
     """Mean pinball loss summed over quantile levels; Z1 carries the bias column."""
     total = 0.0
     for w, q in zip(weights, levels):
-        u = y - Z1 @ w
-        total += float(np.mean(np.where(u >= 0, q * u, (q - 1.0) * u)))
+        total += _pinball(y - Z1 @ w, q)
     return total
 
 
@@ -280,18 +294,19 @@ def fit_quantile(train: Dataset, levels=(0.1, 0.5, 0.9), steps: int = 600,
     for k, q in enumerate(levels):
         w = W[k]
         lr = learning_rate
-        loss = pinball_loss([w], Z1, y, (q,))
+        u = y - Z1 @ w         # residuals of w, kept with w and its loss
+        loss = _pinball(u, q)
         for _ in range(steps):
-            u = y - Z1 @ w
             grad = -Z1.T @ np.where(u >= 0, q, q - 1.0) / len(y)
             w_new = w - lr * grad
-            loss_new = pinball_loss([w_new], Z1, y, (q,))
+            u_new = y - Z1 @ w_new
+            loss_new = _pinball(u_new, q)
             if not math.isfinite(loss_new):
                 raise NumericalError("quantile training diverged (non-finite loss)")
             if loss_new > loss:
                 lr *= 0.5      # reject the step, keep the loss monotone
             else:
-                w, loss = w_new, loss_new
+                w, u, loss = w_new, u_new, loss_new
                 lr *= 1.1      # regrow so rejected steps do not stall descent
         W[k] = w
     conf = levels[-1] - levels[0]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_model import MAX_TIME, Dataset, _offsets
+from .data_model import CSV_COLUMNS, MAX_TIME, Dataset, _offsets
 from .errors import ConfigurationError, check_rules, is_finite, is_int, is_number
 
 
@@ -113,7 +113,7 @@ class SynthConfig:
             raise ConfigurationError(
                 "n_subjects * feature_dim must be at most 10**7 feature values, "
                 f"got {self.n_subjects} * {self.feature_dim}")
-        written = {"subject_id", "time_months", "biomarker"}    # and f0 ... f{d-1}
+        written = set(CSV_COLUMNS)    # and f0 ... f{d-1}
         for gs in self.group_spec:
             # a feature column's index has at most 8 digits (feature_dim <= 10**7)
             feature = re.fullmatch("f(0|[1-9][0-9]{0,7})", gs.column)

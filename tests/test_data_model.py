@@ -358,9 +358,12 @@ def reference_load_csv(path, schema):
               + list(schema.feature_cols) + list(schema.group_cols))
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
         for col in needed:
-            if col not in (reader.fieldnames or []):
+            if col not in header:
                 raise SchemaError(f"missing column {col!r} in {path}")
+            if header.count(col) > 1:
+                raise SchemaError(f"column {col!r} is named twice in the header of {path}")
         by_subject, seen = {}, set()
         for row_no, row in enumerate(reader, start=2):
             if None in row or None in row.values():
@@ -419,7 +422,7 @@ def cohort_csv_texts(draw):
     header = ["subject_id", "time_months", "biomarker", "age", "sex"]
     repeated = draw(st.sampled_from([None, "age", "sex"]))
     if repeated:
-        header.append(repeated)        # the last column of a name is the one read
+        header.append(repeated)        # a schema column named twice is refused
     lines = [",".join(header)]
     for _ in range(draw(st.integers(0, 12))):
         if draw(st.integers(0, 5)) == 0:
@@ -469,6 +472,7 @@ def test_load_csv_reference_cases(tmp_path):
         "blank lines keep row numbers": "h\ns1,0,1,70,F\n\n\ns1,0,2,70,F\n",
         "70 against 70.0": "h\ns1,0,1,70,F\n\ns1,6,2,70.0,F\ns1,9,2,7e1,F\n",
         "repeated header": "h,age\ns1,0,1,x,F,70\ns1,6,2,y,F,70.0\n",
+        "repeated unread column": "h,note,note\ns1,0,1,70,F,x,y\n",
         "feature differs": "h\ns1,0,1,70,F\ns1,6,2,71,F\n",
         "label differs": "h\ns1,0,1,70,F\ns1,6,2,70,M\n",
         "ragged": "h\ns1,0,1,70,F\n\ns1,6,2,70\n",
@@ -485,7 +489,9 @@ def test_load_csv_reference_cases(tmp_path):
         assert outcomes[name] == _outcome(reference_load_csv, path, schema), name
     assert outcomes["blank lines keep row numbers"][1].startswith("row 3: duplicate")
     assert outcomes["70 against 70.0"][0].startswith("[('s1', [70.0], {'sex': 'F'}, 1.0, ((6")
-    assert outcomes["repeated header"][0].startswith("[('s1', [70.0]")
+    assert outcomes["repeated header"] == (
+        "SchemaError", f"column 'age' is named twice in the header of {path}")
+    assert outcomes["repeated unread column"][0].startswith("[('s1', [70.0], {'sex': 'F'}")
     assert outcomes["ragged"][1].startswith("row 3: cell count differs")
 
 
@@ -750,6 +756,19 @@ def test_valid_columns_build_the_records():
         SubjectRecord("a", np.array([1.0, 2.0]), {"sex": "F"}, 0.5, ((6, 1.0), (12, 2.0))),
         SubjectRecord("b", np.array([3.0, 4.0]), {"sex": "M"}, 0.25, ((3, 3.0),))])
     assert not ds.values.flags.writeable
+
+
+@pytest.mark.parametrize("features,groups,named", [
+    (("a", "a"), (), "a"), (("f0",), ("biomarker",), "biomarker"),
+    (("subject_id",), (), "subject_id"), (("time_months",), (), "time_months"),
+    (("f0",), ("f0",), "f0"), ((), ("sex", "sex"), "sex")])
+def test_dataset_refuses_a_column_named_twice(features, groups, named):
+    # save_csv would write the name twice in one header, which load_csv refuses
+    subject = SubjectRecord("a", np.zeros(len(features)), {g: "x" for g in groups}, 0.0,
+                            ((6, 1.0),))
+    with pytest.raises(DataError, match=f"^dataset column '{named}' is named twice among "
+                                        "subject_id, time_months, biomarker and its"):
+        Dataset.from_subjects([subject], features, groups)
 
 
 @pytest.mark.parametrize("name,column", [

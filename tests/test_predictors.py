@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import tracemalloc
 from collections import namedtuple
 from dataclasses import replace
 from itertools import accumulate
@@ -8,10 +9,11 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
+from conftraj import predictors
 from conftraj.data_model import Dataset, SubjectRecord, split, standardize
 from conftraj.errors import ConfigurationError, DataError, NumericalError
-from conftraj.predictors import (KINDS, MEMBER_CHUNK, ROW_BLOCK, SIGMA_FLOOR,
-                                 BootstrapModel, InputScaler, QuantileModel,
+from conftraj.predictors import (GP_TILE, KINDS, MEMBER_CHUNK, ROW_BLOCK, SIGMA_FLOOR,
+                                 BootstrapModel, InputScaler, QuantileModel, _rbf,
                                  design_matrix, fit_bootstrap, fit_gp, fit_quantile,
                                  load_model, pinball_loss, predict_batch, save_model,
                                  visit_rows)
@@ -225,6 +227,66 @@ def test_gp_variance_bounds():
         assert 0 <= p.std ** 2 <= m.signal_var + m.noise_var + 1e-6
 
 
+def one_shot_gp_predict(m, Zq_raw):
+    """The GP posterior with the whole query kernel formed at once: the
+    formula each tile of the batch predict applies to its own rows."""
+    Zq = m.scaler.apply(Zq_raw)
+    Ks = _rbf(m.Z, Zq, m.signal_var, m.lengthscale)
+    mean = Ks.T @ m.alpha
+    var = m.signal_var - np.sum(Ks * (m.K_inv @ Ks), axis=0) + m.noise_var
+    return mean, np.maximum(np.sqrt(np.maximum(var, 0.0)), SIGMA_FLOOR)
+
+
+@pytest.fixture(scope="module")
+def tiled_gp():
+    m = fit_gp(multi_visit_dataset(60, seed=29, noise=0.1), seed=0)    # 240 rows
+    return m, GP_TILE // len(m.Z)
+
+
+@pytest.mark.parametrize("tiles,extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 7)],
+                         ids=["0", "1", "tile-1", "tile", "tile+1", "3tile+7"])
+def test_gp_tiles_match_one_shot(tiled_gp, tiles, extra):
+    m, tile = tiled_gp
+    n = tiles * tile + extra
+    rng = np.random.default_rng(n)
+    X, t = rng.standard_normal((n, 3)), rng.integers(1, 60, n)
+    means, stds = predict_batch(m, X, t)
+    want_means, want_stds = one_shot_gp_predict(m, np.column_stack([X, t]))
+    np.testing.assert_allclose(means, want_means, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(stds, want_stds, rtol=1e-10, atol=0)
+
+
+def test_gp_tiles_keep_the_std_floor_and_the_nan_check(monkeypatch):
+    ds, *_ = linear_dataset(25, seed=3, noise=0.0)
+    m = fit_gp(ds, noise_vars=[0.0], seed=0)
+    monkeypatch.setattr(predictors, "GP_TILE", 4 * len(m.Z))      # 4 query rows a tile
+    rows, _, _ = design_matrix(ds)
+    means, stds = predict_batch(m, rows[:, :-1], rows[:, -1])      # 7 tiles
+    want_means, want_stds = one_shot_gp_predict(m, rows)
+    np.testing.assert_allclose(means, want_means, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(stds, want_stds, rtol=1e-10, atol=0)
+    assert np.all(stds == SIGMA_FLOOR)    # noiseless, at its own training rows
+    X = rows[:, :-1].copy()
+    X[-1, 0] = np.nan                     # a NaN std in the last tile only
+    with pytest.raises(NumericalError, match="below floor"):
+        predict_batch(m, X, rows[:, -1])
+
+
+def test_gp_prediction_memory_is_bounded_by_the_tile():
+    m = fit_gp(multi_visit_dataset(200, seed=31, noise=0.1), max_points=512, seed=0)
+    assert len(m.Z) == 512
+    rng = np.random.default_rng(0)
+    X, t = rng.standard_normal((20_000, 3)), rng.integers(1, 60, 20_000)
+    tracemalloc.start()
+    try:
+        predict_batch(m, X, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole 512 x 20,000 kernel would be 82 MB, and each of its temporaries as much
+    assert peak < 16 * 2 ** 20
+
+
 def test_gp_dimension_mismatch():
     # named for the GP; predict_batch checks every kind
     ds, *_ = linear_dataset(10, seed=11)
@@ -269,6 +331,46 @@ def test_quantile_normal_noise_offset():
     oracle = float(np.quantile(noise, 0.9))
     assert fitted_hi == pytest.approx(oracle, abs=0.15)
     assert oracle == pytest.approx(1.2816, abs=0.1)
+
+
+def recomputing_quantile_weights(train, levels=(0.1, 0.5, 0.9), steps=600,
+                                 learning_rate=0.1):
+    """fit_quantile's descent with every step's residuals and loss
+    computed afresh from its weights."""
+    Zraw, y, _ = design_matrix(train)
+    scaler = InputScaler.fit(Zraw)
+    Z1 = np.column_stack([scaler.apply(Zraw), np.ones(len(y))])
+    W = np.zeros((len(levels), Z1.shape[1]))
+    for k, q in enumerate(levels):
+        w = W[k]
+        lr = learning_rate
+        loss = pinball_loss([w], Z1, y, (q,))
+        for _ in range(steps):
+            u = y - Z1 @ w
+            grad = -Z1.T @ np.where(u >= 0, q, q - 1.0) / len(y)
+            w_new = w - lr * grad
+            loss_new = pinball_loss([w_new], Z1, y, (q,))
+            if loss_new > loss:
+                lr *= 0.5
+            else:
+                w, loss = w_new, loss_new
+                lr *= 1.1
+        W[k] = w
+    return W
+
+
+@pytest.mark.parametrize("make,opts", [
+    (lambda: linear_dataset(60, seed=13, noise=0.3)[0], {}),
+    (lambda: multi_visit_dataset(40, seed=5, noise=0.2), {"levels": (0.05, 0.5, 0.95)}),
+    (lambda: dataset_from_rows(np.zeros((40, 1)), np.arange(1, 41), np.full(40, 2.5)),
+     {"steps": 800, "learning_rate": 0.5}),
+    (lambda: standardize(generate(SynthConfig(n_subjects=300, seed=7))[0])[0],
+     {"levels": (0.25, 0.75), "learning_rate": 0.4})],
+    ids=["linear", "multi-visit", "constant", "synthetic"])
+def test_quantile_descent_matches_recomputing_reference(make, opts):
+    ds = make()
+    assert np.array_equal(fit_quantile(ds, **opts).weights,
+                          recomputing_quantile_weights(ds, **opts))
 
 
 def test_quantile_std_z_scaling():
