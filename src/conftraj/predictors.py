@@ -90,8 +90,8 @@ class GpModel:
 
 
 def _sqdist(Z1, Z2):
-    d2 = (np.sum(Z1 ** 2, axis=1)[:, None] + np.sum(Z2 ** 2, axis=1)[None, :]
-          - 2.0 * Z1 @ Z2.T)
+    d2 = np.add.outer(np.sum(Z1 ** 2, axis=1), np.sum(Z2 ** 2, axis=1))
+    d2 -= 2.0 * Z1 @ Z2.T
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -141,13 +141,17 @@ def _grid_search(Z, y, lengthscales, signal_vars, noise_vars):
     per lengthscale (Rasmussen & Williams 2006, sections 2.2 and 5.4).  A
     numerically singular point (d.min() <= 1e-8 d.max(), e.g. a noiseless
     grid) is scored by _gp_factor's jittered Cholesky instead.  Only the
-    running best's (U, b, d) or _gp_factor result is kept.
+    running best's (U, b, d) or _gp_factor result is kept, and each R is
+    formed in one reused n x n buffer.
     """
     d2 = _sqdist(Z, Z)
+    R = np.empty_like(d2)
     const = 0.5 * len(y) * math.log(2.0 * math.pi)
     scored, n_fallback, best = [], 0, None
     for ls in lengthscales:
-        lam, U = np.linalg.eigh(np.exp(-0.5 * d2 / ls ** 2))
+        np.multiply(d2, -0.5, out=R)
+        np.divide(R, ls ** 2, out=R)
+        lam, U = np.linalg.eigh(np.exp(R, out=R))
         b = U.T @ y
         for sv in signal_vars:
             for nv in noise_vars:
@@ -163,11 +167,14 @@ def _grid_search(Z, y, lengthscales, signal_vars, noise_vars):
                 scored.append((lml, ls, sv, nv))
                 if best is None or lml > best[0]:    # first maximum wins
                     best = (lml, ls, sv, nv, factor)
+        del U, factor                 # unless best, freed before the next eigh
+    del d2, R
     lml, ls, sv, nv, factor = best
     if len(factor) == 3:              # scored from the spectrum
         U, b, d = factor
-        W = U / np.sqrt(d)
-        factor = (W @ W.T, U @ (b / d), lml, 0.0)
+        alpha = U @ (b / d)
+        U /= np.sqrt(d)               # W = U diag(d)^-1/2, in U's own storage
+        factor = (U @ U.T, alpha, lml, 0.0)
     return scored, n_fallback, (ls, sv, nv), factor
 
 
@@ -252,16 +259,18 @@ class QuantileModel:
     z_score: float
 
 
-def _pinball(u, q):
-    """Mean pinball loss at level q of the residuals u."""
-    return float(np.mean(np.where(u >= 0, q * u, (q - 1.0) * u)))
+def _pinball_slope(u, q):
+    """The pinball loss's slope at level q at each residual of u: its loss
+    there is u times its slope."""
+    return np.where(u >= 0, q, q - 1.0)
 
 
 def pinball_loss(weights, Z1, y, levels):
     """Mean pinball loss summed over quantile levels; Z1 carries the bias column."""
     total = 0.0
     for w, q in zip(weights, levels):
-        total += _pinball(y - Z1 @ w, q)
+        u = y - Z1 @ w
+        total += float(np.add.reduce(u * _pinball_slope(u, q))) / len(y)
     return total
 
 
@@ -290,23 +299,27 @@ def fit_quantile(train: Dataset, levels=(0.1, 0.5, 0.9), steps: int = 600,
     Z1 = np.column_stack([scaler.apply(Zraw), np.ones(len(y))])
     W = np.zeros((len(levels), Z1.shape[1]))
 
+    n = len(y)
     # the per-level losses are separable, so each head descends on its own
     for k, q in enumerate(levels):
         w = W[k]
         lr = learning_rate
-        u = y - Z1 @ w         # residuals of w, kept with w and its loss
-        loss = _pinball(u, q)
+        u = y - Z1 @ w         # residuals of w, kept with w, its slopes, loss and gradient
+        g = _pinball_slope(u, q)
+        loss = float(np.add.reduce(u * g)) / n
+        grad = -(Z1.T @ g) / n
         for _ in range(steps):
-            grad = -Z1.T @ np.where(u >= 0, q, q - 1.0) / len(y)
             w_new = w - lr * grad
             u_new = y - Z1 @ w_new
-            loss_new = _pinball(u_new, q)
+            g_new = _pinball_slope(u_new, q)
+            loss_new = float(np.add.reduce(u_new * g_new)) / n
             if not math.isfinite(loss_new):
                 raise NumericalError("quantile training diverged (non-finite loss)")
             if loss_new > loss:
                 lr *= 0.5      # reject the step, keep the loss monotone
             else:
-                w, u, loss = w_new, u_new, loss_new
+                w, u, g, loss = w_new, u_new, g_new, loss_new
+                grad = -(Z1.T @ g) / n
                 lr *= 1.1      # regrow so rejected steps do not stall descent
         W[k] = w
     conf = levels[-1] - levels[0]
@@ -334,21 +347,46 @@ class BootstrapModel:
     std_scale: float = 1.0        # deliberate std miscalibration, for experiments
 
 
-ROW_BLOCK = 512       # design rows summed at a time
+SUBJECT_BLOCK = 512   # subjects summed at a time
 MEMBER_CHUNK = 32     # bootstrap members drawn and solved at a time
 
 
-def _member_normal_equations(Z1, y, owner, counts):
+def _subject_moments(train: Dataset, scaler: InputScaler):
+    """For each subject of train with visits: u = [v; 0; 1], v its scaled
+    [x; baseline], so that its design row at scaled visit time τ is u + τ e
+    (e the time axis), and the sums Σw and Σwτ over its visits of w = 1,
+    τ, y (its visit count, Στ, Σy and Στ, Στ², Σyτ)."""
+    has = train.visit_counts > 0
+    v = (np.column_stack([train.features, train.baseline])[has]
+         - scaler.mean[:-1]) / scaler.std[:-1]
+    u = np.column_stack([v, np.zeros(len(v)), np.ones(len(v))])
+    tau = (train.times - scaler.mean[-1]) / scaler.std[-1]
+    w = np.column_stack([np.ones(len(tau)), tau, train.values])
+    starts = train.offsets[:-1][has]
+    return u, np.add.reduceat(w, starts), np.add.reduceat(w * tau[:, None], starts)
+
+
+def _member_normal_equations(u, sw, swt, counts):
     """[Z1ᵀ W Z1; yᵀ W Z1] for each row of counts, W the diagonal of its
-    counts of the rows' owners: shape (len(counts), q + 1, q).  The rows'
-    outer products are weighted and summed ROW_BLOCK rows at a time, so no
-    member's resampled rows are ever copied."""
-    q = Z1.shape[1]
+    counts of the rows' subjects: shape (len(counts), q + 1, q).
+
+    A subject's Σ w z is (Σw) u + (Σwτ) e for w = 1, τ, y.  Row i of its
+    Σ z zᵀ is u_i Σ z for every input i but time, and Σ τ z for time.
+    These per-subject matrices are built SUBJECT_BLOCK subjects at a time
+    and weighted by the counts in one product per block, so no design row
+    is ever formed."""
+    q = u.shape[1]
+    t = q - 2                     # the time axis; u[:, t] == 0
     sums = np.zeros((len(counts), (q + 1) * q))
-    for lo in range(0, len(y), ROW_BLOCK):
-        z = Z1[lo:lo + ROW_BLOCK]
-        outer = np.einsum("ri,rj->rij", np.column_stack([z, y[lo:lo + ROW_BLOCK]]), z)
-        sums += counts[:, owner[lo:lo + ROW_BLOCK]] @ outer.reshape(len(z), -1)
+    for lo in range(0, len(u), SUBJECT_BLOCK):
+        ub = u[lo:lo + SUBJECT_BLOCK]
+        wz = sw[lo:lo + SUBJECT_BLOCK, :, None] * ub[:, None, :]
+        wz[:, :, t] = swt[lo:lo + SUBJECT_BLOCK]
+        M = np.empty((len(ub), q + 1, q))
+        M[:, :q] = ub[:, :, None] * wz[:, :1]
+        M[:, t] = wz[:, 1]
+        M[:, q] = wz[:, 2]
+        sums += counts[:, lo:lo + SUBJECT_BLOCK] @ M.reshape(len(ub), -1)
     return sums.reshape(len(counts), q + 1, q)
 
 
@@ -363,29 +401,26 @@ def fit_bootstrap(train: Dataset, B: int = 20, ridge_lambda: float = 1.0,
     """Fit B closed-form ridge regressors on subject-level bootstrap resamples.
 
     Each member resamples the subjects with visits; its normal equations
-    are the design rows' outer products weighted by how often each row's
+    are each subject's sums over its visit rows weighted by how often the
     subject was drawn (see _member_normal_equations), which equals fitting
     on the gathered rows up to the order of summation (about 1e-12
     relative).  Members are drawn and solved MEMBER_CHUNK at a time."""
     check_rules(_BOOTSTRAP_OPTIONS, {"B": B, "ridge_lambda": ridge_lambda,
                                      "std_scale": std_scale})
-    lens = train.visit_counts
-    k = np.count_nonzero(lens)    # subjects with visits; design row r is owner[r]'s
+    k = np.count_nonzero(train.visit_counts)      # subjects with visits
     if k < 2:
         raise DataError("bootstrap fitting needs at least 2 training subjects with visits")
-    Zraw, y, _ = design_matrix(train)
-    scaler = InputScaler.fit(Zraw)
-    Z1 = np.column_stack([scaler.apply(Zraw), np.ones(len(y))])
-    q = Z1.shape[1]
+    scaler = InputScaler.fit(design_matrix(train)[0])
+    u, sw, swt = _subject_moments(train, scaler)
+    q = u.shape[1]
     penalty = ridge_lambda * np.eye(q)
     penalty[-1, -1] = 0.0         # intercept unpenalized
-    owner = np.repeat(np.arange(k), lens[lens > 0])
     rng = np.random.default_rng(seed)
     members = np.empty((B, q))
     for lo in range(0, B, MEMBER_CHUNK):
         counts = np.array([np.bincount(rng.choice(k, size=k, replace=True), minlength=k)
                            for _ in range(min(MEMBER_CHUNK, B - lo))], dtype=float)
-        sums = _member_normal_equations(Z1, y, owner, counts)
+        sums = _member_normal_equations(u, sw, swt, counts)
         try:
             members[lo:lo + len(counts)] = np.linalg.solve(
                 sums[:, :q] + penalty, sums[:, q, :, None])[..., 0]

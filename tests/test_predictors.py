@@ -12,7 +12,7 @@ import pytest
 from conftraj import predictors
 from conftraj.data_model import Dataset, SubjectRecord, split, standardize
 from conftraj.errors import ConfigurationError, DataError, NumericalError
-from conftraj.predictors import (GP_TILE, KINDS, MEMBER_CHUNK, ROW_BLOCK, SIGMA_FLOOR,
+from conftraj.predictors import (GP_TILE, KINDS, MEMBER_CHUNK, SIGMA_FLOOR, SUBJECT_BLOCK,
                                  BootstrapModel, InputScaler, QuantileModel, _rbf,
                                  design_matrix, fit_bootstrap, fit_gp, fit_quantile,
                                  load_model, pinball_loss, predict_batch, save_model,
@@ -592,7 +592,7 @@ def ragged_visit_dataset(n_subjects, seed):
 
 def ridge_solve(Z1, y, lam):
     """One ridge member from its gathered rows, as fit_bootstrap solved it
-    before it summed weighted outer products."""
+    when it copied each member's resampled rows."""
     penalty = lam * np.eye(Z1.shape[1])
     penalty[-1, -1] = 0.0         # intercept unpenalized
     A = Z1.T @ Z1 + penalty
@@ -649,14 +649,52 @@ def test_bootstrap_gather_matches_dict_regrouping(seed, B):
 
 
 @pytest.mark.parametrize("n_subjects,B", [
-    (2000, 3),                          # more design rows than one row block
-    (40, 2 * MEMBER_CHUNK + 3)])        # more members than one member chunk
+    (2000, 3),                          # more subjects than one subject block
+    (40, 2 * MEMBER_CHUNK + 3),         # more members than one member chunk
+    (1200, MEMBER_CHUNK + 3)])          # both
 def test_bootstrap_blocks_and_chunks_match_dict_regrouping(n_subjects, B):
     ds = ragged_visit_dataset(n_subjects, seed=5)
-    assert len(ds.times) > ROW_BLOCK or B > MEMBER_CHUNK
+    assert (np.count_nonzero(ds.visit_counts) > SUBJECT_BLOCK) == (n_subjects > 40)
     m = fit_bootstrap(ds, B=B, ridge_lambda=0.5, seed=2)
     np.testing.assert_allclose(m.members, dict_regrouping_members(ds, B, 0.5, 2),
                                rtol=GATHER_RTOL, atol=0)
+
+
+def test_bootstrap_subjects_without_visits_match_dict_regrouping():
+    # subjects with no follow-up visits sit between subjects with visits,
+    # alone and in runs, so their row offsets repeat inside the sums
+    pattern = (3, 0, 1, 0, 0, 4, 2, 0, 0, 0, 1, 5, 0, 2)
+    rng = np.random.default_rng(12)
+    subjects = []
+    for i, n_visits in enumerate(pattern * 3):
+        x = rng.standard_normal(2)
+        times = np.sort(rng.choice(np.arange(1, 48), size=n_visits, replace=False))
+        subjects.append(SubjectRecord(f"s{i:02d}", x, {}, float(rng.standard_normal()),
+                                      tuple((int(t), float(0.2 * x[0] - 0.01 * t
+                                                           + rng.normal(0, 0.1)))
+                                            for t in times)))
+    ds = Dataset.from_subjects(tuple(subjects), ("f0", "f1"), ())
+    assert list(ds.visit_counts) == list(pattern * 3)
+    for seed in (0, 1):
+        m = fit_bootstrap(ds, B=6, ridge_lambda=0.5, seed=seed)
+        np.testing.assert_allclose(m.members, dict_regrouping_members(ds, 6, 0.5, seed),
+                                   rtol=GATHER_RTOL, atol=0)
+
+
+def test_bootstrap_fit_memory_is_two_designs():
+    # the fit's largest arrays are the design that fits the scaler and one
+    # temporary of its column stds (a peak of 1.9 designs); it makes no
+    # scaled or bias-extended copy of the design, and no per-row owner or
+    # outer product (3.5 designs when it did)
+    ds = standardize(generate(SynthConfig(n_subjects=7200, seed=3))[0])[0]
+    design_bytes = design_matrix(ds)[0].nbytes          # 36,010 x 6 floats
+    tracemalloc.start()
+    try:
+        fit_bootstrap(ds, B=20, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * design_bytes
 
 
 def test_bootstrap_singular_normal_equations_raise():
