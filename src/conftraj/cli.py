@@ -176,15 +176,16 @@ def _load_dataset(cfg):
 def _load_truth(cfg) -> dict:
     """subject_id -> {"is_progressor": bool} from the data.truth_path CSV."""
     path, truth = _get(cfg, "data.truth_path"), {}
-    for first, (sids, cells) in csv_blocks(path, ("subject_id", "is_progressor")):
-        for row_no, sid, cell in zip(count(first), sids, cells):
-            flag = {"1": True, "true": True, "0": False, "false": False}.get(cell.lower())
-            if flag is None:
-                raise DataError(f"{path} row {row_no}: is_progressor {cell!r} is not "
-                                "0/1/true/false")
-            if sid in truth:
-                raise DataError(f"{path} row {row_no}: duplicate subject_id {sid!r}")
-            truth[sid] = {"is_progressor": flag}
+    with open(path, newline="", encoding="utf-8") as fh:
+        for first, (sids, cells) in csv_blocks(fh, ("subject_id", "is_progressor")):
+            for row_no, sid, cell in zip(count(first), sids, cells):
+                flag = {"1": True, "true": True, "0": False, "false": False}.get(cell.lower())
+                if flag is None:
+                    raise DataError(f"{path} row {row_no}: is_progressor {cell!r} is not "
+                                    "0/1/true/false")
+                if sid in truth:
+                    raise DataError(f"{path} row {row_no}: duplicate subject_id {sid!r}")
+                truth[sid] = {"is_progressor": flag}
     return truth
 
 

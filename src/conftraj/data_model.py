@@ -15,8 +15,8 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, compress, islice, repeat
-from operator import eq, le, lt, not_
+from itertools import chain, compress, count, islice, repeat
+from operator import le, lt, ne
 
 import numpy as np
 
@@ -302,128 +302,75 @@ def _read_rows(reader, path, n):
     return rows, None
 
 
-def csv_blocks(path, columns):
+def csv_blocks(fh, columns):
     """(number of the first row, cells of each of columns) for each block of
-    up to BLOCK data rows of the CSV at path, whose header must name every
-    one of columns; the cells of a column are a tuple, one per row.  The
-    header is row 1; blank lines are skipped and not counted; one of
-    columns missing from the header, or named there twice, is a
-    SchemaError; a row must have as many cells as the header.  A faulty
-    row or line (one with another cell count, a NUL character, or a line
-    the csv module cannot read, such as a field longer than its field size
-    limit) is a DataError naming it, raised after a block of the rows
-    before it."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(chain.from_iterable(_line_blocks(fh, path)))
-        header, fault = _read_rows(reader, path, 1)
+    up to BLOCK data rows of the open CSV file fh (opened with newline=""),
+    whose header must name every one of columns; the cells of a column are
+    a tuple, one per row.  The header is row 1; blank lines are skipped and
+    not counted; one of columns missing from the header, or named there
+    twice, is a SchemaError; a row must have as many cells as the header.
+    A faulty row or line (one with another cell count, a NUL character, or
+    a line the csv module cannot read, such as a field longer than its
+    field size limit) is a DataError naming it, raised after a block of the
+    rows before it.  Messages name the file by fh.name."""
+    path = fh.name
+    reader = csv.reader(chain.from_iterable(_line_blocks(fh, path)))
+    header, fault = _read_rows(reader, path, 1)
+    if fault:
+        raise fault
+    header = header[0] if header else []
+    index = {name: i for i, name in enumerate(header)}
+    for col in columns:
+        if col not in index:
+            raise SchemaError(f"missing column {col!r} in {path}")
+        if header.count(col) > 1:
+            raise SchemaError(f"column {col!r} is named twice in the header of {path}")
+    picks = [index[col] for col in columns]
+    row_no = 2
+    while True:
+        rows, fault = _read_rows(reader, path, BLOCK)
+        done = fault is not None or len(rows) < BLOCK
+        if not all(rows):
+            rows = [row for row in rows if row]
+        counts = list(map(len, rows))
+        if counts.count(len(header)) != len(rows):
+            k = next(k for k, m in enumerate(counts) if m != len(header))
+            rows, fault = rows[:k], DataError(
+                f"row {row_no + k}: cell count differs from the header of {path}")
+        if rows:
+            cells = list(zip(*rows))
+            yield row_no, [cells[i] for i in picks]
         if fault:
             raise fault
-        header = header[0] if header else []
-        index = {name: i for i, name in enumerate(header)}
-        for col in columns:
-            if col not in index:
-                raise SchemaError(f"missing column {col!r} in {path}")
-            if header.count(col) > 1:
-                raise SchemaError(f"column {col!r} is named twice in the header of {path}")
-        picks = [index[col] for col in columns]
-        row_no = 2
-        while True:
-            rows, fault = _read_rows(reader, path, BLOCK)
-            done = fault is not None or len(rows) < BLOCK
-            if not all(rows):
-                rows = [row for row in rows if row]
-            counts = list(map(len, rows))
-            if counts.count(len(header)) != len(rows):
-                k = next(k for k, m in enumerate(counts) if m != len(header))
-                rows, fault = rows[:k], DataError(
-                    f"row {row_no + k}: cell count differs from the header of {path}")
-            if rows:
-                cells = list(zip(*rows))
-                yield row_no, [cells[i] for i in picks]
-            if fault:
-                raise fault
-            if done:
-                return
-            row_no += len(rows)
+        if done:
+            return
+        row_no += len(rows)
+
+
+def _cohort_columns(schema):
+    """The columns a cohort CSV is read by, in the order the readers unpack them."""
+    return [schema.subject_col, schema.time_col, schema.value_col,
+            *schema.feature_cols, *schema.group_cols]
 
 
 def _parse_times(cells, row_no):
-    """The visit times of cells, the first on row row_no, up to the first
-    that is not a valid time, and that cell's DataError (None if all are)."""
+    """The visit times of cells, the first on row row_no, by _parse_time."""
     try:
         times = list(map(int, cells))
         if 0 <= min(times) and max(times) <= MAX_TIME:
-            return times, None
+            return times
     except ValueError:
         pass
-    times = []
-    for k, cell in enumerate(cells):
-        try:
-            times.append(_parse_time(cell, row_no + k))
-        except DataError as exc:
-            return times, exc
-    return times, None
+    return [_parse_time(cell, row_no + k) for k, cell in enumerate(cells)]
 
 
-def _float_or_nan(cell):
-    try:
-        return float(cell)
-    except ValueError:
-        return math.nan
-
-
-def _floats(cells):
-    """The floats of a list of cells, NaN for a cell that is not a number."""
-    try:
-        return np.array(list(map(float, cells)), dtype=float)
-    except ValueError:
-        return np.array(list(map(_float_or_nan, cells)), dtype=float)
-
-
-def _row_fault(row_no, sid, value, rest, first, n_feat):
-    """The DataError of data row row_no, whose time is valid and no
-    duplicate, or None: its biomarker value, and its feature and group
-    cells (the feature cells first, joined by NULs, which no cell holds) in
-    rest against first, those of its subject's first row (None on that
-    row)."""
-    reuse = rest == first
-    cells = rest.split("\0")
-    try:
-        y = float(value)
-        feats = None if reuse else [float(c) for c in cells[:n_feat]]
-    except ValueError as exc:
-        return DataError(f"row {row_no}: non-numeric cell ({exc})")
-    if not (math.isfinite(y) and (reuse or all(map(math.isfinite, feats)))):
-        return DataError(f"row {row_no}: non-finite biomarker or feature cell")
-    if not reuse and first is not None:
-        first = first.split("\0")
-        if feats != [float(c) for c in first[:n_feat]] or cells[n_feat:] != first[n_feat:]:
-            return DataError(f"row {row_no}: subject {sid} features or group "
-                             "labels differ from its earlier rows")
-    return None
-
-
-def _sort_rows(sids, codes, times):
-    """The stable order of rows by subject code then time, and the DataError
-    of the first row in file order that repeats an earlier row's (subject,
-    time), or None.  Row k of codes and times is data row k + 2."""
-    order = np.lexsort((times, codes))
-    c, t = codes[order], times[order]
-    repeats = order[1:][(c[1:] == c[:-1]) & (t[1:] == t[:-1])]
-    if not len(repeats):
-        return order, None
-    k = int(repeats.min())
-    return order, DataError(f"row {k + 2}: duplicate (subject, time) = "
-                            f"({sids[codes[k]]}, {times[k]})")
-
-
-def _read_columns(path, schema):
-    """The columns of the cohort CSV at path, unsorted: the subject IDs in
-    order of first row; per row, in file order, its subject's code, its time
-    and its value; per subject, its features and group codes; and per group
-    column, its label -> code.  Raises the DataError of the first faulty row
-    in file order; a duplicate (subject, time) is found here only when
-    another fault stops the read, and else by load_csv once the rows are
+def _read_columns(fh, schema):
+    """The columns of the cohort CSV fh, unsorted: the subject IDs in order
+    of first row; per row, in file order, its subject's code, its time and
+    its value; per subject, its features and group codes; and per group
+    column, its label -> code.  A faulty row raises a DataError or a
+    ValueError that need not name it (_first_fault does); a duplicate
+    (subject, time) is left to load_csv, which finds it once the rows are
     sorted."""
     n_feat = len(schema.feature_cols)
     index = {}                                   # subject ID -> code, in file order
@@ -433,20 +380,8 @@ def _read_columns(path, schema):
     # codes of the subjects it is first to name
     codes, times, values = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
     features, group_codes = [np.empty((0, n_feat))], [np.empty((0, len(labels)), np.intp)]
-
-    def first_fault(fault):
-        """A duplicate among the rows read so far comes before fault."""
-        return _sort_rows(list(index), np.concatenate(codes), np.concatenate(times))[1] or fault
-
-    blocks = csv_blocks(path, [schema.subject_col, schema.time_col, schema.value_col,
-                               *schema.feature_cols, *schema.group_cols])
-    while True:
-        try:
-            row_no, (sid_cells, time_cells, value_cells, *rest_cols) = next(blocks)
-        except StopIteration:
-            break
-        except DataError as exc:
-            raise first_fault(exc)
+    for row_no, (sid_cells, time_cells, value_cells, *rest_cols) in csv_blocks(
+            fh, _cohort_columns(schema)):
         n, known = len(sid_cells), len(index)
         for sid in dict.fromkeys(sid_cells):
             index.setdefault(sid, len(index))
@@ -456,36 +391,21 @@ def _read_columns(path, schema):
         # a row's feature and group cells as one string: a key, not a tracked object
         rests = list(map("\0".join, zip(*rest_cols))) if rest_cols else [""] * n
         firsts.extend(map(rests.__getitem__, first_rows))
-
-        # stop: the first row with an invalid time, value or first-row
-        # feature, or (below) with features or labels unlike its first row's
-        block_times, time_fault = _parse_times(time_cells, row_no)
-        block_values = _floats(value_cells)
-        block_feats = _floats(list(chain.from_iterable(
-            map(col.__getitem__, first_rows) for col in rest_cols[:n_feat])))
+        block_values = np.array(list(map(float, value_cells)))
+        block_feats = np.array(list(map(float, chain.from_iterable(
+            map(col.__getitem__, first_rows) for col in rest_cols[:n_feat]))))
         block_feats = block_feats.reshape(n_feat, len(first_rows)).T
-        flagged = ~np.isfinite(block_values)
-        flagged[first_rows] |= ~np.isfinite(block_feats).all(axis=1)
-        flagged[len(block_times):] = True     # from the first invalid time on
-        stop = int(flagged.argmax()) if flagged.any() else n
-        same = list(map(eq, rests, map(firsts.__getitem__, block_codes)))
-        for k in compress(range(stop), map(not_, same)):
-            if _row_fault(row_no + k, sid_cells[k], value_cells[k], rests[k],
-                          firsts[block_codes[k]], n_feat):
-                stop = k
-                break
-
-        block_codes = np.array(block_codes, dtype=np.int64)
-        if stop < n:
-            timed = stop < len(block_times)   # a valid time: a duplicate comes first
-            first = None if stop in first_rows else firsts[block_codes[stop]]
-            fault = (_row_fault(row_no + stop, sid_cells[stop], value_cells[stop],
-                                rests[stop], first, n_feat) if timed else time_fault)
-            codes.append(block_codes[:stop + timed])
-            times.append(np.array(block_times[:stop + timed], dtype=np.int64))
-            raise first_fault(fault)
-        codes.append(block_codes)
-        times.append(np.array(block_times, dtype=np.int64))
+        if not (np.isfinite(block_values).all() and np.isfinite(block_feats).all()):
+            raise DataError("non-finite biomarker or feature cell")
+        # a row whose cells differ as text from its subject's first row's
+        # may still hold the same features (70 against 70.0)
+        for k in compress(range(n), map(ne, rests, map(firsts.__getitem__, block_codes))):
+            cells, first = rests[k].split("\0"), firsts[block_codes[k]].split("\0")
+            if (list(map(float, cells[:n_feat])) != list(map(float, first[:n_feat]))
+                    or cells[n_feat:] != first[n_feat:]):
+                raise DataError("features or group labels differ within a subject")
+        codes.append(np.array(block_codes, dtype=np.int64))
+        times.append(np.array(_parse_times(time_cells, row_no), dtype=np.int64))
         values.append(block_values)
         features.append(block_feats)
         group_codes.append(np.array(
@@ -494,6 +414,38 @@ def _read_columns(path, schema):
             dtype=np.intp).reshape(len(labels), len(first_rows)).T)
     return (tuple(index), np.concatenate(codes), np.concatenate(times), np.concatenate(values),
             np.concatenate(features), np.concatenate(group_codes), labels)
+
+
+def _first_fault(fh, schema):
+    """The DataError of the first faulty row of the cohort CSV fh in file
+    order, or None, by load_csv's rules applied one row at a time: its time,
+    then a duplicate (subject, time), then numeric cells, then finite
+    values, then its features and group labels against its subject's first
+    row.  A fault csv_blocks raises is returned as well."""
+    n_feat = len(schema.feature_cols)
+    seen, firsts = set(), {}
+    try:
+        for first_row, (sids, time_cells, value_cells, *rest_cols) in csv_blocks(
+                fh, _cohort_columns(schema)):
+            for row_no, sid, cell, value, *rest in zip(
+                    count(first_row), sids, time_cells, value_cells, *rest_cols):
+                t = _parse_time(cell, row_no)
+                if (sid, t) in seen:
+                    return DataError(f"row {row_no}: duplicate (subject, time) = ({sid}, {t})")
+                seen.add((sid, t))
+                try:
+                    y, feats = float(value), [float(c) for c in rest[:n_feat]]
+                except ValueError as exc:
+                    return DataError(f"row {row_no}: non-numeric cell ({exc})")
+                if not (math.isfinite(y) and all(map(math.isfinite, feats))):
+                    return DataError(f"row {row_no}: non-finite biomarker or feature cell")
+                first = firsts.setdefault(sid, (feats, rest[n_feat:]))
+                if first != (feats, rest[n_feat:]):
+                    return DataError(f"row {row_no}: subject {sid} features or group "
+                                     "labels differ from its earlier rows")
+    except DataError as exc:
+        return exc
+    return None
 
 
 def load_csv(path, schema: CsvSchema) -> Dataset:
@@ -505,27 +457,34 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     and rows whose features or group labels differ from the subject's
     earlier rows are rejected; the error names the first faulty row in file
     order.  The file is read one block of rows at a time, a column at a
-    time; a row's feature cells are parsed only on its subject's first row
-    and where they differ from that row's as text.  Duplicates are found
-    once the rows are sorted, and, when another fault stops the read, among
-    the rows before it.
+    time, which only detects that a fault exists: a row's feature cells are
+    parsed only on its subject's first row and where they differ from that
+    row's as text, and duplicates are found once the rows are sorted.  On a
+    fault the file is rewound and read again one row at a time to name it,
+    so the file must be seekable.
     """
-    # a block of csv rows is thousands of live lists, whose allocation would
-    # start garbage collections that free nothing
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        sids, codes, times, values, features, group_codes, labels = _read_columns(path, schema)
-    finally:
-        if collecting:
-            gc.enable()
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            # a block of csv rows is thousands of live lists, whose
+            # allocation would start garbage collections that free nothing
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                sids, codes, times, values, features, group_codes, labels = \
+                    _read_columns(fh, schema)
+            finally:
+                if collecting:
+                    gc.enable()
+            order = np.lexsort((times, codes))
+            times, values = times[order], values[order]
+            if np.any((np.diff(codes[order]) == 0) & (np.diff(times) == 0)):
+                raise DataError("duplicate (subject, time)")
+        except (DataError, ValueError) as exc:
+            fh.seek(0)
+            raise (_first_fault(fh, schema) or exc) from None
     n = len(sids)
-    order, duplicate = _sort_rows(sids, codes, times)
-    if duplicate:
-        raise duplicate
     counts = np.bincount(codes, minlength=n)
     starts = _offsets(counts)[:-1]
-    times, values = times[order], values[order]
     missing = np.flatnonzero(times[starts] != 0)
     if len(missing):
         raise DataError(f"subject {sids[missing[0]]}: no month-0 baseline row")

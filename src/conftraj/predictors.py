@@ -66,11 +66,10 @@ def visit_rows(ds: Dataset, counts):
 
 
 def design_matrix(train: Dataset):
-    """Rows [x; baseline; t] and targets at every visit, and the row offsets."""
+    """Rows [x; baseline; t] and targets at every visit, in train's row order."""
     if not len(train.times):
         raise DataError("training set has no visit rows")
-    return (np.column_stack([visit_rows(train, train.visit_counts), train.times]),
-            train.values, train.offsets)
+    return np.column_stack([visit_rows(train, train.visit_counts), train.times]), train.values
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +200,7 @@ def fit_gp(train: Dataset, lengthscales=None, signal_vars=None, noise_vars=None,
     grids = dict(lengthscales=lengthscales, signal_vars=signal_vars, noise_vars=noise_vars)
     check_rules(_GP_OPTIONS, {"max_points": max_points,
                               **{name: g for name, g in grids.items() if g is not None}})
-    Zraw, y, _ = design_matrix(train)
+    Zraw, y = design_matrix(train)
     if len(y) < 2:
         raise DataError("GP fitting needs at least 2 visit rows")
     rng = np.random.default_rng(seed)
@@ -294,7 +293,7 @@ def fit_quantile(train: Dataset, levels=(0.1, 0.5, 0.9), steps: int = 600,
     check_rules(_QUANTILE_OPTIONS,
                 {"levels": levels, "steps": steps, "learning_rate": learning_rate})
     levels = tuple(levels)
-    Zraw, y, _ = design_matrix(train)
+    Zraw, y = design_matrix(train)
     scaler = InputScaler.fit(Zraw)
     Z1 = np.column_stack([scaler.apply(Zraw), np.ones(len(y))])
     W = np.zeros((len(levels), Z1.shape[1]))

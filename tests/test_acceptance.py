@@ -156,6 +156,68 @@ def test_criterion_03_baseline_vs_conformal(mc):
     assert ok
 
 
+# Given exchangeable scores without ties, a repetition's count of covered
+# test subjects out of n_test is BetaBinomial(n_test, k, n + 1 - k), with
+# k = ceil((n + 1)(1 - alpha)) (Vovk 2012, "Conditional validity of inductive
+# conformal predictors").  Nine Pearson fits, one per kind and alpha, share
+# a family-wise false-alarm level split evenly among them (Bonferroni).
+COVERAGE_LAW_LEVEL = 1e-3
+COVERAGE_LAW_BIN = 0.1          # least probability of a pooled bin: 10 expected of 100
+
+
+def beta_binomial_pmf(m, a, b):
+    """P(C = c) for c = 0..m, C ~ BetaBinomial(m, a, b)."""
+    def log_beta(x, y):
+        return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
+    return np.array([math.exp(math.lgamma(m + 1) - math.lgamma(c + 1) - math.lgamma(m - c + 1)
+                              + log_beta(c + a, m - c + b) - log_beta(a, b))
+                     for c in range(m + 1)])
+
+
+def pooled_bin_edges(pmf, least):
+    """Edges cutting 0..len(pmf) - 1 into runs of consecutive counts, each of
+    probability at least least; the last run takes the remainder."""
+    edges, mass = [0], 0.0
+    for c, p in enumerate(pmf):
+        mass += p
+        if mass >= least:
+            edges.append(c + 1)
+            mass = 0.0
+    edges[-1] = len(pmf)
+    return edges
+
+
+def chi2_sf(x, df):
+    """P(X > x) for X ~ chi-square with df degrees of freedom, df a positive
+    integer: Q(1) or Q(2) in closed form, then Q(v + 2) = Q(v) +
+    (x/2)^(v/2) e^(-x/2) / Gamma(v/2 + 1)."""
+    sf = math.erfc(math.sqrt(x / 2)) if df % 2 else math.exp(-x / 2)
+    for v in range(2 - df % 2, df, 2):
+        sf += (x / 2) ** (v / 2) * math.exp(-x / 2 - math.lgamma(v / 2 + 1))
+    return sf
+
+
+def test_coverage_count_follows_the_beta_binomial_law(mc):
+    level = COVERAGE_LAW_LEVEL / (len(KINDS) * len(ALPHAS))
+    fits = []
+    for kind in KINDS:
+        for alpha in ALPHAS:
+            covered = []
+            for cal_sc, tst in zip(mc["calib"][kind], mc["test"][kind]):
+                cal = calibrate(cal_sc, alpha)
+                assert (cal.n, len(tst)) == (500, 500)
+                covered.append(int(np.count_nonzero(tst <= cal.radius)))
+            k = math.ceil(501 * (1 - alpha))
+            pmf = beta_binomial_pmf(500, k, 501 - k)
+            edges = pooled_bin_edges(pmf, COVERAGE_LAW_BIN)
+            expected = len(covered) * np.add.reduceat(pmf, edges[:-1])
+            observed = np.bincount(np.searchsorted(edges, covered, side="right") - 1,
+                                   minlength=len(expected))
+            stat = float(np.sum((observed - expected) ** 2 / expected))
+            fits.append((kind, alpha, len(expected), stat, chi2_sf(stat, len(expected) - 1)))
+    assert all(p > level for *_, p in fits), fits
+
+
 def test_criterion_04_group_conditional_coverage():
     spec = (GroupSpec("site", ("a", "b", "c"), (1 / 3, 1 / 3, 1 / 3),
                       {"a": 1.0, "b": 1.0, "c": 3.0}),)

@@ -631,6 +631,54 @@ def test_load_csv_faults_far_into_a_long_file(tmp_path, case):
         assert got[0] == "DataError" and got[1].startswith(want), got
 
 
+def test_valid_unusual_cells_across_a_block_boundary_load_without_a_second_pass(
+        tmp_path, monkeypatch):
+    # 6.0 and 1e1 times, a feature cell as 79 and as 79.0, and blank lines,
+    # in one subject whose rows straddle the loader's first block boundary
+    lines = long_cohort_lines()
+    boundary = data_model.BLOCK
+    owner = lines[boundary].split(",")[0]
+    first = next(k for k, line in enumerate(lines) if line.startswith(owner + ","))
+    rows = [line.rstrip("\n").split(",") for line in lines[first:first + 5]]
+    rows[1][1], rows[2][1] = "6.0", "1e1"
+    rows[3][3] = rows[4][3] = rows[0][3] + ".0"
+    lines[first:first + 5] = [",".join(cells) + "\n" for cells in rows]
+    lines[first + 2:first + 2] = ["\n"]
+    lines[first + 4:first + 4] = ["\n", "\n"]
+    # csv rows, blank ones included, fill the blocks
+    assert first + 1 < boundary < first + 7
+    path = write_csv(tmp_path / "c.csv", lines)
+
+    def refuse(fh, schema):
+        raise AssertionError("a valid file took the fault-naming pass")
+
+    monkeypatch.setattr(data_model, "_first_fault", refuse)
+    got = _outcome(load_csv, path, SCHEMA)
+    assert got == _outcome(reference_load_csv, path, SCHEMA)
+    ds = load_csv(path, SCHEMA)
+    i = ds.subject_ids.index(owner)
+    assert ds.times[ds.offsets[i]:ds.offsets[i + 1]].tolist() == [6, 10, 18, 24]
+    assert ds.features[i, 0] == float(rows[0][3])
+
+
+def test_a_faulty_file_is_rewound_not_reopened(tmp_path, monkeypatch):
+    # the duplicate's first copy is in the first block, the second in the third
+    lines = long_cohort_lines()
+    lines.insert(2 * data_model.BLOCK + 5, lines[10].replace(",0.", ",9.", 1))
+    path = write_csv(tmp_path / "c.csv", lines)
+    handles = []
+
+    def counting_open(*args, **kwargs):
+        handles.append(open(*args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(data_model, "open", counting_open, raising=False)
+    with pytest.raises(DataError, match=rf"^row {2 * data_model.BLOCK + 7}: duplicate "
+                                        r"\(subject, time\) = \(s0002, 0\)$"):
+        load_csv(path, SCHEMA)
+    assert len(handles) == 1 and handles[0].closed
+
+
 # ---------------------------------------------------------------------------
 # The columnar Dataset against record-by-record references
 
@@ -693,8 +741,8 @@ def test_columnar_paths_match_record_references(cohort, data):
     X = visit_rows(ds, ds.visit_counts)
     assert repr(X.tolist()) == repr(reference_visit_rows(subjects))
     if any(s.visits for s in subjects):
-        rows, y, offsets = design_matrix(ds)
-        assert repr((rows.tolist(), y.tolist(), offsets.tolist())) == \
+        rows, y = design_matrix(ds)
+        assert repr((rows.tolist(), y.tolist(), ds.offsets.tolist())) == \
             repr(reference_design_matrix(subjects))
 
     stats = StandardizationStats(data.draw(st.floats(-1e3, 1e3)),

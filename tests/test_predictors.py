@@ -101,7 +101,7 @@ def test_gp_noiseless_interpolation():
     ds, X, ts, ys = linear_dataset(25, seed=3, noise=0.0)
     m = fit_gp(ds, noise_vars=[0.0], seed=0)
     assert_is_gp_factor(m)        # a noiseless grid is scored by the fallback
-    rows, targets, _ = design_matrix(ds)
+    rows, targets = design_matrix(ds)
     for row, y in zip(rows[:10], targets[:10]):
         p = predict_one(m, row[:-1], int(row[-1]))
         assert p.mean == pytest.approx(y, abs=1e-3)
@@ -118,7 +118,7 @@ def test_gp_single_point_interpolates():
 def default_gp_grid(ds, seed=0, max_points=512):
     """Standardized inputs, targets and the default grid, as fit_gp builds them."""
     from conftraj.predictors import _median_heuristic
-    rows, y, _ = design_matrix(ds)
+    rows, y = design_matrix(ds)
     rng = np.random.default_rng(seed)
     if len(y) > max_points:
         keep = rng.choice(len(y), size=max_points, replace=False)
@@ -260,7 +260,7 @@ def test_gp_tiles_keep_the_std_floor_and_the_nan_check(monkeypatch):
     ds, *_ = linear_dataset(25, seed=3, noise=0.0)
     m = fit_gp(ds, noise_vars=[0.0], seed=0)
     monkeypatch.setattr(predictors, "GP_TILE", 4 * len(m.Z))      # 4 query rows a tile
-    rows, _, _ = design_matrix(ds)
+    rows, _ = design_matrix(ds)
     means, stds = predict_batch(m, rows[:, :-1], rows[:, -1])      # 7 tiles
     want_means, want_stds = one_shot_gp_predict(m, rows)
     np.testing.assert_allclose(means, want_means, rtol=1e-10, atol=0)
@@ -313,7 +313,7 @@ def test_quantile_constant_targets():
 def test_quantile_loss_not_worse_than_zero_weights():
     ds, *_ = linear_dataset(60, seed=13, noise=0.3)
     m = fit_quantile(ds)
-    rows, y, _ = design_matrix(ds)
+    rows, y = design_matrix(ds)
     Z1 = np.column_stack([m.scaler.apply(rows), np.ones(len(y))])
     assert (pinball_loss(m.weights, Z1, y, m.levels)
             <= pinball_loss(np.zeros_like(m.weights), Z1, y, m.levels) + 1e-12)
@@ -337,7 +337,7 @@ def recomputing_quantile_weights(train, levels=(0.1, 0.5, 0.9), steps=600,
                                  learning_rate=0.1):
     """fit_quantile's descent with every step's residuals and loss
     computed afresh from its weights."""
-    Zraw, y, _ = design_matrix(train)
+    Zraw, y = design_matrix(train)
     scaler = InputScaler.fit(Zraw)
     Z1 = np.column_stack([scaler.apply(Zraw), np.ones(len(y))])
     W = np.zeros((len(levels), Z1.shape[1]))
@@ -436,7 +436,7 @@ def ridge_oracle(Z1, y, lam):
 def test_bootstrap_noiseless_matches_ridge_oracle():
     ds = multi_visit_dataset(30, seed=3, noise=0.0)
     m = fit_bootstrap(ds, B=5, ridge_lambda=1e-8, seed=0)
-    rows, y, _ = design_matrix(ds)
+    rows, y = design_matrix(ds)
     Z1 = np.column_stack([m.scaler.apply(rows), np.ones(len(y))])
     w_full = ridge_oracle(Z1, y, 1e-8)
     for member in m.members:
@@ -515,7 +515,7 @@ def test_fit_refuses_a_non_int_count(kind, name, value):
 def test_bootstrap_mean_converges_to_full_ridge():
     ds = multi_visit_dataset(60, seed=11, noise=0.2)
     m = fit_bootstrap(ds, B=200, ridge_lambda=1.0, seed=3)
-    rows, y, _ = design_matrix(ds)
+    rows, y = design_matrix(ds)
     Z1 = np.column_stack([m.scaler.apply(rows), np.ones(len(y))])
     w_full = ridge_oracle(Z1, y, 1.0)
     w_mean = m.members.mean(axis=0)
@@ -605,7 +605,7 @@ def ridge_solve(Z1, y, lam):
 def dict_regrouping_members(ds, B, ridge_lambda, seed):
     """The ensemble as fit_bootstrap built it from per-row owners and a dict:
     each member's picked subjects' rows gathered, in pick order."""
-    rows, y, _ = design_matrix(ds)
+    rows, y = design_matrix(ds)
     owners = [i for i, s in enumerate(ds.subjects) for _ in s.visits]
     Z1 = np.column_stack([InputScaler.fit(rows).apply(rows), np.ones(len(y))])
     subject_rows = {}
@@ -624,7 +624,8 @@ def dict_regrouping_members(ds, B, ridge_lambda, seed):
 def test_design_matrix_offsets_partition_rows():
     ds = ragged_visit_dataset(30, seed=1)
     assert any(not s.visits for s in ds.subjects)
-    rows, y, offsets = design_matrix(ds)
+    rows, y = design_matrix(ds)
+    offsets = ds.offsets
     assert offsets[0] == 0 and offsets[-1] == len(rows) == len(y)
     for i, s in enumerate(ds.subjects):
         lo, hi = offsets[i], offsets[i + 1]
