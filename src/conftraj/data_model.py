@@ -275,12 +275,12 @@ def _parse_time(cell, row_no):
 BLOCK = 2048      # lines and rows read at a time (4096 held 2 MB more on 20,000 rows)
 
 
-def _line_blocks(fh, path):
-    """Blocks of BLOCK lines of fh.  A NUL character is a DataError naming
-    the line, raised after a block of the lines before it: the csv module
-    of Python 3.10 cannot read one, so no version accepts it."""
-    line_no = 0
-    while lines := list(islice(fh, BLOCK)):
+def _line_blocks(blocks, path, line_no):
+    """The blocks of lines of blocks, whose first line is line line_no + 1.
+    A NUL character is a DataError naming the line, raised after a block of
+    the lines before it: the csv module of Python 3.10 cannot read one, so
+    no version accepts it."""
+    for lines in blocks:
         if "\0" in "".join(lines):
             k = next(k for k, line in enumerate(lines) if "\0" in line)
             yield lines[:k]
@@ -289,62 +289,102 @@ def _line_blocks(fh, path):
         yield lines
 
 
-def _read_rows(reader, path, n):
-    """Up to n more rows of reader, and the DataError that ended them early
-    (None if none did)."""
+def _read_rows(reader, path, line_no, n):
+    """Up to n more rows of reader, which read from line line_no + 1 on, and
+    the DataError that ended them early (None if none did)."""
     rows = []
     try:
         rows.extend(islice(reader, n))      # keeps the rows read before an error
     except csv.Error as exc:
-        return rows, DataError(f"{path} line {reader.line_num}: {exc}")
+        return rows, DataError(f"{path} line {line_no + reader.line_num}: {exc}")
     except DataError as exc:
         return rows, exc
     return rows, None
+
+
+def _picks(header, columns, path):
+    """The index in header of each of columns; one missing from header, or
+    named there twice, is a SchemaError."""
+    for col in columns:
+        if col not in header:
+            raise SchemaError(f"missing column {col!r} in {path}")
+        if header.count(col) > 1:
+            raise SchemaError(f"column {col!r} is named twice in the header of {path}")
+    return list(map(header.index, columns))
+
+
+def _ragged(rows, counts, want, row_no, path):
+    """rows up to the first whose count is not want, the first of them row
+    row_no, and the DataError naming that row (None if there is none)."""
+    if counts.count(want) == len(rows):
+        return rows, None
+    k = next(k for k, m in enumerate(counts) if m != want)
+    return rows[:k], DataError(f"row {row_no + k}: cell count differs from the header of {path}")
 
 
 def csv_blocks(fh, columns):
     """(number of the first row, cells of each of columns) for each block of
     up to BLOCK data rows of the open CSV file fh (opened with newline=""),
     whose header must name every one of columns; the cells of a column are
-    a tuple, one per row.  The header is row 1; blank lines are skipped and
-    not counted; one of columns missing from the header, or named there
-    twice, is a SchemaError; a row must have as many cells as the header.
-    A faulty row or line (one with another cell count, a NUL character, or
-    a line the csv module cannot read, such as a field longer than its
-    field size limit) is a DataError naming it, raised after a block of the
-    rows before it.  Messages name the file by fh.name."""
-    path = fh.name
-    reader = csv.reader(chain.from_iterable(_line_blocks(fh, path)))
-    header, fault = _read_rows(reader, path, 1)
-    if fault:
-        raise fault
-    header = header[0] if header else []
-    index = {name: i for i, name in enumerate(header)}
-    for col in columns:
-        if col not in index:
-            raise SchemaError(f"missing column {col!r} in {path}")
-        if header.count(col) > 1:
-            raise SchemaError(f"column {col!r} is named twice in the header of {path}")
-    picks = [index[col] for col in columns]
-    row_no = 2
+    a sequence of strings, one per row.  The header is row 1; blank lines
+    are skipped and not counted; one of columns missing from the header, or
+    named there twice, is a SchemaError; a row must have as many cells as
+    the header.  A faulty row or line (one with another cell count, a NUL
+    character, or a line the csv module cannot read, such as a field longer
+    than its field size limit) is a DataError naming it, raised after a
+    block of the rows before it.  Messages name the file by fh.name.
+
+    A block of lines with no quote or NUL character and none longer than
+    csv.field_size_limit() is split at its commas, which reads what the
+    csv module reads.  From the first block holding one, the csv module
+    reads the rest of the file."""
+    path, limit = fh.name, csv.field_size_limit()
+    blocks = iter(lambda: list(islice(fh, BLOCK)), [])
+    line_no, row_no, picks = 0, 2, None
+    for raw in blocks:
+        lines = list(map(str.rstrip, raw, repeat("\r\n")))
+        text = ",".join(lines)
+        if '"' in text or "\0" in text or max(map(len, lines)) > limit:
+            break
+        line_no += len(lines)
+        if picks is None:
+            header = lines.pop(0).split(",") if lines[0] else []
+            picks, width = _picks(header, columns, path), len(header)
+        if not all(lines):
+            lines = [line for line in lines if line]
+        lines, fault = _ragged(lines, list(map(str.count, lines, repeat(","))), width - 1,
+                               row_no, path)
+        if lines:
+            cells = ",".join(lines).split(",")
+            yield row_no, [cells[i::width] for i in picks]
+            row_no += len(lines)
+        if fault:
+            raise fault
+    else:
+        if picks is None:
+            _picks([], columns, path)
+        return
+    reader = csv.reader(chain.from_iterable(_line_blocks(chain([raw], blocks), path, line_no)))
+    if picks is None:
+        header, fault = _read_rows(reader, path, line_no, 1)
+        if fault:
+            raise fault
+        header = header[0] if header else []
+        picks, width = _picks(header, columns, path), len(header)
     while True:
-        rows, fault = _read_rows(reader, path, BLOCK)
+        rows, fault = _read_rows(reader, path, line_no, BLOCK)
         done = fault is not None or len(rows) < BLOCK
         if not all(rows):
             rows = [row for row in rows if row]
-        counts = list(map(len, rows))
-        if counts.count(len(header)) != len(rows):
-            k = next(k for k, m in enumerate(counts) if m != len(header))
-            rows, fault = rows[:k], DataError(
-                f"row {row_no + k}: cell count differs from the header of {path}")
+        rows, ragged = _ragged(rows, list(map(len, rows)), width, row_no, path)
         if rows:
             cells = list(zip(*rows))
             yield row_no, [cells[i] for i in picks]
-        if fault:
-            raise fault
+            row_no += len(rows)
+        if ragged or fault:
+            raise ragged or fault
         if done:
             return
-        row_no += len(rows)
 
 
 def _cohort_columns(schema):
@@ -459,13 +499,13 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     order.  The file is read one block of rows at a time, a column at a
     time, which only detects that a fault exists: a row's feature cells are
     parsed only on its subject's first row and where they differ from that
-    row's as text, and duplicates are found once the rows are sorted.  On a
-    fault the file is rewound and read again one row at a time to name it,
-    so the file must be seekable.
+    row's as text, and duplicates are found, and named, once the rows are
+    sorted.  On any other fault the file is rewound and read again one row
+    at a time to name it, so the file must be seekable.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         try:
-            # a block of csv rows is thousands of live lists, whose
+            # a block the csv module reads is thousands of live lists, whose
             # allocation would start garbage collections that free nothing
             collecting = gc.isenabled()
             gc.disable()
@@ -475,13 +515,19 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
             finally:
                 if collecting:
                     gc.enable()
-            order = np.lexsort((times, codes))
-            times, values = times[order], values[order]
-            if np.any((np.diff(codes[order]) == 0) & (np.diff(times) == 0)):
-                raise DataError("duplicate (subject, time)")
         except (DataError, ValueError) as exc:
             fh.seek(0)
             raise (_first_fault(fh, schema) or exc) from None
+    # every row kept every rule but the duplicate one.  The sort is stable,
+    # so the later rows of a (subject, time) follow its first, and the
+    # smallest of them is the first duplicate in file order
+    order = np.lexsort((times, codes))
+    repeats = order[1:][(np.diff(codes[order]) == 0) & (np.diff(times[order]) == 0)]
+    if len(repeats):
+        k = int(repeats.min())
+        raise DataError(f"row {k + 2}: duplicate (subject, time) = "
+                        f"({sids[codes[k]]}, {int(times[k])})")
+    times, values = times[order], values[order]
     n = len(sids)
     counts = np.bincount(codes, minlength=n)
     starts = _offsets(counts)[:-1]

@@ -40,10 +40,26 @@ class InputScaler:
 
     @classmethod
     def fit(cls, Z):
-        mean = Z.mean(axis=0)
-        std = Z.std(axis=0)
-        std = np.where(std > 0, std, 1.0)
-        return cls(mean, std)
+        return cls._of(Z.mean(axis=0), Z.std(axis=0))
+
+    @classmethod
+    def fit_visits(cls, train: Dataset):
+        """fit(design_matrix(train)[0]) from each subject's [x; baseline]
+        weighted by its visit count, and from the visit times: the same
+        means and stds up to the order of summation.  Deviations are taken
+        from a subject with visits, so a constant column's mean is exact and
+        its std 0 (fit can leave a rounding error in both)."""
+        counts, S = train.visit_counts, np.column_stack([train.features, train.baseline])
+        shift = S[np.argmax(counts)]
+        mean = shift + counts @ (S - shift) / len(train.times)
+        var = counts @ (S - mean) ** 2 / len(train.times)
+        return cls._of(np.append(mean, train.times.mean()),
+                       np.sqrt(np.append(var, train.times.var())))
+
+    @classmethod
+    def _of(cls, mean, std):
+        """A zero std (a constant column) scales by 1."""
+        return cls(mean, np.where(std > 0, std, 1.0))
 
     def apply(self, Z):
         return (np.asarray(Z, dtype=float) - self.mean) / self.std
@@ -409,7 +425,7 @@ def fit_bootstrap(train: Dataset, B: int = 20, ridge_lambda: float = 1.0,
     k = np.count_nonzero(train.visit_counts)      # subjects with visits
     if k < 2:
         raise DataError("bootstrap fitting needs at least 2 training subjects with visits")
-    scaler = InputScaler.fit(design_matrix(train)[0])
+    scaler = InputScaler.fit_visits(train)
     u, sw, swt = _subject_moments(train, scaler)
     q = u.shape[1]
     penalty = ridge_lambda * np.eye(q)

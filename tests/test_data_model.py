@@ -679,6 +679,152 @@ def test_a_faulty_file_is_rewound_not_reopened(tmp_path, monkeypatch):
     assert len(handles) == 1 and handles[0].closed
 
 
+def test_a_duplicate_is_named_from_the_sorted_columns(tmp_path, monkeypatch):
+    # two duplicates past the first block, the first in file order of the
+    # later subject; every other rule holds, so no second read names it
+    lines = long_cohort_lines()
+    lines.insert(data_model.BLOCK + 300, lines[25].replace(",0.", ",9.", 1))
+    lines.insert(2 * data_model.BLOCK + 5, lines[10].replace(",0.", ",9.", 1))
+    path = write_csv(tmp_path / "c.csv", lines)
+    want = _outcome(reference_load_csv, path, SCHEMA)
+    assert want == ("DataError", f"row {data_model.BLOCK + 302}: duplicate (subject, time) "
+                                 "= (s0005, 0)")
+
+    def refuse(fh, schema):
+        raise AssertionError("a duplicate took the fault-naming pass")
+
+    monkeypatch.setattr(data_model, "_first_fault", refuse)
+    assert _outcome(load_csv, path, SCHEMA) == want
+
+
+# ---------------------------------------------------------------------------
+# csv_blocks against csv.reader reading the file one line at a time
+
+def reference_csv_rows(fh, columns):
+    """(row number, picked cells) of each data row of fh, read by csv.reader
+    one line at a time, then the error that ended the read: (type, text),
+    or None."""
+    path, rows = fh.name, []
+
+    def lines():
+        for line_no, line in enumerate(fh, 1):
+            if "\0" in line:
+                raise DataError(f"{path} line {line_no}: NUL character")
+            yield line
+
+    reader = csv.reader(lines())
+    try:
+        header = next(reader, [])
+        for col in columns:
+            if col not in header:
+                raise SchemaError(f"missing column {col!r} in {path}")
+            if header.count(col) > 1:
+                raise SchemaError(f"column {col!r} is named twice in the header of {path}")
+        row_no = 2
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"row {row_no}: cell count differs from the header of {path}")
+            rows.append((row_no, tuple(row[header.index(col)] for col in columns)))
+            row_no += 1
+    except csv.Error as exc:
+        return rows, ("DataError", f"{path} line {reader.line_num}: {exc}")
+    except (DataError, SchemaError) as exc:
+        return rows, (type(exc).__name__, str(exc))
+    return rows, None
+
+
+def csv_blocks_rows(fh, columns):
+    """csv_blocks(fh, columns) as reference_csv_rows returns a read."""
+    rows = []
+    try:
+        for first, cells in data_model.csv_blocks(fh, columns):
+            rows.extend((first + k, row) for k, row in enumerate(zip(*cells)))
+    except (DataError, SchemaError) as exc:
+        return rows, (type(exc).__name__, str(exc))
+    return rows, None
+
+
+# plain cells, cells over a lowered field size limit, a stray quote inside a
+# cell, quoted cells holding commas, quotes and line breaks, and NUL
+PLAIN_CELLS = ["x", "yy", "", " ", "3.5", "abcdefgh"]
+QUOTED_CELLS = ['a"b', '"q"', '"a,b"', '"say ""hi"""', '"two\nlines"', '"cr\r\nlf"',
+                '"open\n\nend"']
+
+
+@st.composite
+def csv_files(draw):
+    """(file text, the line whose first quote the text holds or None): a
+    header, then lines with \\n, \\r\\n or lone \\r endings, blank lines,
+    trailing commas, wrong cell counts and, from a drawn line on, quotes."""
+    header = draw(st.sampled_from(["a,b,c", "a,b,c", "a,b,c", "c,b,a,", "a,c", "a,b,a",
+                                   "", '"a",b,c', "a,b\0,c"]))
+    quotes_from = draw(st.one_of(st.none(), st.integers(0, 14)))
+    lines = [header]
+    for k in range(draw(st.integers(0, 14))):
+        if draw(st.integers(0, 6)) == 0:
+            lines.append("")
+            continue
+        pool = PLAIN_CELLS + (QUOTED_CELLS if quotes_from is not None and k >= quotes_from
+                              else [])
+        width = draw(st.sampled_from([3, 3, 3, 3, 2, 4]))
+        cells = [draw(st.sampled_from(pool)) for _ in range(width)]
+        if draw(st.integers(0, 12)) == 0:
+            cells[-1] += "\0"
+        lines.append(",".join(cells))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""                   # no terminator on the last line
+    return "".join(map(str.__add__, lines, ends))
+
+
+@settings(max_examples=500, deadline=None)
+@given(csv_files(), st.integers(1, 4), st.sampled_from([None, 3, 5, 8]),
+       st.sampled_from([("a", "c"), ("b",), ("",)]))
+def test_csv_blocks_match_csv_reader_line_by_line(text, block, limit, columns):
+    # blocks of a few lines put a block boundary between every pair of
+    # lines, so a quote is first seen in a later block and a quoted field
+    # crosses one; a lowered field size limit sends lines over it to the
+    # csv module, which refuses a field over it
+    old_limit = csv.field_size_limit()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_model, "BLOCK", block)
+        path = Path(tmp) / "f.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            if limit is not None:
+                csv.field_size_limit(limit)
+            with open(path, newline="", encoding="utf-8") as fh:
+                got = csv_blocks_rows(fh, columns)
+            with open(path, newline="", encoding="utf-8") as fh:
+                want = reference_csv_rows(fh, columns)
+        finally:
+            csv.field_size_limit(old_limit)
+    assert got == want
+
+
+def test_csv_blocks_switch_to_the_csv_module_keeps_line_numbers(tmp_path, monkeypatch):
+    # a quote first seen in the third block of two lines, then a field over
+    # the limit on line 9: the csv module, reading from line 5 on, names
+    # line 9 of the file
+    monkeypatch.setattr(data_model, "BLOCK", 2)
+    lines = ["a,b,c", "1,2,3", "", "4,5,6", '"7,x",8,9', "10,11,12", "13,14,15", "\r",
+             "16," + "z" * 200 + ",18"]
+    path = tmp_path / "f.csv"
+    path.write_text("\n".join(lines) + "\n", newline="")
+    old_limit = csv.field_size_limit()
+    try:
+        csv.field_size_limit(100)
+        with open(path, newline="", encoding="utf-8") as fh:
+            got = csv_blocks_rows(fh, ("a", "c"))
+    finally:
+        csv.field_size_limit(old_limit)
+    assert got == ([(2, ("1", "3")), (3, ("4", "6")), (4, ("7,x", "9")), (5, ("10", "12")),
+                    (6, ("13", "15"))],
+                   ("DataError", f"{path} line 9: field larger than field limit (100)"))
+
+
 # ---------------------------------------------------------------------------
 # The columnar Dataset against record-by-record references
 

@@ -682,11 +682,35 @@ def test_bootstrap_subjects_without_visits_match_dict_regrouping():
                                    rtol=GATHER_RTOL, atol=0)
 
 
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_bootstrap_scaler_from_visit_moments_matches_the_design_fit(seed):
+    # subjects without visits, which weigh nothing, and a constant feature
+    # column, which scales by 1; a mean is compared on the scale of its
+    # column's std, as the scaler applies it
+    ds = ragged_visit_dataset(400, seed=seed)
+    assert any(ds.visit_counts == 0)
+    features = ds.features.copy()
+    features[:, 1] = 70.0
+    ds = replace(ds, features=features)
+    want = InputScaler.fit(design_matrix(ds)[0])
+    got = InputScaler.fit_visits(ds)
+    assert got.std[1] == want.std[1] == 1.0 and got.mean[1] == want.mean[1] == 70.0
+    np.testing.assert_allclose(got.std, want.std, rtol=1e-12, atol=0)
+    assert np.all(abs(got.mean - want.mean) <= 1e-12 * want.std)
+    fitted = fit_bootstrap(ds, B=2, seed=seed).scaler
+    assert (fitted.mean.tobytes(), fitted.std.tobytes()) == (got.mean.tobytes(),
+                                                             got.std.tobytes())
+    # a constant whose sum over the visits rounds: fit takes the rounding
+    # error as the column's std, fit_visits takes the column as constant
+    features[:, 1] = 0.1
+    got = InputScaler.fit_visits(replace(ds, features=features))
+    assert got.mean[1] == 0.1 and got.std[1] == 1.0
+
+
 def test_bootstrap_fit_memory_is_two_designs():
-    # the fit's largest arrays are the design that fits the scaler and one
-    # temporary of its column stds (a peak of 1.9 designs); it makes no
-    # scaled or bias-extended copy of the design, and no per-row owner or
-    # outer product (3.5 designs when it did)
+    # the fit's largest arrays are a chunk's draw counts and the visit
+    # moments (a peak of 1.8 designs); it builds no design, scaled or not,
+    # and no per-row owner or outer product (3.5 designs when it did)
     ds = standardize(generate(SynthConfig(n_subjects=7200, seed=3))[0])[0]
     design_bytes = design_matrix(ds)[0].nbytes          # 36,010 x 6 floats
     tracemalloc.start()
