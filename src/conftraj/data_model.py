@@ -15,7 +15,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import le, lt, ne
 
 import numpy as np
@@ -404,14 +404,39 @@ def _parse_times(cells, row_no):
     return [_parse_time(cell, row_no + k) for k, cell in enumerate(cells)]
 
 
+def _block_fault(row_no, sids, codes, time_cells, value_cells, rests, firsts, n_feat):
+    """The times of a faulty block's rows, the first row row_no, up to its
+    first faulty row (that row's too if it parsed), and that row's DataError
+    (None if none), by every rule of load_csv but the duplicate one, applied
+    row by row: the time, then numeric cells, then finite values, then the
+    features and group labels against those of the subject's first row."""
+    times = []
+    for k, (sid, code, cell, value, rest) in enumerate(
+            zip(sids, codes, time_cells, value_cells, rests)):
+        try:
+            times.append(_parse_time(cell, row_no + k))
+        except DataError as exc:
+            return times, exc
+        cells, first = rest.split("\0"), firsts[code].split("\0")
+        try:
+            y, feats = float(value), list(map(float, cells[:n_feat]))
+        except ValueError as exc:
+            return times, DataError(f"row {row_no + k}: non-numeric cell ({exc})")
+        if not (math.isfinite(y) and all(map(math.isfinite, feats))):
+            return times, DataError(f"row {row_no + k}: non-finite biomarker or feature cell")
+        if feats != list(map(float, first[:n_feat])) or cells[n_feat:] != first[n_feat:]:
+            return times, DataError(f"row {row_no + k}: subject {sid} features or group "
+                                    "labels differ from its earlier rows")
+    return times, None
+
+
 def _read_columns(fh, schema):
     """The columns of the cohort CSV fh, unsorted: the subject IDs in order
     of first row; per row, in file order, its subject's code, its time and
-    its value; per subject, its features and group codes; and per group
-    column, its label -> code.  A faulty row raises a DataError or a
-    ValueError that need not name it (_first_fault does); a duplicate
-    (subject, time) is left to load_csv, which finds it once the rows are
-    sorted."""
+    its value; per subject, its features and group codes; per group column,
+    its label -> code; and the DataError of the first faulty row by every
+    rule but the duplicate one (None if none), where the read stops: the
+    codes and times end with that row's, its time only if it parsed."""
     n_feat = len(schema.feature_cols)
     index = {}                                   # subject ID -> code, in file order
     firsts = []                                  # per subject, its first row's rest key
@@ -420,72 +445,54 @@ def _read_columns(fh, schema):
     # codes of the subjects it is first to name
     codes, times, values = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
     features, group_codes = [np.empty((0, n_feat))], [np.empty((0, len(labels)), np.intp)]
-    for row_no, (sid_cells, time_cells, value_cells, *rest_cols) in csv_blocks(
-            fh, _cohort_columns(schema)):
-        n, known = len(sid_cells), len(index)
-        for sid in dict.fromkeys(sid_cells):
-            index.setdefault(sid, len(index))
-        block_codes = list(map(index.__getitem__, sid_cells))
-        first_rows = np.unique(block_codes, return_index=True)[1]     # of each subject
-        first_rows = first_rows[len(first_rows) - (len(index) - known):].tolist()  # new ones
-        # a row's feature and group cells as one string: a key, not a tracked object
-        rests = list(map("\0".join, zip(*rest_cols))) if rest_cols else [""] * n
-        firsts.extend(map(rests.__getitem__, first_rows))
-        block_values = np.array(list(map(float, value_cells)))
-        block_feats = np.array(list(map(float, chain.from_iterable(
-            map(col.__getitem__, first_rows) for col in rest_cols[:n_feat]))))
-        block_feats = block_feats.reshape(n_feat, len(first_rows)).T
-        if not (np.isfinite(block_values).all() and np.isfinite(block_feats).all()):
-            raise DataError("non-finite biomarker or feature cell")
-        # a row whose cells differ as text from its subject's first row's
-        # may still hold the same features (70 against 70.0)
-        for k in compress(range(n), map(ne, rests, map(firsts.__getitem__, block_codes))):
-            cells, first = rests[k].split("\0"), firsts[block_codes[k]].split("\0")
-            if (list(map(float, cells[:n_feat])) != list(map(float, first[:n_feat]))
-                    or cells[n_feat:] != first[n_feat:]):
-                raise DataError("features or group labels differ within a subject")
-        codes.append(np.array(block_codes, dtype=np.int64))
-        times.append(np.array(_parse_times(time_cells, row_no), dtype=np.int64))
-        values.append(block_values)
-        features.append(block_feats)
-        group_codes.append(np.array(
-            [[lab.setdefault(label, len(lab)) for label in map(col.__getitem__, first_rows)]
-             for lab, col in zip(labels, rest_cols[n_feat:])],
-            dtype=np.intp).reshape(len(labels), len(first_rows)).T)
-    return (tuple(index), np.concatenate(codes), np.concatenate(times), np.concatenate(values),
-            np.concatenate(features), np.concatenate(group_codes), labels)
-
-
-def _first_fault(fh, schema):
-    """The DataError of the first faulty row of the cohort CSV fh in file
-    order, or None, by load_csv's rules applied one row at a time: its time,
-    then a duplicate (subject, time), then numeric cells, then finite
-    values, then its features and group labels against its subject's first
-    row.  A fault csv_blocks raises is returned as well."""
-    n_feat = len(schema.feature_cols)
-    seen, firsts = set(), {}
+    fault = None
     try:
-        for first_row, (sids, time_cells, value_cells, *rest_cols) in csv_blocks(
+        for row_no, (sid_cells, time_cells, value_cells, *rest_cols) in csv_blocks(
                 fh, _cohort_columns(schema)):
-            for row_no, sid, cell, value, *rest in zip(
-                    count(first_row), sids, time_cells, value_cells, *rest_cols):
-                t = _parse_time(cell, row_no)
-                if (sid, t) in seen:
-                    return DataError(f"row {row_no}: duplicate (subject, time) = ({sid}, {t})")
-                seen.add((sid, t))
-                try:
-                    y, feats = float(value), [float(c) for c in rest[:n_feat]]
-                except ValueError as exc:
-                    return DataError(f"row {row_no}: non-numeric cell ({exc})")
-                if not (math.isfinite(y) and all(map(math.isfinite, feats))):
-                    return DataError(f"row {row_no}: non-finite biomarker or feature cell")
-                first = firsts.setdefault(sid, (feats, rest[n_feat:]))
-                if first != (feats, rest[n_feat:]):
-                    return DataError(f"row {row_no}: subject {sid} features or group "
-                                     "labels differ from its earlier rows")
-    except DataError as exc:
-        return exc
-    return None
+            n, known = len(sid_cells), len(index)
+            for sid in dict.fromkeys(sid_cells):
+                index.setdefault(sid, len(index))
+            block_codes = list(map(index.__getitem__, sid_cells))
+            first_rows = np.unique(block_codes, return_index=True)[1]     # of each subject
+            first_rows = first_rows[len(first_rows) - (len(index) - known):].tolist()  # new
+            # a row's feature and group cells as one string: a key, not a tracked object
+            rests = list(map("\0".join, zip(*rest_cols))) if rest_cols else [""] * n
+            firsts.extend(map(rests.__getitem__, first_rows))
+            try:            # a fault is only detected here, and named by _block_fault
+                block_values = np.array(list(map(float, value_cells)))
+                block_feats = np.array(list(map(float, chain.from_iterable(
+                    map(col.__getitem__, first_rows) for col in rest_cols[:n_feat]))))
+                block_feats = block_feats.reshape(n_feat, len(first_rows)).T
+                if not (np.isfinite(block_values).all() and np.isfinite(block_feats).all()):
+                    raise DataError("non-finite biomarker or feature cell")
+                # a row whose cells differ as text from its subject's first row's
+                # may still hold the same features (70 against 70.0)
+                for k in compress(range(n), map(ne, rests,
+                                                map(firsts.__getitem__, block_codes))):
+                    cells, first = rests[k].split("\0"), firsts[block_codes[k]].split("\0")
+                    if (list(map(float, cells[:n_feat])) != list(map(float, first[:n_feat]))
+                            or cells[n_feat:] != first[n_feat:]):
+                        raise DataError("features or group labels differ within a subject")
+                block_times = _parse_times(time_cells, row_no)
+            except (DataError, ValueError) as exc:
+                block_times, fault = _block_fault(row_no, sid_cells, block_codes, time_cells,
+                                                  value_cells, rests, firsts, n_feat)
+                block_codes = block_codes[:len(block_times)]
+                fault = fault or exc
+            codes.append(np.array(block_codes, dtype=np.int64))
+            times.append(np.array(block_times, dtype=np.int64))
+            if fault:
+                break
+            values.append(block_values)
+            features.append(block_feats)
+            group_codes.append(np.array(
+                [[lab.setdefault(label, len(lab)) for label in map(col.__getitem__, first_rows)]
+                 for lab, col in zip(labels, rest_cols[n_feat:])],
+                dtype=np.intp).reshape(len(labels), len(first_rows)).T)
+    except (DataError, UnicodeDecodeError) as exc:    # csv_blocks' fault, or not UTF-8
+        fault = exc
+    return (tuple(index), np.concatenate(codes), np.concatenate(times), np.concatenate(values),
+            np.concatenate(features), np.concatenate(group_codes), labels, fault)
 
 
 def load_csv(path, schema: CsvSchema) -> Dataset:
@@ -500,33 +507,31 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     time, which only detects that a fault exists: a row's feature cells are
     parsed only on its subject's first row and where they differ from that
     row's as text, and duplicates are found, and named, once the rows are
-    sorted.  On any other fault the file is rewound and read again one row
-    at a time to name it, so the file must be seekable.
+    sorted.  Any other fault is named from its block's rows, one at a time,
+    and ends the one read of the file, which may be a pipe.
     """
     with open(path, newline="", encoding="utf-8") as fh:
+        # a block the csv module reads is thousands of live lists, whose
+        # allocation would start garbage collections that free nothing
+        collecting = gc.isenabled()
+        gc.disable()
         try:
-            # a block the csv module reads is thousands of live lists, whose
-            # allocation would start garbage collections that free nothing
-            collecting = gc.isenabled()
-            gc.disable()
-            try:
-                sids, codes, times, values, features, group_codes, labels = \
-                    _read_columns(fh, schema)
-            finally:
-                if collecting:
-                    gc.enable()
-        except (DataError, ValueError) as exc:
-            fh.seek(0)
-            raise (_first_fault(fh, schema) or exc) from None
-    # every row kept every rule but the duplicate one.  The sort is stable,
-    # so the later rows of a (subject, time) follow its first, and the
-    # smallest of them is the first duplicate in file order
+            sids, codes, times, values, features, group_codes, labels, fault = \
+                _read_columns(fh, schema)
+        finally:
+            if collecting:
+                gc.enable()
+    # a duplicate among the rows read comes before any fault that ended the
+    # read.  The sort is stable, so the later rows of a (subject, time)
+    # follow its first, and the smallest of them is the first in file order
     order = np.lexsort((times, codes))
     repeats = order[1:][(np.diff(codes[order]) == 0) & (np.diff(times[order]) == 0)]
     if len(repeats):
         k = int(repeats.min())
         raise DataError(f"row {k + 2}: duplicate (subject, time) = "
                         f"({sids[codes[k]]}, {int(times[k])})")
+    if fault:
+        raise fault
     times, values = times[order], values[order]
     n = len(sids)
     counts = np.bincount(codes, minlength=n)

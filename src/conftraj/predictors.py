@@ -40,7 +40,11 @@ class InputScaler:
 
     @classmethod
     def fit(cls, Z):
-        return cls._of(Z.mean(axis=0), Z.std(axis=0))
+        """A constant column's mean is its value and its std 0: the mean of
+        its sum can round off its value and leave a std of rounding error."""
+        constant = np.ptp(Z, axis=0) == 0
+        return cls._of(np.where(constant, Z[0], Z.mean(axis=0)),
+                       np.where(constant, 0.0, Z.std(axis=0)))
 
     @classmethod
     def fit_visits(cls, train: Dataset):
@@ -48,7 +52,7 @@ class InputScaler:
         weighted by its visit count, and from the visit times: the same
         means and stds up to the order of summation.  Deviations are taken
         from a subject with visits, so a constant column's mean is exact and
-        its std 0 (fit can leave a rounding error in both)."""
+        its std 0, as in fit."""
         counts, S = train.visit_counts, np.column_stack([train.features, train.baseline])
         shift = S[np.argmax(counts)]
         mean = shift + counts @ (S - shift) / len(train.times)

@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import tempfile
 from dataclasses import replace
@@ -570,14 +571,16 @@ def long_cohort_lines(n_subjects=2000, visits=4):
                                   "last row non-numeric", "two faults",
                                   "non-numeric before duplicate",
                                   "duplicate before non-numeric",
-                                  "NUL after duplicate", "NUL after straddling duplicate"])
+                                  "NUL after duplicate", "NUL after straddling duplicate",
+                                  "first row of a block", "last row of a block",
+                                  "duplicate with a non-numeric cell"])
 def test_load_csv_faults_far_into_a_long_file(tmp_path, case):
     lines = long_cohort_lines()
     assert len(lines) > 2 * BLOCK
     boundary = BLOCK                # index of the first row of the second block
     owner = lines[boundary].split(",")[0]
     first = next(k for k, line in enumerate(lines) if line.startswith(owner + ","))
-    want = None
+    want = row = None
     if case == "straddle":
         assert first < boundary < first + 4        # the subject's rows straddle it
     elif case == "duplicate":
@@ -608,6 +611,29 @@ def test_load_csv_faults_far_into_a_long_file(tmp_path, case):
         lines.insert(dup, lines[10].replace(",0.", ",9.", 1))
         lines[boundary + 300] = lines[boundary + 300].replace(",", ",\0", 1)
         want = f"row {dup + 2}: duplicate (subject, time) = (s0002, 0)"
+    elif case in ("first row of a block", "last row of a block",
+                  "duplicate with a non-numeric cell"):
+        # at the loader's own block boundaries: the first row of its third
+        # block, or the last of its second, holds the fault; the duplicate
+        # repeats s0002's month-6 row, its time spelled 6.0
+        row = block_starts(write_csv(tmp_path / "c.csv", lines))[2]
+        if case == "first row of a block":
+            cells = lines[row - 2].split(",")
+            cells[2] = "twelve"
+            lines[row - 2] = ",".join(cells)
+            want = f"row {row}: non-numeric cell"
+        elif case == "last row of a block":
+            row -= 1
+            cells = lines[row - 2].rstrip("\n").split(",")
+            cells[5] = "X"
+            lines[row - 2] = ",".join(cells) + "\n"
+            want = f"row {row}: subject {cells[0]} features or group labels differ"
+        else:
+            cells = lines[11].split(",")
+            assert cells[:2] == ["s0002", "6"]
+            cells[1:3] = ["6.0", "x"]
+            lines.insert(row - 2, ",".join(cells))
+            want = f"row {row}: duplicate (subject, time) = (s0002, 6)"
     elif case == "last row non-numeric":
         cells = lines[-1].split(",")
         cells[2] = "twelve"
@@ -623,12 +649,20 @@ def test_load_csv_faults_far_into_a_long_file(tmp_path, case):
         lines.append(lines[0])
         want = f"row {boundary + 9}: subject "
     path = write_csv(tmp_path / "c.csv", lines)
+    if row is not None:             # the fault is where the loader's blocks put it
+        assert row + (case == "last row of a block") == block_starts(path)[2]
     got = _outcome(load_csv, path, SCHEMA)
     assert got == _outcome(reference_load_csv, path, SCHEMA)
     if want is None:
         assert len(got) == 3            # loaded, not an error
     else:
         assert got[0] == "DataError" and got[1].startswith(want), got
+
+
+def block_starts(path):
+    """The row number of the first row of each block the loader reads of path."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [row_no for row_no, _ in data_model.csv_blocks(fh, ["subject_id"])]
 
 
 def test_valid_unusual_cells_across_a_block_boundary_load_without_a_second_pass(
@@ -649,10 +683,10 @@ def test_valid_unusual_cells_across_a_block_boundary_load_without_a_second_pass(
     assert first + 1 < boundary < first + 7
     path = write_csv(tmp_path / "c.csv", lines)
 
-    def refuse(fh, schema):
+    def refuse(*args):
         raise AssertionError("a valid file took the fault-naming pass")
 
-    monkeypatch.setattr(data_model, "_first_fault", refuse)
+    monkeypatch.setattr(data_model, "_block_fault", refuse)
     got = _outcome(load_csv, path, SCHEMA)
     assert got == _outcome(reference_load_csv, path, SCHEMA)
     ds = load_csv(path, SCHEMA)
@@ -661,20 +695,33 @@ def test_valid_unusual_cells_across_a_block_boundary_load_without_a_second_pass(
     assert ds.features[i, 0] == float(rows[0][3])
 
 
-def test_a_faulty_file_is_rewound_not_reopened(tmp_path, monkeypatch):
-    # the duplicate's first copy is in the first block, the second in the third
+@pytest.mark.parametrize("fault", ["duplicate", "non-numeric"])
+def test_a_faulty_file_is_opened_once_and_never_sought(tmp_path, monkeypatch, fault):
+    # a fault in the third block, on a handle that cannot seek, as a pipe's;
+    # the duplicate's first copy is in the first block
     lines = long_cohort_lines()
-    lines.insert(2 * data_model.BLOCK + 5, lines[10].replace(",0.", ",9.", 1))
+    k = 2 * data_model.BLOCK + 5
+    if fault == "duplicate":
+        lines.insert(k, lines[10].replace(",0.", ",9.", 1))
+        want = rf"^row {k + 2}: duplicate \(subject, time\) = \(s0002, 0\)$"
+    else:
+        cells = lines[k].split(",")
+        cells[2] = "twelve"
+        lines[k] = ",".join(cells)
+        want = rf"^row {k + 2}: non-numeric cell \(could not convert string to float: 'twelve'"
     path = write_csv(tmp_path / "c.csv", lines)
     handles = []
 
+    def unseekable(*args):
+        raise io.UnsupportedOperation("underlying stream is not seekable")
+
     def counting_open(*args, **kwargs):
         handles.append(open(*args, **kwargs))
+        handles[-1].seek = unseekable
         return handles[-1]
 
     monkeypatch.setattr(data_model, "open", counting_open, raising=False)
-    with pytest.raises(DataError, match=rf"^row {2 * data_model.BLOCK + 7}: duplicate "
-                                        r"\(subject, time\) = \(s0002, 0\)$"):
+    with pytest.raises(DataError, match=want):
         load_csv(path, SCHEMA)
     assert len(handles) == 1 and handles[0].closed
 
@@ -690,10 +737,10 @@ def test_a_duplicate_is_named_from_the_sorted_columns(tmp_path, monkeypatch):
     assert want == ("DataError", f"row {data_model.BLOCK + 302}: duplicate (subject, time) "
                                  "= (s0005, 0)")
 
-    def refuse(fh, schema):
+    def refuse(*args):
         raise AssertionError("a duplicate took the fault-naming pass")
 
-    monkeypatch.setattr(data_model, "_first_fault", refuse)
+    monkeypatch.setattr(data_model, "_block_fault", refuse)
     assert _outcome(load_csv, path, SCHEMA) == want
 
 

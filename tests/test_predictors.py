@@ -700,11 +700,31 @@ def test_bootstrap_scaler_from_visit_moments_matches_the_design_fit(seed):
     fitted = fit_bootstrap(ds, B=2, seed=seed).scaler
     assert (fitted.mean.tobytes(), fitted.std.tobytes()) == (got.mean.tobytes(),
                                                              got.std.tobytes())
-    # a constant whose sum over the visits rounds: fit takes the rounding
-    # error as the column's std, fit_visits takes the column as constant
+    # a constant whose sum over the visits rounds: both take the column as
+    # constant
     features[:, 1] = 0.1
     got = InputScaler.fit_visits(replace(ds, features=features))
-    assert got.mean[1] == 0.1 and got.std[1] == 1.0
+    want = InputScaler.fit(design_matrix(replace(ds, features=features))[0])
+    assert got.mean[1] == want.mean[1] == 0.1 and got.std[1] == want.std[1] == 1.0
+
+
+@pytest.mark.parametrize("kind", ("gp", "quantile"))
+def test_a_constant_column_scales_to_zero(kind):
+    # 0.1 on every row: the column's mean rounds off 0.1, and a std of that
+    # rounding error (3e-16) once scaled the column to -1 on every row
+    ds = ragged_visit_dataset(150, seed=0)
+    features = ds.features.copy()
+    features[:, 1] = 0.1
+    ds = replace(ds, features=features)
+    rows = design_matrix(ds)[0]
+    assert len(rows) <= 512 and rows.mean(axis=0)[1] != 0.1
+    scaler = (fit_gp(ds, seed=0) if kind == "gp" else fit_quantile(ds)).scaler
+    assert scaler.mean[1] == 0.1 and scaler.std[1] == 1.0
+    assert np.all(scaler.apply(rows)[:, 1] == 0.0)
+    # every other column keeps its mean and std over the rows, bit for bit
+    others = [0, 2, 3]
+    assert scaler.mean[others].tobytes() == rows.mean(axis=0)[others].tobytes()
+    assert scaler.std[others].tobytes() == rows.std(axis=0)[others].tobytes()
 
 
 def test_bootstrap_fit_memory_is_two_designs():
