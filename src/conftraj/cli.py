@@ -21,7 +21,7 @@ from itertools import count
 from pathlib import Path
 
 from . import conformal, risk as risk_mod
-from .data_model import (CsvSchema, StandardizationStats, csv_blocks, load_csv,
+from .data_model import (CsvSchema, StandardizationStats, csv_blocks, load_csv, open_csv,
                          save_csv, split, standardize)
 from .errors import (ConfigurationError, ConftrajError, DataError, NumericalError,
                      check_rules, is_int, is_number, is_numbers)
@@ -176,7 +176,7 @@ def _load_dataset(cfg):
 def _load_truth(cfg) -> dict:
     """subject_id -> {"is_progressor": bool} from the data.truth_path CSV."""
     path, truth = _get(cfg, "data.truth_path"), {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_csv(path) as fh:
         for first, (sids, cells) in csv_blocks(fh, ("subject_id", "is_progressor")):
             for row_no, sid, cell in zip(count(first), sids, cells):
                 flag = {"1": True, "true": True, "0": False, "false": False}.get(cell.lower())

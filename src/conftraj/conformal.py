@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Dataset, SubjectRecord, _offsets
+from .data_model import Dataset, SubjectRecord, _offsets, _take
 from .errors import ConfigurationError, DataError
 from .predictors import predict_batch, visit_rows
 
@@ -32,6 +32,33 @@ class NonconformityScore:
     def __post_init__(self):
         if not (math.isfinite(self.value) and self.value >= 0):
             raise DataError(f"score for {self.subject_id} must be finite and >= 0")
+
+
+@dataclass(frozen=True, eq=False)
+class ScoreSet:
+    """The nonconformity scores of a dataset's scored subjects, in its
+    order: subject subject_ids[i] scores values[i], finite and >= 0.  The
+    array is read-only.  Iterating yields one NonconformityScore per
+    subject, built then."""
+    subject_ids: tuple
+    values: np.ndarray            # (n,) float
+
+    def __post_init__(self):
+        ids, values = tuple(self.subject_ids), np.array(self.values, dtype=float)
+        if values.shape != (len(ids),):
+            raise DataError(f"{len(ids)} subject IDs for scores of shape {values.shape}")
+        bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
+        if len(bad):
+            raise DataError(f"score for {ids[bad[0]]} must be finite and >= 0")
+        values.flags.writeable = False
+        object.__setattr__(self, "subject_ids", ids)
+        object.__setattr__(self, "values", values)
+
+    def __len__(self):
+        return len(self.subject_ids)
+
+    def __iter__(self):
+        return map(NonconformityScore, self.subject_ids, self.values.tolist())
 
 
 @dataclass(frozen=True)
@@ -94,14 +121,19 @@ class GroupCalibration:
     fallback: CalibrationResult
 
 
-def calibrate(scores, alpha: float) -> CalibrationResult:
-    """Conformal radius from a list of NonconformityScores."""
-    if not 0 < alpha < 1:
-        raise ConfigurationError(f"alpha must be in (0,1), got {alpha}")
-    values = sorted(s.value for s in scores)
+def _ranked(values, alpha):
+    """The calibration of the ascending score array values: its
+    ceil((n+1)(1-alpha))-th smallest, or math.inf past n."""
     n = len(values)
     rank = math.ceil((n + 1) * (1.0 - alpha))
-    return CalibrationResult(n, alpha, rank, values[rank - 1] if rank <= n else math.inf)
+    return CalibrationResult(n, alpha, rank, float(values[rank - 1]) if rank <= n else math.inf)
+
+
+def calibrate(scores: ScoreSet, alpha: float) -> CalibrationResult:
+    """Conformal radius from a ScoreSet."""
+    if not 0 < alpha < 1:
+        raise ConfigurationError(f"alpha must be in (0,1), got {alpha}")
+    return _ranked(np.sort(scores.values), alpha)
 
 
 def worst_residuals(values, means, stds, offsets):
@@ -117,16 +149,15 @@ def worst_residuals(values, means, stds, offsets):
     return np.maximum.reduceat(residuals, offsets[:-1])
 
 
-def score_dataset(model, calib: Dataset):
+def score_dataset(model, calib: Dataset) -> ScoreSet:
     """Worst normalized residual max_t |y_t - mu_t| / sigma_t for every
     calibration subject with visits, against the predicted (mu, sigma) at
     its visit times."""
     counts = calib.visit_counts
     scored = np.flatnonzero(counts)
     means, stds = predict_batch(model, visit_rows(calib, counts), calib.times)
-    scores = worst_residuals(calib.values, means, stds, _offsets(counts[scored]))
-    ids = calib.subject_ids
-    return [NonconformityScore(ids[i], v) for i, v in zip(scored.tolist(), scores.tolist())]
+    return ScoreSet(_take(calib.subject_ids, scored.tolist()),
+                    worst_residuals(calib.values, means, stds, _offsets(counts[scored])))
 
 
 def _radii(gcal, ds: Dataset, rows):
@@ -137,13 +168,15 @@ def _radii(gcal, ds: Dataset, rows):
     if not isinstance(gcal, GroupCalibration):
         return np.full(len(rows), gcal.radius)
     codes, categories = ds.group(gcal.grouping_column)
-    labels = [categories[c] for c in codes[rows].tolist()]
-    unseen = [g for g in labels if g not in gcal.per_group]
-    if unseen:
+    codes = codes[rows]
+    unseen = [c for c, g in enumerate(categories) if g not in gcal.per_group]
+    n_unseen = np.bincount(codes, minlength=len(categories))[unseen]
+    if n_unseen.sum():
         log.warning("%d subject(s) with %r categories unseen in calibration %s: "
-                    "using the population radius", len(unseen),
-                    gcal.grouping_column, sorted(set(unseen), key=repr))
-    return np.array([gcal.per_group.get(g, gcal.fallback).radius for g in labels])
+                    "using the population radius", n_unseen.sum(), gcal.grouping_column,
+                    sorted((categories[c] for c, m in zip(unseen, n_unseen) if m), key=repr))
+    radius = [gcal.per_group.get(g, gcal.fallback).radius for g in categories]
+    return np.array(radius, dtype=float)[codes]
 
 
 def _make_bands(model, ds: Dataset, counts, times, gcal):
@@ -153,7 +186,7 @@ def _make_bands(model, ds: Dataset, counts, times, gcal):
     counts = np.asarray(counts)
     rows = np.flatnonzero(counts)
     means, stds = predict_batch(model, visit_rows(ds, counts), times)
-    return PredictionBand(tuple(ds.subject_ids[i] for i in rows.tolist()),
+    return PredictionBand(_take(ds.subject_ids, rows.tolist()),
                           _offsets(counts[rows]), times, means, stds,
                           _radii(gcal, ds, rows))
 
@@ -163,24 +196,32 @@ def bands_for_dataset(model, ds: Dataset, gcal):
     return _make_bands(model, ds, ds.visit_counts, ds.times, gcal)
 
 
-def mondrian_calibrate(calib: Dataset, scores, grouping_column: str,
+def mondrian_calibrate(calib: Dataset, scores: ScoreSet, grouping_column: str,
                        alpha: float) -> GroupCalibration:
-    """Per-category conformal radii plus a whole-set fallback."""
-    row_of = {sid: i for i, sid in enumerate(calib.subject_ids)}
+    """Per-category conformal radii plus a whole-set fallback.  scores are
+    those of calib's scored subjects, in its order, as score_dataset gives
+    them; each category ranks its subjects' scores."""
+    scored = np.flatnonzero(calib.visit_counts)
+    ids = _take(calib.subject_ids, scored.tolist())
+    if scores.subject_ids != ids:
+        k = next(k for k, pair in enumerate(zip(scores.subject_ids + (None,), ids + (None,)))
+                 if pair[0] != pair[1])
+        raise DataError(f"score for unknown subject {scores.subject_ids[k]} at score {k}: "
+                        "scores follow the calibration set's scored subjects"
+                        if k < len(scores) else f"no score for calibration subject {ids[k]}")
     codes, categories = calib.group(grouping_column)
-    codes = codes.tolist()
-    groups: dict = {}
-    for sc in scores:
-        i = row_of.get(sc.subject_id)
-        if i is None:
-            raise DataError(f"score for unknown subject {sc.subject_id}")
-        label = categories[codes[i]]
-        if label is None:
-            raise DataError(f"subject {sc.subject_id} has no label for "
-                            f"column {grouping_column!r}")
-        groups.setdefault(label, []).append(sc)
-    per_group = {g: calibrate(sc, alpha) for g, sc in groups.items()}
-    return GroupCalibration(grouping_column, per_group, calibrate(scores, alpha))
+    codes = codes[scored]
+    unlabelled = np.flatnonzero(np.array([g is None for g in categories], dtype=bool)[codes])
+    if len(unlabelled):
+        raise DataError(f"subject {ids[unlabelled[0]]} has no label for "
+                        f"column {grouping_column!r}")
+    fallback = calibrate(scores, alpha)
+    present, first, sizes = np.unique(codes, return_index=True, return_counts=True)
+    ascending = np.split(scores.values[np.lexsort((scores.values, codes))],
+                         np.cumsum(sizes)[:-1])            # each group's scores, sorted
+    per_group = {categories[present[i]]: _ranked(ascending[i], alpha)
+                 for i in np.argsort(first).tolist()}     # in order of first subject
+    return GroupCalibration(grouping_column, per_group, fallback)
 
 
 def band_for_subject(model, s: SubjectRecord, gcal, times) -> PredictionBand:

@@ -13,10 +13,11 @@ import csv
 import gc
 import logging
 import math
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
-from operator import le, lt, ne
+from operator import itemgetter, le, lt, ne
 
 import numpy as np
 
@@ -67,6 +68,13 @@ def _offsets(counts):
     return offsets
 
 
+def _take(items, indices):
+    """The tuple of items[i] for each i of the list of ints indices."""
+    if len(indices) < 2:
+        return tuple(items[i] for i in indices)
+    return itemgetter(*indices)(items)       # one call, where a generator makes n
+
+
 CSV_COLUMNS = ("subject_id", "time_months", "biomarker")   # save_csv's first columns
 
 
@@ -113,6 +121,10 @@ class Dataset:
                         for codes, c in zip(self.group_codes.T, self.group_categories))):
             raise DataError(f"dataset columns do not line up with its {n} subjects "
                             f"and {len(times)} visits")
+        # a label has one code, so grouping by code is grouping by label
+        for column, categories in zip(self.group_columns, self.group_categories):
+            if len(set(categories)) != len(categories):
+                raise DataError(f"dataset group column {column!r} lists a category twice")
         # the checks of SubjectRecord, in subject order, then those of the cohort
         owner = np.repeat(np.arange(n), np.diff(offsets))
         early = owner[times < 1]
@@ -197,16 +209,40 @@ class Dataset:
             for i, (sid, baseline, lo, hi) in enumerate(zip(
                 self.subject_ids, self.baseline.tolist(), bounds, bounds[1:])))
 
+    @cached_property
+    def _id_order(self):
+        """The subject indices in subject_id order, sorted on first use."""
+        ids = self.subject_ids
+        order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+        order.flags.writeable = False
+        return order
+
+    def _derive(self, **columns):
+        """A Dataset of self's columns with the given ones replaced by fresh
+        arrays that meet __post_init__'s checks because self does, which
+        are not run again.  Nothing cached on self (subjects, _id_order)
+        is carried over."""
+        ds = object.__new__(Dataset)
+        for f in fields(Dataset):
+            column = columns.get(f.name, getattr(self, f.name))
+            if isinstance(column, np.ndarray):
+                column.flags.writeable = False
+            object.__setattr__(ds, f.name, column)
+        return ds
+
     def subset(self, indices) -> "Dataset":
+        """The subjects indices of self, in that order; an index may not repeat."""
         idx = np.asarray(indices, dtype=np.intp)
+        features = self.features[idx]          # an index out of range is an IndexError
+        if len(idx) and np.bincount(idx % len(self)).max() > 1:
+            raise DataError("duplicate subject_ids in dataset")
         counts = self.visit_counts[idx]
         offsets = _offsets(counts)
         rows = np.repeat(self.offsets[:-1][idx] - offsets[:-1], counts) + np.arange(offsets[-1])
-        ids = self.subject_ids
-        return replace(self, subject_ids=tuple(ids[i] for i in idx.tolist()),
-                       features=self.features[idx], baseline=self.baseline[idx],
-                       offsets=offsets, times=self.times[rows], values=self.values[rows],
-                       group_codes=self.group_codes[idx])
+        return self._derive(subject_ids=_take(self.subject_ids, idx.tolist()),
+                            features=features, baseline=self.baseline[idx],
+                            offsets=offsets, times=self.times[rows],
+                            values=self.values[rows], group_codes=self.group_codes[idx])
 
     def scored_subjects(self):
         """Subjects with at least one follow-up visit (the only ones Eq-style
@@ -221,9 +257,9 @@ class SplitIndices:
     test: tuple
 
     def __post_init__(self):
-        sets = [set(self.train), set(self.calib), set(self.test)]
-        total = sum(len(s) for s in sets)
-        if len(sets[0] | sets[1] | sets[2]) != total:
+        parts = np.concatenate([np.asarray(part, dtype=np.intp)
+                                for part in (self.train, self.calib, self.test)])
+        if len(parts) and np.bincount(parts - parts.min()).max() > 1:
             raise DataError("split index sets are not pairwise disjoint")
 
 
@@ -275,16 +311,34 @@ def _parse_time(cell, row_no):
 BLOCK = 2048      # lines and rows read at a time (4096 held 2 MB more on 20,000 rows)
 
 
+UNDECODED = re.compile("[\udc80-\udcff]")   # how surrogateescape reads a byte not UTF-8
+
+
+def open_csv(path):
+    """path opened to read as CSV text: UTF-8, with each byte that is not
+    UTF-8 read as its surrogateescape character, which csv_blocks names."""
+    return open(path, newline="", encoding="utf-8", errors="surrogateescape")
+
+
+def _line_fault(line):
+    """Why csv_blocks refuses line, or None: a NUL character, which the csv
+    module of Python 3.10 cannot read, or a byte that is not UTF-8."""
+    if "\0" in line:
+        return "NUL character"
+    if not line.isascii() and UNDECODED.search(line):
+        return "a byte that is not UTF-8"
+    return None
+
+
 def _line_blocks(blocks, path, line_no):
     """The blocks of lines of blocks, whose first line is line line_no + 1.
-    A NUL character is a DataError naming the line, raised after a block of
-    the lines before it: the csv module of Python 3.10 cannot read one, so
-    no version accepts it."""
+    A line _line_fault refuses is a DataError naming it, raised after a
+    block of the lines before it."""
     for lines in blocks:
-        if "\0" in "".join(lines):
-            k = next(k for k, line in enumerate(lines) if "\0" in line)
+        if _line_fault("".join(lines)):
+            k, fault = next((k, f) for k, f in enumerate(map(_line_fault, lines)) if f)
             yield lines[:k]
-            raise DataError(f"{path} line {line_no + k + 1}: NUL character")
+            raise DataError(f"{path} line {line_no + k + 1}: {fault}")
         line_no += len(lines)
         yield lines
 
@@ -324,27 +378,30 @@ def _ragged(rows, counts, want, row_no, path):
 
 def csv_blocks(fh, columns):
     """(number of the first row, cells of each of columns) for each block of
-    up to BLOCK data rows of the open CSV file fh (opened with newline=""),
+    up to BLOCK data rows of the open CSV file fh (opened by open_csv),
     whose header must name every one of columns; the cells of a column are
     a sequence of strings, one per row.  The header is row 1; blank lines
     are skipped and not counted; one of columns missing from the header, or
     named there twice, is a SchemaError; a row must have as many cells as
     the header.  A faulty row or line (one with another cell count, a NUL
-    character, or a line the csv module cannot read, such as a field longer
-    than its field size limit) is a DataError naming it, raised after a
-    block of the rows before it.  Messages name the file by fh.name.
+    character, a byte that is not UTF-8, or a line the csv module cannot
+    read, such as a field longer than its field size limit) is a DataError
+    naming it, raised after a block of the rows before it.  Messages name
+    the file by fh.name.
 
-    A block of lines with no quote or NUL character and none longer than
-    csv.field_size_limit() is split at its commas, which reads what the
-    csv module reads.  From the first block holding one, the csv module
-    reads the rest of the file."""
+    A block of lines with no quote, no NUL character, no byte that is not
+    UTF-8 and none longer than csv.field_size_limit() is split at its
+    commas, which reads what the csv module reads: its n rows are joined
+    with ",\n," and split once, so each row of width cells is followed by
+    a "\n" cell, which no cell of a line holds.  From the first block
+    holding one, the csv module reads the rest of the file."""
     path, limit = fh.name, csv.field_size_limit()
     blocks = iter(lambda: list(islice(fh, BLOCK)), [])
     line_no, row_no, picks = 0, 2, None
     for raw in blocks:
         lines = list(map(str.rstrip, raw, repeat("\r\n")))
-        text = ",".join(lines)
-        if '"' in text or "\0" in text or max(map(len, lines)) > limit:
+        text = ",\n,".join(lines)
+        if '"' in text or _line_fault(text) or max(map(len, lines)) > limit:
             break
         line_no += len(lines)
         if picks is None:
@@ -352,11 +409,17 @@ def csv_blocks(fh, columns):
             picks, width = _picks(header, columns, path), len(header)
         if not all(lines):
             lines = [line for line in lines if line]
-        lines, fault = _ragged(lines, list(map(str.count, lines, repeat(","))), width - 1,
-                               row_no, path)
+        if not lines:
+            continue
+        if len(lines) < len(raw):               # the header or blank lines left
+            text = ",\n,".join(lines)
+        cells, n, fault = text.split(","), len(lines), None
+        if len(cells) != n * (width + 1) - 1 or cells[width::width + 1].count("\n") != n - 1:
+            lines, fault = _ragged(lines, list(map(str.count, lines, repeat(","))), width - 1,
+                                   row_no, path)
+            cells = ",\n,".join(lines).split(",")
         if lines:
-            cells = ",".join(lines).split(",")
-            yield row_no, [cells[i::width] for i in picks]
+            yield row_no, [cells[i::width + 1] for i in picks]
             row_no += len(lines)
         if fault:
             raise fault
@@ -489,7 +552,7 @@ def _read_columns(fh, schema):
                 [[lab.setdefault(label, len(lab)) for label in map(col.__getitem__, first_rows)]
                  for lab, col in zip(labels, rest_cols[n_feat:])],
                 dtype=np.intp).reshape(len(labels), len(first_rows)).T)
-    except (DataError, UnicodeDecodeError) as exc:    # csv_blocks' fault, or not UTF-8
+    except DataError as exc:                     # csv_blocks' fault
         fault = exc
     return (tuple(index), np.concatenate(codes), np.concatenate(times), np.concatenate(values),
             np.concatenate(features), np.concatenate(group_codes), labels, fault)
@@ -510,7 +573,7 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     sorted.  Any other fault is named from its block's rows, one at a time,
     and ends the one read of the file, which may be a pipe.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_csv(path) as fh:
         # a block the csv module reads is thousands of live lists, whose
         # allocation would start garbage collections that free nothing
         collecting = gc.isenabled()
@@ -599,16 +662,17 @@ def standardize(ds: Dataset, stats: StandardizationStats | None = None):
         stats = StandardizationStats(float(np.mean(vals)), std)
 
     mean, std = stats.mean, stats.std
-    return replace(ds, baseline=(ds.baseline - mean) / std,
-                   values=(ds.values - mean) / std), stats
+    return ds._derive(baseline=(ds.baseline - mean) / std,
+                      values=(ds.values - mean) / std), stats
 
 
 def split(ds: Dataset, test_frac: float, calib_frac: float, seed: int) -> SplitIndices:
     """Seeded shuffle-split into train / calibration / test subject indices.
 
-    The seed permutes the subjects sorted by subject_id, not in file order.
-    floor(N * test_frac) subjects go to test; of the remainder,
-    floor(. * calib_frac) go to calibration; the rest train.
+    The seed permutes the subjects sorted by subject_id, not in file order
+    (the order is sorted once per Dataset).  floor(N * test_frac) subjects
+    go to test; of the remainder, floor(. * calib_frac) go to calibration;
+    the rest train.
     """
     if not 0 < test_frac < 1:
         raise ConfigurationError(f"test_frac must be in (0,1), got {test_frac}")
@@ -616,8 +680,7 @@ def split(ds: Dataset, test_frac: float, calib_frac: float, seed: int) -> SplitI
         raise ConfigurationError(f"calib_frac must be in [0,1), got {calib_frac}")
     n = len(ds)
     rng = np.random.default_rng(seed)
-    by_id = sorted(range(n), key=ds.subject_ids.__getitem__)
-    perm = np.asarray(by_id, dtype=int)[rng.permutation(n)]
+    perm = ds._id_order[rng.permutation(n)]
     n_test = int(n * test_frac)
     n_calib = int((n - n_test) * calib_frac)
     test = perm[:n_test]

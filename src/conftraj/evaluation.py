@@ -84,14 +84,15 @@ def coverage_and_width(bands, test: Dataset,
     times = test.times[rows]
     per_group = None
     if grouping_column is not None:
-        labels, categories = test.group(grouping_column)
-        codes: dict = {}            # group label -> code, in order of appearance
-        group = np.array([codes.setdefault(categories[c], len(codes))
-                          for c in labels[scored].tolist()], dtype=np.intp)
-        coverage = _means_by_key(group, covered)
-        width = _means_by_key(np.repeat(group, counts)[rows], widths)
-        per_group = {g: {"coverage": coverage[c], "width": width.get(c, math.nan),
-                         "n": int(np.sum(group == c))} for g, c in codes.items()}
+        codes, categories = test.group(grouping_column)
+        codes = codes[scored]
+        present, first, sizes = np.unique(codes, return_index=True, return_counts=True)
+        by_first = np.argsort(first)                    # groups in order of first subject
+        coverage = _means_by_key(codes, covered)
+        width = _means_by_key(np.repeat(codes, counts)[rows], widths)
+        per_group = {categories[c]: {"coverage": coverage[c], "width": width.get(c, math.nan),
+                                     "n": n}
+                     for c, n in zip(present[by_first].tolist(), sizes[by_first].tolist())}
     return EvalReport(
         mean_coverage=int(covered.sum()) / len(scored) if len(scored) else math.nan,
         mean_width=float(np.mean(widths)) if len(widths) else math.nan,

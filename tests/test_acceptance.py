@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftraj.cli import main as cli_main
-from conftraj.conformal import (NonconformityScore, bands_for_dataset,
+from conftraj.conformal import (ScoreSet, bands_for_dataset,
                                 calibrate, mondrian_calibrate, score_dataset)
 from conftraj.data_model import split, standardize
 from conftraj.evaluation import (coverage_and_width, evaluate_split,
@@ -247,8 +247,7 @@ def test_criterion_05_rank_oracle():
         n = int(rng.integers(1, 201))
         alpha = float(rng.uniform(0.01, 0.5))
         values = rng.exponential(size=n)
-        cal = calibrate([NonconformityScore(f"s{i}", v)
-                         for i, v in enumerate(values)], alpha)
+        cal = calibrate(ScoreSet(tuple(f"s{i}" for i in range(n)), values), alpha)
         rank = math.ceil((n + 1) * (1 - alpha))
         expected = np.sort(values)[rank - 1] if rank <= n else math.inf
         mismatches += cal.radius != expected

@@ -819,6 +819,27 @@ def test_truth_csv_over_long_field_names_line(tmp_path, capsys, fitted_dirs):
     assert "truth.csv line 3: field larger than field limit" in err
 
 
+@pytest.mark.parametrize("which", ["path", "truth_path"])
+@pytest.mark.parametrize("quoted", [False, True], ids=["commas", "csv-module"])
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, capsys, fitted_dirs, which, quoted):
+    # a Latin-1 byte on line 5 of the cohort or of the truth CSV; a quoted
+    # cell on line 2 makes the csv module read the file from its first block
+    gen, _ = fitted_dirs
+    data = data_section(gen)
+    lines = Path(data[which]).read_bytes().split(b"\n")
+    if quoted:
+        lines[1] = b'"' + lines[1].replace(b",", b'",', 1)
+    lines[4] = lines[4].replace(b",", b",\xe9", 1)
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"\n".join(lines))
+    cfg = write_config(tmp_path / "risk.json", {
+        "data": {**data, which: str(bad)}, "predictor": {"kind": "bootstrap"},
+        "risk": {"bootstrap_B": 20}})
+    assert run(["risk", "--config", cfg, "--out", str(tmp_path / "risk")]) == 1
+    assert capsys.readouterr().err == \
+        f"error [DataError]: {bad} line 5: a byte that is not UTF-8\n"
+
+
 @pytest.mark.parametrize("data,named", [
     ({"feature_cols": ["f0", "f0"]}, "f0"),
     ({"feature_cols": ["f0"], "group_cols": ["f0"]}, "f0"),

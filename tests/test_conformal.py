@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftraj.conformal import (CalibrationResult, GroupCalibration,
-                                NonconformityScore, _make_bands, band_for_subject,
-                                bands_for_dataset, calibrate, mondrian_calibrate,
-                                score_dataset, worst_residuals)
+                                NonconformityScore, ScoreSet, _make_bands,
+                                band_for_subject, bands_for_dataset, calibrate,
+                                mondrian_calibrate, score_dataset, worst_residuals)
 from conftraj.data_model import Dataset, SubjectRecord, standardize
 from conftraj.errors import ConfigurationError, DataError
 from conftraj.evaluation import coverage_and_width
@@ -21,7 +21,7 @@ from tests.test_predictors import multi_visit_dataset
 
 
 def scores_of(values):
-    return [NonconformityScore(f"s{i}", v) for i, v in enumerate(values)]
+    return ScoreSet(tuple(f"s{i}" for i in range(len(values))), values)
 
 
 def subject(sid, visits, group="g", baseline=0.0):
@@ -101,7 +101,7 @@ def test_calibrate_alpha_out_of_range():
 
 
 def test_calibrate_empty_scores():
-    cal = calibrate([], alpha=0.1)
+    cal = calibrate(scores_of([]), alpha=0.1)
     assert cal.radius == math.inf
 
 
@@ -164,7 +164,7 @@ def test_build_band_zero_radius():
 
 def test_build_band_infinite():
     m = fitted_model()
-    cal = calibrate([], 0.1)
+    cal = calibrate(scores_of([]), 0.1)
     band = band_for_subject(m, subject("x", []), cal, [6])
     assert not band.finite
     assert band.radius_at(6) == math.inf
@@ -202,12 +202,11 @@ def test_mondrian_two_groups():
     groups = ["a"] * 9 + ["b"] * 9
     ds = calib_dataset(groups)
     values = list(rng.exponential(size=18))
-    scores = [NonconformityScore(f"s{i}", v) for i, v in enumerate(values)]
-    gcal = mondrian_calibrate(ds, scores, "dx", alpha=0.5)
+    gcal = mondrian_calibrate(ds, scores_of(values), "dx", alpha=0.5)
     for g, idxs in (("a", range(9)), ("b", range(9, 18))):
         cal = gcal.per_group[g]
         assert cal.rank == 5
-        assert cal.radius == pytest.approx(sorted(values[i] for i in idxs)[4])
+        assert cal.radius == sorted(values[i] for i in idxs)[4]
 
 
 def test_mondrian_small_group_infinite():
@@ -222,11 +221,15 @@ def test_mondrian_multiset_union():
     groups = list(rng.choice(["a", "b", "c"], size=40))
     ds = calib_dataset(groups)
     values = list(rng.exponential(size=40))
-    scores = [NonconformityScore(f"s{i}", v) for i, v in enumerate(values)]
+    scores = scores_of(values)
     gcal = mondrian_calibrate(ds, scores, "dx", alpha=0.2)
     assert set(gcal.per_group) == set(groups)
     for g, cal in gcal.per_group.items():
-        assert cal == calibrate([sc for sc, h in zip(scores, groups) if h == g], 0.2)
+        mine = sorted(v for v, h in zip(values, groups) if h == g)
+        rank = math.ceil((len(mine) + 1) * 0.8)
+        assert (cal.n, cal.rank) == (len(mine), rank)
+        assert cal.radius == (mine[rank - 1] if rank <= len(mine) else math.inf)
+        assert cal == calibrate(scores_of(mine[::-1]), 0.2)
     assert sum(cal.n for cal in gcal.per_group.values()) == gcal.fallback.n
     assert gcal.fallback == calibrate(scores, 0.2)
 
@@ -234,8 +237,55 @@ def test_mondrian_multiset_union():
 def test_mondrian_missing_label_errors():
     s = SubjectRecord("s0", np.zeros(2), {}, 0.0, ((6, 0.0),))
     ds = Dataset.from_subjects((s,), ("f0", "f1"), ())
-    with pytest.raises(DataError, match="s0"):
+    with pytest.raises(DataError, match="^subject s0 has no label for column 'dx'$"):
         mondrian_calibrate(ds, scores_of([1.0]), "dx", 0.5)
+
+
+def test_mondrian_groups_by_label_whatever_the_codes():
+    # the same subjects with their labels coded in another order: calibration,
+    # radii and per-group coverage are those of the labels
+    rng = np.random.default_rng(4)
+    groups = list(rng.choice(["a", "b", "c"], size=30))
+    ds = calib_dataset(groups)
+    recoded = Dataset(**{**{f: getattr(ds, f) for f in (
+        "subject_ids", "features", "baseline", "offsets", "times", "values",
+        "feature_names", "group_columns")},
+        "group_codes": [["cab".index(g)] for g in groups], "group_categories": (("c", "a", "b"),)})
+    assert ds.group_categories != recoded.group_categories
+    scores = scores_of(rng.exponential(size=30))
+    model = constant_model(0.0, 1.0)
+    got = []
+    for d in (ds, recoded):
+        gcal = mondrian_calibrate(d, scores, "dx", 0.3)
+        bands = bands_for_dataset(model, d, gcal)
+        got.append((gcal, row_radii(bands).tolist(),
+                    coverage_and_width(bands, d, grouping_column="dx")))
+    assert got[0] == got[1]
+    assert got[0][1] == [got[0][0].per_group[g].radius for g in groups]
+
+
+@pytest.mark.parametrize("ids,error", [
+    (("s0", "x", "s2"), "score for unknown subject x"),
+    (("s0", "s1", "s2", "s3"), "score for unknown subject s3"),     # no visits: unscored
+    (("s0", "s2", "s1"), "score for unknown subject s2 at score 1"),       # out of order
+    (("s0", "s1"), "no score for calibration subject s2")])
+def test_mondrian_scores_must_be_the_calibration_sets(ids, error):
+    ds = Dataset.from_subjects([subject(f"s{i}", [(6, 0.0)] if i < 3 else [])
+                                for i in range(4)], ("f0", "f1"), ("dx",))
+    assert mondrian_calibrate(ds, scores_of([1.0, 2.0, 3.0]), "dx", 0.5).fallback.n == 3
+    with pytest.raises(DataError, match=f"^{error}"):
+        mondrian_calibrate(ds, ScoreSet(ids, np.ones(len(ids))), "dx", 0.5)
+
+
+def test_score_set_checks_its_scores_and_iterates_as_records():
+    scores = ScoreSet(("a", "b"), [0.5, 0.0])
+    assert list(scores) == [NonconformityScore("a", 0.5), NonconformityScore("b", 0.0)]
+    assert len(scores) == 2 and not scores.values.flags.writeable
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(DataError, match="^score for b must be finite and >= 0$"):
+            ScoreSet(("a", "b"), [0.5, bad])
+    with pytest.raises(DataError, match="2 subject IDs"):
+        ScoreSet(("a", "b"), [0.5])
 
 
 def test_band_for_subject_dispatch():

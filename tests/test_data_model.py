@@ -1,9 +1,11 @@
 import csv
 import io
 import math
+import os
 import tempfile
+import threading
 from dataclasses import replace
-from itertools import accumulate
+from itertools import accumulate, repeat
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +326,56 @@ def test_split_deterministic_and_partition():
     assert len(a.train) + len(a.calib) + len(a.test) == 101
 
 
+def test_split_follows_subject_ids_not_row_order():
+    # the same cohort in reverse order: every part holds the same subjects
+    # in the same order, at the reversed indices
+    subjects = [make_subject(f"s{i}", 0.0, [(1, 0.0)]) for i in (3, 10, 0, 7, 2, 11, 5, 1, 9)]
+    ds, rev = make_dataset(subjects), make_dataset(subjects[::-1])
+    for seed in range(5):
+        a, b = split(ds, 0.3, 0.3, seed), split(rev, 0.3, 0.3, seed)
+        for part in ("train", "calib", "test"):
+            want = [len(ds) - 1 - i for i in getattr(a, part)]
+            assert list(getattr(b, part)) == want
+            assert [rev.subject_ids[i] for i in want] == \
+                [ds.subject_ids[i] for i in getattr(a, part)]
+
+
+def test_split_index_sets_must_be_disjoint():
+    assert data_model.SplitIndices((2, 0), (1,), (5, 3)).train == (2, 0)
+    for parts in [((0, 1), (1,), ()), ((0,), (), (0,)), ((4, 2, 4), (), ())]:
+        with pytest.raises(DataError, match="^split index sets are not pairwise disjoint$"):
+            data_model.SplitIndices(*parts)
+
+
+def test_derived_datasets_are_read_only_and_cache_nothing_of_their_parent():
+    ds = make_dataset([make_subject(f"s{i}", float(i), [(6, 1.0 + i), (12, 2.0)],
+                                    group="FM"[i % 2]) for i in range(4)])
+    split(ds, 0.25, 0.0, 0)
+    assert len(ds.subjects) == 4 and {"subjects", "_id_order"} <= set(vars(ds))  # cached
+    part = ds.subset([2, 0])
+    scaled, _ = standardize(part, StandardizationStats(1.0, 2.0))
+    for derived in (part, scaled):
+        assert "subjects" not in vars(derived) and "_id_order" not in vars(derived)
+        for name in ("features", "baseline", "offsets", "times", "values", "group_codes"):
+            column = getattr(derived, name)
+            assert not column.flags.writeable, name
+            with pytest.raises(ValueError):
+                column[...] = 0
+    assert [s.subject_id for s in part.subjects] == ["s2", "s0"]
+    assert [s.baseline_value for s in scaled.subjects] == [0.5, -0.5]
+    assert [s.group_labels for s in part.subjects] == [{"sex": "F"}, {"sex": "F"}]
+    assert ds.baseline.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("indices", [[1, 1], [0, 2, 0], [3, -1]])
+def test_subset_refuses_a_repeated_index(indices):
+    ds = make_dataset([make_subject(f"s{i}", 0.0, [(6, 1.0)]) for i in range(4)])
+    with pytest.raises(DataError, match="^duplicate subject_ids in dataset$"):
+        ds.subset(indices)
+    with pytest.raises(IndexError):
+        ds.subset([4])
+
+
 def test_split_invalid_fractions_error():
     # floor arithmetic with fracs in range always leaves >= 1 training
     # subject, so the guard fires on out-of-range fractions
@@ -573,7 +625,8 @@ def long_cohort_lines(n_subjects=2000, visits=4):
                                   "duplicate before non-numeric",
                                   "NUL after duplicate", "NUL after straddling duplicate",
                                   "first row of a block", "last row of a block",
-                                  "duplicate with a non-numeric cell"])
+                                  "duplicate with a non-numeric cell",
+                                  "compensating ragged rows"])
 def test_load_csv_faults_far_into_a_long_file(tmp_path, case):
     lines = long_cohort_lines()
     assert len(lines) > 2 * BLOCK
@@ -634,6 +687,14 @@ def test_load_csv_faults_far_into_a_long_file(tmp_path, case):
             cells[1:3] = ["6.0", "x"]
             lines.insert(row - 2, ",".join(cells))
             want = f"row {row}: duplicate (subject, time) = (s0002, 6)"
+    elif case == "compensating ragged rows":
+        # in the loader's third block, a row with one cell too many, then
+        # one with one too few: the block's comma count is right
+        k = 2 * data_model.BLOCK + 100
+        lines[k] = lines[k].replace(",", ",,", 1)
+        lines[k + 1] = lines[k + 1].replace(",", "", 1)
+        assert sum(map(str.count, lines, repeat(","))) == 5 * len(lines)
+        want = f"row {k + 2}: cell count differs from the header of "
     elif case == "last row non-numeric":
         cells = lines[-1].split(",")
         cells[2] = "twelve"
@@ -726,6 +787,34 @@ def test_a_faulty_file_is_opened_once_and_never_sought(tmp_path, monkeypatch, fa
     assert len(handles) == 1 and handles[0].closed
 
 
+@pytest.mark.parametrize("quoted", [False, True], ids=["commas", "csv-module"])
+def test_a_byte_that_is_not_utf8_is_named_from_a_pipe(tmp_path, quoted):
+    # a Latin-1 byte in the loader's third block, read from a named pipe;
+    # a quoted ID in the first block sends the read to the csv module
+    lines = long_cohort_lines()
+    k = 2 * data_model.BLOCK + 5
+    if quoted:
+        lines[3] = '"' + lines[3].replace(",", '",', 1)
+    data = write_csv(tmp_path / "c.csv", lines).read_bytes().split(b"\n")
+    data[k + 1] = data[k + 1].replace(b",", b",\xe9", 1)
+    fifo = tmp_path / "cohort.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            fifo.write_bytes(b"\n".join(data))
+        except BrokenPipeError:         # the loader stops reading at the fault
+            pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        with pytest.raises(DataError, match=f"^{fifo} line {k + 2}: a byte that is not UTF-8$"):
+            load_csv(fifo, SCHEMA)
+    finally:
+        writer.join()
+
+
 def test_a_duplicate_is_named_from_the_sorted_columns(tmp_path, monkeypatch):
     # two duplicates past the first block, the first in file order of the
     # later subject; every other rule holds, so no second read names it
@@ -757,6 +846,8 @@ def reference_csv_rows(fh, columns):
         for line_no, line in enumerate(fh, 1):
             if "\0" in line:
                 raise DataError(f"{path} line {line_no}: NUL character")
+            if any("\udc80" <= c <= "\udcff" for c in line):     # surrogateescape's bytes
+                raise DataError(f"{path} line {line_no}: a byte that is not UTF-8")
             yield line
 
     reader = csv.reader(lines())
@@ -794,10 +885,12 @@ def csv_blocks_rows(fh, columns):
 
 
 # plain cells, cells over a lowered field size limit, a stray quote inside a
-# cell, quoted cells holding commas, quotes and line breaks, and NUL
+# cell, quoted cells holding commas, quotes and line breaks, NUL, and
+# NOT_UTF8, which the file holds as bytes that are not UTF-8
 PLAIN_CELLS = ["x", "yy", "", " ", "3.5", "abcdefgh"]
 QUOTED_CELLS = ['a"b', '"q"', '"a,b"', '"say ""hi"""', '"two\nlines"', '"cr\r\nlf"',
                 '"open\n\nend"']
+NOT_UTF8 = "\x01"
 
 
 @st.composite
@@ -819,6 +912,8 @@ def csv_files(draw):
         cells = [draw(st.sampled_from(pool)) for _ in range(width)]
         if draw(st.integers(0, 12)) == 0:
             cells[-1] += "\0"
+        if draw(st.integers(0, 12)) == 0:
+            cells[0] += NOT_UTF8
         lines.append(",".join(cells))
     ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
     if draw(st.booleans()):
@@ -828,8 +923,9 @@ def csv_files(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(csv_files(), st.integers(1, 4), st.sampled_from([None, 3, 5, 8]),
-       st.sampled_from([("a", "c"), ("b",), ("",)]))
-def test_csv_blocks_match_csv_reader_line_by_line(text, block, limit, columns):
+       st.sampled_from([("a", "c"), ("b",), ("",)]),
+       st.sampled_from([b"\xff", b"\xe9", b"\xc3", b"\xed\xa0\x80", b"\xe2\x82"]))
+def test_csv_blocks_match_csv_reader_line_by_line(text, block, limit, columns, not_utf8):
     # blocks of a few lines put a block boundary between every pair of
     # lines, so a quote is first seen in a later block and a quoted field
     # crosses one; a lowered field size limit sends lines over it to the
@@ -838,13 +934,13 @@ def test_csv_blocks_match_csv_reader_line_by_line(text, block, limit, columns):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(data_model, "BLOCK", block)
         path = Path(tmp) / "f.csv"
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(text.encode("utf-8").replace(NOT_UTF8.encode(), not_utf8))
         try:
             if limit is not None:
                 csv.field_size_limit(limit)
-            with open(path, newline="", encoding="utf-8") as fh:
+            with data_model.open_csv(path) as fh:
                 got = csv_blocks_rows(fh, columns)
-            with open(path, newline="", encoding="utf-8") as fh:
+            with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
                 want = reference_csv_rows(fh, columns)
         finally:
             csv.field_size_limit(old_limit)
@@ -980,6 +1076,12 @@ def test_duplicate_subject_ids_rejected():
         Dataset.from_subjects([a, a], ("f0", "f1"), ("sex",))
     with pytest.raises(DataError, match="^duplicate subject_ids in dataset$"):
         Dataset(**columns(subject_ids=("a", "a")))
+
+
+def test_a_group_category_listed_twice_is_refused():
+    # two codes of one label would be two groups of it
+    with pytest.raises(DataError, match="^dataset group column 'sex' lists a category twice$"):
+        Dataset(**columns(group_categories=(("F", "F"),)))
 
 
 def test_feature_vector_length_names_the_subject():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftraj import evaluation
-from conftraj.conformal import (PredictionBand, bands_for_dataset, calibrate,
+from conftraj.conformal import (PredictionBand, ScoreSet, bands_for_dataset, calibrate,
                                 mondrian_calibrate, score_dataset)
 from conftraj.data_model import Dataset, SubjectRecord, _offsets, split, standardize
 from conftraj.errors import ConfigurationError, DataError
@@ -305,7 +305,7 @@ def test_coverage_and_width_matches_per_subject_reference(case):
         test = Dataset.from_subjects((), test.feature_names, test.group_columns)
     scores = score_dataset(model, calib)
     pop, grp = calibrate(scores, 0.1), mondrian_calibrate(calib, scores, "dx", 0.1)
-    infinite = calibrate([], 0.1)
+    infinite = calibrate(ScoreSet((), ()), 0.1)
     if case == "all-infinite":
         pop = infinite
         grp = replace(grp, per_group={g: infinite for g in grp.per_group}, fallback=infinite)

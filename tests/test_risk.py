@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftraj.conformal import (GroupCalibration, band_for_subject, calibrate,
+from conftraj.conformal import (GroupCalibration, ScoreSet, band_for_subject, calibrate,
                                 mondrian_calibrate, score_dataset)
 from conftraj.data_model import split, standardize
 from conftraj.errors import ConfigurationError, DataError
@@ -590,7 +590,7 @@ def test_risk_pipeline_missing_truth_errors():
 
 def test_risk_pipeline_all_bands_infinite_errors():
     test, truth, model, _ = fitted_risk_inputs(n=120, seed=3)
-    inf_cal = calibrate([], 0.1)
+    inf_cal = calibrate(ScoreSet((), ()), 0.1)
     with pytest.raises(DataError, match="infinite"):
         risk_pipeline(test, truth, model, inf_cal, "decreasing", bootstrap_B=10)
 
