@@ -27,7 +27,7 @@ from .errors import (ConfigurationError, ConftrajError, DataError, NumericalErro
                      check_rules, is_int, is_number, is_numbers)
 from .evaluation import (MAX_SPLITS, calibrate_groups, fit_split, run_protocol,
                          stratified_compare, sweep_calibration_fraction)
-from .predictors import KINDS, load_model, read_checked, save_model
+from .predictors import KINDS, load_model, read_checked, read_json, save_model
 from .synth import SYNTH_RULES, GroupSpec, SynthConfig, generate
 
 SCHEMA_TAG = "conftraj-output-v1"
@@ -127,8 +127,7 @@ def _validate_config(cfg: dict):
 def _load_config(args) -> dict:
     cfg = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        cfg = read_json(args.config)
         if not isinstance(cfg, dict):
             raise ConfigurationError(f"config {args.config} must be a JSON object")
     for key in ("seed", "out"):         # a flag replaces the config's value
@@ -231,8 +230,7 @@ def _training_ids(model_dir: Path) -> set:
     """The IDs of the subjects that trained the model in model_dir, as fit
     wrote them to train_subjects.json."""
     path = model_dir / "train_subjects.json"
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     ids = doc.get("subject_ids") if isinstance(doc, dict) else None
     if not isinstance(ids, list) or not all(isinstance(s, str) for s in ids):
         raise ConfigurationError(f"model file {path}: key 'subject_ids' must be a "
@@ -245,9 +243,9 @@ def cmd_calibrate(cfg, out: Path):
     model_dir = _get(cfg, "predictor.model_dir")
     model_dir = out if model_dir is None else Path(model_dir)
     model = load_model(model_dir / "model.json")
-    with open(model_dir / "scaling.json", encoding="utf-8") as fh:
-        sc = json.load(fh)
-    stats = StandardizationStats(*(read_checked(fh.name, sc, k) for k in ("mean", "std")))
+    scaling = model_dir / "scaling.json"
+    sc = read_json(scaling)
+    stats = StandardizationStats(*(read_checked(scaling, sc, k) for k in ("mean", "std")))
     idx = split(ds, _get(cfg, "evaluation.test_frac"), _get(cfg, "evaluation.calib_frac"),
                 _get(cfg, "seed"))
     calib = ds.subset(idx.calib)
@@ -332,7 +330,7 @@ def cmd_risk(cfg, out: Path):
     model, _, calib_std, test_std = _fit_split(cfg, ds)
     cal = calibrate_groups(calib_std, conformal.score_dataset(model, calib_std),
                            _get(cfg, "conformal.alpha"), _get(cfg, "conformal.group_by"))
-    records, reports = risk_mod.risk_pipeline(
+    _, reports = risk_mod.risk_pipeline(
         test_std, truth, model, cal, _get(cfg, "risk.direction"),
         bootstrap_B=_get(cfg, "risk.bootstrap_B"), seed=_get(cfg, "seed"))
 

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data_model import Dataset
+from .data_model import UNDECODED, Dataset
 from .errors import (ConfigurationError, DataError, NumericalError, check_rules, is_finite,
                      is_int, is_numbers)
 
@@ -544,6 +544,19 @@ def _file_error(path, key, why):
     return ConfigurationError(f"model file {path}: key {key!r} {why}")
 
 
+def read_json(path):
+    """The JSON document in the file at path.  A byte that is not UTF-8 raises
+    ConfigurationError naming the file and the line; malformed JSON raises
+    json.JSONDecodeError, as json.load does."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    bad = UNDECODED.search(text)
+    if bad:
+        line = text.count("\n", 0, bad.start()) + 1
+        raise ConfigurationError(f"{path}: a byte that is not UTF-8 on line {line}")
+    return json.loads(text)
+
+
 def read_checked(path, doc, key, axes=None, sizes=None):
     """doc[key] from the JSON file at path: a finite number (not a bool) when
     axes is None, else a finite float array with one axis per letter of
@@ -587,8 +600,7 @@ def load_model(path):
     ConfigurationError naming the file and the key.  In KINDS shapes a
     letter is one length wherever it appears; p is the scaler's width and
     q = p + 1."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != SCHEMA_VERSION:
         raise ConfigurationError(f"model file {path}: cannot read schema_version {version!r}")

@@ -26,16 +26,15 @@ STABLE = "stable"
 MAX_BOOTSTRAP_B = 10**6
 
 
-@dataclass(frozen=True)
-class RiskRecord:
-    subject_id: str
-    t0: int
-    tN: int
-    y_t0: float
-    roc_hat: float
-    rocb: float          # nan when the band is infinite
-    label: str
-    direction: str
+@dataclass(frozen=True, eq=False)
+class RiskScores:
+    """The risk scores of a cohort's scored subjects, one array per column:
+    subject subject_ids[i] scores roc_hat[i] and rocb[i] over [0, tN[i]]."""
+    subject_ids: tuple
+    tN: np.ndarray               # (n,) int
+    roc_hat: np.ndarray          # (n,) float
+    rocb: np.ndarray             # (n,) float, nan where the band is infinite
+    progressor: np.ndarray       # (n,) bool
 
 
 @dataclass(frozen=True)
@@ -53,27 +52,37 @@ class ClassificationReport:
     n_excluded: int = 0
 
 
-def roc_hat(y_t0: float, y_hat_tN: float, t0: int, tN: int) -> float:
-    """Predicted rate of change per month over [t0, tN]."""
-    if tN <= t0:
-        raise ConfigurationError(f"horizon tN={tN} must exceed t0={t0}")
+def _refuse(mask, error, message, *values):
+    """Raise error(message.format(*values)) at the first place mask holds."""
+    mask, *values = np.broadcast_arrays(mask, *values)
+    hit = np.flatnonzero(mask)
+    if len(hit):
+        raise error(message.format(*(v.flat[hit[0]] for v in values)))
+
+
+def _rule(direction):
+    """The high-risk rule of a progression direction: flag low scores if decreasing."""
+    if direction not in ("decreasing", "increasing"):
+        raise ConfigurationError(f"unknown direction {direction!r}")
+    return "le" if direction == "decreasing" else "ge"
+
+
+def roc_hat(y_t0, y_hat_tN, t0, tN):
+    """Predicted rate of change per month over [t0, tN], of a subject or of arrays."""
+    _refuse(np.less_equal(tN, t0), ConfigurationError,
+            "horizon tN={} must exceed t0={}", tN, t0)
     return (y_hat_tN - y_t0) / (tN - t0)
 
 
-def rocb(y_t0: float, band_at_tN, t0: int, tN: int, direction: str) -> float:
-    """Worst-case rate of change using the band endpoint at tN."""
-    if tN <= t0:
-        raise ConfigurationError(f"horizon tN={tN} must exceed t0={t0}")
+def rocb(y_t0, band_at_tN, t0, tN, direction: str):
+    """Worst-case rate of change: roc_hat of the endpoint of band_at_tN = (lower,
+    upper) in the progression direction, of a subject or of arrays."""
     lower, upper = band_at_tN
-    if not (math.isfinite(lower) and math.isfinite(upper)):
-        raise DataError("rate-of-change bound undefined on an infinite band")
-    if lower > upper:
-        raise DataError(f"band lower {lower} exceeds upper {upper}")
-    if direction == "decreasing":
-        return (lower - y_t0) / (tN - t0)
-    if direction == "increasing":
-        return (upper - y_t0) / (tN - t0)
-    raise ConfigurationError(f"unknown direction {direction!r}")
+    _refuse(~(np.isfinite(lower) & np.isfinite(upper)), DataError,
+            "rate-of-change bound undefined on an infinite band")
+    _refuse(np.greater(lower, upper), DataError, "band lower {} exceeds upper {}",
+            lower, upper)
+    return roc_hat(y_t0, lower if _rule(direction) == "le" else upper, t0, tN)
 
 
 def _check_rule(rule):
@@ -95,16 +104,17 @@ def _checked(scores, labels):
     off one ascending sort, which would misplace a NaN.
     """
     scores = np.asarray(scores, dtype=float)
-    labels = list(labels)
-    if scores.ndim != 1 or len(scores) != len(labels):
+    labels = labels if isinstance(labels, np.ndarray) else np.fromiter(labels, dtype=object)
+    if scores.ndim != 1 or labels.shape != scores.shape:
         raise DataError(f"got {scores.size} scores for {len(labels)} labels")
     bad = np.flatnonzero(~np.isfinite(scores))
     if len(bad):
         raise DataError(f"score {bad[0]} is {scores[bad[0]]}; scores must be finite")
-    for i, lab in enumerate(labels):
-        if lab not in (PROGRESSOR, STABLE):
-            raise DataError(f"label {i} is {lab!r}, not {PROGRESSOR!r} or {STABLE!r}")
-    return scores, np.asarray([lab == PROGRESSOR for lab in labels], dtype=bool)
+    known = labels[:, None] == np.array([STABLE, PROGRESSOR])
+    bad = np.flatnonzero(~known.any(axis=1))
+    if len(bad):
+        raise DataError(f"label {bad[0]} is {labels[bad[0]]!r}, not {PROGRESSOR!r} or {STABLE!r}")
+    return scores, known[:, 1]
 
 
 def _both_classes(pos, what):
@@ -127,10 +137,8 @@ def _rates(tn, fn, fp, tp):
 def classify_metrics(scores, labels, tau, rule="le"):
     """Confusion-matrix metrics with progressors as the positive class."""
     scores, pos = _checked(scores, labels)
-    flagged = _flags(scores, tau, rule)
-    counts = [np.sum(~flagged & ~pos), np.sum(~flagged & pos),
-              np.sum(flagged & ~pos), np.sum(flagged & pos)]
-    return {m: float(v) for m, v in _rates(*counts).items()}
+    cell = 2 * _flags(scores, tau, rule) + pos          # 0 tn, 1 fn, 2 fp, 3 tp
+    return {m: float(v) for m, v in _rates(*np.bincount(cell, minlength=4)).items()}
 
 
 def youden_threshold(scores, labels, rule="le"):
@@ -193,11 +201,10 @@ def bootstrap_ci(scores, labels, tau, rule="le", B=2000, level=0.95, seed=0):
         raise ConfigurationError(f"bootstrap level must be in (0,1), got {level!r}")
     scores, pos = _checked(scores, labels)
     _both_classes(pos, f"bootstrap CI (B={B})")
-    n = len(scores)
     cell = 2 * _flags(scores, tau, rule) + pos          # 0 tn, 1 fn, 2 fp, 3 tp
     counts = _replicate_counts(cell, B, seed)
     n_pos = counts[:, 1] + counts[:, 3]
-    kept = counts[(n_pos > 0) & (n_pos < n)]
+    kept = counts[(n_pos > 0) & (n_pos < len(scores))]
     if not len(kept):
         raise DataError(f"every one of the B={B} bootstrap replicates "
                         "resampled a single class")
@@ -251,12 +258,10 @@ def _zstandardize(values):
 def _score_report(name, values, labels, rule, bootstrap_B, seed, n_excluded):
     z = _zstandardize(values)
     tau = youden_threshold(z, labels, rule)
-    metrics = classify_metrics(z, labels, tau, rule)
     ci = bootstrap_ci(z, labels, tau, rule, B=bootstrap_B, seed=seed)
     auc, pr = threshold_free(z, labels, rule)
-    return ClassificationReport(name, tau, metrics["precision"], metrics["recall"],
-                                metrics["f1"], metrics["balanced_accuracy"], ci,
-                                auc, pr, len(labels), n_excluded)
+    return ClassificationReport(name, tau, **classify_metrics(z, labels, tau, rule), ci_95=ci,
+                                roc_auc=auc, pr_auc=pr, n=len(labels), n_excluded=n_excluded)
 
 
 def risk_pipeline(test: Dataset, truth: dict, model, cal, direction: str,
@@ -267,36 +272,29 @@ def risk_pipeline(test: Dataset, truth: dict, model, cal, direction: str,
     horizon tN is each subject's last observed visit.  Every subject's
     band at its tN comes from one batched prediction, equal to what
     band_for_subject gives that subject alone for the linear predictors
-    (see predict_batch).  Returns (records, {"roc_hat": report,
-    "rocb": report}).
-    """
-    rule = "le" if direction == "decreasing" else "ge"
+    (see predict_batch).  Returns (RiskScores, {"roc_hat": report, "rocb":
+    report}), the rocb report without the subjects whose band is infinite."""
+    rule = _rule(direction)
     scored = np.flatnonzero(test.visit_counts)
     bands = _make_bands(model, test, test.visit_counts > 0,
                         test.times[test.offsets[1:][scored] - 1], cal)
+    progressor = []
     for sid in bands.subject_ids:
         if sid not in truth:
             raise DataError(f"no progression label for subject {sid}")
-    records = []
-    for sid, baseline, tN, center, r in zip(bands.subject_ids, test.baseline[scored].tolist(),
-                                            bands.times.tolist(), bands.centers.tolist(),
-                                            (bands.radii * bands.stds).tolist()):
-        label = PROGRESSOR if truth[sid]["is_progressor"] else STABLE
-        rh = roc_hat(baseline, center, 0, tN)
-        rb = (rocb(baseline, (center - r, center + r), 0, tN, direction)
-              if math.isfinite(r) else math.nan)
-        records.append(RiskRecord(sid, 0, tN, baseline, rh, rb, label, direction))
-
-    labels_all = [r.label for r in records]
-    reports = {"roc_hat": _score_report(
-        "roc_hat", [r.roc_hat for r in records], labels_all, rule,
-        bootstrap_B, seed, 0)}
-
-    finite = [r for r in records if math.isfinite(r.rocb)]
-    if not finite:
+        progressor.append(bool(truth[sid]["is_progressor"]))
+    y0, mu, tN, r = test.baseline[scored], bands.centers, bands.times, bands.radii * bands.stds
+    finite, rb = np.isfinite(r), np.full(len(r), math.nan)   # an infinite band's rocb is nan
+    rb[finite] = rocb(y0[finite], ((mu - r)[finite], (mu + r)[finite]), 0, tN[finite], direction)
+    scores = RiskScores(bands.subject_ids, tN, roc_hat(y0, mu, 0, tN), rb,
+                        np.array(progressor, dtype=bool))
+    labels = np.where(scores.progressor, PROGRESSOR, STABLE)
+    reports = {"roc_hat": _score_report("roc_hat", scores.roc_hat, labels, rule,
+                                        bootstrap_B, seed, 0)}
+    kept = np.isfinite(rb)
+    if not kept.any():
         raise DataError("every test band is infinite; the worst-case "
                         "rate-of-change score is undefined")
-    reports["rocb"] = _score_report(
-        "rocb", [r.rocb for r in finite], [r.label for r in finite], rule,
-        bootstrap_B, seed, len(records) - len(finite))
-    return records, reports
+    reports["rocb"] = _score_report("rocb", rb[kept], labels[kept], rule,
+                                    bootstrap_B, seed, int(np.sum(~kept)))
+    return scores, reports

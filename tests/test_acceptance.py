@@ -301,13 +301,11 @@ def risk_cohort(seed):
 
 def test_criterion_07_rocb_dominance():
     test, truth, model, cal = risk_cohort(seed=0)
-    records, _ = risk_pipeline(test, truth, model, cal, "decreasing",
-                               bootstrap_B=50, seed=0)
-    finite = [r for r in records if math.isfinite(r.rocb)]
-    dominance = all(r.rocb <= r.roc_hat for r in finite)
-    rh = np.asarray([r.roc_hat for r in finite])
-    rb = np.asarray([r.rocb for r in finite])
-    pos = np.asarray([r.label == "progressor" for r in finite])
+    scores, _ = risk_pipeline(test, truth, model, cal, "decreasing",
+                              bootstrap_B=50, seed=0)
+    finite = np.isfinite(scores.rocb)
+    rh, rb, pos = scores.roc_hat[finite], scores.rocb[finite], scores.progressor[finite]
+    dominance = bool(np.all(rb <= rh))
     superset = True
     recall_mono = True
     for tau in rh:
@@ -317,7 +315,7 @@ def test_criterion_07_rocb_dominance():
         recall_mono &= np.sum(f_b & pos) >= np.sum(f_hat & pos)
     ok = dominance and superset and recall_mono
     report(7, "worst-case rate bound dominance", ok,
-           f"{len(finite)} subjects: per-subject dominance {dominance}, "
+           f"{len(rh)} subjects: per-subject dominance {dominance}, "
            f"flag-set superset {superset}, recall monotone {recall_mono}")
     assert ok
 

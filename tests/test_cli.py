@@ -840,6 +840,38 @@ def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, capsys, fitted_dirs, w
         f"error [DataError]: {bad} line 5: a byte that is not UTF-8\n"
 
 
+@pytest.mark.parametrize("name", ["config", "model.json", "scaling.json",
+                                  "train_subjects.json"])
+def test_a_json_byte_that_is_not_utf8_names_the_file(tmp_path, capsys, fitted_dirs, name):
+    # a Latin-1 byte on line 2 of the run config or of a file calibrate reads
+    gen, dirs = fitted_dirs
+    model_dir = tmp_path / "model"
+    model_dir.mkdir()
+    for f in ("model.json", "scaling.json", "train_subjects.json"):
+        (model_dir / f).write_bytes((dirs["bootstrap"] / f).read_bytes())
+    cfg = write_config(tmp_path / "cal.json", {
+        "data": data_section(gen),
+        "predictor": {"kind": "bootstrap", "model_dir": str(model_dir)},
+        "evaluation": {"test_frac": 0.2, "calib_frac": 0.3}})
+    bad = Path(cfg) if name == "config" else model_dir / name
+    assert bad.read_bytes().startswith(b"{")
+    bad.write_bytes(b'{\n"note": "caf\xe9",' + bad.read_bytes()[1:])
+    assert run(["calibrate", "--config", cfg, "--out", str(tmp_path / "cal")]) == 1
+    assert capsys.readouterr().err == \
+        f"error [ConfigurationError]: {bad}: a byte that is not UTF-8 on line 2\n"
+
+
+def test_malformed_json_config_keeps_the_json_error(tmp_path, capsys):
+    # the message json.load gives for the file read as text, CRLF line ends and all
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(b'{"seed": 1,\r\n "out": "o",\r\n}')
+    with pytest.raises(json.JSONDecodeError) as want:
+        with open(cfg, encoding="utf-8") as fh:
+            json.load(fh)
+    assert run(["evaluate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error [JSONDecodeError]: {want.value}\n"
+
+
 @pytest.mark.parametrize("data,named", [
     ({"feature_cols": ["f0", "f0"]}, "f0"),
     ({"feature_cols": ["f0"], "group_cols": ["f0"]}, "f0"),

@@ -13,7 +13,7 @@ from conftraj.conformal import (GroupCalibration, ScoreSet, band_for_subject, ca
 from conftraj.data_model import split, standardize
 from conftraj.errors import ConfigurationError, DataError
 from conftraj.evaluation import fit_predictor
-from conftraj.risk import (MAX_BOOTSTRAP_B, PROGRESSOR, STABLE, RiskRecord,
+from conftraj.risk import (MAX_BOOTSTRAP_B, PROGRESSOR, STABLE, RiskScores,
                            _replicate_counts, _score_report, bootstrap_ci,
                            classify_metrics, risk_pipeline, roc_hat, rocb,
                            threshold_free, youden_threshold)
@@ -65,6 +65,64 @@ def test_rocb_dominates_roc_hat():
         rh = roc_hat(y0, center, 0, tN)
         assert rocb(y0, band, 0, tN, "decreasing") <= rh + 1e-12
         assert rocb(y0, band, 0, tN, "increasing") >= rh - 1e-12
+
+
+def test_scalar_refusals_keep_their_messages():
+    with pytest.raises(ConfigurationError, match=r"^horizon tN=12 must exceed t0=12$"):
+        roc_hat(1.0, 0.4, 12, 12)
+    with pytest.raises(ConfigurationError, match=r"^horizon tN=3 must exceed t0=5$"):
+        rocb(1.0, (0.2, 0.8), 5, 3, "decreasing")
+    with pytest.raises(DataError, match=r"^band lower 0\.8 exceeds upper 0\.2$"):
+        rocb(1.0, (0.8, 0.2), 0, 10, "decreasing")
+    with pytest.raises(DataError, match=r"^rate-of-change bound undefined on an infinite band$"):
+        rocb(1.0, (0.2, math.nan), 0, 10, "increasing")
+    with pytest.raises(ConfigurationError, match=r"^unknown direction 'sideways'$"):
+        rocb(1.0, (0.2, 0.8), 0, 10, "sideways")
+
+
+finite_values = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+    *(st.lists(s, min_size=n, max_size=n) for s in (
+        finite_values, finite_values, st.floats(0, 1e6),
+        st.integers(-24, 24), st.integers(1, 240))))))
+def test_array_scores_equal_the_scalar_scores_bit_for_bit(columns):
+    # one expression serves one subject and arrays of subjects alike
+    y0, center, radius, t0, span = (np.array(c, dtype=t) for c, t in
+                                    zip(columns, (float, float, float, int, int)))
+    tN = t0 + span
+    lower, upper = center - radius, center + radius
+
+    def bits(values):
+        return np.asarray(values, dtype=float).tobytes()
+
+    rows = list(zip(y0.tolist(), center.tolist(), lower.tolist(), upper.tolist(),
+                    t0.tolist(), tN.tolist()))
+    assert bits(roc_hat(y0, center, t0, tN)) == bits([roc_hat(y, c, a, b)
+                                                      for y, c, _, _, a, b in rows])
+    for direction in ("decreasing", "increasing"):
+        assert bits(rocb(y0, (lower, upper), t0, tN, direction)) == \
+            bits([rocb(y, (lo, up), a, b, direction) for y, _, lo, up, a, b in rows])
+    # a scalar t0, as risk_pipeline passes it
+    assert bits(roc_hat(y0, center, 0, span)) == bits([roc_hat(y, c, 0, s) for (y, c, *_), s
+                                                       in zip(rows, span.tolist())])
+
+
+def test_array_refusals_name_the_first_bad_subject():
+    y0, center = np.zeros(4), np.ones(4)
+    band = (center - 1.0, center + 1.0)
+    with pytest.raises(ConfigurationError, match=r"^horizon tN=0 must exceed t0=0$"):
+        roc_hat(y0, center, 0, np.array([5, 3, 0, -1]))
+    with pytest.raises(ConfigurationError, match=r"^horizon tN=2 must exceed t0=2$"):
+        rocb(y0, band, np.array([0, 2, 0, 0]), np.array([5, 2, 1, 1]), "decreasing")
+    with pytest.raises(DataError, match="infinite band"):
+        rocb(y0, (band[0], np.array([2.0, 2.0, math.inf, 2.0])), 0, 6, "increasing")
+    with pytest.raises(DataError, match=r"^band lower 2\.5 exceeds upper 2\.0$"):
+        rocb(y0, (np.array([0.0, 2.5, 3.0, 0.0]), band[1]), 0, 6, "decreasing")
+    with pytest.raises(ConfigurationError, match=r"^unknown direction 'sideways'$"):
+        rocb(y0, band, 0, np.arange(1, 5), "sideways")
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +552,23 @@ def test_statistics_reject_bad_input(call):
         call([0.1, 0.2, 0.3], [PROGRESSOR, "x", STABLE])
 
 
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+@pytest.mark.parametrize("bad", [None, 1, "Progressor"])
+@pytest.mark.parametrize("call", [
+    lambda s, lab: classify_metrics(s, lab, 0.0),
+    lambda s, lab: youden_threshold(s, lab),
+    lambda s, lab: bootstrap_ci(s, lab, 0.0, B=10),
+    lambda s, lab: threshold_free(s, lab),
+], ids=["classify_metrics", "youden_threshold", "bootstrap_ci", "threshold_free"])
+def test_statistics_name_a_bad_label_by_index_and_repr(call, bad, as_array):
+    labels = [PROGRESSOR, STABLE, PROGRESSOR, bad, STABLE, bad]
+    if as_array:
+        labels = np.array(labels, dtype=object)
+    with pytest.raises(DataError) as err:
+        call([0.1, 0.2, 0.3, 0.4, 0.5, 0.6], labels)
+    assert str(err.value) == f"label 3 is {bad!r}, not 'progressor' or 'stable'"
+
+
 @pytest.mark.parametrize("call", [
     lambda s, lab, rule: classify_metrics(s, lab, 0.0, rule),
     lambda s, lab, rule: youden_threshold(s, lab, rule),
@@ -524,13 +599,13 @@ def fitted_risk_inputs(n=300, seed=0, kind="bootstrap", group_spec=()):
 
 
 def reference_risk_pipeline(test, truth, model, cal, direction, bootstrap_B=2000, seed=0):
-    """risk_pipeline as it was: one band_for_subject call per test subject."""
+    """risk_pipeline as it was: one band_for_subject call and one scalar
+    roc_hat and rocb call per test subject."""
     rule = "le" if direction == "decreasing" else "ge"
-    records = []
+    rows = []
     for s in test.scored_subjects():
         if s.subject_id not in truth:
             raise DataError(f"no progression label for subject {s.subject_id}")
-        label = PROGRESSOR if truth[s.subject_id]["is_progressor"] else STABLE
         tN = s.visit_times[-1]
         band = band_for_subject(model, s, cal, [tN])
         center = band.center_at(tN)
@@ -538,34 +613,42 @@ def reference_risk_pipeline(test, truth, model, cal, direction, bootstrap_B=2000
         r = band.radius_at(tN)
         rb = (rocb(s.baseline_value, (center - r, center + r), 0, tN, direction)
               if band.finite else math.nan)
-        records.append(RiskRecord(s.subject_id, 0, tN, s.baseline_value,
-                                  rh, rb, label, direction))
-    finite = [r for r in records if math.isfinite(r.rocb)]
-    reports = {"roc_hat": _score_report("roc_hat", [r.roc_hat for r in records],
-                                        [r.label for r in records], rule,
+        rows.append((s.subject_id, tN, rh, rb, bool(truth[s.subject_id]["is_progressor"])))
+    ids, tNs, rhs, rbs, progressor = zip(*rows)
+    labels = labels_of(progressor)
+    finite = [i for i, rb in enumerate(rbs) if math.isfinite(rb)]
+    reports = {"roc_hat": _score_report("roc_hat", list(rhs), labels, rule,
                                         bootstrap_B, seed, 0),
-               "rocb": _score_report("rocb", [r.rocb for r in finite],
-                                     [r.label for r in finite], rule, bootstrap_B,
-                                     seed, len(records) - len(finite))}
-    return records, reports
+               "rocb": _score_report("rocb", [rbs[i] for i in finite],
+                                     [labels[i] for i in finite], rule, bootstrap_B,
+                                     seed, len(rows) - len(finite))}
+    return RiskScores(ids, np.array(tNs), np.array(rhs), np.array(rbs),
+                      np.array(progressor)), reports
+
+
+def assert_same_scores(got, want):
+    """got's columns equal want's, bit for bit."""
+    assert got.subject_ids == want.subject_ids
+    for name in ("tN", "roc_hat", "rocb", "progressor"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 def test_risk_pipeline_records_and_reports():
     test, truth, model, cal = fitted_risk_inputs()
-    records, reports = risk_pipeline(test, truth, model, cal, "decreasing",
-                                     bootstrap_B=100, seed=0)
-    assert len(records) == len(test.scored_subjects())
-    for r in records:
-        assert r.t0 == 0
-        assert r.tN == dict((s.subject_id, s.visit_times[-1])
-                            for s in test.subjects)[r.subject_id]
-        assert r.rocb <= r.roc_hat + 1e-12
-        assert r.label in (PROGRESSOR, STABLE)
+    scores, reports = risk_pipeline(test, truth, model, cal, "decreasing",
+                                    bootstrap_B=100, seed=0)
+    subjects = test.scored_subjects()
+    assert scores.subject_ids == tuple(s.subject_id for s in subjects)
+    assert scores.tN.tolist() == [s.visit_times[-1] for s in subjects]
+    assert scores.progressor.tolist() == [truth[s.subject_id]["is_progressor"]
+                                          for s in subjects]
+    assert np.all(scores.rocb <= scores.roc_hat + 1e-12)
     for name in ("roc_hat", "rocb"):
         rep = reports[name]
         assert 0.0 <= rep.recall <= 1.0
         assert 0.0 <= rep.roc_auc <= 1.0
-        assert rep.n + rep.n_excluded == len(records)
+        assert rep.n + rep.n_excluded == len(subjects)
 
 
 def test_risk_pipeline_separates_synthetic_progressors():
@@ -595,6 +678,16 @@ def test_risk_pipeline_all_bands_infinite_errors():
         risk_pipeline(test, truth, model, inf_cal, "decreasing", bootstrap_B=10)
 
 
+def test_risk_pipeline_refuses_an_unknown_direction_first():
+    # before any prediction: every band infinite, or no model at all, still
+    # gives the direction's error
+    test, truth, model, cal = fitted_risk_inputs(n=200, seed=1)
+    inf_cal = calibrate(ScoreSet((), ()), 0.1)
+    for m, c in ((model, cal), (model, inf_cal), (None, inf_cal)):
+        with pytest.raises(ConfigurationError, match=r"^unknown direction 'sideways'$"):
+            risk_pipeline(test, truth, m, c, "sideways", bootstrap_B=10)
+
+
 @pytest.mark.parametrize("kind", ["bootstrap", "quantile", "gp"])
 @pytest.mark.parametrize("direction", ["decreasing", "increasing"])
 def test_risk_pipeline_matches_per_subject_reference(kind, direction):
@@ -606,14 +699,14 @@ def test_risk_pipeline_matches_per_subject_reference(kind, direction):
     want = reference_risk_pipeline(test, truth, model, cal, direction,
                                    bootstrap_B=50, seed=4)
     if kind != "gp":
-        assert got == want
+        assert_same_scores(got[0], want[0])
+        assert got[1] == want[1]
         return
-    records, reports = got
-    assert [(r.subject_id, r.tN, r.label) for r in records] == \
-        [(r.subject_id, r.tN, r.label) for r in want[0]]
+    scores, reports = got
+    for name in ("subject_ids", "tN", "progressor"):
+        assert np.array_equal(getattr(scores, name), getattr(want[0], name)), name
     for name in ("roc_hat", "rocb"):
-        assert np.allclose([getattr(r, name) for r in records],
-                           [getattr(r, name) for r in want[0]], rtol=0, atol=1e-9)
+        assert np.allclose(getattr(scores, name), getattr(want[0], name), rtol=0, atol=1e-9)
         assert (reports[name].n, reports[name].n_excluded) == \
             (want[1][name].n, want[1][name].n_excluded)
 
@@ -637,4 +730,25 @@ def test_risk_pipeline_mondrian_warns_once_per_call(caplog):
         want = reference_risk_pipeline(test, truth, model, gcal, "decreasing",
                                        bootstrap_B=10)
     assert len(caplog.records) == n_unseen
-    assert got == want
+    assert_same_scores(got[0], want[0])
+    assert got[1] == want[1]
+
+
+def test_risk_pipeline_infinite_group_bands_match_the_reference():
+    # Mondrian calibration with no calibration score in site c: its bands
+    # are infinite, so its rocb is nan and the rocb report leaves it out
+    sites = GroupSpec("site", ("a", "b", "c"), (0.4, 0.3, 0.3))
+    test, truth, model, _ = fitted_risk_inputs(n=300, seed=6, group_spec=(sites,))
+    full = mondrian_calibrate(test, score_dataset(model, test), "site", 0.1)
+    gcal = GroupCalibration("site", {**full.per_group, "c": calibrate(ScoreSet((), ()), 0.1)},
+                            full.fallback)
+    got = risk_pipeline(test, truth, model, gcal, "increasing", bootstrap_B=20, seed=6)
+    want = reference_risk_pipeline(test, truth, model, gcal, "increasing",
+                                   bootstrap_B=20, seed=6)
+    assert_same_scores(got[0], want[0])
+    assert got[1] == want[1]
+    in_c = np.array([s.group_labels["site"] == "c" for s in test.scored_subjects()])
+    assert 0 < in_c.sum() < len(in_c)
+    assert np.array_equal(np.isnan(got[0].rocb), in_c)
+    assert got[1]["rocb"].n_excluded == in_c.sum()
+    assert got[1]["rocb"].n + in_c.sum() == got[1]["roc_hat"].n
