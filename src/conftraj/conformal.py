@@ -29,10 +29,6 @@ class NonconformityScore:
     subject_id: str
     value: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.value) and self.value >= 0):
-            raise DataError(f"score for {self.subject_id} must be finite and >= 0")
-
 
 @dataclass(frozen=True, eq=False)
 class ScoreSet:
@@ -160,15 +156,13 @@ def score_dataset(model, calib: Dataset) -> ScoreSet:
                     worst_residuals(calib.values, means, stds, _offsets(counts[scored])))
 
 
-def _radii(gcal, ds: Dataset, rows):
-    """The conformal radius of each of the subjects rows of ds: its group's
-    under Mondrian calibration, else the population radius.  A category
-    unseen in calibration falls back to the population radius, with one
-    warning per call."""
+def _radii(gcal, codes, categories):
+    """The conformal radius of each subject i, labelled categories[codes[i]]
+    in gcal's grouping column: its group's under Mondrian calibration, else
+    the population radius.  A category unseen in calibration falls back to
+    the population radius, with one warning per call."""
     if not isinstance(gcal, GroupCalibration):
-        return np.full(len(rows), gcal.radius)
-    codes, categories = ds.group(gcal.grouping_column)
-    codes = codes[rows]
+        return np.full(len(codes), gcal.radius)
     unseen = [c for c, g in enumerate(categories) if g not in gcal.per_group]
     n_unseen = np.bincount(codes, minlength=len(categories))[unseen]
     if n_unseen.sum():
@@ -186,9 +180,10 @@ def _make_bands(model, ds: Dataset, counts, times, gcal):
     counts = np.asarray(counts)
     rows = np.flatnonzero(counts)
     means, stds = predict_batch(model, visit_rows(ds, counts), times)
+    codes, categories = ds.group(getattr(gcal, "grouping_column", None))
     return PredictionBand(_take(ds.subject_ids, rows.tolist()),
                           _offsets(counts[rows]), times, means, stds,
-                          _radii(gcal, ds, rows))
+                          _radii(gcal, codes[rows], categories))
 
 
 def bands_for_dataset(model, ds: Dataset, gcal):
@@ -226,11 +221,11 @@ def mondrian_calibrate(calib: Dataset, scores: ScoreSet, grouping_column: str,
 
 def band_for_subject(model, s: SubjectRecord, gcal, times) -> PredictionBand:
     """The one-subject band set of s over a query time grid, with the group
-    radius when gcal is Mondrian."""
+    radius when gcal is Mondrian: s's band in a _make_bands batch."""
     if not len(times):
         raise DataError("band requires at least one query time")
-    # placeholder feature names, each longer than any group column's name
-    pad = "_" * max(map(len, s.group_labels), default=0)
-    names = [f"{pad}_{j}" for j in range(len(s.features))]
-    one = Dataset.from_subjects((s,), names, tuple(s.group_labels))
-    return _make_bands(model, one, [len(times)], times, gcal)
+    X = np.repeat([[*s.features, s.baseline_value]], len(times), axis=0)
+    means, stds = predict_batch(model, X, times)
+    label = s.group_labels.get(getattr(gcal, "grouping_column", None))
+    return PredictionBand((s.subject_id,), [0, len(times)], times, means, stds,
+                          _radii(gcal, np.zeros(1, dtype=np.intp), (label,)))

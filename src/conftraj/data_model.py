@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
-from operator import itemgetter, le, lt, ne
+from operator import itemgetter, ne
 
 import numpy as np
 
@@ -28,26 +28,17 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SubjectRecord:
+    """One subject of a Dataset, as Dataset.subjects builds it: a read-only
+    view with no checks of its own, since the Dataset ran them."""
     subject_id: str
     features: np.ndarray          # shape (d,)
     group_labels: dict            # categorical column -> category string
     baseline_value: float         # biomarker at month 0
     visits: tuple                 # ordered ((time, value), ...), times >= 1
 
-    def __post_init__(self):
-        times = [t for t, _ in self.visits]
-        if any(map(lt, times, repeat(1))):
-            raise DataError(f"subject {self.subject_id}: visit time < 1")
-        if any(map(le, times[1:], times)):
-            raise DataError(f"subject {self.subject_id}: visit times not strictly increasing")
-
     @property
     def visit_times(self):
         return [t for t, _ in self.visits]
-
-    @property
-    def visit_values(self):
-        return [y for _, y in self.visits]
 
 
 @dataclass(frozen=True)
@@ -125,7 +116,7 @@ class Dataset:
         for column, categories in zip(self.group_columns, self.group_categories):
             if len(set(categories)) != len(categories):
                 raise DataError(f"dataset group column {column!r} lists a category twice")
-        # the checks of SubjectRecord, in subject order, then those of the cohort
+        # each subject's visit times, in subject order, then the cohort's rules
         owner = np.repeat(np.arange(n), np.diff(offsets))
         early = owner[times < 1]
         unordered = owner[1:][(times[1:] <= times[:-1]) & (owner[1:] == owner[:-1])]
@@ -145,35 +136,6 @@ class Dataset:
                 raise DataError(f"dataset column {name!r} is named twice among "
                                 f"{', '.join(CSV_COLUMNS)} and its feature and group columns")
             seen.add(name)
-
-    @classmethod
-    def from_subjects(cls, subjects, feature_names, group_columns) -> "Dataset":
-        """The Dataset of a sequence of SubjectRecords, each holding a label
-        for every one of group_columns."""
-        subjects = tuple(subjects)
-        feature_names, group_columns = tuple(feature_names), tuple(group_columns)
-        n, d = len(subjects), len(feature_names)
-        categories = [{} for _ in group_columns]     # label -> code, in order of appearance
-        codes = []
-        for s in subjects:
-            if len(s.features) != d:
-                raise DataError(f"subject {s.subject_id}: feature vector length "
-                                f"{len(s.features)} != {d}")
-            missing = [c for c in group_columns if c not in s.group_labels]
-            if missing:
-                raise DataError(f"subject {s.subject_id} has no label for "
-                                f"column {missing[0]!r}")
-            codes.append([cats.setdefault(s.group_labels[c], len(cats))
-                          for c, cats in zip(group_columns, categories)])
-        return cls(subject_ids=tuple(s.subject_id for s in subjects),
-                   features=np.array([s.features for s in subjects], dtype=float).reshape(n, d),
-                   baseline=[s.baseline_value for s in subjects],
-                   offsets=_offsets([len(s.visits) for s in subjects]),
-                   times=[t for s in subjects for t, _ in s.visits],
-                   values=[y for s in subjects for _, y in s.visits],
-                   group_codes=np.array(codes, dtype=np.intp).reshape(n, len(group_columns)),
-                   group_categories=tuple(tuple(c) for c in categories),
-                   feature_names=feature_names, group_columns=group_columns)
 
     def __len__(self):
         return len(self.subject_ids)

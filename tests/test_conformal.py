@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import replace
 from itertools import accumulate
 
 import numpy as np
@@ -17,6 +18,7 @@ from conftraj.evaluation import coverage_and_width
 from conftraj.predictors import (InputScaler, QuantileModel, fit_bootstrap,
                                  fit_predictor, predict_batch, visit_rows)
 from conftraj.synth import SynthConfig, generate
+from tests.conftest import dataset_of
 from tests.test_predictors import multi_visit_dataset
 
 
@@ -47,7 +49,7 @@ def row_radii(bands):
 
 
 def score_of(model, s):
-    (score,) = score_dataset(model, Dataset.from_subjects((s,), ("f0", "f1"), ("dx",)))
+    (score,) = score_dataset(model, dataset_of((s,), ("f0", "f1"), ("dx",)))
     return score.value
 
 
@@ -194,7 +196,7 @@ def test_build_band_empty_times_errors():
 def calib_dataset(groups):
     subjects = [subject(f"s{i}", [(6, 0.0)], group=g)
                 for i, g in enumerate(groups)]
-    return Dataset.from_subjects(tuple(subjects), ("f0", "f1"), ("dx",))
+    return dataset_of(tuple(subjects), ("f0", "f1"), ("dx",))
 
 
 def test_mondrian_two_groups():
@@ -236,7 +238,7 @@ def test_mondrian_multiset_union():
 
 def test_mondrian_missing_label_errors():
     s = SubjectRecord("s0", np.zeros(2), {}, 0.0, ((6, 0.0),))
-    ds = Dataset.from_subjects((s,), ("f0", "f1"), ())
+    ds = dataset_of((s,), ("f0", "f1"), ())
     with pytest.raises(DataError, match="^subject s0 has no label for column 'dx'$"):
         mondrian_calibrate(ds, scores_of([1.0]), "dx", 0.5)
 
@@ -270,8 +272,8 @@ def test_mondrian_groups_by_label_whatever_the_codes():
     (("s0", "s2", "s1"), "score for unknown subject s2 at score 1"),       # out of order
     (("s0", "s1"), "no score for calibration subject s2")])
 def test_mondrian_scores_must_be_the_calibration_sets(ids, error):
-    ds = Dataset.from_subjects([subject(f"s{i}", [(6, 0.0)] if i < 3 else [])
-                                for i in range(4)], ("f0", "f1"), ("dx",))
+    ds = dataset_of([subject(f"s{i}", [(6, 0.0)] if i < 3 else [])
+                     for i in range(4)], ("f0", "f1"), ("dx",))
     assert mondrian_calibrate(ds, scores_of([1.0, 2.0, 3.0]), "dx", 0.5).fallback.n == 3
     with pytest.raises(DataError, match=f"^{error}"):
         mondrian_calibrate(ds, ScoreSet(ids, np.ones(len(ids))), "dx", 0.5)
@@ -310,9 +312,9 @@ def test_band_for_subject_unseen_category_fallback(caplog):
     band = band_for_subject(m, s, gcal, [6])
     assert band.finite
     # a batch logs one warning with the count and labels, not one per subject
-    ds = Dataset.from_subjects(tuple(subject(f"s{i}", [(6, 0.0)], group=g)
-                                     for i, g in enumerate(["a", "b", "c", "b"])),
-                               ("f0", "f1"), ("dx",))
+    ds = dataset_of(tuple(subject(f"s{i}", [(6, 0.0)], group=g)
+                          for i, g in enumerate(["a", "b", "c", "b"])),
+                    ("f0", "f1"), ("dx",))
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="conftraj.conformal"):
         bands = bands_for_dataset(m, ds, gcal)
@@ -327,7 +329,7 @@ def test_single_group_degenerates_to_population():
     subjects = tuple(
         SubjectRecord(s.subject_id, s.features, {"dx": "only"}, s.baseline_value,
                       s.visits) for s in ds.subjects)
-    ds = Dataset.from_subjects(subjects, ds.feature_names, ("dx",))
+    ds = dataset_of(subjects, ds.feature_names, ("dx",))
     m = fit_bootstrap(ds, B=5, seed=0)
     scores = score_dataset(m, ds)
     pop = calibrate(scores, 0.2)
@@ -395,13 +397,12 @@ def test_leave_one_out_coverage_is_exact(draws, duplicated, alpha, mean_std, mon
     model = constant_model(*mean_std)
     group = {s.subject_id: s.group_labels["dx"] for s in pool}
     score = {sc.subject_id: sc.value for sc in score_dataset(
-        model, Dataset.from_subjects(tuple(pool), ("f0", "f1"), ("dx",)))}
+        model, dataset_of(tuple(pool), ("f0", "f1"), ("dx",)))}
 
     covered = {}
     for held in pool:
-        calib = Dataset.from_subjects(tuple(s for s in pool if s is not held),
-                                      ("f0", "f1"), ("dx",))
-        test = Dataset.from_subjects((held,), ("f0", "f1"), ("dx",))
+        calib = dataset_of(tuple(s for s in pool if s is not held), ("f0", "f1"), ("dx",))
+        test = dataset_of((held,), ("f0", "f1"), ("dx",))
         scores = score_dataset(model, calib)
         cal = (mondrian_calibrate(calib, scores, "dx", alpha) if mondrian
                else calibrate(scores, alpha))
@@ -441,7 +442,7 @@ def visit_count_cohorts(draw):
         subjects.append(SubjectRecord(
             f"s{i}", x, {"dx": draw(st.sampled_from("ab"))}, draw(st.floats(-2, 2)),
             tuple((6 * (j + 1), draw(st.floats(-5, 5))) for j in range(n))))
-    return Dataset.from_subjects(tuple(subjects), ("f0", "f1"), ("dx",))
+    return dataset_of(tuple(subjects), ("f0", "f1"), ("dx",))
 
 
 BOOTSTRAP_MODEL = fit_bootstrap(multi_visit_dataset(30, seed=4, noise=0.2), B=5, seed=1)
@@ -457,7 +458,7 @@ def test_score_dataset_is_per_subject_max(ds):
         offsets = list(accumulate((len(s.visits) for s in subjects), initial=0))
         means, stds = predict_batch(BOOTSTRAP_MODEL, X, t)
         want = [max(abs(y - mu) / sd for y, mu, sd in
-                    zip(s.visit_values, means[lo:hi].tolist(), stds[lo:hi].tolist()))
+                    zip((v for _, v in s.visits), means[lo:hi].tolist(), stds[lo:hi].tolist()))
                 for s, lo, hi in zip(subjects, offsets, offsets[1:])]
     got = score_dataset(BOOTSTRAP_MODEL, ds)
     assert [sc.subject_id for sc in got] == [s.subject_id for s in subjects]
@@ -480,12 +481,19 @@ def fitted_cohort():
     return ds, {kind: fit_predictor(kind, ds, seed=0) for kind in ("bootstrap", "quantile", "gp")}
 
 
-@pytest.mark.parametrize("kind", ["bootstrap", "quantile", "gp"])
-def test_predictions_do_not_depend_on_the_batch(fitted_cohort, kind):
+KIND_NAMES = ("bootstrap", "quantile", "gp")
+
+
+@pytest.mark.parametrize("kind,calibration", [
+    *(pytest.param(kind, "population", id=kind) for kind in KIND_NAMES),
+    *((kind, c) for c in ("category left out", "column absent") for kind in KIND_NAMES)])
+def test_predictions_do_not_depend_on_the_batch(fitted_cohort, kind, calibration, caplog):
     # a linear predictor's row is bit-identical whatever else is in its
     # batch; a GP's goes through BLAS and matches to well within 1e-9
     ds, models = fitted_cohort
     model = models[kind]
+    ds = replace(ds, group_codes=(np.arange(len(ds)) % 3)[:, None],
+                 group_categories=(("a", "b", "c"),), group_columns=("site",))
     same = np.array_equal if kind != "gp" else \
         (lambda a, b: np.allclose(a, b, rtol=0, atol=1e-9))
     subjects = ds.scored_subjects()
@@ -498,13 +506,34 @@ def test_predictions_do_not_depend_on_the_batch(fitted_cohort, kind):
     assert all(same(o, f[subset]) for o, f in zip(predict_batch(model, X[subset], t[subset]),
                                                   full))
 
-    # so band_for_subject at a subject's last visit is the batched band
-    cal = calibrate(score_dataset(model, ds), 0.1)
+    # so band_for_subject at a subject's last visit is the batched band, with
+    # the batch's radius and its warning about a category calibration lacks
+    scores = score_dataset(model, ds)
+    cal = calibrate(scores, 0.1)
+    if calibration != "population":
+        groups = mondrian_calibrate(ds, scores, "site", 0.1).per_group
+        cal = (GroupCalibration("site", {g: c for g, c in groups.items() if g != "c"}, cal)
+               if calibration == "category left out" else GroupCalibration("clinic", groups, cal))
+    # the subjects whose label calibration lacks: site c's, or all of them,
+    # labelled None in a column the cohort lacks
+    unseen = [calibration != "population"
+              and s.group_labels.get(cal.grouping_column) not in cal.per_group for s in subjects]
+    assert any(unseen) == (calibration != "population")
+    label = "'c'" if calibration == "category left out" else "None"
+
+    def warnings(n):
+        return [f"{n} subject(s) with {cal.grouping_column!r} categories unseen in "
+                f"calibration [{label}]: using the population radius"] if n else []
+
     horizons = [[s.visit_times[-1]] for s in subjects]
+    caplog.set_level(logging.WARNING, logger="conftraj.conformal")
     batched = _make_bands(model, ds, ds.visit_counts > 0, np.concatenate(horizons), cal)
+    assert [r.getMessage() for r in caplog.records] == warnings(sum(unseen))
     assert batched.offsets.tolist() == list(range(len(subjects) + 1))
     for k, (s, tN) in enumerate(zip(subjects, horizons)):
+        caplog.clear()
         alone = band_for_subject(model, s, cal, tN)
+        assert [r.getMessage() for r in caplog.records] == warnings(int(unseen[k]))
         assert (alone.subject_ids, alone.offsets.tolist(), alone.times.tolist(),
                 alone.radii.tolist()) == ((batched.subject_ids[k],), [0, 1], tN,
                                           batched.radii[k:k + 1].tolist())

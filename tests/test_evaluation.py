@@ -7,13 +7,14 @@ import pytest
 from conftraj import evaluation
 from conftraj.conformal import (PredictionBand, ScoreSet, bands_for_dataset, calibrate,
                                 mondrian_calibrate, score_dataset)
-from conftraj.data_model import Dataset, SubjectRecord, _offsets, split, standardize
+from conftraj.data_model import SubjectRecord, _offsets, split, standardize
 from conftraj.errors import ConfigurationError, DataError
 from conftraj.evaluation import (MAX_SPLITS, coverage_and_width, evaluate_split, fit_split,
                                  run_protocol, stratified_compare,
                                  sweep_calibration_fraction)
 from conftraj.predictors import fit_quantile, predict_batch, visit_rows
 from conftraj.synth import GroupSpec, SynthConfig, generate
+from tests.conftest import dataset_of
 
 
 def subject(sid, visits, group="g"):
@@ -21,7 +22,7 @@ def subject(sid, visits, group="g"):
 
 
 def dataset(subjects, groups=("dx",)):
-    return Dataset.from_subjects(tuple(subjects), ("f0",), tuple(groups))
+    return dataset_of(tuple(subjects), ("f0",), tuple(groups))
 
 
 def band_set(*bands):
@@ -211,8 +212,8 @@ def test_subject_scoring_the_radius_is_covered():
         cal = calibrate(scores, 0.1)
         tie = next(sc.subject_id for sc in scores if sc.value == cal.radius)
         (subj,) = [s for s in calib.subjects if s.subject_id == tie]
-        test = Dataset.from_subjects((replace(subj, subject_id="copy"),),
-                                     calib.feature_names, calib.group_columns)
+        test = dataset_of((replace(subj, subject_id="copy"),),
+                          calib.feature_names, calib.group_columns)
         report = coverage_and_width(bands_for_dataset(model, test, cal), test)
         assert report.mean_coverage == 1.0, seed
 
@@ -270,7 +271,7 @@ def reference_coverage_and_width(bands, test, grouping_column=None):
         radius = float(bands.radii[k])
         assert times == s.visit_times
         ok = max(abs(y - mu) / sd for y, mu, sd in
-                 zip(s.visit_values, centers, stds)) <= radius
+                 zip((v for _, v in s.visits), centers, stds)) <= radius
         covered += ok
         n_inf += not math.isfinite(radius)
         w = [2.0 * (radius * sd) for sd in stds] if math.isfinite(radius) else []
@@ -297,12 +298,12 @@ def test_coverage_and_width_matches_per_subject_reference(case):
                                                     (0.5, 0.3, 0.2)),))
     model, _, calib, test = fit_split(ds, "bootstrap", 0.3, calib_frac, 5)
     # trajectories of 1, 2 and all visits
-    test = Dataset.from_subjects(tuple(
+    test = dataset_of(tuple(
         replace(s, visits=s.visits[:(1, 2, None)[i % 3]])
         for i, s in enumerate(test.subjects)), test.feature_names, test.group_columns)
     assert {1, 2} <= {len(s.visits) for s in test.subjects}
     if case == "empty":
-        test = Dataset.from_subjects((), test.feature_names, test.group_columns)
+        test = dataset_of((), test.feature_names, test.group_columns)
     scores = score_dataset(model, calib)
     pop, grp = calibrate(scores, 0.1), mondrian_calibrate(calib, scores, "dx", 0.1)
     infinite = calibrate(ScoreSet((), ()), 0.1)

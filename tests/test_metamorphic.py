@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from conftraj.cli import main
 from conftraj.conformal import bands_for_dataset, calibrate, score_dataset
-from conftraj.data_model import Dataset, SubjectRecord
+from conftraj.data_model import SubjectRecord
 from conftraj.evaluation import coverage_and_width, fit_split
 from conftraj.synth import SynthConfig, generate
+from tests.conftest import dataset_of
 
 KIND_NAMES = ("gp", "quantile", "bootstrap")
 COHORT = generate(SynthConfig(n_subjects=80, seed=3))[0]
@@ -24,7 +25,7 @@ COHORT = generate(SynthConfig(n_subjects=80, seed=3))[0]
 
 def affine(ds, a, b):
     """ds with every biomarker value y (baseline and visits) made a * y + b."""
-    return Dataset.from_subjects(tuple(
+    return dataset_of(tuple(
         SubjectRecord(s.subject_id, s.features, s.group_labels, a * s.baseline_value + b,
                       tuple((t, a * y + b) for t, y in s.visits))
         for s in ds.subjects), ds.feature_names, ds.group_columns)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftraj import predictors
-from conftraj.data_model import Dataset, SubjectRecord, split, standardize
+from conftraj.data_model import SubjectRecord, split, standardize
 from conftraj.errors import ConfigurationError, DataError, NumericalError
 from conftraj.predictors import (GP_TILE, KINDS, MEMBER_CHUNK, SIGMA_FLOOR, SUBJECT_BLOCK,
                                  BootstrapModel, InputScaler, QuantileModel, _rbf,
@@ -18,6 +18,7 @@ from conftraj.predictors import (GP_TILE, KINDS, MEMBER_CHUNK, SIGMA_FLOOR, SUBJ
                                  load_model, pinball_loss, predict_batch, save_model,
                                  visit_rows)
 from conftraj.synth import SynthConfig, generate
+from tests.conftest import dataset_of
 
 Point = namedtuple("Point", "mean std")
 
@@ -38,7 +39,7 @@ def dataset_from_rows(X, ts, ys):
         for i in range(len(ys))
     ]
     names = tuple(f"f{j}" for j in range(X.shape[1]))
-    return Dataset.from_subjects(tuple(subjects), names, ())
+    return dataset_of(tuple(subjects), names, ())
 
 
 def linear_dataset(n, d=2, seed=0, noise=0.0, slope=-0.01):
@@ -60,7 +61,7 @@ def test_visit_rows_are_per_subject_rows(d):
                               tuple((6 * (j + 1), 0.0) for j in range(i % 3)))
                 for i in range(7)]
     times = [s.visit_times for s in subjects]
-    ds = Dataset.from_subjects(subjects, tuple(f"f{j}" for j in range(d)), ())
+    ds = dataset_of(subjects, tuple(f"f{j}" for j in range(d)), ())
     X = visit_rows(ds, ds.visit_counts)
     want = [[*s.features, s.baseline_value] for s in subjects for _ in s.visits]
     assert X.shape == (len(want), d + 1) and X.tolist() == want
@@ -424,7 +425,7 @@ def multi_visit_dataset(n_subjects, seed=0, noise=0.0):
         subjects.append(SubjectRecord(f"s{i}", x, {}, float(0.3 * x[0]),
                                       tuple((int(t), float(y))
                                             for t, y in zip(times, ys))))
-    return Dataset.from_subjects(tuple(subjects), ("f0", "f1"), ())
+    return dataset_of(tuple(subjects), ("f0", "f1"), ())
 
 
 def ridge_oracle(Z1, y, lam):
@@ -587,7 +588,7 @@ def ragged_visit_dataset(n_subjects, seed):
                                       tuple((int(t), float(0.2 * x[0] - 0.01 * t
                                                            + rng.normal(0, 0.1)))
                                             for t in times)))
-    return Dataset.from_subjects(tuple(subjects), ("f0", "f1"), ())
+    return dataset_of(tuple(subjects), ("f0", "f1"), ())
 
 
 def ridge_solve(Z1, y, lam):
@@ -630,7 +631,7 @@ def test_design_matrix_offsets_partition_rows():
     for i, s in enumerate(ds.subjects):
         lo, hi = offsets[i], offsets[i + 1]
         assert list(rows[lo:hi, -1]) == s.visit_times
-        assert list(y[lo:hi]) == s.visit_values
+        assert list(y[lo:hi]) == [v for _, v in s.visits]
         assert np.all(rows[lo:hi, :-1] == np.append(s.features, s.baseline_value))
 
 
@@ -674,7 +675,7 @@ def test_bootstrap_subjects_without_visits_match_dict_regrouping():
                                       tuple((int(t), float(0.2 * x[0] - 0.01 * t
                                                            + rng.normal(0, 0.1)))
                                             for t in times)))
-    ds = Dataset.from_subjects(tuple(subjects), ("f0", "f1"), ())
+    ds = dataset_of(tuple(subjects), ("f0", "f1"), ())
     assert list(ds.visit_counts) == list(pattern * 3)
     for seed in (0, 1):
         m = fit_bootstrap(ds, B=6, ridge_lambda=0.5, seed=seed)
