@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,13 +146,33 @@ def worst_residuals(values, means, stds, offsets):
     return np.maximum.reduceat(residuals, offsets[:-1])
 
 
+# Dataset -> (weak reference to the model, its read-only visit-row means and
+# stds), for the last model that predicted each live Dataset's visit rows
+_VISIT_PREDICTIONS = weakref.WeakKeyDictionary()
+
+
+def _visit_prediction(model, ds: Dataset):
+    """(means, stds) of model at every visit row of ds, read-only.  Neither
+    a Dataset's columns nor a model's arrays can change, so the last model's
+    prediction is kept while ds lives and handed back when that model asks
+    again: a set scored and then banded is predicted once."""
+    kept = _VISIT_PREDICTIONS.get(ds)
+    if kept is not None and kept[0]() is model:
+        return kept[1:]
+    means, stds = predict_batch(model, visit_rows(ds, ds.visit_counts), ds.times)
+    means.flags.writeable = False
+    stds.flags.writeable = False
+    _VISIT_PREDICTIONS[ds] = (weakref.ref(model), means, stds)
+    return means, stds
+
+
 def score_dataset(model, calib: Dataset) -> ScoreSet:
     """Worst normalized residual max_t |y_t - mu_t| / sigma_t for every
     calibration subject with visits, against the predicted (mu, sigma) at
     its visit times."""
     counts = calib.visit_counts
     scored = np.flatnonzero(counts)
-    means, stds = predict_batch(model, visit_rows(calib, counts), calib.times)
+    means, stds = _visit_prediction(model, calib)
     return ScoreSet(_take(calib.subject_ids, scored.tolist()),
                     worst_residuals(calib.values, means, stds, _offsets(counts[scored])))
 
@@ -173,13 +194,14 @@ def _radii(gcal, codes, categories):
     return np.array(radius, dtype=float)[codes]
 
 
-def _make_bands(model, ds: Dataset, counts, times, gcal):
+def _make_bands(ds: Dataset, counts, times, prediction, gcal):
     """The band set of the subjects i of ds with counts[i] > 0: mu +/- R *
-    sigma at their counts[i] query times, consecutive in times, with the
-    radius R that gcal gives each (see _radii)."""
+    sigma at their counts[i] query times, consecutive in times, with (mu,
+    sigma) in the same rows of the prediction (means, stds) and the radius R
+    that gcal gives each (see _radii)."""
     counts = np.asarray(counts)
     rows = np.flatnonzero(counts)
-    means, stds = predict_batch(model, visit_rows(ds, counts), times)
+    means, stds = prediction
     codes, categories = ds.group(getattr(gcal, "grouping_column", None))
     return PredictionBand(_take(ds.subject_ids, rows.tolist()),
                           _offsets(counts[rows]), times, means, stds,
@@ -187,8 +209,9 @@ def _make_bands(model, ds: Dataset, counts, times, gcal):
 
 
 def bands_for_dataset(model, ds: Dataset, gcal):
-    """The band set of the scored subjects, each at its visit times."""
-    return _make_bands(model, ds, ds.visit_counts, ds.times, gcal)
+    """The band set of the scored subjects, each at its visit times, from
+    the prediction that scores them (see _visit_prediction)."""
+    return _make_bands(ds, ds.visit_counts, ds.times, _visit_prediction(model, ds), gcal)
 
 
 def mondrian_calibrate(calib: Dataset, scores: ScoreSet, grouping_column: str,

@@ -160,9 +160,11 @@ class Dataset:
                    zip(self.group_codes.T.tolist(), self.group_categories)]
         return list(zip(*columns)) if columns else [()] * len(self)
 
-    @cached_property
+    @property
     def subjects(self):
-        """One SubjectRecord per subject, built on first use."""
+        """One SubjectRecord per subject, built anew on each access, so a
+        write into a record's group_labels changes a throwaway record, not
+        the next reader's."""
         times, values = self.times.tolist(), self.values.tolist()
         labels, bounds = self._label_rows(), self.offsets.tolist()
         return tuple(
@@ -182,8 +184,8 @@ class Dataset:
     def _derive(self, **columns):
         """A Dataset of self's columns with the given ones replaced by fresh
         arrays that meet __post_init__'s checks because self does, which
-        are not run again.  Nothing cached on self (subjects, _id_order)
-        is carried over."""
+        are not run again.  Nothing cached on self (_id_order) is carried
+        over."""
         ds = object.__new__(Dataset)
         for f in fields(Dataset):
             column = columns.get(f.name, getattr(self, f.name))

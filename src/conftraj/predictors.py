@@ -32,8 +32,22 @@ SIGMA_FLOOR = 1e-3
 _JITTERS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 
 
+class _ReadOnlyArrays:
+    """A frozen dataclass whose np.ndarray fields are copied into read-only
+    float arrays on construction, as a Dataset's columns are: the caller's
+    arrays stay writeable, and no write can change a model under a
+    prediction kept for it (see conformal._visit_prediction)."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.type == "np.ndarray":
+                array = np.array(getattr(self, f.name), dtype=float)
+                array.flags.writeable = False
+                object.__setattr__(self, f.name, array)
+
+
 @dataclass(frozen=True)
-class InputScaler:
+class InputScaler(_ReadOnlyArrays):
     """Column-wise standardization of the [x; t] design matrix."""
     mean: np.ndarray
     std: np.ndarray
@@ -96,7 +110,7 @@ def design_matrix(train: Dataset):
 # Gaussian process (exact inference, RBF kernel)
 
 @dataclass(frozen=True)
-class GpModel:
+class GpModel(_ReadOnlyArrays):
     scaler: InputScaler
     Z: np.ndarray                 # standardized training inputs
     y: np.ndarray
@@ -271,7 +285,7 @@ def _gp_predict_batch(m: GpModel, Zq_raw):
 # Linear quantile regression (pinball loss, subgradient descent)
 
 @dataclass(frozen=True)
-class QuantileModel:
+class QuantileModel(_ReadOnlyArrays):
     scaler: InputScaler
     levels: tuple                 # strictly increasing, lo + hi == 1
     weights: np.ndarray           # (n_levels, p+1), bias last
@@ -359,7 +373,7 @@ def _quantile_predict_batch(m: QuantileModel, Zq_raw):
 # Bootstrap ridge ensemble
 
 @dataclass(frozen=True)
-class BootstrapModel:
+class BootstrapModel(_ReadOnlyArrays):
     scaler: InputScaler
     members: np.ndarray           # (B, p+1) ridge weights, bias last
     ridge_lambda: float

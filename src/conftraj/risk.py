@@ -19,6 +19,7 @@ import numpy as np
 from .conformal import _make_bands
 from .data_model import Dataset
 from .errors import ConfigurationError, DataError
+from .predictors import predict_batch, visit_rows
 
 PROGRESSOR = "progressor"
 STABLE = "stable"
@@ -276,14 +277,14 @@ def risk_pipeline(test: Dataset, truth: dict, model, cal, direction: str,
     report}), the rocb report without the subjects whose band is infinite."""
     rule = _rule(direction)
     scored = np.flatnonzero(test.visit_counts)
-    bands = _make_bands(model, test, test.visit_counts > 0,
-                        test.times[test.offsets[1:][scored] - 1], cal)
+    last, tN = test.visit_counts > 0, test.times[test.offsets[1:][scored] - 1]
+    bands = _make_bands(test, last, tN, predict_batch(model, visit_rows(test, last), tN), cal)
     progressor = []
     for sid in bands.subject_ids:
         if sid not in truth:
             raise DataError(f"no progression label for subject {sid}")
         progressor.append(bool(truth[sid]["is_progressor"]))
-    y0, mu, tN, r = test.baseline[scored], bands.centers, bands.times, bands.radii * bands.stds
+    y0, mu, r = test.baseline[scored], bands.centers, bands.radii * bands.stds
     finite, rb = np.isfinite(r), np.full(len(r), math.nan)   # an infinite band's rocb is nan
     rb[finite] = rocb(y0[finite], ((mu - r)[finite], (mu + r)[finite]), 0, tN[finite], direction)
     scores = RiskScores(bands.subject_ids, tN, roc_hat(y0, mu, 0, tN), rb,

@@ -109,7 +109,7 @@ def test_fit_then_calibrate(tmp_path):
     ds = load_csv(gen / "cohort.csv", CsvSchema(feature_cols=FEATURES))
     train = json.loads((out / "train_subjects.json").read_text())
     assert train == {"schema": "conftraj-output-v1", "subject_ids": sorted(
-        ds.subjects[i].subject_id for i in split(ds, 0.2, 0.2, 1).train)}
+        ds.subject_ids[i] for i in split(ds, 0.2, 0.2, 1).train)}
 
 
 def calibrate_after_fit(tmp, gen, fit_seed, fit_fracs, cal_seed, cal_fracs):
@@ -133,8 +133,8 @@ def test_calibrate_refuses_subjects_that_trained_the_model(tmp_path):
     # mostly training subjects; the same seed draws none of them
     gen = gen_cohort(tmp_path, n=300)
     ds = load_csv(gen / "cohort.csv", CsvSchema(feature_cols=FEATURES))
-    train = {ds.subjects[i].subject_id for i in split(ds, 0.1, 0.2, 0).train}
-    calib = [ds.subjects[i].subject_id for i in split(ds, 0.1, 0.2, 1).calib]
+    train = {ds.subject_ids[i] for i in split(ds, 0.1, 0.2, 0).train}
+    calib = [ds.subject_ids[i] for i in split(ds, 0.1, 0.2, 1).calib]
     overlap = sorted(set(calib) & train)
     assert len(calib) == 54 and len(overlap) > 30
     code, err = calibrate_after_fit(tmp_path, gen, 0, (0.1, 0.2), 1, (0.1, 0.2))
@@ -161,8 +161,8 @@ FRACTIONS = st.tuples(st.sampled_from([0.1, 0.2, 0.3]), st.sampled_from([0.2, 0.
 def test_calibrate_refuses_or_calibrates_on_unseen_subjects(small_cohort, fit_seed,
                                                             fit_fracs, cal_seed, cal_fracs):
     gen, ds = small_cohort
-    train = {ds.subjects[i].subject_id for i in split(ds, *fit_fracs, fit_seed).train}
-    calib = [ds.subjects[i].subject_id for i in split(ds, *cal_fracs, cal_seed).calib]
+    train = {ds.subject_ids[i] for i in split(ds, *fit_fracs, fit_seed).train}
+    calib = [ds.subject_ids[i] for i in split(ds, *cal_fracs, cal_seed).calib]
     overlap = sorted(set(calib) & train)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

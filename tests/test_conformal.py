@@ -1,5 +1,7 @@
+import gc
 import logging
 import math
+import weakref
 from dataclasses import replace
 from itertools import accumulate
 
@@ -8,16 +10,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftraj import conformal
 from conftraj.conformal import (CalibrationResult, GroupCalibration,
                                 NonconformityScore, ScoreSet, _make_bands,
                                 band_for_subject, bands_for_dataset, calibrate,
                                 mondrian_calibrate, score_dataset, worst_residuals)
 from conftraj.data_model import Dataset, SubjectRecord, standardize
 from conftraj.errors import ConfigurationError, DataError
-from conftraj.evaluation import coverage_and_width
+from conftraj.evaluation import coverage_and_width, fit_split, stratified_compare
 from conftraj.predictors import (InputScaler, QuantileModel, fit_bootstrap,
                                  fit_predictor, predict_batch, visit_rows)
-from conftraj.synth import SynthConfig, generate
+from conftraj.synth import GroupSpec, SynthConfig, generate
 from tests.conftest import dataset_of
 from tests.test_predictors import multi_visit_dataset
 
@@ -527,7 +530,8 @@ def test_predictions_do_not_depend_on_the_batch(fitted_cohort, kind, calibration
 
     horizons = [[s.visit_times[-1]] for s in subjects]
     caplog.set_level(logging.WARNING, logger="conftraj.conformal")
-    batched = _make_bands(model, ds, ds.visit_counts > 0, np.concatenate(horizons), cal)
+    last, tN = ds.visit_counts > 0, np.concatenate(horizons)
+    batched = _make_bands(ds, last, tN, predict_batch(model, visit_rows(ds, last), tN), cal)
     assert [r.getMessage() for r in caplog.records] == warnings(sum(unseen))
     assert batched.offsets.tolist() == list(range(len(subjects) + 1))
     for k, (s, tN) in enumerate(zip(subjects, horizons)):
@@ -539,3 +543,109 @@ def test_predictions_do_not_depend_on_the_batch(fitted_cohort, kind, calibration
                                           batched.radii[k:k + 1].tolist())
         assert same(alone.centers, batched.centers[k:k + 1])
         assert same(alone.stds, batched.stds[k:k + 1])
+
+
+# ---------------------------------------------------------------------------
+# one visit-row prediction per (model, dataset)
+
+@pytest.fixture
+def predictions(monkeypatch):
+    """The row count of each predict_batch call that conformal makes."""
+    calls = []
+
+    def counted(model, X, times):
+        calls.append(len(times))
+        return predict_batch(model, X, times)
+
+    monkeypatch.setattr(conformal, "predict_batch", counted)
+    return calls
+
+
+def fresh(ds):
+    """A Dataset equal to ds that no model has predicted."""
+    return ds.subset(range(len(ds)))
+
+
+def test_a_set_scored_then_banded_is_predicted_once(fitted_cohort, predictions):
+    ds, models = fitted_cohort
+    ds, model = fresh(ds), models["bootstrap"]
+    cal = calibrate(score_dataset(model, ds), 0.1)
+    bands_for_dataset(model, ds, cal)
+    score_dataset(model, ds)
+    bands_for_dataset(model, ds, cal)
+    assert predictions == [len(ds.times)]
+
+
+def test_another_model_or_dataset_predicts_again(fitted_cohort, predictions):
+    ds, models = fitted_cohort
+    ds, model = fresh(ds), models["bootstrap"]
+    part = ds.subset(range(0, len(ds), 2))
+    asks = [(model, ds), (models["quantile"], ds), (replace(model), ds),
+            (model, ds), (model, part), (model, standardize(ds)[0]), (model, fresh(ds))]
+    for m, d in asks:
+        score_dataset(m, d)
+    assert predictions == [len(d.times) for _, d in asks]
+    bands_for_dataset(model, part, calibrate(score_dataset(model, ds), 0.1))
+    assert len(predictions) == len(asks)        # each still the last model's
+
+
+@pytest.mark.parametrize("kind", KIND_NAMES)
+@pytest.mark.parametrize("mondrian", [False, True], ids=["population", "mondrian"])
+def test_a_kept_prediction_gives_the_fresh_scores_and_bands(fitted_cohort, kind, mondrian):
+    ds, models = fitted_cohort
+    model = models[kind]
+    ds = replace(ds, group_codes=(np.arange(len(ds)) % 3)[:, None],
+                 group_categories=(("a", "b", "c"),), group_columns=("site",))
+
+    def scores_and_bands(scored, banded):
+        scores = score_dataset(model, scored)
+        cal = mondrian_calibrate(scored, scores, "site", 0.1) if mondrian else \
+            calibrate(scores, 0.1)
+        bands = bands_for_dataset(model, banded, cal)
+        return scores, cal, bands
+
+    def columns(bands):
+        return (bands.subject_ids, bands.offsets, bands.times, bands.centers, bands.stds,
+                bands.radii)
+
+    # each set is scored then banded (the bands reuse the prediction), and
+    # banded then scored (the scores reuse it), against unpredicted copies
+    kept = scores_and_bands(ds, ds)
+    alone = scores_and_bands(fresh(ds), fresh(ds))
+    banded_first = fresh(ds)
+    bands_for_dataset(model, banded_first, kept[1])
+    reused = score_dataset(model, banded_first)
+    for scores in (kept[0], reused):
+        assert scores.subject_ids == alone[0].subject_ids
+        assert np.array_equal(scores.values, alone[0].values)
+    assert kept[1] == alone[1]
+    assert all(np.array_equal(a, b) for a, b in zip(columns(kept[2]), columns(alone[2])))
+
+
+def test_a_kept_prediction_lives_no_longer_than_its_dataset(fitted_cohort):
+    ds, models = fitted_cohort
+    ds, model = fresh(ds), replace(models["bootstrap"])
+    score_dataset(model, ds)
+    means, stds = conformal._VISIT_PREDICTIONS[ds][1:]
+    assert not means.flags.writeable and not stds.flags.writeable
+    gc.collect()
+    n = len(conformal._VISIT_PREDICTIONS)
+    dataset, model = weakref.ref(ds), weakref.ref(model)
+    del ds
+    gc.collect()
+    assert dataset() is None and len(conformal._VISIT_PREDICTIONS) == n - 1
+    assert model() is None                      # the entry held it weakly
+
+
+def test_stratified_compare_predicts_its_test_set_once(predictions):
+    spec = (GroupSpec("site", ("a", "b"), (0.5, 0.5)),)
+    ds, _ = generate(SynthConfig(n_subjects=300, seed=5, group_spec=spec))
+    reports = stratified_compare(ds, "bootstrap", 0.1, "site", seed=3)
+    model, _, calib, test = fit_split(ds, "bootstrap", 0.10, 0.20, 3)
+    assert predictions == [len(calib.times), len(test.times)]
+    scores = score_dataset(model, calib)
+    for name, cal in (("population", calibrate(scores, 0.1)),
+                      ("group_conditional", mondrian_calibrate(calib, scores, "site", 0.1))):
+        prediction = predict_batch(model, visit_rows(test, test.visit_counts), test.times)
+        bands = _make_bands(test, test.visit_counts, test.times, prediction, cal)
+        assert repr(reports[name]) == repr(coverage_and_width(bands, test, "site"))

@@ -3,7 +3,7 @@ import logging
 import math
 import tracemalloc
 from collections import namedtuple
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import accumulate
 
 import numpy as np
@@ -775,6 +775,41 @@ def test_save_load_save_byte_identical(tmp_path, fitted, kind):
     assert json.loads(first.read_text())["kind"] == kind
     if kind == "gp":
         assert np.array_equal(loaded.K_inv, fitted[kind].K_inv)
+
+
+def model_arrays(model):
+    """Every array of a model, its scaler's included, by field name."""
+    arrays = {f"scaler.{name}": getattr(model.scaler, name) for name in ("mean", "std")}
+    for f in fields(model):
+        if isinstance(getattr(model, f.name), np.ndarray):
+            arrays[f.name] = getattr(model, f.name)
+    return arrays
+
+
+@pytest.mark.parametrize("kind", ("gp", "quantile", "bootstrap"))
+def test_model_arrays_are_read_only_after_fit_and_load(tmp_path, fitted, kind):
+    save_model(fitted[kind], tmp_path / "model.json")
+    for model in (fitted[kind], load_model(tmp_path / "model.json")):
+        arrays = model_arrays(model)
+        assert set(arrays) == {"scaler.mean", "scaler.std", *KINDS[kind].shapes} - {"levels"}
+        for name, array in arrays.items():
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+
+@pytest.mark.parametrize("kind", ("gp", "quantile", "bootstrap"))
+def test_models_leave_the_callers_arrays_writeable(fitted, kind):
+    model = fitted[kind]
+    given = {name: np.array(array) for name, array in model_arrays(model).items()}
+    built = replace(model, scaler=InputScaler(given["scaler.mean"], given["scaler.std"]),
+                    **{name: array for name, array in given.items() if "." not in name})
+    for name, array in given.items():
+        assert array.flags.writeable, name
+        array[...] = 99
+    for name, array in model_arrays(built).items():
+        assert not array.flags.writeable, name
+        assert np.array_equal(array, model_arrays(model)[name]), name
 
 
 def _drop_last(key):
