@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Dataset, SubjectRecord, _offsets, _take
+from .data_model import Dataset, SubjectRecord, _first_difference, _offsets, _take
 from .errors import ConfigurationError, DataError
 from .predictors import predict_batch, visit_rows
 
@@ -222,8 +222,7 @@ def mondrian_calibrate(calib: Dataset, scores: ScoreSet, grouping_column: str,
     scored = np.flatnonzero(calib.visit_counts)
     ids = _take(calib.subject_ids, scored.tolist())
     if scores.subject_ids != ids:
-        k = next(k for k, pair in enumerate(zip(scores.subject_ids + (None,), ids + (None,)))
-                 if pair[0] != pair[1])
+        k = _first_difference(scores.subject_ids, ids)
         raise DataError(f"score for unknown subject {scores.subject_ids[k]} at score {k}: "
                         "scores follow the calibration set's scored subjects"
                         if k < len(scores) else f"no score for calibration subject {ids[k]}")

@@ -66,6 +66,13 @@ def _take(items, indices):
     return itemgetter(*indices)(items)       # one call, where a generator makes n
 
 
+def _first_difference(a, b):
+    """The first index at which the tuples a and b differ, the shorter one's
+    length when it begins the other; a and b must differ."""
+    return next(k for k, pair in enumerate(zip(a + (None,), b + (None,)))
+                if pair[0] != pair[1])
+
+
 CSV_COLUMNS = ("subject_id", "time_months", "biomarker")   # save_csv's first columns
 
 

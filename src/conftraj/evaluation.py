@@ -17,7 +17,7 @@ import numpy as np
 
 from .conformal import (CalibrationResult, bands_for_dataset, calibrate,
                         mondrian_calibrate, score_dataset, worst_residuals)
-from .data_model import Dataset, _offsets, split, standardize
+from .data_model import Dataset, _first_difference, _offsets, split, standardize
 from .errors import ConfigurationError, ConftrajError, DataError, is_int
 from .predictors import fit_predictor
 
@@ -68,8 +68,7 @@ def coverage_and_width(bands, test: Dataset,
     counts = test.visit_counts[scored]
     ids = tuple(test.subject_ids[i] for i in scored.tolist())
     if bands.subject_ids != ids:
-        k = next(k for k, pair in enumerate(zip(ids + (None,), bands.subject_ids + (None,)))
-                 if pair[0] != pair[1])
+        k = _first_difference(ids, bands.subject_ids)
         raise DataError(f"no band for test subject {ids[k]} at band {k}" if k < len(ids)
                         else f"band {k} is for {bands.subject_ids[k]}, not a test subject")
     bounds = _offsets(counts)

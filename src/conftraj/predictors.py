@@ -298,15 +298,6 @@ def _pinball_slope(u, q):
     return np.where(u >= 0, q, q - 1.0)
 
 
-def pinball_loss(weights, Z1, y, levels):
-    """Mean pinball loss summed over quantile levels; Z1 carries the bias column."""
-    total = 0.0
-    for w, q in zip(weights, levels):
-        u = y - Z1 @ w
-        total += float(np.add.reduce(u * _pinball_slope(u, q))) / len(y)
-    return total
-
-
 _QUANTILE_OPTIONS = {
     "levels": ("a strictly increasing list of 2 or more numbers in (0, 1) "
                "whose first and last sum to 1",

@@ -1,6 +1,8 @@
-import numpy as np
+import pytest
 
-from conftraj.data_model import Dataset, _offsets
+from conftraj.data_model import standardize
+from conftraj.predictors import fit_predictor
+from conftraj.synth import SynthConfig, generate
 
 CRITERION_LINES = []
 
@@ -12,22 +14,9 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def dataset_of(subjects, feature_names, group_columns):
-    """The Dataset of a sequence of SubjectRecords, each holding a label for
-    every one of group_columns, coded in order of first appearance.  It
-    checks nothing itself: the Dataset constructor does."""
-    subjects = tuple(subjects)
-    n = len(subjects)
-    categories = [{} for _ in group_columns]        # label -> code
-    codes = [[cats.setdefault(s.group_labels[c], len(cats))
-              for c, cats in zip(group_columns, categories)] for s in subjects]
-    return Dataset(subject_ids=tuple(s.subject_id for s in subjects),
-                   features=np.array([s.features for s in subjects],
-                                     dtype=float).reshape(n, len(feature_names)),
-                   baseline=[s.baseline_value for s in subjects],
-                   offsets=_offsets([len(s.visits) for s in subjects]),
-                   times=[t for s in subjects for t, _ in s.visits],
-                   values=[y for s in subjects for _, y in s.visits],
-                   group_codes=np.array(codes, dtype=np.intp).reshape(n, len(group_columns)),
-                   group_categories=tuple(map(tuple, categories)),
-                   feature_names=tuple(feature_names), group_columns=tuple(group_columns))
+@pytest.fixture(scope="session")
+def fitted_cohort():
+    """A standardized synthetic cohort and, per kind, a model fitted on it."""
+    ds, _ = generate(SynthConfig(n_subjects=240, seed=31))
+    ds, _ = standardize(ds)
+    return ds, {kind: fit_predictor(kind, ds, seed=0) for kind in ("bootstrap", "quantile", "gp")}

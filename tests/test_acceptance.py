@@ -26,9 +26,8 @@ from conftraj.predictors import (SIGMA_FLOOR, fit_bootstrap, fit_gp,
 from conftraj.risk import risk_pipeline, threshold_free, youden_threshold
 from conftraj.synth import GroupSpec, SynthConfig, generate
 from tests import conftest
-from tests.test_predictors import dense_gp_oracle, linear_dataset
-from tests.test_risk import (labels_of, pairwise_auc_oracle,
-                             youden_enumeration_oracle)
+from tests.reference import (dense_gp_oracle, labels_of, linear_dataset,
+                             pairwise_auc_oracle, youden_enumeration_oracle)
 
 N_REPS = 100
 ALPHAS = (0.10, 0.05, 0.01)
@@ -45,10 +44,6 @@ def report(num, name, ok, detail):
     line = f"criterion {num:02d} [{name}]: {status} ({detail})"
     print(line)
     conftest.CRITERION_LINES.append(line)
-
-
-def values_of(scores):
-    return np.asarray([s.value for s in scores])
 
 
 @pytest.fixture(scope="module")
@@ -77,11 +72,11 @@ def mc():
             if kind == "gp":
                 gp_elapsed += time.time() - t0
             calib_scores[kind].append(cal_sc)
-            test_values[kind].append(values_of(tst_sc))
+            test_values[kind].append(tst_sc.values)
 
         over = fit_bootstrap(train, seed=seed, std_scale=0.3)
         calib_scores["overconfident"].append(score_dataset(over, calib))
-        test_values["overconfident"].append(values_of(score_dataset(over, test)))
+        test_values["overconfident"].append(score_dataset(over, test).values)
 
         if rep == 0:
             # the score-comparison shortcut must agree with explicit bands

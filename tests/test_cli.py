@@ -6,6 +6,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from conftraj.evaluation import MAX_SPLITS, fit_split
 from conftraj.predictors import KINDS
 from conftraj.risk import risk_pipeline
 from conftraj.synth import SYNTH_RULES
+from tests import reference
 
 
 def run(argv):
@@ -552,27 +554,12 @@ def test_risk_with_group_by_uses_mondrian_calibration(tmp_path):
         "evaluation": {"test_frac": 0.3}, "risk": {"bootstrap_B": 100}})
     assert run(["risk", "--config", cfg, "--seed", "2", "--out", str(tmp_path / "o")]) == 0
 
-    ds = load_csv(gen / "cohort.csv", CsvSchema(feature_cols=("f0", "f1", "f2", "f3"),
-                                                group_cols=("site",)))
+    ds = load_csv(gen / "cohort.csv", CsvSchema(feature_cols=FEATURES, group_cols=("site",)))
     model, _, calib, test = fit_split(ds, "bootstrap", 0.3, 0.2, 2)
     gcal = mondrian_calibrate(calib, score_dataset(model, calib), "site", 0.1)
-    with open(gen / "truth.csv", newline="") as fh:
-        truth = {r["subject_id"]: {"is_progressor": r["is_progressor"] == "1"}
-                 for r in csv.DictReader(fh)}
-    _, reports = risk_pipeline(test, truth, model, gcal, "decreasing", bootstrap_B=100,
-                               seed=2)
-    with open(tmp_path / "o" / "risk.csv", newline="") as fh:
-        got = [(r["method"], r["metric"], float(r["tau_star"]), float(r["value"]),
-                float(r["ci_lo"]), float(r["ci_hi"])) for r in csv.DictReader(fh)]
-    assert got == [(name, m, reports[name].tau_star, getattr(reports[name], m),
-                    *reports[name].ci_95[m])
-                   for name in ("roc_hat", "rocb")
-                   for m in ("precision", "recall", "f1", "balanced_accuracy")]
-    with open(tmp_path / "o" / "threshold_free.csv", newline="") as fh:
-        got = [(r["method"], float(r["roc_auc"]), float(r["pr_auc"]), int(r["n"]),
-                int(r["n_excluded"])) for r in csv.DictReader(fh)]
-    assert got == [(name, reports[name].roc_auc, reports[name].pr_auc, reports[name].n,
-                    reports[name].n_excluded) for name in ("roc_hat", "rocb")]
+    _, reports = risk_pipeline(test, reference.load_truth(gen / "truth.csv"), model, gcal,
+                               "decreasing", bootstrap_B=100, seed=2)
+    assert_tables_are(tmp_path / "o", reports, 0)
 
 
 def test_bootstrap_B_above_bound_rejected(tmp_path, capsys, fitted_dirs):
@@ -892,3 +879,112 @@ def test_generate_refuses_a_group_column_it_writes_already(tmp_path, capsys):
     assert err == ("error [ConfigurationError]: group f0: column 'f0' is already "
                    "a column of the generated cohort CSV\n")
     assert not (tmp_path / "o" / "cohort.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# evaluate and risk against the per-subject reference pipeline of
+# tests/reference.py, which loads the cohort with its own reader, fits each
+# split as the CLI does, and scores, calibrates, bands and covers one
+# subject at a time.  A linear predictor predicts a row alike whatever else
+# is in its batch, so its outputs match bit for bit; a GP's go through BLAS
+# and match within 1e-9.
+
+REF_SEED, ALPHA, N_SPLITS, TEST_FRAC, CALIB_FRAC = 5, 0.1, 2, 0.3, 0.3
+# site c is rare: with generate's seed 7, the first split's calibration set
+# lacks it, so its test subjects take the population radius, and the
+# second's holds one c subject, too few for a finite radius
+RARE_SITE = {"column": "site", "categories": ["a", "b", "c"], "probs": [0.49, 0.49, 0.02],
+             "noise_multipliers": {"b": 2.0}}
+
+
+@pytest.fixture(scope="module")
+def rare_site_cohort(tmp_path_factory):
+    """A generated 200-subject cohort's directory, and its Dataset as the
+    reference loads it."""
+    gen = gen_cohort(tmp_path_factory.mktemp("rare_site"), n=200, seed=7,
+                     extra={"progressor_frac": 0.4, "group_spec": [RARE_SITE]})
+    return gen, reference.load_csv(gen / "cohort.csv",
+                                   CsvSchema(feature_cols=FEATURES, group_cols=("site",)))
+
+
+def run_on(tmp, gen, command, kind, **sections):
+    """The output directory of command on the cohort at gen, with kind, the
+    reference split fractions and the given config sections."""
+    cfg = write_config(tmp / "run.json", {
+        "data": {**data_section(gen), "group_cols": ["site"]}, "predictor": {"kind": kind},
+        "evaluation": {"n_splits": N_SPLITS, "test_frac": TEST_FRAC, "calib_frac": CALIB_FRAC},
+        **sections})
+    assert run([command, "--config", cfg, "--seed", str(REF_SEED),
+                "--out", str(tmp / command)]) == 0
+    return tmp / command
+
+
+def assert_same(got, want, tol, where="output"):
+    """got equals want, nested dicts and lists of numbers and strings: each
+    number bit for bit when tol is 0, else within tol relative or absolute,
+    and NaN only where want is NaN."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            assert_same(got[key], want[key], tol, f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert_same(g, w, tol, f"{where}[{k}]")
+    elif isinstance(want, float) and math.isnan(want):
+        assert math.isnan(got), (where, got)
+    else:
+        assert got == want or (tol and math.isclose(got, want, rel_tol=tol, abs_tol=tol)), \
+            (where, got, want)
+
+
+def assert_tables_are(out, reports, tol):
+    """risk.csv and threshold_free.csv in out hold the reports of risk_pipeline."""
+    def rows(name):
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            return [{k: v if k in ("method", "metric") else float(v) for k, v in row.items()}
+                    for row in csv.DictReader(fh)]
+    assert_same(rows("risk.csv"), [
+        {"method": name, "metric": m, "tau_star": r.tau_star, "value": getattr(r, m),
+         "ci_lo": r.ci_95[m][0], "ci_hi": r.ci_95[m][1]}
+        for name, r in reports.items()
+        for m in ("precision", "recall", "f1", "balanced_accuracy")], tol, "risk.csv")
+    assert_same(rows("threshold_free.csv"), [
+        {"method": name, "roc_auc": r.roc_auc, "pr_auc": r.pr_auc, "n": r.n,
+         "n_excluded": r.n_excluded} for name, r in reports.items()], tol, "threshold_free.csv")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("group_by", [None, "site"], ids=["population", "mondrian"])
+def test_evaluate_report_is_the_reference(tmp_path, rare_site_cohort, kind, group_by):
+    gen, ds = rare_site_cohort
+    conformal = {"alpha": ALPHA, **({"group_by": group_by} if group_by else {})}
+    got = json.loads((run_on(tmp_path, gen, "evaluate", kind, conformal=conformal)
+                      / "report.json").read_text())
+    want, fallbacks = [], 0
+    for seed in np.random.default_rng(REF_SEED).integers(0, 2 ** 31 - 1, N_SPLITS).tolist():
+        model, _, calib, test = fit_split(ds, kind, TEST_FRAC, CALIB_FRAC, seed)
+        r = reference.evaluate_split(model, calib, test, ALPHA, group_by)
+        want.append({"coverage": r.mean_coverage, "width": r.mean_width, "n_test": r.n_test,
+                     "n_infinite_bands": r.n_infinite_bands,
+                     "per_time_width": {str(k): w for k, w in r.per_time_width.items()},
+                     "per_group": r.per_group})
+        seen = {s.labels["site"] for s in reference.scored(reference.subjects_of(calib))}
+        fallbacks += sum(s.labels["site"] not in seen
+                         for s in reference.scored(reference.subjects_of(test)))
+    if group_by:
+        assert fallbacks > 0 and any(split["n_infinite_bands"] for split in want)
+    assert_same(got["splits"], want, 1e-9 if kind == "gp" else 0, "report.json")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("direction", ["decreasing", "increasing"])
+def test_risk_tables_are_the_reference(tmp_path, rare_site_cohort, kind, direction):
+    gen, ds = rare_site_cohort
+    out = run_on(tmp_path, gen, "risk", kind, conformal={"alpha": ALPHA},
+                 risk={"direction": direction, "bootstrap_B": 200})
+    model, _, calib, test = fit_split(ds, kind, TEST_FRAC, CALIB_FRAC, REF_SEED)
+    cal = reference.calibrate(model, reference.subjects_of(calib), ALPHA)
+    _, reports = reference.risk_scores(test, reference.load_truth(gen / "truth.csv"), model,
+                                       cal, direction, 200, REF_SEED)
+    assert_tables_are(out, reports, 1e-9 if kind == "gp" else 0)

@@ -11,26 +11,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftraj import conformal
-from conftraj.conformal import (CalibrationResult, GroupCalibration,
-                                NonconformityScore, ScoreSet, _make_bands,
-                                band_for_subject, bands_for_dataset, calibrate,
-                                mondrian_calibrate, score_dataset, worst_residuals)
-from conftraj.data_model import Dataset, SubjectRecord, standardize
+from conftraj.conformal import (CalibrationResult, GroupCalibration, ScoreSet, _make_bands,
+                                bands_for_dataset, calibrate, mondrian_calibrate,
+                                score_dataset, worst_residuals)
+from conftraj.data_model import Dataset, standardize
 from conftraj.errors import ConfigurationError, DataError
 from conftraj.evaluation import coverage_and_width, fit_split, stratified_compare
-from conftraj.predictors import (InputScaler, QuantileModel, fit_bootstrap,
-                                 fit_predictor, predict_batch, visit_rows)
+from conftraj.predictors import (InputScaler, QuantileModel, fit_bootstrap, predict_batch,
+                                 visit_rows)
 from conftraj.synth import GroupSpec, SynthConfig, generate
-from tests.conftest import dataset_of
-from tests.test_predictors import multi_visit_dataset
+from tests.reference import (Subject, band, dataset_of, multi_visit_dataset, radius,
+                             scored, subject, subjects_of, times_of)
 
 
 def scores_of(values):
     return ScoreSet(tuple(f"s{i}" for i in range(len(values))), values)
-
-
-def subject(sid, visits, group="g", baseline=0.0):
-    return SubjectRecord(sid, np.zeros(2), {"dx": group}, baseline, tuple(visits))
 
 
 def constant_model(mean, std):
@@ -41,19 +36,14 @@ def constant_model(mean, std):
     return QuantileModel(InputScaler(np.zeros(4), np.ones(4)), (0.1, 0.5, 0.9), W, 1.0)
 
 
-def radii(band):
-    """R * sigma at each of a one-subject band's times."""
-    return tuple(band.radius_at(t) for t in band.times)
-
-
 def row_radii(bands):
     """R * sigma at each row of a band set, from its columns."""
     return np.repeat(bands.radii, np.diff(bands.offsets)) * bands.stds
 
 
 def score_of(model, s):
-    (score,) = score_dataset(model, dataset_of((s,), ("f0", "f1"), ("dx",)))
-    return score.value
+    (value,) = score_dataset(model, dataset_of((s,), ("f0", "f1"), ("dx",))).values
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -147,50 +137,34 @@ def fitted_model():
     return fit_bootstrap(multi_visit_dataset(20, seed=1, noise=0.1), B=5, seed=0)
 
 
+def one_band(model, cal, times):
+    """The one-subject band set of a subject with zero inputs at times."""
+    ds = dataset_of((subject("x", []),), ("f0", "f1"), ("dx",))
+    prediction = predict_batch(model, np.zeros((len(times), 3)), times)
+    return _make_bands(ds, [len(times)], times, prediction, cal)
+
+
 def test_build_band_arithmetic():
     # R = 2: the interval is mu -/+ 2 sigma at the subject's input row
     m = fitted_model()
-    cal = CalibrationResult(1, 0.5, 1, 2.0)
-    band = band_for_subject(m, subject("x", []), cal, [6])
-    lo = band.center_at(6) - band.radius_at(6)
-    hi = band.center_at(6) + band.radius_at(6)
+    band = one_band(m, CalibrationResult(1, 0.5, 1, 2.0), [6])
+    lo = band.centers[0] - row_radii(band)[0]
+    hi = band.centers[0] + row_radii(band)[0]
     means, stds = predict_batch(m, np.zeros((1, 3)), [6])
     assert lo == pytest.approx(means[0] - 2 * stds[0])
     assert hi == pytest.approx(means[0] + 2 * stds[0])
 
 
 def test_build_band_zero_radius():
-    m = fitted_model()
-    cal = CalibrationResult(1, 0.5, 1, 0.0)
-    band = band_for_subject(m, subject("x", []), cal, [6, 12])
+    band = one_band(fitted_model(), CalibrationResult(1, 0.5, 1, 0.0), [6, 12])
     assert band.finite
-    assert radii(band) == (0.0, 0.0)
+    assert row_radii(band).tolist() == [0.0, 0.0]
 
 
 def test_build_band_infinite():
-    m = fitted_model()
-    cal = calibrate(scores_of([]), 0.1)
-    band = band_for_subject(m, subject("x", []), cal, [6])
+    band = one_band(fitted_model(), calibrate(scores_of([]), 0.1), [6])
     assert not band.finite
-    assert band.radius_at(6) == math.inf
-
-
-def test_band_time_lookup_names_a_time_the_band_lacks():
-    band = band_for_subject(fitted_model(), subject("x", []),
-                            calibrate(scores_of([1.0]), 0.5), [6, 12])
-    for lookup in (band.center_at, band.radius_at):
-        with pytest.raises(DataError, match=r"^time 7 is not one of the band's times \[6, 12\]"):
-            lookup(7)
-    two = bands_for_dataset(fitted_model(), calib_dataset(["a", "b"]),
-                            calibrate(scores_of([1.0]), 0.5))
-    with pytest.raises(DataError, match="one-subject band set, not 2"):
-        two.center_at(6)
-
-
-def test_build_band_empty_times_errors():
-    with pytest.raises(DataError):
-        band_for_subject(fitted_model(), subject("x", []),
-                         calibrate(scores_of([1.0]), 0.5), [])
+    assert row_radii(band).tolist() == [math.inf]
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +214,7 @@ def test_mondrian_multiset_union():
 
 
 def test_mondrian_missing_label_errors():
-    s = SubjectRecord("s0", np.zeros(2), {}, 0.0, ((6, 0.0),))
+    s = Subject("s0", np.zeros(2), {}, 0.0, ((6, 0.0),))
     ds = dataset_of((s,), ("f0", "f1"), ())
     with pytest.raises(DataError, match="^subject s0 has no label for column 'dx'$"):
         mondrian_calibrate(ds, scores_of([1.0]), "dx", 0.5)
@@ -282,9 +256,8 @@ def test_mondrian_scores_must_be_the_calibration_sets(ids, error):
         mondrian_calibrate(ds, ScoreSet(ids, np.ones(len(ids))), "dx", 0.5)
 
 
-def test_score_set_checks_its_scores_and_iterates_as_records():
+def test_score_set_checks_its_scores():
     scores = ScoreSet(("a", "b"), [0.5, 0.0])
-    assert list(scores) == [NonconformityScore("a", 0.5), NonconformityScore("b", 0.0)]
     assert len(scores) == 2 and not scores.values.flags.writeable
     for bad in (-1.0, math.inf, math.nan):
         with pytest.raises(DataError, match="^score for b must be finite and >= 0$"):
@@ -293,27 +266,10 @@ def test_score_set_checks_its_scores_and_iterates_as_records():
         ScoreSet(("a", "b"), [0.5])
 
 
-def test_band_for_subject_dispatch():
-    m = fitted_model()
-    cal_a = CalibrationResult(1, 0.5, 1, 1.0)
-    cal_b = CalibrationResult(1, 0.5, 1, 3.0)
-    gcal = GroupCalibration("dx", {"a": cal_a, "b": cal_b}, cal_a)
-    s = subject("x", [(6, 0.0)], group="b")
-    band = band_for_subject(m, s, gcal, [6])
-    pop = band_for_subject(m, s, cal_b, [6])
-    assert radii(band) == radii(pop)
-    # the group radius times the predicted std at the subject's input row
-    _, stds = predict_batch(m, np.zeros((1, 3)), [6])
-    assert radii(band) == (3.0 * float(stds[0]),)
-
-
-def test_band_for_subject_unseen_category_fallback(caplog):
+def test_an_unseen_category_falls_back_to_the_population_radius(caplog):
     m = fitted_model()
     cal = CalibrationResult(1, 0.5, 1, 1.0)
     gcal = GroupCalibration("dx", {"a": cal}, cal)
-    s = subject("x", [(6, 0.0)], group="other")
-    band = band_for_subject(m, s, gcal, [6])
-    assert band.finite
     # a batch logs one warning with the count and labels, not one per subject
     ds = dataset_of(tuple(subject(f"s{i}", [(6, 0.0)], group=g)
                           for i, g in enumerate(["a", "b", "c", "b"])),
@@ -329,10 +285,8 @@ def test_band_for_subject_unseen_category_fallback(caplog):
 def test_single_group_degenerates_to_population():
     ds = multi_visit_dataset(30, seed=5, noise=0.2)
     # give every subject the same label
-    subjects = tuple(
-        SubjectRecord(s.subject_id, s.features, {"dx": "only"}, s.baseline_value,
-                      s.visits) for s in ds.subjects)
-    ds = dataset_of(subjects, ds.feature_names, ("dx",))
+    ds = dataset_of([s._replace(labels={"dx": "only"}) for s in subjects_of(ds)],
+                    ds.feature_names, ("dx",))
     m = fit_bootstrap(ds, B=5, seed=0)
     scores = score_dataset(m, ds)
     pop = calibrate(scores, 0.2)
@@ -362,13 +316,6 @@ def test_band_endpoints_invariant_under_sigma_rescaling():
 # ---------------------------------------------------------------------------
 # Finite-sample validity through the public pipeline
 
-def conformal_radius(others, alpha):
-    """The k-th smallest of n scores, k = ceil((n+1)(1-alpha)), or inf when
-    k > n."""
-    k = math.ceil((len(others) + 1) * (1.0 - alpha))
-    return sorted(others)[k - 1] if k <= len(others) else math.inf
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from("abcd"),
                           st.lists(st.floats(-4, 4, allow_nan=False),
@@ -395,12 +342,12 @@ def test_leave_one_out_coverage_is_exact(draws, duplicated, alpha, mean_std, mon
     pool = [subject(f"s{i}", [(6 * (j + 1), y) for j, y in enumerate(ys)], group=g)
             for i, (g, ys) in enumerate(draws)]
     pool += [subject(f"dup{i}", pool[d % len(draws)].visits,
-                     group=pool[d % len(draws)].group_labels["dx"])
+                     group=pool[d % len(draws)].labels["dx"])
              for i, d in enumerate(duplicated)]
     model = constant_model(*mean_std)
-    group = {s.subject_id: s.group_labels["dx"] for s in pool}
-    score = {sc.subject_id: sc.value for sc in score_dataset(
-        model, dataset_of(tuple(pool), ("f0", "f1"), ("dx",)))}
+    group = {s.id: s.labels["dx"] for s in pool}
+    scores = score_dataset(model, dataset_of(pool, ("f0", "f1"), ("dx",)))
+    score = dict(zip(scores.subject_ids, scores.values.tolist()))
 
     covered = {}
     for held in pool:
@@ -410,13 +357,13 @@ def test_leave_one_out_coverage_is_exact(draws, duplicated, alpha, mean_std, mon
         cal = (mondrian_calibrate(calib, scores, "dx", alpha) if mondrian
                else calibrate(scores, alpha))
         report = coverage_and_width(bands_for_dataset(model, test, cal), test)
-        covered[held.subject_id] = report.mean_coverage == 1.0
+        covered[held.id] = report.mean_coverage == 1.0
 
-        sid = held.subject_id
+        sid = held.id
         others = [v for o, v in score.items() if o != sid]
         peers = [v for o, v in score.items() if o != sid and group[o] == group[sid]]
-        radius = conformal_radius(peers if mondrian and peers else others, alpha)
-        assert covered[sid] == (score[sid] <= radius), sid
+        R = radius(peers if mondrian and peers else others, alpha)
+        assert covered[sid] == (score[sid] <= R), sid
 
     blocks = ({g: [s for s in score if group[s] == g] for g in set(group.values())}
               if mondrian else {None: list(score)})
@@ -442,10 +389,10 @@ def visit_count_cohorts(draw):
     for i in range(draw(st.integers(1, 12))):
         n = draw(st.sampled_from([0, 1, 2, 9]))
         x = np.array([draw(st.floats(-3, 3)), draw(st.floats(-3, 3))])
-        subjects.append(SubjectRecord(
+        subjects.append(Subject(
             f"s{i}", x, {"dx": draw(st.sampled_from("ab"))}, draw(st.floats(-2, 2)),
             tuple((6 * (j + 1), draw(st.floats(-5, 5))) for j in range(n))))
-    return dataset_of(tuple(subjects), ("f0", "f1"), ("dx",))
+    return dataset_of(subjects, ("f0", "f1"), ("dx",))
 
 
 BOOTSTRAP_MODEL = fit_bootstrap(multi_visit_dataset(30, seed=4, noise=0.2), B=5, seed=1)
@@ -454,18 +401,18 @@ BOOTSTRAP_MODEL = fit_bootstrap(multi_visit_dataset(30, seed=4, noise=0.2), B=5,
 @settings(max_examples=100, deadline=None)
 @given(visit_count_cohorts())
 def test_score_dataset_is_per_subject_max(ds):
-    subjects, want = ds.scored_subjects(), []
+    subjects, want = scored(subjects_of(ds)), []
     if subjects:
-        X = [[*s.features, s.baseline_value] for s in subjects for _ in s.visits]
-        t = [tv for s in subjects for tv in s.visit_times]
+        X = [[*s.features, s.baseline] for s in subjects for _ in s.visits]
+        t = [tv for s in subjects for tv in times_of(s)]
         offsets = list(accumulate((len(s.visits) for s in subjects), initial=0))
         means, stds = predict_batch(BOOTSTRAP_MODEL, X, t)
         want = [max(abs(y - mu) / sd for y, mu, sd in
                     zip((v for _, v in s.visits), means[lo:hi].tolist(), stds[lo:hi].tolist()))
                 for s, lo, hi in zip(subjects, offsets, offsets[1:])]
     got = score_dataset(BOOTSTRAP_MODEL, ds)
-    assert [sc.subject_id for sc in got] == [s.subject_id for s in subjects]
-    assert [sc.value for sc in got] == want
+    assert got.subject_ids == tuple(s.id for s in subjects)
+    assert got.values.tolist() == want
 
 
 def test_worst_residuals_rejects_an_empty_trajectory():
@@ -475,14 +422,6 @@ def test_worst_residuals_rejects_an_empty_trajectory():
 
 # ---------------------------------------------------------------------------
 # batch independence
-
-@pytest.fixture(scope="module")
-def fitted_cohort():
-    """A standardized synthetic cohort and, per kind, a model fitted on it."""
-    ds, _ = generate(SynthConfig(n_subjects=240, seed=31))
-    ds, _ = standardize(ds)
-    return ds, {kind: fit_predictor(kind, ds, seed=0) for kind in ("bootstrap", "quantile", "gp")}
-
 
 KIND_NAMES = ("bootstrap", "quantile", "gp")
 
@@ -499,7 +438,7 @@ def test_predictions_do_not_depend_on_the_batch(fitted_cohort, kind, calibration
                  group_categories=(("a", "b", "c"),), group_columns=("site",))
     same = np.array_equal if kind != "gp" else \
         (lambda a, b: np.allclose(a, b, rtol=0, atol=1e-9))
-    subjects = ds.scored_subjects()
+    subjects = scored(subjects_of(ds))
     X, t = visit_rows(ds, ds.visit_counts), ds.times
     full = predict_batch(model, X, t)
     for i in range(len(t)):
@@ -509,8 +448,9 @@ def test_predictions_do_not_depend_on_the_batch(fitted_cohort, kind, calibration
     assert all(same(o, f[subset]) for o, f in zip(predict_batch(model, X[subset], t[subset]),
                                                   full))
 
-    # so band_for_subject at a subject's last visit is the batched band, with
-    # the batch's radius and its warning about a category calibration lacks
+    # so a subject's band at its last visit, predicted alone, is its row of
+    # the batched band, with the radius its label gets; the batch warns once
+    # about the subjects of a category calibration lacks
     scores = score_dataset(model, ds)
     cal = calibrate(scores, 0.1)
     if calibration != "population":
@@ -520,7 +460,7 @@ def test_predictions_do_not_depend_on_the_batch(fitted_cohort, kind, calibration
     # the subjects whose label calibration lacks: site c's, or all of them,
     # labelled None in a column the cohort lacks
     unseen = [calibration != "population"
-              and s.group_labels.get(cal.grouping_column) not in cal.per_group for s in subjects]
+              and s.labels.get(cal.grouping_column) not in cal.per_group for s in subjects]
     assert any(unseen) == (calibration != "population")
     label = "'c'" if calibration == "category left out" else "None"
 
@@ -528,21 +468,18 @@ def test_predictions_do_not_depend_on_the_batch(fitted_cohort, kind, calibration
         return [f"{n} subject(s) with {cal.grouping_column!r} categories unseen in "
                 f"calibration [{label}]: using the population radius"] if n else []
 
-    horizons = [[s.visit_times[-1]] for s in subjects]
+    horizons = [times_of(s)[-1:] for s in subjects]
     caplog.set_level(logging.WARNING, logger="conftraj.conformal")
     last, tN = ds.visit_counts > 0, np.concatenate(horizons)
     batched = _make_bands(ds, last, tN, predict_batch(model, visit_rows(ds, last), tN), cal)
     assert [r.getMessage() for r in caplog.records] == warnings(sum(unseen))
     assert batched.offsets.tolist() == list(range(len(subjects) + 1))
+    assert batched.subject_ids == tuple(s.id for s in subjects)
     for k, (s, tN) in enumerate(zip(subjects, horizons)):
-        caplog.clear()
-        alone = band_for_subject(model, s, cal, tN)
-        assert [r.getMessage() for r in caplog.records] == warnings(int(unseen[k]))
-        assert (alone.subject_ids, alone.offsets.tolist(), alone.times.tolist(),
-                alone.radii.tolist()) == ((batched.subject_ids[k],), [0, 1], tN,
-                                          batched.radii[k:k + 1].tolist())
-        assert same(alone.centers, batched.centers[k:k + 1])
-        assert same(alone.stds, batched.stds[k:k + 1])
+        centers, stds, R = band(model, s, cal, tN)
+        assert [R] == batched.radii[k:k + 1].tolist()
+        assert same(np.array(centers), batched.centers[k:k + 1])
+        assert same(np.array(stds), batched.stds[k:k + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,9 @@
 import csv
 import io
-import math
 import os
 import tempfile
 import threading
-from dataclasses import replace
-from itertools import accumulate, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -14,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftraj import data_model
-from conftraj.data_model import (MAX_TIME, CsvSchema, Dataset,
-                                 StandardizationStats, SubjectRecord, load_csv,
-                                 save_csv, split, standardize)
+from conftraj.data_model import (MAX_TIME, CsvSchema, Dataset, StandardizationStats,
+                                 load_csv, save_csv, split, standardize)
 from conftraj.errors import ConfigurationError, DataError, SchemaError
 from conftraj.predictors import design_matrix, visit_rows
-from tests.conftest import dataset_of
+from tests import reference
+from tests.reference import (Subject, biomarker_values, dataset_of, records_repr,
+                             scored, subjects_of)
 
 
 SCHEMA = CsvSchema(feature_cols=("age", "edu"), group_cols=("sex",))
@@ -39,10 +38,10 @@ def test_load_basic(tmp_path):
     ])
     ds = load_csv(p, SCHEMA)
     assert len(ds) == 1
-    s = ds.subjects[0]
-    assert s.baseline_value == 1.5
+    s = subjects_of(ds)[0]
+    assert s.baseline == 1.5
     assert s.visits == ((6, 1.4), (12, 1.3))
-    assert s.group_labels == {"sex": "F"}
+    assert s.labels == {"sex": "F"}
     assert list(s.features) == [70.0, 12.0]
 
 
@@ -60,8 +59,8 @@ def test_baseline_only_subject_loaded(tmp_path):
     p = write_csv(tmp_path / "c.csv", ["s1,0,1.5,70,12,F\n"])
     ds = load_csv(p, SCHEMA)
     assert len(ds) == 1
-    assert ds.subjects[0].visits == ()
-    assert ds.scored_subjects() == []
+    assert subjects_of(ds)[0].visits == ()
+    assert scored(subjects_of(ds)) == []
 
 
 def test_nul_character_names_line(tmp_path):
@@ -159,14 +158,13 @@ def test_save_csv_refuses_over_long_field(tmp_path, where):
 
     def cohort(n):
         sid, sex = ("s" * n, "F") if where == "id" else ("s1", "F" * n)
-        return dataset_of((SubjectRecord(sid, np.array([70.0, 12.0]), {"sex": sex},
-                                         1.5, ((6, 1.4),)),), ("age", "edu"), ("sex",))
+        return dataset_of((Subject(sid, np.array([70.0, 12.0]), {"sex": sex}, 1.5,
+                                   ((6, 1.4),)),), ("age", "edu"), ("sex",))
 
     p = tmp_path / "c.csv"
     save_csv(cohort(limit), p)
-    at_limit, back = cohort(limit).subjects[0], load_csv(p, SCHEMA).subjects[0]
-    assert (back.subject_id, back.group_labels) == (at_limit.subject_id,
-                                                    at_limit.group_labels)
+    at_limit, back = subjects_of(cohort(limit))[0], subjects_of(load_csv(p, SCHEMA))[0]
+    assert (back.id, back.labels) == (at_limit.id, at_limit.labels)
     shown = repr("s" * 20) if where == "id" else repr("s1")
     with pytest.raises(DataError, match=f"subject {shown} .*{limit + 1} characters, "
                                         rf"over the csv field limit \({limit}\)"):
@@ -199,12 +197,12 @@ def test_round_trip(tmp_path):
     save_csv(ds, q)
     ds2 = load_csv(q, SCHEMA)
     assert len(ds2) == len(ds)
-    for a, b in zip(ds.subjects, ds2.subjects):
-        assert a.subject_id == b.subject_id
+    for a, b in zip(subjects_of(ds), subjects_of(ds2)):
+        assert a.id == b.id
         assert a.visits == b.visits
-        assert a.baseline_value == b.baseline_value
+        assert a.baseline == b.baseline
         assert list(a.features) == list(b.features)
-        assert a.group_labels == b.group_labels
+        assert a.labels == b.labels
 
 
 # subject IDs and group labels: any text (commas, quotes, newlines,
@@ -225,11 +223,11 @@ def odd_cohorts(draw):
     subjects = []
     for sid in ids:
         times = sorted(draw(st.lists(st.integers(1, 600), max_size=4, unique=True)))
-        subjects.append(SubjectRecord(
+        subjects.append(Subject(
             sid, np.array([draw(EXTREME_FLOATS) for _ in range(n_features)]),
             {"site": draw(ODD_TEXT)}, draw(EXTREME_FLOATS),
             tuple((t, draw(EXTREME_FLOATS)) for t in times)))
-    return dataset_of(tuple(subjects), tuple(f"f{j}" for j in range(n_features)), ("site",))
+    return dataset_of(subjects, tuple(f"f{j}" for j in range(n_features)), ("site",))
 
 
 @settings(max_examples=150, deadline=None)
@@ -238,28 +236,22 @@ def test_save_load_round_trip_odd_values(ds):
     schema = CsvSchema(feature_cols=ds.feature_names, group_cols=ds.group_columns)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cohort.csv"
-        if any("\0" in text for s in ds.subjects
-               for text in (s.subject_id, *s.group_labels.values())):
+        if any("\0" in text for s in subjects_of(ds) for text in (s.id, *s.labels.values())):
             with pytest.raises(DataError, match="NUL"):
                 save_csv(ds, path)
             return
         save_csv(ds, path)
         back = load_csv(path, schema)
-    assert [s.subject_id for s in back.subjects] == [s.subject_id for s in ds.subjects]
-    for a, b in zip(ds.subjects, back.subjects):
-        # repr tells -0.0 from 0.0, so the floats must come back bit for bit
-        assert repr([a.baseline_value, a.visits, a.features.tolist()]) == \
-            repr([b.baseline_value, b.visits, b.features.tolist()])
-        assert a.group_labels == b.group_labels
+    # repr tells -0.0 from 0.0, so the floats must come back bit for bit
+    assert records_repr(subjects_of(back)) == records_repr(subjects_of(ds))
 
 
 def make_subject(sid, baseline, visits, group="F"):
-    return SubjectRecord(sid, np.zeros(2), {"sex": group}, baseline,
-                         tuple(visits))
+    return Subject(sid, np.zeros(2), {"sex": group}, baseline, tuple(visits))
 
 
 def make_dataset(subjects):
-    return dataset_of(tuple(subjects), ("f0", "f1"), ("sex",))
+    return dataset_of(subjects, ("f0", "f1"), ("sex",))
 
 
 def test_standardize_computed_stats():
@@ -268,15 +260,16 @@ def test_standardize_computed_stats():
     assert stats.mean == pytest.approx(3.0)
     # sample std of {2, 4}
     assert stats.std == pytest.approx(np.sqrt(2))
-    vals = [s.baseline_value for s in out.subjects]
+    vals = [s.baseline for s in subjects_of(out)]
     assert vals == pytest.approx([-1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
 def test_standardize_apply_training_stats():
     ds = make_dataset([make_subject("a", 5.0, [(6, 5.0)])])
     out, _ = standardize(ds, StandardizationStats(3.0, 1.0))
-    assert out.subjects[0].baseline_value == pytest.approx(2.0)
-    assert out.subjects[0].visits[0][1] == pytest.approx(2.0)
+    (s,) = subjects_of(out)
+    assert s.baseline == pytest.approx(2.0)
+    assert s.visits[0][1] == pytest.approx(2.0)
 
 
 def test_standardize_constant_errors():
@@ -291,7 +284,7 @@ def test_standardized_training_set_is_zero_one():
                              [(j + 1, rng.normal()) for j in range(3)])
                 for i in range(30)]
     out, _ = standardize(make_dataset(subjects))
-    vals = biomarker_values(out.subjects)
+    vals = biomarker_values(subjects_of(out))
     assert np.mean(vals) == pytest.approx(0.0, abs=1e-9)
     assert np.std(vals, ddof=1) == pytest.approx(1.0, abs=1e-9)
 
@@ -348,7 +341,7 @@ def test_derived_datasets_are_read_only_and_cache_nothing_of_their_parent():
     ds = make_dataset([make_subject(f"s{i}", float(i), [(6, 1.0 + i), (12, 2.0)],
                                     group="FM"[i % 2]) for i in range(4)])
     split(ds, 0.25, 0.0, 0)
-    assert len(ds.subjects) == 4 and "_id_order" in vars(ds)  # cached
+    assert "_id_order" in vars(ds)          # cached
     part = ds.subset([2, 0])
     scaled, _ = standardize(part, StandardizationStats(1.0, 2.0))
     for derived in (part, scaled):
@@ -358,20 +351,10 @@ def test_derived_datasets_are_read_only_and_cache_nothing_of_their_parent():
             assert not column.flags.writeable, name
             with pytest.raises(ValueError):
                 column[...] = 0
-    assert [s.subject_id for s in part.subjects] == ["s2", "s0"]
-    assert [s.baseline_value for s in scaled.subjects] == [0.5, -0.5]
-    assert [s.group_labels for s in part.subjects] == [{"sex": "F"}, {"sex": "F"}]
+    assert [s.id for s in subjects_of(part)] == ["s2", "s0"]
+    assert [s.baseline for s in subjects_of(scaled)] == [0.5, -0.5]
+    assert [s.labels for s in subjects_of(part)] == [{"sex": "F"}, {"sex": "F"}]
     assert ds.baseline.tolist() == [0.0, 1.0, 2.0, 3.0]
-
-
-def test_a_write_into_a_record_reaches_no_later_record():
-    # the records are built on each access, so a write into one's plain
-    # group_labels dict lands in a throwaway record
-    ds = make_dataset([make_subject("s0", 0.0, [(6, 1.0)], group="F")])
-    ds.subjects[0].group_labels["sex"] = "M"
-    assert ds.subjects[0].group_labels == {"sex": "F"}
-    codes, categories = ds.group("sex")
-    assert categories[codes[0]] == "F"
 
 
 @pytest.mark.parametrize("indices", [[1, 1], [0, 2, 0], [3, -1]])
@@ -393,68 +376,7 @@ def test_split_invalid_fractions_error():
 
 
 # ---------------------------------------------------------------------------
-# Reference loader: the DictReader-based load_csv that csv_rows and load_csv
-# replaced, with non-finite and over-large times rejected as they are now
-
-def _reference_parse_time(cell, row_no):
-    try:
-        t = float(cell)
-    except ValueError:
-        raise DataError(f"row {row_no}: non-numeric time {cell!r}")
-    if not math.isfinite(t):
-        raise DataError(f"row {row_no}: non-finite visit time {cell!r}")
-    if t != int(t):
-        raise DataError(f"row {row_no}: fractional visit time {cell!r} "
-                        "(integer months required)")
-    if abs(t) > MAX_TIME:
-        raise DataError(f"row {row_no}: visit time {cell!r} beyond 2**53 - 1 months")
-    if t < 0:
-        raise DataError(f"row {row_no}: negative visit time {int(t)}")
-    return int(t)
-
-
-def reference_load_csv(path, schema):
-    needed = ([schema.subject_col, schema.time_col, schema.value_col]
-              + list(schema.feature_cols) + list(schema.group_cols))
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in needed:
-            if col not in header:
-                raise SchemaError(f"missing column {col!r} in {path}")
-            if header.count(col) > 1:
-                raise SchemaError(f"column {col!r} is named twice in the header of {path}")
-        by_subject, seen = {}, set()
-        for row_no, row in enumerate(reader, start=2):
-            if None in row or None in row.values():
-                raise DataError(f"row {row_no}: cell count differs from the header of {path}")
-            sid = row[schema.subject_col]
-            t = _reference_parse_time(row[schema.time_col], row_no)
-            if (sid, t) in seen:
-                raise DataError(f"row {row_no}: duplicate (subject, time) = ({sid}, {t})")
-            seen.add((sid, t))
-            try:
-                y = float(row[schema.value_col])
-                feats = [float(row[c]) for c in schema.feature_cols]
-            except ValueError as exc:
-                raise DataError(f"row {row_no}: non-numeric cell ({exc})")
-            if not (math.isfinite(y) and all(map(math.isfinite, feats))):
-                raise DataError(f"row {row_no}: non-finite biomarker or feature cell")
-            groups = {c: row[c] for c in schema.group_cols}
-            entry = by_subject.setdefault(sid, (feats, groups, []))
-            if feats != entry[0] or groups != entry[1]:
-                raise DataError(f"row {row_no}: subject {sid} features or group "
-                                "labels differ from its earlier rows")
-            entry[2].append((t, y))
-    subjects = []
-    for sid, (feats, groups, rows) in by_subject.items():
-        rows.sort()
-        if rows[0][0] != 0:
-            raise DataError(f"subject {sid}: no month-0 baseline row")
-        subjects.append(SubjectRecord(sid, np.asarray(feats, dtype=float), groups,
-                                      rows[0][1], tuple(rows[1:])))
-    return dataset_of(tuple(subjects), tuple(schema.feature_cols), tuple(schema.group_cols))
-
+# load_csv against the DictReader loader of the reference pipeline
 
 def _outcome(load, path, schema):
     """A loaded Dataset as the repr of every field, or the error's type and text."""
@@ -462,8 +384,7 @@ def _outcome(load, path, schema):
         ds = load(path, schema)
     except Exception as exc:        # compared, type and message, with the other loader
         return type(exc).__name__, str(exc)
-    return repr([(s.subject_id, s.features.tolist(), s.group_labels, s.baseline_value,
-                  s.visits) for s in ds.subjects]), ds.feature_names, ds.group_columns
+    return records_repr(subjects_of(ds)), ds.feature_names, ds.group_columns
 
 
 TIME_CELLS = ["0", "0", "1", "2", "6", "12", "6.0", "1e1", " 3", "-0", "2.5", "-1",
@@ -509,7 +430,7 @@ def test_load_csv_matches_dictreader_reference(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cohort.csv"
         path.write_text(text, encoding="utf-8")
-        assert _outcome(load_csv, path, schema) == _outcome(reference_load_csv, path, schema)
+        assert _outcome(load_csv, path, schema) == _outcome(reference.load_csv, path, schema)
 
 
 @settings(max_examples=200, deadline=None)
@@ -522,7 +443,7 @@ def test_load_csv_in_small_blocks_matches_dictreader_reference(case, block):
         mp.setattr(data_model, "BLOCK", block)
         path = Path(tmp) / "cohort.csv"
         path.write_text(text, encoding="utf-8")
-        assert _outcome(load_csv, path, schema) == _outcome(reference_load_csv, path, schema)
+        assert _outcome(load_csv, path, schema) == _outcome(reference.load_csv, path, schema)
 
 
 def test_load_csv_reference_cases(tmp_path):
@@ -545,7 +466,7 @@ def test_load_csv_reference_cases(tmp_path):
         path = tmp_path / "c.csv"
         path.write_text(text.replace("h", "subject_id,time_months,biomarker,age,sex", 1))
         outcomes[name] = _outcome(load_csv, path, schema)
-        assert outcomes[name] == _outcome(reference_load_csv, path, schema), name
+        assert outcomes[name] == _outcome(reference.load_csv, path, schema), name
     assert outcomes["blank lines keep row numbers"][1].startswith("row 3: duplicate")
     assert outcomes["70 against 70.0"][0].startswith("[('s1', [70.0], {'sex': 'F'}, 1.0, ((6")
     assert outcomes["repeated header"] == (
@@ -560,7 +481,7 @@ def test_load_csv_sorts_each_subjects_rows(tmp_path):
                                           "s2,0,2.0,60,12,M\n", "s1,0,1.0,70,12,F\n",
                                           "s2,3,2.25,60,12,M\n", "s1,1,1.25,70,12,F\n"])
     ds = load_csv(path, SCHEMA)
-    assert _outcome(load_csv, path, SCHEMA) == _outcome(reference_load_csv, path, SCHEMA)
+    assert _outcome(load_csv, path, SCHEMA) == _outcome(reference.load_csv, path, SCHEMA)
     assert ds.subject_ids == ("s2", "s1")
     assert ds.baseline.tolist() == [2.0, 1.0] and ds.offsets.tolist() == [0, 2, 4]
     assert ds.times.tolist() == [3, 12, 1, 6]
@@ -569,20 +490,6 @@ def test_load_csv_sorts_each_subjects_rows(tmp_path):
 
 # ---------------------------------------------------------------------------
 # standardize against the replace/apply version it replaced, bit for bit
-
-def biomarker_values(subjects):
-    """Each subject's baseline, then its visit values, in subject order."""
-    return [v for s in subjects for v in (s.baseline_value, *(y for _, y in s.visits))]
-
-
-def reference_standardize(ds, stats):
-    def apply(y):
-        return (np.asarray(y, dtype=float) - stats.mean) / stats.std
-    return dataset_of(tuple(
-        replace(s, baseline_value=float(apply(s.baseline_value)),
-                visits=tuple((t, float(apply(y))) for t, y in s.visits))
-        for s in ds.subjects), ds.feature_names, ds.group_columns)
-
 
 MODERATE_FLOATS = st.floats(-1e6, 1e6, allow_nan=False)
 
@@ -603,16 +510,16 @@ def standardize_cases(draw):
 def test_standardize_matches_replace_apply_reference(ds, mean, std):
     stats = StandardizationStats(mean, std)
     out, _ = standardize(ds, stats)
-    want = reference_standardize(ds, stats)
-    for a, b in zip(out.subjects, want.subjects):
-        assert repr([a.baseline_value, a.visits]) == repr([b.baseline_value, b.visits])
-        assert (a.subject_id, a.group_labels) == (b.subject_id, b.group_labels)
+    want = reference.standardize(ds, stats)
+    for a, b in zip(subjects_of(out), subjects_of(want)):
+        assert repr([a.baseline, a.visits]) == repr([b.baseline, b.visits])
+        assert (a.id, a.labels) == (b.id, b.labels)
         assert a.features.tobytes() == b.features.tobytes()
     assert (out.feature_names, out.group_columns) == (ds.feature_names, ds.group_columns)
     # stats computed from ds are applied the same way
-    if np.std(biomarker_values(ds.subjects)) > 0:
+    if np.std(biomarker_values(subjects_of(ds))) > 0:
         out, stats = standardize(ds)
-        assert repr(out.subjects) == repr(reference_standardize(ds, stats).subjects)
+        assert repr(subjects_of(out)) == repr(subjects_of(reference.standardize(ds, stats)))
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +631,7 @@ def test_load_csv_faults_far_into_a_long_file(tmp_path, case):
     if row is not None:             # the fault is where the loader's blocks put it
         assert row + (case == "last row of a block") == block_starts(path)[2]
     got = _outcome(load_csv, path, SCHEMA)
-    assert got == _outcome(reference_load_csv, path, SCHEMA)
+    assert got == _outcome(reference.load_csv, path, SCHEMA)
     if want is None:
         assert len(got) == 3            # loaded, not an error
     else:
@@ -760,7 +667,7 @@ def test_valid_unusual_cells_across_a_block_boundary_load_without_a_second_pass(
 
     monkeypatch.setattr(data_model, "_block_fault", refuse)
     got = _outcome(load_csv, path, SCHEMA)
-    assert got == _outcome(reference_load_csv, path, SCHEMA)
+    assert got == _outcome(reference.load_csv, path, SCHEMA)
     ds = load_csv(path, SCHEMA)
     i = ds.subject_ids.index(owner)
     assert ds.times[ds.offsets[i]:ds.offsets[i + 1]].tolist() == [6, 10, 18, 24]
@@ -833,7 +740,7 @@ def test_a_duplicate_is_named_from_the_sorted_columns(tmp_path, monkeypatch):
     lines.insert(data_model.BLOCK + 300, lines[25].replace(",0.", ",9.", 1))
     lines.insert(2 * data_model.BLOCK + 5, lines[10].replace(",0.", ",9.", 1))
     path = write_csv(tmp_path / "c.csv", lines)
-    want = _outcome(reference_load_csv, path, SCHEMA)
+    want = _outcome(reference.load_csv, path, SCHEMA)
     assert want == ("DataError", f"row {data_model.BLOCK + 302}: duplicate (subject, time) "
                                  "= (s0005, 0)")
 
@@ -982,28 +889,6 @@ def test_csv_blocks_switch_to_the_csv_module_keeps_line_numbers(tmp_path, monkey
 # ---------------------------------------------------------------------------
 # The columnar Dataset against record-by-record references
 
-def reference_visit_rows(subjects):
-    return [[*s.features.tolist(), s.baseline_value] for s in subjects for _ in s.visits]
-
-
-def reference_design_matrix(subjects):
-    rows = [[*s.features.tolist(), s.baseline_value, float(t)]
-            for s in subjects for t in s.visit_times]
-    targets = [y for s in subjects for _, y in s.visits]
-    return rows, targets, list(accumulate((len(s.visits) for s in subjects), initial=0))
-
-
-def reference_stats(subjects):
-    vals = np.asarray(biomarker_values(subjects))
-    return StandardizationStats(float(np.mean(vals)), float(np.std(vals, ddof=1)))
-
-
-def records_repr(subjects):
-    """Every field of each record; repr tells -0.0 from 0.0."""
-    return repr([(s.subject_id, s.features.tolist(), s.group_labels, s.baseline_value,
-                  s.visits) for s in subjects])
-
-
 @st.composite
 def record_cohorts(draw):
     """Small cohorts of records with zero to two features, two group
@@ -1012,7 +897,7 @@ def record_cohorts(draw):
     subjects = []
     for i in range(draw(st.integers(1, 7))):
         times = sorted(draw(st.lists(st.integers(1, 240), max_size=4, unique=True)))
-        subjects.append(SubjectRecord(
+        subjects.append(Subject(
             f"s{draw(st.integers(0, 99))}-{i}",
             np.array([draw(MODERATE_FLOATS) for _ in range(n_features)]),
             {"sex": draw(st.sampled_from("FM")), "site": draw(st.sampled_from("abc"))},
@@ -1025,8 +910,8 @@ def record_cohorts(draw):
 def test_columnar_paths_match_record_references(cohort, data):
     subjects, names = cohort
     ds = dataset_of(subjects, names, ("sex", "site"))
-    assert records_repr(ds.subjects) == records_repr(subjects)
-    again = dataset_of(ds.subjects, ds.feature_names, ds.group_columns)
+    assert records_repr(subjects_of(ds)) == records_repr(subjects)
+    again = dataset_of(subjects_of(ds), ds.feature_names, ds.group_columns)
     for column in ("features", "baseline", "offsets", "times", "values"):
         assert getattr(again, column).tobytes() == getattr(ds, column).tobytes(), column
     assert [again.group(c)[1][k] for c in ("sex", "site") for k in again.group(c)[0]] == \
@@ -1036,24 +921,24 @@ def test_columnar_paths_match_record_references(cohort, data):
 
     picks = data.draw(st.lists(st.integers(0, len(subjects) - 1), unique=True))
     part = ds.subset(picks)
-    assert records_repr(part.subjects) == records_repr([subjects[i] for i in picks])
+    assert records_repr(subjects_of(part)) == records_repr([subjects[i] for i in picks])
 
     X = visit_rows(ds, ds.visit_counts)
-    assert repr(X.tolist()) == repr(reference_visit_rows(subjects))
+    assert repr(X.tolist()) == repr(reference.visit_rows(subjects))
     if any(s.visits for s in subjects):
         rows, y = design_matrix(ds)
         assert repr((rows.tolist(), y.tolist(), ds.offsets.tolist())) == \
-            repr(reference_design_matrix(subjects))
+            repr(reference.design_matrix(subjects))
 
     stats = StandardizationStats(data.draw(st.floats(-1e3, 1e3)),
                                  data.draw(st.floats(1e-3, 1e3)))
-    assert records_repr(standardize(ds, stats)[0].subjects) == \
-        records_repr(reference_standardize(ds, stats).subjects)
+    assert records_repr(subjects_of(standardize(ds, stats)[0])) == \
+        records_repr(subjects_of(reference.standardize(ds, stats)))
     if np.std(biomarker_values(subjects)) > 0:
         out, computed = standardize(ds)
-        assert computed == reference_stats(subjects)
-        assert records_repr(out.subjects) == \
-            records_repr(reference_standardize(ds, computed).subjects)
+        assert computed == reference.stats_of(subjects)
+        assert records_repr(subjects_of(out)) == \
+            records_repr(subjects_of(reference.standardize(ds, computed)))
 
 
 # ---------------------------------------------------------------------------
@@ -1097,9 +982,9 @@ def test_feature_vector_length_names_the_subject():
 
 def test_valid_columns_build_the_records():
     ds = Dataset(**columns())
-    assert records_repr(ds.subjects) == records_repr([
-        SubjectRecord("a", np.array([1.0, 2.0]), {"sex": "F"}, 0.5, ((6, 1.0), (12, 2.0))),
-        SubjectRecord("b", np.array([3.0, 4.0]), {"sex": "M"}, 0.25, ((3, 3.0),))])
+    assert records_repr(subjects_of(ds)) == records_repr([
+        Subject("a", np.array([1.0, 2.0]), {"sex": "F"}, 0.5, ((6, 1.0), (12, 2.0))),
+        Subject("b", np.array([3.0, 4.0]), {"sex": "M"}, 0.25, ((3, 3.0),))])
     assert not ds.values.flags.writeable
 
 

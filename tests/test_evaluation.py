@@ -7,22 +7,19 @@ import pytest
 from conftraj import evaluation
 from conftraj.conformal import (PredictionBand, ScoreSet, bands_for_dataset, calibrate,
                                 mondrian_calibrate, score_dataset)
-from conftraj.data_model import SubjectRecord, _offsets, split, standardize
+from conftraj.data_model import _offsets, split, standardize
 from conftraj.errors import ConfigurationError, DataError
 from conftraj.evaluation import (MAX_SPLITS, coverage_and_width, evaluate_split, fit_split,
                                  run_protocol, stratified_compare,
                                  sweep_calibration_fraction)
 from conftraj.predictors import fit_quantile, predict_batch, visit_rows
 from conftraj.synth import GroupSpec, SynthConfig, generate
-from tests.conftest import dataset_of
-
-
-def subject(sid, visits, group="g"):
-    return SubjectRecord(sid, np.zeros(1), {"dx": group}, 0.0, tuple(visits))
+from tests import reference
+from tests.reference import band_rows, dataset_of, scored, subject, subjects_of, times_of
 
 
 def dataset(subjects, groups=("dx",)):
-    return dataset_of(tuple(subjects), ("f0",), tuple(groups))
+    return dataset_of(subjects, ("f0", "f1"), groups)
 
 
 def band_set(*bands):
@@ -181,19 +178,16 @@ def test_coverage_recomputable_by_brute_force():
     ds = cohort(200, seed=9)
     report, cal, model = evaluate_split(ds, "bootstrap", 0.1, 0.2, 0.3, 11)
     # brute force: rebuild bands subject by subject and recount
-    from conftraj.conformal import band_for_subject
-    from conftraj.data_model import split, standardize
     idx = split(ds, 0.2, 0.3, 11)
     _, stats = standardize(ds.subset(idx.train))
     test_std, _ = standardize(ds.subset(idx.test), stats)
     covered, widths = 0, []
-    subs = test_std.scored_subjects()
+    subs = scored(subjects_of(test_std))
     for s in subs:
-        band = band_for_subject(model, s, cal, s.visit_times)
-        ok = all(abs(y - band.center_at(t)) <= band.radius_at(t)
-                 for t, y in s.visits)
+        centers, stds, R = reference.band(model, s, cal, times_of(s))
+        ok = all(abs(y - mu) <= R * sd for (_, y), mu, sd in zip(s.visits, centers, stds))
         covered += ok
-        widths.extend(2 * band.radius_at(t) for t, _ in s.visits)
+        widths.extend(2 * (R * sd) for sd in stds)
     assert report.mean_coverage == pytest.approx(covered / len(subs), abs=1e-12)
     assert report.mean_width == pytest.approx(np.mean(widths), abs=1e-12)
 
@@ -210,10 +204,10 @@ def test_subject_scoring_the_radius_is_covered():
         model = fit_quantile(train, steps=100)
         scores = score_dataset(model, calib)
         cal = calibrate(scores, 0.1)
-        tie = next(sc.subject_id for sc in scores if sc.value == cal.radius)
-        (subj,) = [s for s in calib.subjects if s.subject_id == tie]
-        test = dataset_of((replace(subj, subject_id="copy"),),
-                          calib.feature_names, calib.group_columns)
+        tie = scores.subject_ids[scores.values.tolist().index(cal.radius)]
+        (subj,) = [s for s in subjects_of(calib) if s.id == tie]
+        test = dataset_of((subj._replace(id="copy"),), calib.feature_names,
+                          calib.group_columns)
         report = coverage_and_width(bands_for_dataset(model, test, cal), test)
         assert report.mean_coverage == 1.0, seed
 
@@ -259,35 +253,12 @@ def test_run_protocol_refuses_n_splits_before_drawing_seeds(n_splits):
 
 
 def reference_coverage_and_width(bands, test, grouping_column=None):
-    """coverage_and_width as one loop per subject, each score a Python max
-    of |y - mu| / sigma over its visits, read from its rows of the band set."""
-    subjects = test.scored_subjects()
-    assert bands.subject_ids == tuple(s.subject_id for s in subjects)
-    covered, n_inf, widths, buckets, groups = 0, 0, [], {}, {}
-    for k, s in enumerate(subjects):
-        lo, hi = bands.offsets[k], bands.offsets[k + 1]
-        times, centers, stds = (c[lo:hi].tolist() for c in (bands.times, bands.centers,
-                                                             bands.stds))
-        radius = float(bands.radii[k])
-        assert times == s.visit_times
-        ok = max(abs(y - mu) / sd for y, mu, sd in
-                 zip((v for _, v in s.visits), centers, stds)) <= radius
-        covered += ok
-        n_inf += not math.isfinite(radius)
-        w = [2.0 * (radius * sd) for sd in stds] if math.isfinite(radius) else []
-        widths += w
-        for t, wt in zip(times, w):
-            buckets.setdefault((t - 1) // evaluation.BUCKET_MONTHS, []).append(wt)
-        g_ok, g_w = groups.setdefault(s.group_labels.get(grouping_column), ([], []))
-        g_ok.append(ok)
-        g_w += w
-    per_group = None if grouping_column is None else {
-        g: {"coverage": float(np.mean(c)), "width": float(np.mean(w)) if w else math.nan,
-            "n": len(c)} for g, (c, w) in groups.items()}
-    return evaluation.EvalReport(
-        covered / len(subjects) if subjects else math.nan,
-        float(np.mean(widths)) if widths else math.nan, len(subjects), n_inf,
-        {b: float(np.mean(w)) for b, w in sorted(buckets.items())}, per_group)
+    """The per-subject reference's report of a band set, each band read from
+    its rows, which must be the scored test subjects' at their visit times."""
+    rows, subjects = band_rows(bands), subjects_of(test)
+    assert [row[:2] for row in rows] == [(s.id, times_of(s)) for s in scored(subjects)]
+    return reference.coverage_and_width([row[2:] for row in rows], subjects,
+                                        grouping_column)
 
 
 @pytest.mark.parametrize("case", ["finite", "some-infinite", "empty", "all-infinite",
@@ -298,10 +269,10 @@ def test_coverage_and_width_matches_per_subject_reference(case):
                                                     (0.5, 0.3, 0.2)),))
     model, _, calib, test = fit_split(ds, "bootstrap", 0.3, calib_frac, 5)
     # trajectories of 1, 2 and all visits
-    test = dataset_of(tuple(
-        replace(s, visits=s.visits[:(1, 2, None)[i % 3]])
-        for i, s in enumerate(test.subjects)), test.feature_names, test.group_columns)
-    assert {1, 2} <= {len(s.visits) for s in test.subjects}
+    test = dataset_of([s._replace(visits=s.visits[:(1, 2, None)[i % 3]])
+                       for i, s in enumerate(subjects_of(test))],
+                      test.feature_names, test.group_columns)
+    assert {1, 2} <= set(test.visit_counts.tolist())
     if case == "empty":
         test = dataset_of((), test.feature_names, test.group_columns)
     scores = score_dataset(model, calib)

@@ -10,15 +10,16 @@ import numpy as np
 import pytest
 
 from conftraj import predictors
-from conftraj.data_model import SubjectRecord, split, standardize
+from conftraj.data_model import split, standardize
 from conftraj.errors import ConfigurationError, DataError, NumericalError
 from conftraj.predictors import (GP_TILE, KINDS, MEMBER_CHUNK, SIGMA_FLOOR, SUBJECT_BLOCK,
                                  BootstrapModel, InputScaler, QuantileModel, _rbf,
                                  design_matrix, fit_bootstrap, fit_gp, fit_quantile,
-                                 load_model, pinball_loss, predict_batch, save_model,
-                                 visit_rows)
+                                 load_model, predict_batch, save_model, visit_rows)
 from conftraj.synth import SynthConfig, generate
-from tests.conftest import dataset_of
+from tests.reference import (Subject, dataset_from_rows, dataset_of, dense_gp_oracle,
+                             linear_dataset, multi_visit_dataset, pinball_loss,
+                             subjects_of, times_of)
 
 Point = namedtuple("Point", "mean std")
 
@@ -30,26 +31,6 @@ def predict_one(model, x, t):
     return Point(float(means[0]), float(stds[0]))
 
 
-def dataset_from_rows(X, ts, ys):
-    """One subject per row: features X[i], single visit (ts[i], ys[i])."""
-    X = np.atleast_2d(X)
-    subjects = [
-        SubjectRecord(f"s{i}", np.asarray(X[i], dtype=float), {}, 0.0,
-                      ((int(ts[i]), float(ys[i])),))
-        for i in range(len(ys))
-    ]
-    names = tuple(f"f{j}" for j in range(X.shape[1]))
-    return dataset_of(tuple(subjects), names, ())
-
-
-def linear_dataset(n, d=2, seed=0, noise=0.0, slope=-0.01):
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, d))
-    ts = rng.integers(1, 60, size=n)
-    ys = X @ np.arange(1, d + 1) * 0.1 + slope * ts + rng.normal(0, noise, n)
-    return dataset_from_rows(X, ts, ys), X, ts, ys
-
-
 # ---------------------------------------------------------------------------
 # GP
 
@@ -57,28 +38,16 @@ def linear_dataset(n, d=2, seed=0, noise=0.0, slope=-0.01):
 def test_visit_rows_are_per_subject_rows(d):
     # subjects of 0, 1 and 2 visits; feature_dim 0 leaves the baseline alone
     rng = np.random.default_rng(d)
-    subjects = [SubjectRecord(f"s{i}", rng.standard_normal(d), {}, float(rng.standard_normal()),
-                              tuple((6 * (j + 1), 0.0) for j in range(i % 3)))
+    subjects = [Subject(f"s{i}", rng.standard_normal(d), {}, float(rng.standard_normal()),
+                        tuple((6 * (j + 1), 0.0) for j in range(i % 3)))
                 for i in range(7)]
-    times = [s.visit_times for s in subjects]
+    times = [times_of(s) for s in subjects]
     ds = dataset_of(subjects, tuple(f"f{j}" for j in range(d)), ())
     X = visit_rows(ds, ds.visit_counts)
-    want = [[*s.features, s.baseline_value] for s in subjects for _ in s.visits]
+    want = [[*s.features, s.baseline] for s in subjects for _ in s.visits]
     assert X.shape == (len(want), d + 1) and X.tolist() == want
     assert ds.times.tolist() == [tv for ts in times for tv in ts]
     assert ds.offsets.tolist() == list(accumulate(map(len, times), initial=0))
-
-
-def dense_gp_oracle(Zt, yt, Zq, signal_var, ls, noise_var):
-    """Direct matrix-inverse GP posterior, independent of the Cholesky path."""
-    def k(A, B):
-        d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(-1)
-        return signal_var * np.exp(-0.5 * d2 / ls ** 2)
-    Kinv = np.linalg.inv(k(Zt, Zt) + noise_var * np.eye(len(Zt)))
-    Ks = k(Zt, Zq)
-    mean = Ks.T @ Kinv @ yt
-    var = signal_var - np.einsum("ij,ik,kj->j", Ks, Kinv, Ks) + noise_var
-    return mean, var
 
 
 def test_gp_matches_dense_oracle():
@@ -415,19 +384,6 @@ def test_quantile_bad_levels():
 # ---------------------------------------------------------------------------
 # Bootstrap ensemble
 
-def multi_visit_dataset(n_subjects, seed=0, noise=0.0):
-    rng = np.random.default_rng(seed)
-    subjects = []
-    for i in range(n_subjects):
-        x = rng.standard_normal(2)
-        times = np.sort(rng.choice(np.arange(1, 48), size=4, replace=False))
-        ys = 0.3 * x[0] - 0.01 * times + rng.normal(0, noise, 4)
-        subjects.append(SubjectRecord(f"s{i}", x, {}, float(0.3 * x[0]),
-                                      tuple((int(t), float(y))
-                                            for t, y in zip(times, ys))))
-    return dataset_of(tuple(subjects), ("f0", "f1"), ())
-
-
 def ridge_oracle(Z1, y, lam):
     P = lam * np.eye(Z1.shape[1])
     P[-1, -1] = 0.0
@@ -584,11 +540,11 @@ def ragged_visit_dataset(n_subjects, seed):
         x = rng.standard_normal(2)
         times = np.sort(rng.choice(np.arange(1, 48), size=int(rng.integers(0, 6)),
                                    replace=False))
-        subjects.append(SubjectRecord(f"s{i}", x, {}, float(rng.standard_normal()),
-                                      tuple((int(t), float(0.2 * x[0] - 0.01 * t
-                                                           + rng.normal(0, 0.1)))
-                                            for t in times)))
-    return dataset_of(tuple(subjects), ("f0", "f1"), ())
+        subjects.append(Subject(f"s{i}", x, {}, float(rng.standard_normal()),
+                                tuple((int(t), float(0.2 * x[0] - 0.01 * t
+                                                     + rng.normal(0, 0.1)))
+                                      for t in times)))
+    return dataset_of(subjects, ("f0", "f1"), ())
 
 
 def ridge_solve(Z1, y, lam):
@@ -607,7 +563,7 @@ def dict_regrouping_members(ds, B, ridge_lambda, seed):
     """The ensemble as fit_bootstrap built it from per-row owners and a dict:
     each member's picked subjects' rows gathered, in pick order."""
     rows, y = design_matrix(ds)
-    owners = [i for i, s in enumerate(ds.subjects) for _ in s.visits]
+    owners = [i for i, s in enumerate(subjects_of(ds)) for _ in s.visits]
     Z1 = np.column_stack([InputScaler.fit(rows).apply(rows), np.ones(len(y))])
     subject_rows = {}
     for row, owner in enumerate(owners):
@@ -624,15 +580,15 @@ def dict_regrouping_members(ds, B, ridge_lambda, seed):
 
 def test_design_matrix_offsets_partition_rows():
     ds = ragged_visit_dataset(30, seed=1)
-    assert any(not s.visits for s in ds.subjects)
+    assert any(not s.visits for s in subjects_of(ds))
     rows, y = design_matrix(ds)
     offsets = ds.offsets
     assert offsets[0] == 0 and offsets[-1] == len(rows) == len(y)
-    for i, s in enumerate(ds.subjects):
+    for i, s in enumerate(subjects_of(ds)):
         lo, hi = offsets[i], offsets[i + 1]
-        assert list(rows[lo:hi, -1]) == s.visit_times
+        assert list(rows[lo:hi, -1]) == times_of(s)
         assert list(y[lo:hi]) == [v for _, v in s.visits]
-        assert np.all(rows[lo:hi, :-1] == np.append(s.features, s.baseline_value))
+        assert np.all(rows[lo:hi, :-1] == np.append(s.features, s.baseline))
 
 
 # the weighted sums add the rows in another order than the gathered rows'
@@ -644,7 +600,7 @@ GATHER_RTOL = 1e-10
 @pytest.mark.parametrize("B", (2, 5, 40))
 def test_bootstrap_gather_matches_dict_regrouping(seed, B):
     ds = ragged_visit_dataset(25 + seed, seed=seed)
-    assert any(not s.visits for s in ds.subjects)
+    assert any(not s.visits for s in subjects_of(ds))
     m = fit_bootstrap(ds, B=B, ridge_lambda=0.5, seed=seed)
     np.testing.assert_allclose(m.members, dict_regrouping_members(ds, B, 0.5, seed),
                                rtol=GATHER_RTOL, atol=0)
@@ -671,11 +627,11 @@ def test_bootstrap_subjects_without_visits_match_dict_regrouping():
     for i, n_visits in enumerate(pattern * 3):
         x = rng.standard_normal(2)
         times = np.sort(rng.choice(np.arange(1, 48), size=n_visits, replace=False))
-        subjects.append(SubjectRecord(f"s{i:02d}", x, {}, float(rng.standard_normal()),
-                                      tuple((int(t), float(0.2 * x[0] - 0.01 * t
-                                                           + rng.normal(0, 0.1)))
-                                            for t in times)))
-    ds = dataset_of(tuple(subjects), ("f0", "f1"), ())
+        subjects.append(Subject(f"s{i:02d}", x, {}, float(rng.standard_normal()),
+                                tuple((int(t), float(0.2 * x[0] - 0.01 * t
+                                                     + rng.normal(0, 0.1)))
+                                      for t in times)))
+    ds = dataset_of(subjects, ("f0", "f1"), ())
     assert list(ds.visit_counts) == list(pattern * 3)
     for seed in (0, 1):
         m = fit_bootstrap(ds, B=6, ridge_lambda=0.5, seed=seed)

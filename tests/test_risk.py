@@ -1,4 +1,3 @@
-import itertools
 import logging
 import math
 import tracemalloc
@@ -8,20 +7,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftraj.conformal import (GroupCalibration, ScoreSet, band_for_subject, calibrate,
-                                mondrian_calibrate, score_dataset)
+from conftraj.conformal import (GroupCalibration, ScoreSet, calibrate, mondrian_calibrate,
+                                score_dataset)
 from conftraj.data_model import split, standardize
 from conftraj.errors import ConfigurationError, DataError
 from conftraj.evaluation import fit_predictor
-from conftraj.risk import (MAX_BOOTSTRAP_B, PROGRESSOR, STABLE, RiskScores,
-                           _replicate_counts, _score_report, bootstrap_ci,
-                           classify_metrics, risk_pipeline, roc_hat, rocb,
+from conftraj.risk import (MAX_BOOTSTRAP_B, PROGRESSOR, STABLE, _replicate_counts,
+                           bootstrap_ci, classify_metrics, risk_pipeline, roc_hat, rocb,
                            threshold_free, youden_threshold)
 from conftraj.synth import GroupSpec, SynthConfig, generate
-
-
-def labels_of(flags):
-    return [PROGRESSOR if f else STABLE for f in flags]
+from tests.reference import (labels_of, pairwise_auc_oracle, risk_scores, scored,
+                             subjects_of, youden_enumeration_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -148,23 +144,6 @@ def test_youden_ge_rule_mirror():
 def test_youden_single_class_errors():
     with pytest.raises(DataError):
         youden_threshold([0.0, 1.0], labels_of([True, True]))
-
-
-def youden_enumeration_oracle(scores, labels, rule):
-    pos = np.asarray([lab == PROGRESSOR for lab in labels])
-    scores = np.asarray(scores, dtype=float)
-    extreme = -math.inf if rule == "le" else math.inf
-    best_tau, best_j = None, -math.inf
-    for tau in sorted(set(float(v) for v in scores)) + [extreme]:
-        flagged = scores <= tau if rule == "le" else scores >= tau
-        j = (np.sum(flagged & pos) / np.sum(pos)
-             + np.sum(~flagged & ~pos) / np.sum(~pos) - 1.0)
-        if j > best_j + 1e-12:
-            best_tau, best_j = tau, j
-        elif abs(j - best_j) <= 1e-12 and best_tau is not None:
-            if (rule == "le" and tau < best_tau) or (rule == "ge" and tau > best_tau):
-                best_tau = tau
-    return best_tau
 
 
 def test_youden_matches_enumeration_oracle():
@@ -396,19 +375,6 @@ def test_bootstrap_ci_memory_stays_below_an_index_matrix():
 # ---------------------------------------------------------------------------
 # threshold-free metrics
 
-def pairwise_auc_oracle(decision, pos):
-    wins = 0.0
-    pairs = 0
-    for i, j in itertools.product(range(len(decision)), repeat=2):
-        if pos[i] and not pos[j]:
-            pairs += 1
-            if decision[i] > decision[j]:
-                wins += 1.0
-            elif decision[i] == decision[j]:
-                wins += 0.5
-    return wins / pairs
-
-
 def threshold_free_loop_oracle(scores, labels, rule):
     """threshold_free as it once ran: a while loop over each sorted order."""
     scores = np.asarray(scores, dtype=float)
@@ -598,34 +564,6 @@ def fitted_risk_inputs(n=300, seed=0, kind="bootstrap", group_spec=()):
     return test_std, truth, model, cal
 
 
-def reference_risk_pipeline(test, truth, model, cal, direction, bootstrap_B=2000, seed=0):
-    """risk_pipeline as it was: one band_for_subject call and one scalar
-    roc_hat and rocb call per test subject."""
-    rule = "le" if direction == "decreasing" else "ge"
-    rows = []
-    for s in test.scored_subjects():
-        if s.subject_id not in truth:
-            raise DataError(f"no progression label for subject {s.subject_id}")
-        tN = s.visit_times[-1]
-        band = band_for_subject(model, s, cal, [tN])
-        center = band.center_at(tN)
-        rh = roc_hat(s.baseline_value, center, 0, tN)
-        r = band.radius_at(tN)
-        rb = (rocb(s.baseline_value, (center - r, center + r), 0, tN, direction)
-              if band.finite else math.nan)
-        rows.append((s.subject_id, tN, rh, rb, bool(truth[s.subject_id]["is_progressor"])))
-    ids, tNs, rhs, rbs, progressor = zip(*rows)
-    labels = labels_of(progressor)
-    finite = [i for i, rb in enumerate(rbs) if math.isfinite(rb)]
-    reports = {"roc_hat": _score_report("roc_hat", list(rhs), labels, rule,
-                                        bootstrap_B, seed, 0),
-               "rocb": _score_report("rocb", [rbs[i] for i in finite],
-                                     [labels[i] for i in finite], rule, bootstrap_B,
-                                     seed, len(rows) - len(finite))}
-    return RiskScores(ids, np.array(tNs), np.array(rhs), np.array(rbs),
-                      np.array(progressor)), reports
-
-
 def assert_same_scores(got, want):
     """got's columns equal want's, bit for bit."""
     assert got.subject_ids == want.subject_ids
@@ -638,11 +576,10 @@ def test_risk_pipeline_records_and_reports():
     test, truth, model, cal = fitted_risk_inputs()
     scores, reports = risk_pipeline(test, truth, model, cal, "decreasing",
                                     bootstrap_B=100, seed=0)
-    subjects = test.scored_subjects()
-    assert scores.subject_ids == tuple(s.subject_id for s in subjects)
-    assert scores.tN.tolist() == [s.visit_times[-1] for s in subjects]
-    assert scores.progressor.tolist() == [truth[s.subject_id]["is_progressor"]
-                                          for s in subjects]
+    subjects = scored(subjects_of(test))
+    assert scores.subject_ids == tuple(s.id for s in subjects)
+    assert scores.tN.tolist() == [s.visits[-1][0] for s in subjects]
+    assert scores.progressor.tolist() == [truth[s.id]["is_progressor"] for s in subjects]
     assert np.all(scores.rocb <= scores.roc_hat + 1e-12)
     for name in ("roc_hat", "rocb"):
         rep = reports[name]
@@ -664,9 +601,9 @@ def test_risk_pipeline_missing_truth_errors():
     # every label is checked before the batched prediction, so the error
     # names the first unlabelled subject, as the per-subject loop did
     test, truth, model, cal = fitted_risk_inputs(n=120, seed=2)
-    ids = [s.subject_id for s in test.scored_subjects()]
+    ids = [s.id for s in scored(subjects_of(test))]
     truth = {k: v for k, v in truth.items() if k not in (ids[3], ids[7])}
-    for pipeline in (risk_pipeline, reference_risk_pipeline):
+    for pipeline in (risk_pipeline, risk_scores):
         with pytest.raises(DataError, match=f"no progression label for subject {ids[3]}$"):
             pipeline(test, truth, model, cal, "decreasing", bootstrap_B=10)
 
@@ -696,8 +633,7 @@ def test_risk_pipeline_matches_per_subject_reference(kind, direction):
     # to within 1e-9
     test, truth, model, cal = fitted_risk_inputs(n=200, seed=4, kind=kind)
     got = risk_pipeline(test, truth, model, cal, direction, bootstrap_B=50, seed=4)
-    want = reference_risk_pipeline(test, truth, model, cal, direction,
-                                   bootstrap_B=50, seed=4)
+    want = risk_scores(test, truth, model, cal, direction, bootstrap_B=50, seed=4)
     if kind != "gp":
         assert_same_scores(got[0], want[0])
         assert got[1] == want[1]
@@ -718,18 +654,14 @@ def test_risk_pipeline_mondrian_warns_once_per_call(caplog):
     # calibration saw no subject of site c: those fall back to the population radius
     gcal = GroupCalibration("site", {g: c for g, c in full.per_group.items() if g != "c"},
                             full.fallback)
-    n_unseen = sum(s.group_labels["site"] == "c" for s in test.scored_subjects())
+    n_unseen = sum(s.labels["site"] == "c" for s in scored(subjects_of(test)))
     assert n_unseen > 1
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="conftraj.conformal"):
         got = risk_pipeline(test, truth, model, gcal, "decreasing", bootstrap_B=10)
     assert len(caplog.records) == 1
     assert f"{n_unseen} subject(s)" in caplog.text and "['c']" in caplog.text
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="conftraj.conformal"):
-        want = reference_risk_pipeline(test, truth, model, gcal, "decreasing",
-                                       bootstrap_B=10)
-    assert len(caplog.records) == n_unseen
+    want = risk_scores(test, truth, model, gcal, "decreasing", bootstrap_B=10)
     assert_same_scores(got[0], want[0])
     assert got[1] == want[1]
 
@@ -743,11 +675,10 @@ def test_risk_pipeline_infinite_group_bands_match_the_reference():
     gcal = GroupCalibration("site", {**full.per_group, "c": calibrate(ScoreSet((), ()), 0.1)},
                             full.fallback)
     got = risk_pipeline(test, truth, model, gcal, "increasing", bootstrap_B=20, seed=6)
-    want = reference_risk_pipeline(test, truth, model, gcal, "increasing",
-                                   bootstrap_B=20, seed=6)
+    want = risk_scores(test, truth, model, gcal, "increasing", bootstrap_B=20, seed=6)
     assert_same_scores(got[0], want[0])
     assert got[1] == want[1]
-    in_c = np.array([s.group_labels["site"] == "c" for s in test.scored_subjects()])
+    in_c = np.array([s.labels["site"] == "c" for s in scored(subjects_of(test))])
     assert 0 < in_c.sum() < len(in_c)
     assert np.array_equal(np.isnan(got[0].rocb), in_c)
     assert got[1]["rocb"].n_excluded == in_c.sum()

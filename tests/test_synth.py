@@ -5,6 +5,7 @@ import pytest
 
 from conftraj.errors import ConfigurationError
 from conftraj.synth import SYNTH_RULES, GroupSpec, SynthConfig, generate
+from tests.reference import subjects_of, times_of
 
 
 def test_noiseless_linear():
@@ -12,10 +13,10 @@ def test_noiseless_linear():
                       slope_stable=-0.01, slope_progressor=-0.05,
                       progressor_frac=0.0, seed=5)
     ds, truth = generate(cfg)
-    s = ds.subjects[0]
+    (s,) = subjects_of(ds)
     for t, y in s.visits:
-        assert y == pytest.approx(s.baseline_value - 0.01 * t, abs=1e-12)
-    assert truth[s.subject_id]["true_slope"] == pytest.approx(-0.01)
+        assert y == pytest.approx(s.baseline - 0.01 * t, abs=1e-12)
+    assert truth[s.id]["true_slope"] == pytest.approx(-0.01)
 
 
 def test_no_progressors():
@@ -28,15 +29,15 @@ def test_deterministic():
     ds1, t1 = generate(cfg)
     ds2, t2 = generate(cfg)
     assert t1 == t2
-    for a, b in zip(ds1.subjects, ds2.subjects):
+    for a, b in zip(subjects_of(ds1), subjects_of(ds2)):
         assert a.visits == b.visits
         assert np.array_equal(a.features, b.features)
 
 
 def test_visit_times_valid():
     ds, _ = generate(SynthConfig(n_subjects=300, max_time=60, seed=9))
-    for s in ds.subjects:
-        times = s.visit_times
+    for s in subjects_of(ds):
+        times = times_of(s)
         assert all(1 <= t <= 60 for t in times)
         assert all(b > a for a, b in zip(times, times[1:]))
 
@@ -56,9 +57,8 @@ def test_group_labels_and_rates():
     _, truth = generate(SynthConfig(n_subjects=600, group_spec=(gs,), seed=8))
     ds, truth = generate(SynthConfig(n_subjects=600, group_spec=(gs,), seed=8))
     rates = {}
-    for s in ds.subjects:
-        rates.setdefault(s.group_labels["site"], []).append(
-            truth[s.subject_id]["is_progressor"])
+    for s in subjects_of(ds):
+        rates.setdefault(s.labels["site"], []).append(truth[s.id]["is_progressor"])
     assert np.mean(rates["a"]) > 0.75
     assert np.mean(rates["b"]) < 0.25
 
