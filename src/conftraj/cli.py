@@ -21,20 +21,16 @@ from itertools import count
 from pathlib import Path
 
 from . import conformal, risk as risk_mod
-from .data_model import (CsvSchema, StandardizationStats, csv_blocks, load_csv, open_csv,
-                         save_csv, split, standardize)
+from .data_model import (SPLIT_RULES, CsvSchema, StandardizationStats, csv_blocks, load_csv,
+                         open_csv, save_csv, split, standardize)
 from .errors import (ConfigurationError, ConftrajError, DataError, NumericalError,
-                     check_rules, is_int, is_number, is_numbers)
-from .evaluation import (MAX_SPLITS, calibrate_groups, fit_split, run_protocol,
+                     check_rules, is_int)
+from .evaluation import (EVALUATION_RULES, calibrate_groups, fit_split, run_protocol,
                          stratified_compare, sweep_calibration_fraction)
-from .predictors import KINDS, load_model, read_checked, read_json, save_model
+from .predictors import KINDS, PREDICTOR_RULES, load_model, read_checked, read_json, save_model
 from .synth import SYNTH_RULES, GroupSpec, SynthConfig, generate
 
 SCHEMA_TAG = "conftraj-output-v1"
-
-
-def _fraction(v):
-    return is_number(v) and 0 < v < 1
 
 
 def _defaults(fn):
@@ -47,42 +43,33 @@ _STRINGS = ("a list of strings",
             lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v))
 _OBJECTS = ("a list of objects",
             lambda v: isinstance(v, list) and all(isinstance(g, dict) for g in v))
-_RUN, _SWEEP, _RISK = map(_defaults, (run_protocol, sweep_calibration_fraction,
-                                      risk_mod.risk_pipeline))
+_EVALUATION = {**_defaults(sweep_calibration_fraction), **_defaults(run_protocol)}
 
-# section -> key -> (default, what the value must be, test) for every key a
-# config may hold; section None is the top level.  Every given value is
-# checked on load, and _get reads it or its default; a MISSING default marks
-# a key that each command reading it requires.  synth keys and
-# predictor.options take the rules of their owners, SynthConfig and the fits.
+# section -> key -> (default, rule) for every key a config may hold, a rule
+# being (what the value must be, test); section None is the top level.  Every
+# given value is checked on load, and _get reads it or its default; a MISSING
+# default marks a key that each command reading it requires.  A key that a
+# library function takes has that function's rule, from its module's *_RULES
+# table (synth keys SynthConfig's, predictor.options the fits' in KINDS).
 _CONFIG = {
-    None: {"seed": (0, "an int >= 0", lambda v: is_int(v) and v >= 0),
-           "out": (MISSING, *_STRING)},
-    "synth": {f.name: (f.default, *SYNTH_RULES.get(f.name, _OBJECTS))
+    None: {"seed": (0, ("an int >= 0", lambda v: is_int(v) and v >= 0)),
+           "out": (MISSING, _STRING)},
+    "synth": {f.name: (f.default, SYNTH_RULES.get(f.name, _OBJECTS))
               for f in fields(SynthConfig) if f.name != "seed"},
-    "data": {"path": (MISSING, *_STRING), "truth_path": (MISSING, *_STRING),
-             **{f.name: (f.default, *(_STRING if f.type == "str" else _STRINGS))
+    "data": {"path": (MISSING, _STRING), "truth_path": (MISSING, _STRING),
+             **{f.name: (f.default, _STRING if f.type == "str" else _STRINGS)
                 for f in fields(CsvSchema)}},
-    "predictor": {"kind": ("gp", f"one of {', '.join(KINDS)}",
-                           lambda v: isinstance(v, str) and v in KINDS),
-                  "options": ({}, "an object", lambda v: isinstance(v, dict)),
-                  "model_dir": (None, *_STRING)},      # None: the output directory
-    "conformal": {"alpha": (0.1, "a number in (0,1) (conformal.calibrate precondition)",
-                            _fraction),
-                  "group_by": (_RUN["group_by"], *_STRING)},
-    "evaluation": {"n_splits": (_RUN["n_splits"], f"an int in [1, {MAX_SPLITS}]",
-                                lambda v: is_int(v) and 1 <= v <= MAX_SPLITS),
-                   "test_frac": (_RUN["test_frac"], "a number in (0,1)", _fraction),
-                   "calib_frac": (_RUN["calib_frac"], "a number in (0,1)", _fraction),
-                   "mode": (_RUN["mode"], "'conformal' or 'baseline'",
-                            lambda v: v in ("conformal", "baseline")),
-                   "fracs": (_SWEEP["fracs"], "a non-empty list of numbers in [0,1)",
-                             lambda v: is_numbers(v) and all(0 <= f < 1 for f in v))},
-    "risk": {"direction": ("decreasing", "'decreasing' or 'increasing'",
-                           lambda v: v in ("decreasing", "increasing")),
-             "bootstrap_B": (_RISK["bootstrap_B"],
-                             f"an int in [1, {risk_mod.MAX_BOOTSTRAP_B}]",
-                             lambda v: is_int(v) and 1 <= v <= risk_mod.MAX_BOOTSTRAP_B)},
+    "predictor": {"kind": ("gp", PREDICTOR_RULES["kind"]),
+                  "options": ({}, ("an object", lambda v: isinstance(v, dict))),
+                  "model_dir": (None, _STRING)},      # None: the output directory
+    "conformal": {"alpha": (0.1, conformal.CONFORMAL_RULES["alpha"]),
+                  "group_by": (_EVALUATION["group_by"], _STRING)},
+    "evaluation": {key: (_EVALUATION[key], rule)
+                   for key, rule in {**SPLIT_RULES, **EVALUATION_RULES}.items()},
+    # risk_pipeline's direction has no default
+    "risk": {"direction": ("decreasing", risk_mod.RISK_RULES["direction"]),
+             "bootstrap_B": (_defaults(risk_mod.risk_pipeline)["bootstrap_B"],
+                             risk_mod.RISK_RULES["bootstrap_B"])},
 }
 
 
@@ -101,14 +88,12 @@ def _validate_config(cfg: dict):
     for key, value in cfg.items():
         if key in _CONFIG and not isinstance(value, dict):
             raise ConfigurationError(f"config section {key!r} must be an object")
-        given = ([(f"{key}.{sub}", _CONFIG[key], sub, v) for sub, v in value.items()]
-                 if key in _CONFIG else [(key, _CONFIG[None], key, value)])
-        for name, rules, sub, v in given:
-            if sub not in rules:
-                raise ConfigurationError(f"unknown config key {name!r}")
-            _, expected, ok = rules[sub]
-            if not ok(v):
-                raise ConfigurationError(f"{name} must be {expected}, got {v!r}")
+        section, values = (key, value) if key in _CONFIG else (None, {key: value})
+        prefix = f"{key}." if section else ""
+        for sub, v in values.items():
+            if sub not in _CONFIG[section]:
+                raise ConfigurationError(f"unknown config key {prefix + sub!r}")
+            check_rules({sub: _CONFIG[section][sub][1]}, {sub: v}, prefix)
     kind, options = _get(cfg, "predictor.kind"), _get(cfg, "predictor.options")
     accepted = KINDS[kind].options
     for name in options:
@@ -151,14 +136,10 @@ def _synth_config(cfg) -> SynthConfig:
         for key in ("column", "categories", "probs"):
             if key not in g:
                 raise ConfigurationError(f"synth.group_spec[{i}] needs key {key!r}")
-            if key != "column" and not isinstance(g[key], list):
-                raise ConfigurationError(f"synth.group_spec[{i}].{key} must be a list")
         for key in g:
             if key not in accepted:
                 raise ConfigurationError(f"unknown config key 'synth.group_spec[{i}].{key}'")
-    values["group_spec"] = tuple(
-        GroupSpec(**{**g, "categories": tuple(g["categories"]), "probs": tuple(g["probs"])})
-        for g in values["group_spec"])
+    values["group_spec"] = tuple(GroupSpec(**g) for g in values["group_spec"])
     return SynthConfig(seed=_get(cfg, "seed"), **values)
 
 

@@ -19,10 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import Dataset, SubjectRecord, _first_difference, _offsets, _take
-from .errors import ConfigurationError, DataError
+from .errors import FRACTION, DataError, check_rules
 from .predictors import predict_batch, visit_rows
 
 log = logging.getLogger(__name__)
+
+# parameter -> (what it must be, test), for the miscoverage of every calibration
+CONFORMAL_RULES = {"alpha": FRACTION}
 
 
 @dataclass(frozen=True)
@@ -128,8 +131,7 @@ def _ranked(values, alpha):
 
 def calibrate(scores: ScoreSet, alpha: float) -> CalibrationResult:
     """Conformal radius from a ScoreSet."""
-    if not 0 < alpha < 1:
-        raise ConfigurationError(f"alpha must be in (0,1), got {alpha}")
+    check_rules(CONFORMAL_RULES, {"alpha": alpha})
     return _ranked(np.sort(scores.values), alpha)
 
 

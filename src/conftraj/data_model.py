@@ -21,7 +21,7 @@ from operator import itemgetter, ne
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, SchemaError
+from .errors import FRACTION, ConfigurationError, DataError, SchemaError, check_rules, is_number
 
 log = logging.getLogger(__name__)
 
@@ -637,6 +637,11 @@ def standardize(ds: Dataset, stats: StandardizationStats | None = None):
                       values=(ds.values - mean) / std), stats
 
 
+# parameter -> (what it must be, test), for split's fractions
+SPLIT_RULES = {"test_frac": FRACTION,
+               "calib_frac": ("a number in [0,1)", lambda v: is_number(v) and 0 <= v < 1)}
+
+
 def split(ds: Dataset, test_frac: float, calib_frac: float, seed: int) -> SplitIndices:
     """Seeded shuffle-split into train / calibration / test subject indices.
 
@@ -645,10 +650,7 @@ def split(ds: Dataset, test_frac: float, calib_frac: float, seed: int) -> SplitI
     go to test; of the remainder, floor(. * calib_frac) go to calibration;
     the rest train.
     """
-    if not 0 < test_frac < 1:
-        raise ConfigurationError(f"test_frac must be in (0,1), got {test_frac}")
-    if not 0 <= calib_frac < 1:
-        raise ConfigurationError(f"calib_frac must be in [0,1), got {calib_frac}")
+    check_rules(SPLIT_RULES, {"test_frac": test_frac, "calib_frac": calib_frac})
     n = len(ds)
     rng = np.random.default_rng(seed)
     perm = ds._id_order[rng.permutation(n)]

@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package, and the value rules whose
 failure is a ConfigurationError."""
 
+import numbers
 import sys
 
 
@@ -25,13 +26,13 @@ class NumericalError(ConftrajError):
 
 
 def is_int(v):
-    """An int that is not a bool, as a JSON integer is read."""
-    return isinstance(v, int) and not isinstance(v, bool)
+    """An integer that is not a bool, as a JSON integer is read, or a numpy int."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def is_number(v):
-    """An int or float that is not a bool, as a JSON number is read."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A real number that is not a bool, as a JSON number is read, or a numpy one."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def is_finite(v):
@@ -40,8 +41,13 @@ def is_finite(v):
 
 
 def is_numbers(v, test=is_number):
-    """A non-empty list or tuple whose every item passes test."""
-    return isinstance(v, (list, tuple)) and len(v) > 0 and all(map(test, v))
+    """A non-empty list, tuple or 1-D array whose every item passes test."""
+    return ((isinstance(v, (list, tuple)) or getattr(v, "ndim", None) == 1)
+            and len(v) > 0 and all(map(test, v)))
+
+
+# (what it must be, test): the rule of a miscoverage or a test fraction
+FRACTION = ("a number in (0,1)", lambda v: is_number(v) and 0 < v < 1)
 
 
 def check_rules(rules, values, prefix=""):

@@ -15,16 +15,23 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .conformal import (CalibrationResult, bands_for_dataset, calibrate,
+from .conformal import (CONFORMAL_RULES, CalibrationResult, bands_for_dataset, calibrate,
                         mondrian_calibrate, score_dataset, worst_residuals)
-from .data_model import Dataset, _first_difference, _offsets, split, standardize
-from .errors import ConfigurationError, ConftrajError, DataError, is_int
+from .data_model import SPLIT_RULES, Dataset, _first_difference, _offsets, split, standardize
+from .errors import ConftrajError, DataError, check_rules, is_int, is_numbers
 from .predictors import fit_predictor
 
 BUCKET_MONTHS = 12          # per_time_width buckets are follow-up years
 # every split refits the predictor and keeps its EvalReport, which report.json
 # and report.csv write out in full
 MAX_SPLITS = 10**4
+# parameter -> (what it must be, test), for the protocol's own parameters
+EVALUATION_RULES = {
+    "n_splits": (f"an int in [1, {MAX_SPLITS}]", lambda v: is_int(v) and 1 <= v <= MAX_SPLITS),
+    "mode": ("'conformal' or 'baseline'",
+             lambda v: isinstance(v, str) and v in ("conformal", "baseline")),
+    "fracs": ("a non-empty list of numbers in [0,1)",      # each a calib_frac
+              lambda v: is_numbers(v, SPLIT_RULES["calib_frac"][1]))}
 
 
 @dataclass(frozen=True)
@@ -133,8 +140,7 @@ def evaluate_split(ds: Dataset, predictor_kind: str, alpha: float,
     "baseline" gives the non-conformal comparison mu +/- z_{1-alpha/2} *
     sigma.  Returns (EvalReport, calibration or None, fitted model).
     """
-    if mode not in ("conformal", "baseline"):
-        raise ConfigurationError(f"unknown evaluation mode {mode!r}")
+    check_rules({**CONFORMAL_RULES, **EVALUATION_RULES}, {"alpha": alpha, "mode": mode})
     model, _, calib_std, test_std = fit_split(ds, predictor_kind, test_frac,
                                               calib_frac, seed, predictor_opts)
     cal = None
@@ -155,9 +161,7 @@ def run_protocol(ds: Dataset, predictor_kind: str, alpha: float,
                  group_by: str | None = None, mode: str = "conformal",
                  predictor_opts: dict | None = None) -> MultiSplitReport:
     """Multi-split evaluation with mean and 95th-percentile aggregation."""
-    if not (is_int(n_splits) and 1 <= n_splits <= MAX_SPLITS):
-        raise ConfigurationError(
-            f"n_splits must be an int in [1, {MAX_SPLITS}], got {n_splits!r}")
+    check_rules(EVALUATION_RULES, {"n_splits": n_splits})
     rng = np.random.default_rng(seed)
     split_seeds = rng.integers(0, 2 ** 31 - 1, size=n_splits)
     reports = []
@@ -188,6 +192,7 @@ def sweep_calibration_fraction(ds: Dataset, predictor_kind: str, alpha: float,
     """Coverage / width per calibration fraction on a fixed validation split."""
     if fracs is None:
         fracs = [0.01, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30]
+    check_rules(EVALUATION_RULES, {"fracs": fracs})
     rows = []
     for frac in fracs:
         report, _, _ = evaluate_split(ds, predictor_kind, alpha, test_frac, frac,
@@ -204,6 +209,7 @@ def stratified_compare(ds: Dataset, predictor_kind: str, alpha: float,
                        predictor_opts: dict | None = None):
     """Population vs Mondrian calibration from the same fitted model,
     evaluated per test group."""
+    check_rules(CONFORMAL_RULES, {"alpha": alpha})
     model, _, calib_std, test_std = fit_split(ds, predictor_kind, test_frac,
                                               calib_frac, seed, predictor_opts)
     scores = score_dataset(model, calib_std)

@@ -480,12 +480,9 @@ KINDS = {
     "bootstrap": Kind(BootstrapModel, fit_bootstrap, _bootstrap_predict_batch,
                       {"members": "Bq"}, _BOOTSTRAP_OPTIONS),
 }
-
-
-def _kind(name):
-    if name not in KINDS:
-        raise ConfigurationError(f"unknown predictor kind {name!r}")
-    return KINDS[name]
+# parameter -> (what it must be, test), for fit_predictor's kind
+PREDICTOR_RULES = {"kind": (f"one of {', '.join(KINDS)}",
+                            lambda v: isinstance(v, str) and v in KINDS)}
 
 
 def _kind_of(model):
@@ -497,7 +494,8 @@ def _kind_of(model):
 
 def fit_predictor(kind: str, train: Dataset, seed: int = 0, **opts):
     """Fit a predictor of the given kind; a seeded fit also gets seed."""
-    fit = _kind(kind).fit
+    check_rules(PREDICTOR_RULES, {"kind": kind})
+    fit = KINDS[kind].fit
     if "seed" in inspect.signature(fit).parameters:
         opts["seed"] = seed
     return fit(train, **opts)
@@ -610,8 +608,9 @@ def load_model(path):
     if version != SCHEMA_VERSION:
         raise ConfigurationError(f"model file {path}: cannot read schema_version {version!r}")
     kind = doc.get("kind")
-    if not isinstance(kind, str) or kind not in KINDS:
-        raise _file_error(path, "kind", f"must be one of {', '.join(KINDS)}, got {kind!r}")
+    expected, ok = PREDICTOR_RULES["kind"]
+    if not ok(kind):
+        raise _file_error(path, "kind", f"must be {expected}, got {kind!r}")
     if not isinstance(doc.get("scaler"), dict):
         raise _file_error(path, "scaler", "is missing or not an object")
     sizes = {}

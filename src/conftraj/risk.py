@@ -18,13 +18,20 @@ import numpy as np
 
 from .conformal import _make_bands
 from .data_model import Dataset
-from .errors import ConfigurationError, DataError
+from .errors import FRACTION, ConfigurationError, DataError, check_rules, is_int
 from .predictors import predict_batch, visit_rows
 
 PROGRESSOR = "progressor"
 STABLE = "stable"
 # the most bootstrap replicates one CI draws: their (B, 4) counts take 32 MB
 MAX_BOOTSTRAP_B = 10**6
+# parameter -> (what it must be, test), for the parameters of the risk stage
+RISK_RULES = {
+    "rule": ("'le' or 'ge'", lambda v: isinstance(v, str) and v in ("le", "ge")),
+    "direction": ("'decreasing' or 'increasing'",
+                  lambda v: isinstance(v, str) and v in ("decreasing", "increasing")),
+    "bootstrap_B": (f"an int in [1, {MAX_BOOTSTRAP_B}]",
+                    lambda v: is_int(v) and 1 <= v <= MAX_BOOTSTRAP_B)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +70,7 @@ def _refuse(mask, error, message, *values):
 
 def _rule(direction):
     """The high-risk rule of a progression direction: flag low scores if decreasing."""
-    if direction not in ("decreasing", "increasing"):
-        raise ConfigurationError(f"unknown direction {direction!r}")
+    check_rules(RISK_RULES, {"direction": direction})
     return "le" if direction == "decreasing" else "ge"
 
 
@@ -86,13 +92,8 @@ def rocb(y_t0, band_at_tN, t0, tN, direction: str):
     return roc_hat(y_t0, lower if _rule(direction) == "le" else upper, t0, tN)
 
 
-def _check_rule(rule):
-    if rule not in ("le", "ge"):
-        raise ConfigurationError(f"unknown high-risk rule {rule!r}")
-
-
 def _flags(scores, tau, rule):
-    _check_rule(rule)
+    check_rules(RISK_RULES, {"rule": rule})
     return scores <= tau if rule == "le" else scores >= tau
 
 
@@ -151,7 +152,7 @@ def youden_threshold(scores, labels, rule="le"):
     """
     scores, pos = _checked(scores, labels)
     _both_classes(pos, "Youden threshold")
-    _check_rule(rule)
+    check_rules(RISK_RULES, {"rule": rule})
     extreme = -math.inf if rule == "le" else math.inf
     candidates = sorted(set(scores.tolist())) + [extreme]
     # flagged counts of each class at every candidate, from one sort each
@@ -194,12 +195,7 @@ def bootstrap_ci(scores, labels, tau, rule="le", B=2000, level=0.95, seed=0):
     Replicates that resample a single class are skipped; the skip count is
     reported under "n_skipped".
     """
-    if (isinstance(B, bool) or not isinstance(B, (int, np.integer))
-            or not 1 <= B <= MAX_BOOTSTRAP_B):
-        raise ConfigurationError(
-            f"bootstrap B must be an int in [1, {MAX_BOOTSTRAP_B}], got {B!r}")
-    if not isinstance(level, (int, float)) or not 0 < level < 1:   # bools fail too
-        raise ConfigurationError(f"bootstrap level must be in (0,1), got {level!r}")
+    check_rules({"B": RISK_RULES["bootstrap_B"], "level": FRACTION}, {"B": B, "level": level})
     scores, pos = _checked(scores, labels)
     _both_classes(pos, f"bootstrap CI (B={B})")
     cell = 2 * _flags(scores, tau, rule) + pos          # 0 tn, 1 fn, 2 fp, 3 tp
@@ -221,7 +217,7 @@ def threshold_free(scores, labels, rule="le"):
     """(ROC-AUC, PR-AUC) oriented so the high-risk rule scores positives higher."""
     scores, pos = _checked(scores, labels)
     _both_classes(pos, "AUC")
-    _check_rule(rule)
+    check_rules(RISK_RULES, {"rule": rule})
     decision = -scores if rule == "le" else scores
 
     # One stable ascending sort; runs of equal decision values are tie groups.
@@ -276,6 +272,7 @@ def risk_pipeline(test: Dataset, truth: dict, model, cal, direction: str,
     (see predict_batch).  Returns (RiskScores, {"roc_hat": report, "rocb":
     report}), the rocb report without the subjects whose band is infinite."""
     rule = _rule(direction)
+    check_rules(RISK_RULES, {"bootstrap_B": bootstrap_B})
     scored = np.flatnonzero(test.visit_counts)
     last, tN = test.visit_counts > 0, test.times[test.offsets[1:][scored] - 1]
     bands = _make_bands(test, last, tN, predict_batch(model, visit_rows(test, last), tN), cal)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .data_model import CSV_COLUMNS, MAX_TIME, Dataset, _offsets
 from .errors import ConfigurationError, check_rules, is_finite, is_int, is_number
+from .risk import RISK_RULES
 
 
 @dataclass(frozen=True)
@@ -33,10 +34,16 @@ class GroupSpec:
     def __post_init__(self):
         if not isinstance(self.column, str):
             raise ConfigurationError(f"group {self.column!r}: column must be a string")
-        if not (isinstance(self.categories, (list, tuple))
+        for key in ("categories", "probs"):       # a list, as JSON gives it, is kept as a tuple
+            if isinstance(getattr(self, key), list):
+                object.__setattr__(self, key, tuple(getattr(self, key)))
+        if not (isinstance(self.categories, tuple)
                 and all(isinstance(c, str) for c in self.categories)):
             raise ConfigurationError(f"group {self.column}: categories must be a list of "
                                      f"strings, got {self.categories!r}")
+        if not isinstance(self.probs, tuple):
+            raise ConfigurationError(f"group {self.column}: probs must be a list, "
+                                     f"got {self.probs!r}")
         if len(self.categories) != len(self.probs):
             raise ConfigurationError(f"group {self.column}: categories/probs length mismatch")
         for p in self.probs:
@@ -78,8 +85,7 @@ SYNTH_RULES = {
     "slope_progressor": ("a finite number", is_finite),
     "heterogeneity_std": ("a finite number >= 0", lambda v: is_finite(v) and v >= 0),
     "feature_signal": ("a finite number", is_finite),
-    "direction": ("'decreasing' or 'increasing'",
-                  lambda v: v in ("decreasing", "increasing")),
+    "direction": RISK_RULES["direction"],
     "varying_horizon": ("true or false", lambda v: isinstance(v, bool)),
     "min_horizon": ("an int >= 1", lambda v: is_int(v) and v >= 1),
 }

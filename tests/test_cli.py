@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -12,12 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftraj.cli import _CONFIG, main
-from conftraj.conformal import mondrian_calibrate, score_dataset
-from conftraj.data_model import CsvSchema, load_csv, split
-from conftraj.evaluation import MAX_SPLITS, fit_split
-from conftraj.predictors import KINDS
-from conftraj.risk import risk_pipeline
-from conftraj.synth import SYNTH_RULES
+from conftraj.conformal import (CONFORMAL_RULES, ScoreSet, calibrate, mondrian_calibrate,
+                                score_dataset)
+from conftraj.data_model import SPLIT_RULES, CsvSchema, load_csv, split
+from conftraj.errors import ConfigurationError
+from conftraj.evaluation import (EVALUATION_RULES, MAX_SPLITS, evaluate_split, fit_split,
+                                 run_protocol, sweep_calibration_fraction)
+from conftraj.predictors import KINDS, PREDICTOR_RULES, fit_predictor
+from conftraj.risk import RISK_RULES, risk_pipeline
+from conftraj.synth import SYNTH_RULES, SynthConfig, generate
 from tests import reference
 
 
@@ -252,6 +256,19 @@ def test_sweep_and_stratify_and_risk(tmp_path):
     assert all(0.0 <= float(r["roc_auc"]) <= 1.0 for r in tf)
 
 
+def test_calib_frac_zero_gives_infinite_bands(tmp_path, capsys):
+    # split's own rule: no calibration subject, so every band is infinite
+    gen = gen_cohort(tmp_path, n=60)
+    cfg = write_config(tmp_path / "c.json", {
+        "data": data_section(gen), "predictor": {"kind": "bootstrap"},
+        "evaluation": {"calib_frac": 0, "n_splits": 2}})
+    assert run(["evaluate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    splits = json.loads((tmp_path / "o" / "report.json").read_text())["splits"]
+    assert [(s["n_infinite_bands"], s["coverage"]) for s in splits] == [(6, 1.0)] * 2
+    assert all(s["n_test"] == 6 and math.isnan(s["width"]) for s in splits)
+
+
 def test_invalid_alpha_exit_code_and_message(tmp_path, capsys):
     gen = gen_cohort(tmp_path, n=60)
     cfg = write_config(tmp_path / "bad.json", {
@@ -263,8 +280,8 @@ def test_invalid_alpha_exit_code_and_message(tmp_path, capsys):
     code = run(["evaluate", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 1
     err = capsys.readouterr().err
-    assert "1.5" in err
-    assert "conformal.calibrate precondition" in err
+    assert err == ("error [ConfigurationError]: conformal.alpha must be a number in (0,1), "
+                   "got 1.5\n")
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -366,7 +383,8 @@ def test_group_spec_missing_key_rejected(tmp_path, capsys):
     assert "error [ConfigurationError]" in err and "categories" in err
 
 
-@pytest.mark.parametrize("section,key,value", [
+# (section, key, a value its rule refuses)
+BAD_CONFIG_VALUES = [
     ("evaluation", "n_splits", "2"), ("evaluation", "n_splits", 0),
     ("evaluation", "n_splits", 2.0), ("evaluation", "n_splits", True),
     ("evaluation", "test_frac", 0), ("evaluation", "test_frac", "0.1"),
@@ -401,7 +419,12 @@ def test_group_spec_missing_key_rejected(tmp_path, capsys):
     ("evaluation", "n_splits", MAX_SPLITS + 1), ("evaluation", "n_splits", 10 ** 12),
     # a synth range is checked for every command, not only by generate
     ("synth", "noise_std", -5), ("synth", "n_subjects", 0), ("synth", "direction", "up"),
-])
+    ("conformal", "alpha", 1.5), ("conformal", "alpha", "0.1"), ("conformal", "alpha", 0),
+    ("conformal", "alpha", True),
+]
+
+
+@pytest.mark.parametrize("section,key,value", BAD_CONFIG_VALUES)
 def test_typed_config_value_rejected(tmp_path, capsys, section, key, value):
     # the data file does not exist: the config is rejected before any load
     doc = {"data": {"path": str(tmp_path / "missing.csv")}}
@@ -414,6 +437,60 @@ def test_typed_config_value_rejected(tmp_path, capsys, section, key, value):
     assert run(["risk", "--config", cfg, *out_flag]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error [ConfigurationError]: {name} must be ")
+
+
+# config key -> (the rule table of the library function that takes the
+# key's value, a call of that function with the value and no data, so that
+# a call that reads the data before it checks the value fails)
+OWNERS = {
+    "conformal.alpha": (CONFORMAL_RULES, lambda v: calibrate(ScoreSet((), ()), v)),
+    "evaluation.test_frac": (SPLIT_RULES, lambda v: split(None, v, 0.2, 0)),
+    "evaluation.calib_frac": (SPLIT_RULES, lambda v: split(None, 0.1, v, 0)),
+    "evaluation.n_splits": (EVALUATION_RULES,
+                            lambda v: run_protocol(None, "gp", 0.1, n_splits=v)),
+    "evaluation.mode": (EVALUATION_RULES,
+                        lambda v: evaluate_split(None, "gp", 0.1, 0.1, 0.2, 0, mode=v)),
+    "evaluation.fracs": (EVALUATION_RULES,
+                         lambda v: sweep_calibration_fraction(None, "gp", 0.1, fracs=v)),
+    "risk.direction": (RISK_RULES, lambda v: risk_pipeline(None, {}, None, None, v)),
+    "risk.bootstrap_B": (RISK_RULES, lambda v: risk_pipeline(None, {}, None, None,
+                                                             "decreasing", bootstrap_B=v)),
+    "predictor.kind": (PREDICTOR_RULES, lambda v: fit_predictor(v, None)),
+    "synth.direction": (RISK_RULES, lambda v: SynthConfig(n_subjects=1, direction=v)),
+}
+
+
+@pytest.mark.parametrize("name", OWNERS)
+def test_a_config_key_has_the_rule_of_its_owner(name):
+    # one rule object, not a copy that could drift from the owner's
+    section, _, key = name.rpartition(".")
+    assert _CONFIG[section][key][1] is OWNERS[name][0][key]
+
+
+@pytest.mark.parametrize("section,key,value", [
+    bad for bad in BAD_CONFIG_VALUES if f"{bad[0]}.{bad[1]}" in OWNERS])
+def test_a_library_call_refuses_what_the_config_refuses(section, key, value):
+    rules, call = OWNERS[f"{section}.{key}"]
+    message = f"{key} must be {rules[key][0]}, got {value!r}"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+def test_in_range_numpy_scalars_are_accepted():
+    # JSON never gives them, but a library call may
+    ds, truth = generate(SynthConfig(n_subjects=np.int64(120), seed=3))
+    scores = ScoreSet(tuple("abcdefghij"), np.arange(10.0))
+    assert calibrate(scores, np.float32(0.2)).radius == calibrate(scores, 0.2).radius == 8.0
+    assert split(ds, np.float32(0.1), np.float64(0.2), np.int64(0)) == split(ds, 0.1, 0.2, 0)
+    model, _, calib, test = fit_split(ds, "bootstrap", 0.3, 0.2, 3)
+    cal = calibrate(score_dataset(model, calib), np.float64(0.2))
+    _, reports = risk_pipeline(test, truth, model, cal, np.str_("decreasing"),
+                               bootstrap_B=np.int64(20))
+    assert reports == risk_pipeline(test, truth, model, cal, "decreasing", bootstrap_B=20)[1]
+    report = run_protocol(ds, "bootstrap", 0.1, n_splits=np.int64(1), seed=3)
+    assert report == run_protocol(ds, "bootstrap", 0.1, n_splits=1, seed=3)
+    rows = sweep_calibration_fraction(ds, "bootstrap", 0.1, fracs=np.array([0.2]))
+    assert rows == sweep_calibration_fraction(ds, "bootstrap", 0.1, fracs=[0.2])
 
 
 @pytest.mark.parametrize("name", [key if section is None else f"{section}.{key}"
@@ -571,7 +648,7 @@ def test_bootstrap_B_above_bound_rejected(tmp_path, capsys, fitted_dirs):
     assert code == 1
     assert err == ("error [ConfigurationError]: risk.bootstrap_B must be an int in "
                    "[1, 1000000], got 1000000000000000\n")
-    assert _CONFIG["risk"]["bootstrap_B"][2](10**6)
+    assert _CONFIG["risk"]["bootstrap_B"][1][1](10**6)
 
 
 def test_seed_checked_after_flag_override(tmp_path, capsys):
@@ -730,7 +807,7 @@ def test_calibrate_rejects_bad_scaling_file(tmp_path, capsys, fitted_dirs, edit,
     ({"probs": ["0.5", "0.5"]}, "group site: prob '0.5' is not a number in [0, 1]"),
     ({"probs": [1.5, -0.5]}, "group site: prob 1.5 is not a number in [0, 1]"),
     ({"probs": [True, 0]}, "group site: prob True is not a number in [0, 1]"),
-    ({"probs": 0.5}, "synth.group_spec[0].probs must be a list"),
+    ({"probs": 0.5}, "group site: probs must be a list, got 0.5"),
     ({"noise_multipliers": {"a": "2"}},
      "group site: noise_multipliers['a'] '2' is not a positive finite number"),
     ({"noise_multipliers": {"b": 0}},

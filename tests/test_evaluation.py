@@ -252,6 +252,18 @@ def test_run_protocol_refuses_n_splits_before_drawing_seeds(n_splits):
         run_protocol(cohort(60, seed=1), "bootstrap", 0.1, n_splits=n_splits, seed=0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda alpha: evaluate_split(None, "bootstrap", alpha, 0.1, 0.2, 0),
+    lambda alpha: evaluate_split(None, "bootstrap", alpha, 0.1, 0.2, 0, mode="baseline"),
+    lambda alpha: stratified_compare(None, "bootstrap", alpha, "site"),
+], ids=["conformal", "baseline", "stratified_compare"])
+def test_alpha_is_refused_before_fitting(call):
+    # the baseline's normal quantile calibrates nothing, so alpha is checked
+    # where it enters: no data is given, and none is read
+    with pytest.raises(ConfigurationError, match=r"^alpha must be a number in \(0,1\), got 1\.5$"):
+        call(1.5)
+
+
 def reference_coverage_and_width(bands, test, grouping_column=None):
     """The per-subject reference's report of a band set, each band read from
     its rows, which must be the scored test subjects' at their visit times."""

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,8 @@ from conftraj.synth import GroupSpec, SynthConfig, generate
 from tests.reference import (labels_of, pairwise_auc_oracle, risk_scores, scored,
                              subjects_of, youden_enumeration_oracle)
 
+# the whole refusal of the direction 'sideways'
+SIDEWAYS = r"^direction must be 'decreasing' or 'increasing', got 'sideways'$"
 
 # ---------------------------------------------------------------------------
 # rate-of-change scores
@@ -72,7 +75,7 @@ def test_scalar_refusals_keep_their_messages():
         rocb(1.0, (0.8, 0.2), 0, 10, "decreasing")
     with pytest.raises(DataError, match=r"^rate-of-change bound undefined on an infinite band$"):
         rocb(1.0, (0.2, math.nan), 0, 10, "increasing")
-    with pytest.raises(ConfigurationError, match=r"^unknown direction 'sideways'$"):
+    with pytest.raises(ConfigurationError, match=SIDEWAYS):
         rocb(1.0, (0.2, 0.8), 0, 10, "sideways")
 
 
@@ -117,7 +120,7 @@ def test_array_refusals_name_the_first_bad_subject():
         rocb(y0, (band[0], np.array([2.0, 2.0, math.inf, 2.0])), 0, 6, "increasing")
     with pytest.raises(DataError, match=r"^band lower 2\.5 exceeds upper 2\.0$"):
         rocb(y0, (np.array([0.0, 2.5, 3.0, 0.0]), band[1]), 0, 6, "decreasing")
-    with pytest.raises(ConfigurationError, match=r"^unknown direction 'sideways'$"):
+    with pytest.raises(ConfigurationError, match=SIDEWAYS):
         rocb(y0, band, 0, np.arange(1, 5), "sideways")
 
 
@@ -617,12 +620,16 @@ def test_risk_pipeline_all_bands_infinite_errors():
 
 def test_risk_pipeline_refuses_an_unknown_direction_first():
     # before any prediction: every band infinite, or no model at all, still
-    # gives the direction's error
+    # gives the direction's error, and a bad bootstrap_B's
     test, truth, model, cal = fitted_risk_inputs(n=200, seed=1)
     inf_cal = calibrate(ScoreSet((), ()), 0.1)
     for m, c in ((model, cal), (model, inf_cal), (None, inf_cal)):
-        with pytest.raises(ConfigurationError, match=r"^unknown direction 'sideways'$"):
+        with pytest.raises(ConfigurationError, match=SIDEWAYS):
             risk_pipeline(test, truth, m, c, "sideways", bootstrap_B=10)
+        for B in (0, "20", True, 20.0, MAX_BOOTSTRAP_B + 1):
+            with pytest.raises(ConfigurationError, match=rf"^bootstrap_B must be an int in "
+                               rf"\[1, {MAX_BOOTSTRAP_B}\], got {re.escape(repr(B))}$"):
+                risk_pipeline(test, truth, m, c, "decreasing", bootstrap_B=B)
 
 
 @pytest.mark.parametrize("kind", ["bootstrap", "quantile", "gp"])

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -74,6 +75,18 @@ def test_wrong_type_names_the_field(key):
     for value in ("x", [[]]):
         with pytest.raises(ConfigurationError, match=f"^{key} must be "):
             SynthConfig(**{"n_subjects": 10, key: value})
+
+
+@pytest.mark.parametrize("categories,probs,expected", [
+    (("a",), 1.0, "group s: probs must be a list, got 1.0"),
+    ("ab", (0.5, 0.5), "group s: categories must be a list of strings, got 'ab'"),
+])
+def test_group_spec_lists_are_its_own_rule(categories, probs, expected):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(expected)}$"):
+        GroupSpec(column="s", categories=categories, probs=probs)
+    # a list, as a JSON config gives it, is kept as a tuple
+    gs = GroupSpec(column="s", categories=["a", "b"], probs=[0.5, 0.5])
+    assert (gs.categories, gs.probs) == (("a", "b"), (0.5, 0.5))
 
 
 def test_feature_matrix_bounded():
