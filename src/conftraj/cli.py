@@ -18,11 +18,13 @@ import json
 import sys
 from dataclasses import MISSING, fields
 from itertools import count
+from operator import itemgetter
 from pathlib import Path
 
 from . import conformal, risk as risk_mod
-from .data_model import (SPLIT_RULES, CsvSchema, StandardizationStats, csv_blocks, load_csv,
-                         open_csv, save_csv, split, standardize)
+from .data_model import (SPLIT_RULES, WRITE_BLOCK, CsvSchema, StandardizationStats,
+                         csv_blocks, csv_cell, load_csv, open_csv, open_fresh, save_csv,
+                         split, standardize)
 from .errors import (ConfigurationError, ConftrajError, DataError, NumericalError,
                      check_rules, is_int)
 from .evaluation import (EVALUATION_RULES, calibrate_groups, fit_split, run_protocol,
@@ -124,7 +126,7 @@ def _load_config(args) -> dict:
 
 
 def _write_json(path: Path, doc):
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_fresh(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -178,15 +180,24 @@ def _cal_to_doc(cal) -> dict:
             "radius": cal.radius if cal.finite else "inf"}
 
 
+def _write_truth(path: Path, truth):
+    """truth (subject_id -> {"is_progressor": bool, "true_slope": float}) as a
+    CSV in subject_id order, byte for byte as csv.writer writes it."""
+    sids = sorted(truth)
+    with open_fresh(path) as fh:
+        fh.write("subject_id,is_progressor,true_slope\r\n")
+        for a in range(0, len(sids), WRITE_BLOCK):
+            block = sids[a:a + WRITE_BLOCK]
+            entries = [truth[sid] for sid in block]
+            fh.write("".join(map("{},{},{!r}\r\n".format, map(csv_cell, block),
+                                 map(int, map(itemgetter("is_progressor"), entries)),
+                                 map(itemgetter("true_slope"), entries))))
+
+
 def cmd_generate(cfg, out: Path):
     ds, truth = generate(_synth_config(cfg))
     save_csv(ds, out / "cohort.csv")
-    with open(out / "truth.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "is_progressor", "true_slope"])
-        for sid in sorted(truth):
-            writer.writerow([sid, int(truth[sid]["is_progressor"]),
-                             repr(truth[sid]["true_slope"])])
+    _write_truth(out / "truth.csv", truth)
 
 
 def _fit_split(cfg, ds):
@@ -253,7 +264,7 @@ def _report_rows(report, split_idx):
 
 
 def _write_rows(path: Path, rows, fieldnames):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_fresh(path) as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import csv
 import gc
+import io
 import logging
 import math
+import os
 import re
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
-from operator import itemgetter, ne
+from operator import getitem, itemgetter, ne
 
 import numpy as np
 
@@ -289,6 +291,34 @@ def open_csv(path):
     """path opened to read as CSV text: UTF-8, with each byte that is not
     UTF-8 read as its surrogateescape character, which csv_blocks names."""
     return open(path, newline="", encoding="utf-8", errors="surrogateescape")
+
+
+def open_fresh(path):
+    """path opened to write UTF-8 text as a new file: whatever was at path
+    is unlinked first, so a link there is replaced, not written through.
+    Truncating a file in place can block for hundreds of milliseconds on a
+    file system that discards freed blocks; unlinking it does not."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "w", newline="", encoding="utf-8")
+
+
+WRITE_BLOCK = 128   # subjects or truth rows formatted per write: about 80 KB of
+                    # cohort rows, so no transient string reaches glibc's 128 KB
+                    # mmap threshold, which freeing one would raise for the process
+
+NEEDS_QUOTES = re.compile('[,"\r\n]')     # what csv.writer quotes in a cell
+
+
+def csv_cell(text):
+    """text as csv.writer writes it in a row of several cells."""
+    if NEEDS_QUOTES.search(text) is None:
+        return text
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text])
+    return buf.getvalue()[:-2]      # less the row's "\r\n"
 
 
 def _line_fault(line):
@@ -587,32 +617,57 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
                    group_columns=tuple(schema.group_cols))
 
 
-def save_csv(ds: Dataset, path) -> None:
-    """Serialize a Dataset back to the long CSV format (round-trips load_csv).
-    A subject ID or group label that load_csv rejects, one holding a NUL
-    character or longer than csv.field_size_limit(), is a DataError naming
-    the subject."""
-    header = [*CSV_COLUMNS, *ds.feature_names, *ds.group_columns]
+def _check_writable(ds: Dataset):
+    """Raise a DataError naming the first subject whose ID or a group label
+    load_csv would refuse: one holding a NUL character or longer than
+    csv.field_size_limit()."""
     limit = csv.field_size_limit()
-    times, values, bounds = ds.times.tolist(), ds.values.tolist(), ds.offsets.tolist()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for sid, feats, groups, baseline, lo, hi in zip(
-                ds.subject_ids, ds.features.tolist(), ds._label_rows(), ds.baseline.tolist(),
-                bounds, bounds[1:]):
-            if "\0" in sid or any("\0" in g for g in groups):
-                raise DataError(f"subject {sid!r}: NUL character in its ID "
-                                "or a group label")
-            longest = max(len(text) for text in (sid, *groups))
-            if longest > limit:
-                raise DataError(f"subject {sid[:20]!r} (ID of {len(sid)} "
-                                f"characters): its ID or a group label has {longest} "
-                                f"characters, over the csv field limit ({limit})")
-            tail = [repr(v) for v in feats] + list(groups)
-            writer.writerow([sid, 0, repr(baseline)] + tail)
-            writer.writerows([sid, t, repr(y)] + tail
-                             for t, y in zip(times[lo:hi], values[lo:hi]))
+
+    def bad(text):
+        return "\0" in text or len(text) > limit
+
+    faulty = np.fromiter(map(bad, ds.subject_ids), bool, len(ds))
+    for codes, categories in zip(ds.group_codes.T, ds.group_categories):
+        faulty |= np.fromiter(map(bad, categories), bool, len(categories))[codes]
+    if not faulty.any():
+        return
+    i = int(np.argmax(faulty))
+    sid, groups = ds.subject_ids[i], ds._label_rows()[i]
+    if "\0" in sid or any("\0" in g for g in groups):
+        raise DataError(f"subject {sid!r}: NUL character in its ID or a group label")
+    longest = max(len(text) for text in (sid, *groups))
+    raise DataError(f"subject {sid[:20]!r} (ID of {len(sid)} characters): its ID or a "
+                    f"group label has {longest} characters, over the csv field limit "
+                    f"({limit})")
+
+
+def save_csv(ds: Dataset, path) -> None:
+    """Serialize a Dataset back to the long CSV format (round-trips load_csv),
+    byte for byte as csv.writer writes it: each subject's month-0 row, then
+    its visits.  A subject ID or group label that load_csv rejects, one
+    holding a NUL character or longer than csv.field_size_limit(), is a
+    DataError naming the subject, raised before anything is written."""
+    _check_writable(ds)
+    labels = [tuple(map(csv_cell, categories)) for categories in ds.group_categories]
+    with open_fresh(path) as fh:
+        fh.write(",".join(map(csv_cell, (*CSV_COLUMNS, *ds.feature_names,
+                                         *ds.group_columns))) + "\r\n")
+        for a in range(0, len(ds), WRITE_BLOCK):
+            block = slice(a, a + WRITE_BLOCK)
+            bounds = ds.offsets[a:a + WRITE_BLOCK + 1]
+            starts = bounds[:-1] - bounds[0]
+            visits = slice(bounds[0], bounds[-1])
+            times = np.insert(ds.times[visits], starts, 0).tolist()
+            values = np.insert(ds.values[visits], starts, ds.baseline[block])
+            rows = (np.diff(bounds) + 1).tolist()       # the baseline row and the visits
+            heads = map(csv_cell, ds.subject_ids[block])
+            tails = [",".join(["", *map(repr, feats), *map(getitem, labels, codes)]) + "\r\n"
+                     for feats, codes in zip(ds.features[block].tolist(),
+                                             ds.group_codes[block].tolist())]
+            fh.write("".join(map("{},{},{}{}".format,
+                                 chain.from_iterable(map(repeat, heads, rows)), times,
+                                 map(repr, values.tolist()),
+                                 chain.from_iterable(map(repeat, tails, rows)))))
 
 
 def standardize(ds: Dataset, stats: StandardizationStats | None = None):

@@ -19,7 +19,7 @@ from .conformal import (CONFORMAL_RULES, CalibrationResult, bands_for_dataset, c
                         mondrian_calibrate, score_dataset, worst_residuals)
 from .data_model import SPLIT_RULES, Dataset, _first_difference, _offsets, split, standardize
 from .errors import ConftrajError, DataError, check_rules, is_int, is_numbers
-from .predictors import fit_predictor
+from .predictors import PREDICTOR_RULES, fit_predictor
 
 BUCKET_MONTHS = 12          # per_time_width buckets are follow-up years
 # every split refits the predictor and keeps its EvalReport, which report.json
@@ -161,7 +161,10 @@ def run_protocol(ds: Dataset, predictor_kind: str, alpha: float,
                  group_by: str | None = None, mode: str = "conformal",
                  predictor_opts: dict | None = None) -> MultiSplitReport:
     """Multi-split evaluation with mean and 95th-percentile aggregation."""
-    check_rules(EVALUATION_RULES, {"n_splits": n_splits})
+    # every split takes these values as given, so a bad one is no split's fault
+    check_rules({**EVALUATION_RULES, **CONFORMAL_RULES, **SPLIT_RULES, **PREDICTOR_RULES},
+                {"n_splits": n_splits, "alpha": alpha, "mode": mode, "test_frac": test_frac,
+                 "calib_frac": calib_frac, "kind": predictor_kind})
     rng = np.random.default_rng(seed)
     split_seeds = rng.integers(0, 2 ** 31 - 1, size=n_splits)
     reports = []

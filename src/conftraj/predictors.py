@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data_model import UNDECODED, Dataset
+from .data_model import UNDECODED, Dataset, open_fresh
 from .errors import (ConfigurationError, DataError, NumericalError, check_rules, is_finite,
                      is_int, is_numbers)
 
@@ -539,7 +539,7 @@ def save_model(model, path):
         if f.name != "scaler":
             value = getattr(model, f.name)
             doc[f.name] = _arr(value) if isinstance(value, (np.ndarray, tuple)) else value
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_fresh(path) as fh:
         json.dump(doc, fh, sort_keys=True)
 
 

@@ -4,11 +4,12 @@ conftraj works on columns: a Dataset holds one array per column, and a
 band set one array per column of every band.  This module does the same
 work one subject at a time, in plain Python over its own record type,
 Subject, so that each columnar path has an independent oracle: the
-loader, the standardization, the design rows, the score, the rank radius
-with its Mondrian fallback, the one-subject band, coverage and width, and
-the risk scores.  From the library it uses only the Dataset constructor,
-predict_batch, the calibration and report containers, and the risk
-statistics, which tests/test_risk.py checks against loop oracles.
+loader, the row-by-row CSV writers, the standardization, the design rows,
+the score, the rank radius with its Mondrian fallback, the one-subject
+band, coverage and width, and the risk scores.  From the library it uses
+only the Dataset constructor, predict_batch, the calibration and report
+containers, and the risk statistics, which tests/test_risk.py checks
+against loop oracles.
 """
 
 import csv
@@ -19,7 +20,7 @@ from collections import namedtuple
 import numpy as np
 
 from conftraj.conformal import CalibrationResult, GroupCalibration
-from conftraj.data_model import MAX_TIME, Dataset, StandardizationStats, _offsets
+from conftraj.data_model import CSV_COLUMNS, MAX_TIME, Dataset, StandardizationStats, _offsets
 from conftraj.errors import DataError, SchemaError
 from conftraj.evaluation import BUCKET_MONTHS, EvalReport
 from conftraj.predictors import predict_batch
@@ -182,6 +183,45 @@ def load_truth(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return {row["subject_id"]: {"is_progressor": row["is_progressor"] == "1"}
                 for row in csv.DictReader(fh)}
+
+
+# ---------------------------------------------------------------------------
+# Writing: the row-by-row csv.writer writers that save_csv and generate's
+# truth writer replaced
+
+def save_csv(ds, path):
+    """ds in the long CSV format, one csv.writer row per (subject, visit),
+    each subject's month-0 row first.  A subject ID or group label holding a
+    NUL character or longer than csv.field_size_limit() is a DataError
+    naming the subject."""
+    limit = csv.field_size_limit()
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*CSV_COLUMNS, *ds.feature_names, *ds.group_columns])
+        for s in subjects_of(ds):
+            groups = [s.labels[c] for c in ds.group_columns]
+            if "\0" in s.id or any("\0" in g for g in groups):
+                raise DataError(f"subject {s.id!r}: NUL character in its ID "
+                                "or a group label")
+            longest = max(len(text) for text in (s.id, *groups))
+            if longest > limit:
+                raise DataError(f"subject {s.id[:20]!r} (ID of {len(s.id)} "
+                                f"characters): its ID or a group label has {longest} "
+                                f"characters, over the csv field limit ({limit})")
+            tail = [repr(v) for v in s.features.tolist()] + groups
+            writer.writerow([s.id, 0, repr(s.baseline)] + tail)
+            writer.writerows([s.id, t, repr(y)] + tail for t, y in s.visits)
+
+
+def save_truth(truth, path):
+    """A truth mapping (subject_id -> {"is_progressor", "true_slope"}) as a
+    CSV in subject_id order, one csv.writer row per subject."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["subject_id", "is_progressor", "true_slope"])
+        for sid in sorted(truth):
+            writer.writerow([sid, int(truth[sid]["is_progressor"]),
+                             repr(truth[sid]["true_slope"])])
 
 
 # ---------------------------------------------------------------------------

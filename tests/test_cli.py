@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -318,6 +319,53 @@ def test_byte_identical_reruns(tmp_path):
         outs.append(out)
     for name in ("report.json", "report.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_reruns_replace_each_output_with_the_same_bytes(tmp_path):
+    # generate, fit and risk, each run twice into one --out: the second run
+    # writes the same bytes as new files, so a hard link to a first-run file
+    # keeps that file, and a symlink at an output path is not written through
+    gen = tmp_path / "gen"
+    cfg = write_config(tmp_path / "run.json", {
+        "synth": {"n_subjects": 80}, "data": data_section(gen),
+        "predictor": {"kind": "bootstrap"}, "risk": {"bootstrap_B": 50}})
+    outs = {"generate": gen, "fit": tmp_path / "fit", "risk": tmp_path / "risk"}
+    first, links = {}, {}
+    for command, out in outs.items():
+        assert run([command, "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+        for path in sorted(out.iterdir()):
+            first[path], links[path] = path.read_bytes(), tmp_path / f"{command}-{path.name}"
+            os.link(path, links[path])
+    assert {p.name for p in first} >= {"cohort.csv", "truth.csv", "model.json",
+                                       "scaling.json", "risk.csv", "resolved_config.json"}
+    elsewhere = tmp_path / "elsewhere.txt"
+    elsewhere.write_bytes(b"not an output")
+    (outs["risk"] / "risk.csv").unlink()
+    (outs["risk"] / "risk.csv").symlink_to(elsewhere)
+    for command, out in outs.items():
+        assert run([command, "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+    for path, data in first.items():
+        assert path.read_bytes() == data, path
+        assert not path.is_symlink() and not os.path.samefile(path, links[path]), path
+        assert links[path].read_bytes() == data, path
+    assert elsewhere.read_bytes() == b"not an output"
+
+
+@pytest.mark.parametrize("command,name", [
+    ("generate", "cohort.csv"), ("generate", "truth.csv"), ("fit", "model.json"),
+    ("fit", "scaling.json"), ("risk", "risk.csv"), ("generate", "resolved_config.json")])
+def test_an_output_path_that_is_a_directory_exits_1(tmp_path, capsys, fitted_dirs,
+                                                     command, name):
+    gen, _ = fitted_dirs
+    cfg = write_config(tmp_path / "run.json", {
+        "synth": {"n_subjects": 30}, "data": data_section(gen),
+        "predictor": {"kind": "bootstrap"}, "risk": {"bootstrap_B": 50}})
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert run([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error [IsADirectoryError]: [Errno 21] Is a directory: '{out / name}'\n"
+    assert (out / name).is_dir()
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -12,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftraj import data_model
-from conftraj.data_model import (MAX_TIME, CsvSchema, Dataset, StandardizationStats,
-                                 load_csv, save_csv, split, standardize)
+from conftraj.cli import _write_truth
+from conftraj.data_model import (MAX_TIME, WRITE_BLOCK, CsvSchema, Dataset,
+                                 StandardizationStats, load_csv, save_csv, split, standardize)
 from conftraj.errors import ConfigurationError, DataError, SchemaError
 from conftraj.predictors import design_matrix, visit_rows
+from conftraj.synth import GroupSpec, SynthConfig, generate
 from tests import reference
 from tests.reference import (Subject, biomarker_values, dataset_of, records_repr,
                              scored, subjects_of)
@@ -216,18 +218,19 @@ EXTREME_FLOATS = st.one_of(
 
 @st.composite
 def odd_cohorts(draw):
-    """Datasets with odd IDs and labels, extreme floats, and subjects that
-    may have only a baseline row."""
+    """Datasets with odd IDs and labels, extreme floats, subjects that may
+    have only a baseline row, and no features or no group column."""
     ids = draw(st.lists(ODD_TEXT, min_size=1, max_size=5, unique=True))
     n_features = draw(st.integers(0, 2))
+    group_columns = draw(st.sampled_from([(), ("site",)]))
     subjects = []
     for sid in ids:
         times = sorted(draw(st.lists(st.integers(1, 600), max_size=4, unique=True)))
         subjects.append(Subject(
             sid, np.array([draw(EXTREME_FLOATS) for _ in range(n_features)]),
-            {"site": draw(ODD_TEXT)}, draw(EXTREME_FLOATS),
+            {c: draw(ODD_TEXT) for c in group_columns}, draw(EXTREME_FLOATS),
             tuple((t, draw(EXTREME_FLOATS)) for t in times)))
-    return dataset_of(subjects, tuple(f"f{j}" for j in range(n_features)), ("site",))
+    return dataset_of(subjects, tuple(f"f{j}" for j in range(n_features)), group_columns)
 
 
 @settings(max_examples=150, deadline=None)
@@ -244,6 +247,52 @@ def test_save_load_round_trip_odd_values(ds):
         back = load_csv(path, schema)
     # repr tells -0.0 from 0.0, so the floats must come back bit for bit
     assert records_repr(subjects_of(back)) == records_repr(subjects_of(ds))
+
+
+def assert_writes_reference_bytes(write, write_reference, obj, tmp):
+    """write(obj, path) writes the bytes write_reference(obj, path) writes,
+    or refuses obj as it does, before creating the file."""
+    ours, theirs = Path(tmp) / "ours.csv", Path(tmp) / "theirs.csv"
+    try:
+        write_reference(obj, theirs)
+    except DataError as exc:
+        with pytest.raises(DataError) as refused:
+            write(obj, ours)
+        assert str(refused.value) == str(exc)
+        assert not ours.exists()
+        return
+    write(obj, ours)
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(odd_cohorts())
+def test_save_csv_writes_the_reference_writers_bytes(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_writes_reference_bytes(save_csv, reference.save_csv, ds, tmp)
+
+
+def write_truth(truth, path):
+    _write_truth(path, truth)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(ODD_TEXT, st.tuples(st.booleans(), EXTREME_FLOATS), max_size=5))
+def test_truth_writer_writes_the_reference_writers_bytes(entries):
+    truth = {sid: {"is_progressor": flag, "true_slope": slope}
+             for sid, (flag, slope) in entries.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_writes_reference_bytes(write_truth, reference.save_truth, truth, tmp)
+
+
+def test_writers_match_the_reference_across_blocks(tmp_path):
+    # a cohort of several write blocks, whose labels need quoting
+    ds, truth = generate(SynthConfig(
+        n_subjects=2 * WRITE_BLOCK + 3, seed=4,
+        group_spec=(GroupSpec("site", ("a,b", 'q"x', "line\r\nbreak", "plain"),
+                              (0.25, 0.25, 0.25, 0.25)),)))
+    assert_writes_reference_bytes(save_csv, reference.save_csv, ds, tmp_path)
+    assert_writes_reference_bytes(write_truth, reference.save_truth, truth, tmp_path)
 
 
 def make_subject(sid, baseline, visits, group="F"):

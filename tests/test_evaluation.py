@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -250,6 +251,21 @@ def test_run_protocol_refuses_n_splits_before_drawing_seeds(n_splits):
     with pytest.raises(ConfigurationError,
                        match=rf"^n_splits must be an int in \[1, {MAX_SPLITS}\], got "):
         run_protocol(cohort(60, seed=1), "bootstrap", 0.1, n_splits=n_splits, seed=0)
+
+
+@pytest.mark.parametrize("given,message", [
+    ({"alpha": 1.5}, "alpha must be a number in (0,1), got 1.5"),
+    ({"mode": "bands"}, "mode must be 'conformal' or 'baseline', got 'bands'"),
+    ({"test_frac": 1.0}, "test_frac must be a number in (0,1), got 1.0"),
+    ({"calib_frac": 1.0}, "calib_frac must be a number in [0,1), got 1.0"),
+    ({"predictor_kind": "svm"}, "kind must be one of gp, quantile, bootstrap, got 'svm'"),
+])
+def test_run_protocol_refuses_its_values_before_any_split(given, message):
+    # every split would take the value as given, so the refusal names the
+    # value, not split 0; no data is given, and none is read
+    args = {"predictor_kind": "gp", "alpha": 0.1, "n_splits": 3, **given}
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        run_protocol(None, **args)
 
 
 @pytest.mark.parametrize("call", [
